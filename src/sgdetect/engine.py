@@ -1,26 +1,34 @@
 """Recursive sparse-grid detection engine.
 
-Both variants process a queue of box tasks (center, edge length): place a
-similar grid on the box, obtain per-point troubled likelihoods from the
-detector, and for each point at or above the threshold either enqueue a
+The engine processes a FIFO queue of box tasks (center, edge length):
+place a similar grid on the box, obtain per-point troubled likelihoods from
+the detector, and for each point at or above the threshold either enqueue a
 new box (edge = length of the longest graph edge at that point) or, when
 that length drops below the minimum, record the point as a final troubled
-point.  The basic variant classifies one grid at a time; the batched
-variant classifies a whole generation with one detector batch call and is
-otherwise identical (same troubled set, same visits).
+point.  :func:`run_basic` hands the detector one grid per call and
+:func:`run_batched` a whole generation per call; both run the same loop, so
+they visit the same grids and find the same troubled set.
 
-Centers and edges are exact dyadic rationals: every troubled point is a
-lattice point of some similar grid and every edge length is the root edge
-over a power of two, so the visited set and the evaluation cache use
-exact keys with no floating-point misses.
+Every point the engine can reach lies on one lattice ``origin + k * unit``
+with integer ``k``: a new box is centered on a grid point and its edge is
+the parent edge over a power of two.  With ``J`` the number of halvings an
+initial edge allows before dropping below ``lambda_min``, ``unit`` is the
+rational gcd of every initial ``edge / (M 2^J)`` and of every initial
+center's offset from the first one, which keeps off-lattice initial boxes
+and non-dyadic domains exact.  Grid points, the visited set, the evaluation
+cache and the troubled set use the int64 numerators ``k`` as keys, and the
+domain test is one integer comparison per grid.  Exact ``Fraction`` values
+are built only for the :class:`BoxTask` of an enqueued box and for each
+:class:`TroubledPoint`.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -34,6 +42,9 @@ from sgdetect.sparse_grid import Box, SparseGrid, similar_grid, _as_fraction
 
 BOUNDARY_POLICIES = ("clip-stop", "ignore")
 LAMBDA_RULES = ("incident", "global")
+
+#: lattice numerators must stay below 2^62 so int64 products cannot overflow
+_LATTICE_LIMIT = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -119,157 +130,172 @@ def _require_refined(grid: SparseGrid) -> None:
 
 
 class _EngineState:
-    """Queue, visited set, cache, and counters for one run."""
+    """Point lattice, queue, visited set, cache, and counters for one run.
+
+    Queue entries are ``(task, center, edge)`` with ``center`` and ``edge``
+    the task's lattice numerators; every key is a tuple of numerators.
+    """
 
     def __init__(self, grid: SparseGrid, graph: GridGraph, detector: Detector,
-                 g: Callable, config: EngineConfig):
+                 g: Callable, config: EngineConfig, initial: Sequence):
         _require_refined(grid)
+        if config.max_evaluations is not None and not detector.requires_evaluations:
+            raise EngineError(
+                f"max_evaluations={config.max_evaluations} can never bind: detector "
+                f"{detector.name!r} does not evaluate g"
+            )
         self.grid = grid
         self.graph = graph
         self.detector = detector
         self.g = g
         self.config = config
-        m = grid.resolution
+        m = self.m = grid.resolution
         lat = grid.lattice_array()
-        # exact per-point offsets from the box center, in units of the edge
-        self.offsets = [
-            tuple(Fraction(2 * int(k) - m, 2 * m) for k in row) for row in lat
-        ]
+        # per-point offsets from the box center, in units of edge / M
+        self.offsets = lat - m // 2
         self.offsets_float = (lat.astype(np.float64) - m / 2.0) / m
         spans = graph.incident_max_span()
         if graph.edges and int(spans.min()) == 0:
             raise DegenerateGraphError("reference graph has an isolated node")
-        if self.config.lambda_rule == "incident":
-            self.refine_span = [Fraction(int(s), m) for s in spans]
-        else:
-            global_span = max((e.span for e in graph.edges), default=0)
-            self.refine_span = [Fraction(global_span, m)] * grid.n_points
-        self.pending: deque[BoxTask] = deque()
+        if config.lambda_rule == "global":
+            spans[:] = max((e.span for e in graph.edges), default=0)
+        self.spans = spans.tolist()
+        tasks = _initial_tasks(initial, config, grid)
+        self._set_lattice(tasks)
+        self.pending: deque = deque()
         self.seen: set = set()
         self.troubled: dict = {}
         self.cache: dict = {}
         self.visited: set = set()
-        self.generation_sizes: list[int] = []
+        self.depth_sizes: Counter = Counter()
         self.evaluations = 0
         self.cache_hits = 0
         self.detector_calls = 0
-        self.grids_visited = 0
         self.truncated = False
+        for t in tasks:
+            self.enqueue(self.numerators(t.center), int(t.edge / self.unit), depth=0)
 
-    # -- per-task geometry ---------------------------------------------------
+    # -- the lattice -----------------------------------------------------------
 
-    def exact_coords(self, task: BoxTask) -> list[tuple[Fraction, ...]]:
-        c, lam = task.center, task.edge
-        return [tuple(c[d] + off[d] * lam for d in range(len(c))) for off in self.offsets]
+    def _set_lattice(self, tasks: list[BoxTask]) -> None:
+        lam_min = self.config.lambda_min
+        self.origin = tasks[0].center
+        steps = []
+        for t in tasks:
+            halvings = max(int(t.edge / lam_min).bit_length() - 1, 0)
+            steps.append(t.edge / (self.m << halvings))
+            steps.extend(c - o for c, o in zip(t.center, self.origin))
+        self.unit = Fraction(math.gcd(*(s.numerator for s in steps)),
+                             math.lcm(*(s.denominator for s in steps)))
+        # a box's points stay within 1.5 initial edges of its initial center
+        reach = max(max(map(abs, self.numerators(t.center))) + 2 * t.edge / self.unit
+                    for t in tasks)
+        if reach >= _LATTICE_LIMIT:
+            raise EngineError(
+                f"lambda_min={lam_min} needs a point lattice wider than 62 bits "
+                "for these initial boxes"
+            )
+        self.min_edge = math.ceil(lam_min / self.unit)
+        # domain bounds, clamped to the limit that no point reaches
+        lo, hi = [-_LATTICE_LIMIT] * len(self.origin), [_LATTICE_LIMIT] * len(self.origin)
+        domain = self.config.domain
+        if domain is not None:
+            lo = [max(math.ceil((x - o) / self.unit), -_LATTICE_LIMIT)
+                  for x, o in zip(domain.lower, self.origin)]
+            hi = [min(math.floor((x - o) / self.unit), _LATTICE_LIMIT)
+                  for x, o in zip(domain.upper, self.origin)]
+        self.lo, self.hi = np.array(lo), np.array(hi)
 
-    def build_sample(self, task: BoxTask) -> tuple[GridSample, list[tuple[Fraction, ...]]]:
-        exact = self.exact_coords(task)
+    def numerators(self, point: Sequence[Fraction]) -> tuple[int, ...]:
+        return tuple(int((x - o) / self.unit) for x, o in zip(point, self.origin))
+
+    def point(self, key: tuple[int, ...]) -> tuple[Fraction, ...]:
+        return tuple(o + k * self.unit for o, k in zip(self.origin, key))
+
+    # -- per-visit work --------------------------------------------------------
+
+    def enqueue(self, center: tuple[int, ...], edge: int, depth: int) -> None:
+        if (center, edge) in self.seen:
+            return
+        self.seen.add((center, edge))
+        task = BoxTask(center=self.point(center), edge=edge * self.unit, depth=depth)
+        self.pending.append((task, center, edge))
+
+    def visit(self, task: BoxTask, center: tuple[int, ...],
+              edge: int) -> tuple[GridSample, list[tuple[int, ...]]]:
+        pts = np.array(center, dtype=np.int64) + self.offsets * (edge // self.m)
+        keys = list(map(tuple, pts.tolist()))
+        in_domain = np.all((pts >= self.lo) & (pts <= self.hi), axis=1)
         center_f = np.array([float(c) for c in task.center])
         coords = center_f + self.offsets_float * float(task.edge)
-        domain = self.config.domain
-        if domain is None:
-            in_domain = np.ones(len(exact), dtype=bool)
-        else:
-            in_domain = np.array([domain.contains(pt) for pt in exact])
         placed = similar_grid(self.grid, task.center, task.edge)
-        sample = GridSample(grid=placed, graph=self.graph, coords=coords,
-                            in_domain=in_domain, evaluations=None)
-        for pt in exact:
-            self.visited.add(pt)
-        return sample, exact
+        sample = GridSample(grid=placed, graph=self.graph, coords=coords, in_domain=in_domain)
+        self.visited.update(keys)
+        if self.detector.requires_evaluations:
+            self.evaluate(sample, keys)
+        self.depth_sizes[task.depth] += 1
+        return sample, keys
 
-    def evaluate(self, sample: GridSample, exact: list[tuple[Fraction, ...]]) -> None:
-        values = np.full(len(exact), OUT_OF_DOMAIN, dtype=np.float64)
-        miss_rows = []
-        miss_keys = []
-        for i, pt in enumerate(exact):
-            if not sample.in_domain[i]:
-                continue
-            if self.config.cache_evaluations and pt in self.cache:
-                values[i] = self.cache[pt]
+    def evaluate(self, sample: GridSample, keys: list[tuple[int, ...]]) -> None:
+        values = np.full(len(keys), OUT_OF_DOMAIN, dtype=np.float64)
+        cache = self.cache if self.config.cache_evaluations else None
+        misses = []
+        for i in np.flatnonzero(sample.in_domain).tolist():
+            if cache is not None and keys[i] in cache:
+                values[i] = cache[keys[i]]
                 self.cache_hits += 1
             else:
-                miss_rows.append(i)
-                miss_keys.append(pt)
-        if miss_rows:
-            got = np.asarray(self.g(sample.coords[miss_rows]), dtype=np.float64)
-            self.evaluations += len(miss_rows)
-            for row, key, val in zip(miss_rows, miss_keys, np.atleast_1d(got)):
-                values[row] = val
-                if self.config.cache_evaluations:
-                    self.cache[key] = float(val)
+                misses.append(i)
+        if misses:
+            got = np.asarray(self.g(sample.coords[misses]), dtype=np.float64)
+            if got.shape != (len(misses),):
+                raise EngineError(
+                    f"g returned shape {got.shape} for {len(misses)} points; "
+                    f"expected ({len(misses)},)"
+                )
+            self.evaluations += len(misses)
+            values[misses] = got
+            if cache is not None:
+                cache.update(zip([keys[i] for i in misses], got.tolist()))
         sample.evaluations = values
 
     # -- the refinement rule ---------------------------------------------------
 
-    def process(self, task: BoxTask, sample: GridSample,
-                exact: list[tuple[Fraction, ...]], p: np.ndarray) -> None:
-        tau = self.config.tau
-        lam_min = self.config.lambda_min
-        for i in np.where(p >= tau)[0]:
-            pt = exact[i]
-            lam_i = task.edge * self.refine_span[i]
+    def process(self, depth: int, edge: int, sample: GridSample,
+                keys: list[tuple[int, ...]], p: np.ndarray) -> None:
+        for i in np.flatnonzero(p >= self.config.tau).tolist():
+            lam = edge * self.spans[i] // self.m
             if not sample.in_domain[i]:
                 if self.config.boundary_policy == "clip-stop":
-                    self.troubled.setdefault(
-                        pt,
-                        TroubledPoint(
-                            coords=tuple(float(x) for x in pt),
-                            exact=pt,
-                            trigger_lambda=lam_i,
-                            boundary_stopped=True,
-                        ),
-                    )
-                continue
-            if lam_i >= lam_min:
-                new = BoxTask(center=pt, edge=lam_i, depth=task.depth + 1)
-                if new.key() not in self.seen:
-                    self.seen.add(new.key())
-                    self.pending.append(new)
+                    self.record(keys[i], lam, boundary_stopped=True)
+            elif lam >= self.min_edge:
+                self.enqueue(keys[i], lam, depth + 1)
             else:
-                self.troubled.setdefault(
-                    pt,
-                    TroubledPoint(
-                        coords=tuple(float(x) for x in pt),
-                        exact=pt,
-                        trigger_lambda=lam_i,
-                    ),
-                )
+                self.record(keys[i], lam)
 
-    def visit(self, task: BoxTask) -> tuple[GridSample, list]:
-        sample, exact = self.build_sample(task)
-        if self.detector.requires_evaluations:
-            self.evaluate(sample, exact)
-        self.grids_visited += 1
-        return sample, exact
-
-    def over_budget(self) -> bool:
-        budget = self.config.max_evaluations
-        return budget is not None and self.evaluations >= budget
+    def record(self, key: tuple[int, ...], lam: int, boundary_stopped: bool = False) -> None:
+        if key not in self.troubled:
+            exact = self.point(key)
+            self.troubled[key] = TroubledPoint(tuple(float(x) for x in exact), exact,
+                                               lam * self.unit, boundary_stopped)
 
     def result(self) -> DetectionRun:
         return DetectionRun(
             troubled=list(self.troubled.values()),
-            generation_sizes=self.generation_sizes,
+            generation_sizes=[self.depth_sizes[d] for d in sorted(self.depth_sizes)],
             visited_points=len(self.visited),
             evaluations=self.evaluations,
             cache_hits=self.cache_hits,
             detector_calls=self.detector_calls,
-            grids_visited=self.grids_visited,
+            grids_visited=sum(self.depth_sizes.values()),
             truncated=self.truncated,
             config=self.config,
         )
 
 
-def _seed_state(state: _EngineState, initial: Sequence, config: EngineConfig,
-                grid: SparseGrid) -> None:
-    tasks = []
-    for center, edge in initial:
-        tasks.append(BoxTask(
-            center=tuple(_as_fraction(c) for c in center),
-            edge=_as_fraction(edge),
-            depth=0,
-        ))
+def _initial_tasks(initial: Sequence, config: EngineConfig, grid: SparseGrid) -> list[BoxTask]:
+    tasks = [BoxTask(center=tuple(_as_fraction(c) for c in center), edge=_as_fraction(edge))
+             for center, edge in initial]
     if not tasks:
         raise EngineError("need at least one initial box")
     for t in tasks:
@@ -285,10 +311,7 @@ def _seed_state(state: _EngineState, initial: Sequence, config: EngineConfig,
                     f"{float(t.edge)} is not inside the domain"
                 )
     _warn_off_lattice(tasks, grid.resolution)
-    for t in tasks:
-        if t.key() not in state.seen:
-            state.seen.add(t.key())
-            state.pending.append(t)
+    return tasks
 
 
 def _warn_off_lattice(tasks: list[BoxTask], m: int) -> None:
@@ -305,32 +328,38 @@ def _warn_off_lattice(tasks: list[BoxTask], m: int) -> None:
                 warnings.warn(
                     "initial grid centers are off-lattice relative to each other; "
                     "evaluation sharing between grids will be reduced",
-                    stacklevel=3,
+                    stacklevel=6,
                 )
                 return
+
+
+def _run(g: Callable, grid: SparseGrid, graph: GridGraph, detector: Detector,
+         initial: Sequence, config: EngineConfig, visit_hook: Callable | None,
+         batched: bool) -> DetectionRun:
+    """The engine loop: one queued task, or the whole generation, per detector call."""
+    state = _EngineState(grid, graph, detector, g, config, initial)
+    budget = config.max_evaluations
+    while state.pending:
+        if budget is not None and state.evaluations >= budget:
+            state.truncated = True
+            break
+        chunk = [state.pending.popleft() for _ in range(len(state.pending) if batched else 1)]
+        visits = [state.visit(*item) for item in chunk]
+        samples = [sample for sample, _ in visits]
+        ps = detector.detect_batch(samples) if batched else [detector.detect(samples[0])]
+        state.detector_calls += 1
+        for (task, _, edge), (sample, keys), p in zip(chunk, visits, ps):
+            if visit_hook is not None:
+                visit_hook(task, sample, p)
+            state.process(task.depth, edge, sample, keys, p)
+    return state.result()
 
 
 def run_basic(g: Callable, grid: SparseGrid, graph: GridGraph, detector: Detector,
               initial: Sequence, config: EngineConfig,
               visit_hook: Callable | None = None) -> DetectionRun:
     """Sequential engine: one grid classified per detector call (FIFO queue)."""
-    state = _EngineState(grid, graph, detector, g, config)
-    _seed_state(state, initial, config, grid)
-    depth_sizes: dict[int, int] = {}
-    while state.pending:
-        if state.over_budget():
-            state.truncated = True
-            break
-        task = state.pending.popleft()
-        depth_sizes[task.depth] = depth_sizes.get(task.depth, 0) + 1
-        sample, exact = state.visit(task)
-        p = state.detector.detect(sample)
-        state.detector_calls += 1
-        if visit_hook is not None:
-            visit_hook(task, sample, p)
-        state.process(task, sample, exact, p)
-    state.generation_sizes = [depth_sizes[d] for d in sorted(depth_sizes)]
-    return state.result()
+    return _run(g, grid, graph, detector, initial, config, visit_hook, batched=False)
 
 
 def run_batched(g: Callable, grid: SparseGrid, graph: GridGraph, detector: Detector,
@@ -341,28 +370,7 @@ def run_batched(g: Callable, grid: SparseGrid, graph: GridGraph, detector: Detec
     Semantics are identical to :func:`run_basic` for deterministic
     detectors; only the number of detector calls differs.
     """
-    state = _EngineState(grid, graph, detector, g, config)
-    _seed_state(state, initial, config, grid)
-    while state.pending:
-        if state.over_budget():
-            state.truncated = True
-            break
-        generation = list(state.pending)
-        state.pending.clear()
-        state.generation_sizes.append(len(generation))
-        samples = []
-        exacts = []
-        for task in generation:
-            sample, exact = state.visit(task)
-            samples.append(sample)
-            exacts.append(exact)
-        p_matrix = state.detector.detect_batch(samples)
-        state.detector_calls += 1
-        for task, sample, exact, p in zip(generation, samples, exacts, p_matrix):
-            if visit_hook is not None:
-                visit_hook(task, sample, p)
-            state.process(task, sample, exact, p)
-    return state.result()
+    return _run(g, grid, graph, detector, initial, config, visit_hook, batched=True)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -221,12 +221,6 @@ class SparseGrid:
         step = self.box.edge / self.resolution
         return [tuple(lo[i] + k[i] * step for i in range(self.dim)) for k in self.lattice]
 
-    def exact_coord(self, index: int) -> tuple[Fraction, ...]:
-        lo = self.box.lower
-        step = self.box.edge / self.resolution
-        k = self.lattice[index]
-        return tuple(lo[i] + k[i] * step for i in range(self.dim))
-
 
 def build_sparse_grid(spec: GridSpec, box: Box) -> SparseGrid:
     """Union of the tensor grids selected by the multi-index rule.
@@ -309,11 +303,3 @@ def grid_from_record(rec: dict) -> SparseGrid:
         lattice=tuple(tuple(k) for k in rec["lattice"]),
         resolution=rec["resolution"],
     )
-
-
-def parse_initial_tasks(entries: Iterable[Sequence]) -> list[tuple[tuple[Fraction, ...], Fraction]]:
-    """Convert (center, edge) pairs to exact form for the engine."""
-    tasks = []
-    for center, edge in entries:
-        tasks.append((tuple(_as_fraction(c) for c in center), _as_fraction(edge)))
-    return tasks

@@ -138,6 +138,11 @@ class TestExitCodes:
         assert run_cli(["detect", "--target", "builtin:nonexistent",
                         "--detector", "exact"]) == 2
 
+    def test_budget_with_exact_detector(self, capsys):
+        # the exact oracle never evaluates g: a budget could not bind
+        assert run_cli(["detect", "--target", "builtin:circle", "--detector", "exact",
+                        "--lambda-min", "1/8", "--budget", "10"]) == 2
+
     def test_dimension_mismatch(self, tmp_path, capsys):
         data = make_tiny_dataset(tmp_path, seed=2, count=8)
         model = tmp_path / "model.json"

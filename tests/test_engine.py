@@ -42,6 +42,10 @@ class CountingDetector(Detector):
         return self.inner.detect(sample)
 
 
+class EvalOracle(ExactOracleDetector):
+    requires_evaluations = True  # force evaluation path
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(EngineError):
@@ -237,9 +241,6 @@ class TestCache:
             calls["n"] += len(x)
             return np.where(cut(x) >= 0, 2.0, -1.0)
 
-        class EvalOracle(ExactOracleDetector):
-            requires_evaluations = True  # force evaluation path
-
         config = EngineConfig(lambda_min=Fraction(1, 32), domain=SQUARE,
                               boundary_policy="ignore", cache_evaluations=cache)
         run = run_basic(g=g, grid=grid2d, graph=graph2d, detector=EvalOracle(cut),
@@ -261,9 +262,6 @@ class TestBudget:
     def test_truncation_flag(self, grid2d, graph2d):
         cut = SphericalCut((0.2, 0.1), 0.65)
 
-        class EvalOracle(ExactOracleDetector):
-            requires_evaluations = True
-
         config = EngineConfig(lambda_min=Fraction(1, 64), domain=SQUARE,
                               boundary_policy="ignore", max_evaluations=200)
         run = run_basic(g=constant_g, grid=grid2d, graph=graph2d,
@@ -275,6 +273,30 @@ class TestBudget:
                                              boundary_policy="ignore"))
         assert not full.truncated
         assert len(run.troubled) <= len(full.troubled)
+
+    def test_budget_that_cannot_bind_is_rejected(self, grid2d, graph2d):
+        # the exact oracle never evaluates g, so a budget would silently not apply
+        config = EngineConfig(lambda_min=Fraction(1, 64), domain=SQUARE, max_evaluations=10)
+        for runner in (run_basic, run_batched):
+            with pytest.raises(EngineError, match="max_evaluations"):
+                runner(g=constant_g, grid=grid2d, graph=graph2d,
+                       detector=ExactOracleDetector(SphericalCut((0.2, 0.1), 0.65)),
+                       initial=[((0, 0), 2)], config=config)
+
+
+class TestEvaluationShape:
+    @pytest.mark.parametrize("bad_g", [
+        lambda x: np.ones(len(x) - 1),
+        lambda x: np.ones(len(x) + 1),
+        lambda x: np.ones((len(x), 1)),
+        lambda x: 1.0,
+    ])
+    def test_wrong_shape_from_g_raises(self, grid2d, graph2d, bad_g):
+        config = EngineConfig(lambda_min=Fraction(1, 8), domain=SQUARE)
+        with pytest.raises(EngineError, match="shape"):
+            run_basic(g=bad_g, grid=grid2d, graph=graph2d,
+                      detector=EvalOracle(SphericalCut((0.2, 0.1), 0.65)),
+                      initial=[((0, 0), 2)], config=config)
 
 
 class TestBatchedEquivalence:
@@ -292,6 +314,8 @@ class TestBatchedEquivalence:
         assert a.visited_points == b.visited_points
         assert a.grids_visited == b.grids_visited
         assert a.generation_sizes == b.generation_sizes
+        assert sum(a.generation_sizes) == a.grids_visited
+        assert sum(b.generation_sizes) == b.grids_visited
 
     def test_single_task_batch_of_one(self, grid2d, graph2d):
         cut = SphericalCut((0.2, 0.1), 0.65)
@@ -303,16 +327,34 @@ class TestBatchedEquivalence:
                         detector=ExactOracleDetector(cut), initial=[((0, 0), 2)],
                         config=config)
         assert a.troubled_keys() == b.troubled_keys()
+        assert sum(a.generation_sizes) == a.grids_visited
+        assert sum(b.generation_sizes) == b.grids_visited
 
 
 class TestWarningsAndReports:
     def test_off_lattice_warning(self, grid2d, graph2d):
-        cut = SphericalCut((9, 9), 0.1)
+        # the circle crosses both boxes; their point lattices never meet
+        cut = SphericalCut((0.2, 0.0), 0.3)
         config = EngineConfig(lambda_min=Fraction(1, 8), domain=Box.cube((0, 0), 4))
+        boxes = [((0, 0), 1), ((Fraction(1, 3), 0), 1)]
+
+        def run(initial):
+            return run_basic(g=constant_g, grid=grid2d, graph=graph2d,
+                             detector=ExactOracleDetector(cut), initial=initial, config=config)
+
         with pytest.warns(UserWarning, match="off-lattice"):
-            run_basic(g=constant_g, grid=grid2d, graph=graph2d,
-                      detector=ExactOracleDetector(cut),
-                      initial=[((0, 0), 1), ((Fraction(1, 3), 0), 1)], config=config)
+            both = run(boxes)
+        first, second = run(boxes[:1]), run(boxes[1:])
+        assert first.troubled and second.troubled
+        assert both.troubled_keys() == first.troubled_keys() | second.troubled_keys()
+        assert both.visited_points == first.visited_points + second.visited_points
+
+    def test_lattice_wider_than_62_bits_is_rejected(self, grid2d, graph2d):
+        config = EngineConfig(lambda_min=Fraction(1, 2 ** 70), domain=SQUARE)
+        with pytest.raises(EngineError, match="62 bits"):
+            run_batched(g=constant_g, grid=grid2d, graph=graph2d,
+                        detector=ExactOracleDetector(SphericalCut((0.2, 0.1), 0.65)),
+                        initial=[((0, 0), 2)], config=config)
 
     def test_report_and_csv(self, grid2d, graph2d, tmp_path):
         cut = SphericalCut((0.2, 0.1), 0.65)
