@@ -79,7 +79,10 @@ def _build_reference(rule: str, level: int, dim: int):
 def _parse_lambda_min(text: str, domain: Box, h_max: int) -> Fraction:
     if text == "auto":
         return domain.edge / 2 ** (h_max + 1)
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"malformed --lambda-min {text!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -99,20 +102,24 @@ def resolve_target(spec: str):
             raise ConfigError(f"unknown builtin target {name!r}; have {sorted(registry)}")
         tf = registry[name]
         return tf, tf.cut, tf.domain, tf.dim
-    if spec.startswith("phantom:"):
-        r = int(spec.split(":", 1)[1])
-        img = eval_mod.ImageFunction(eval_mod.shepp_logan(r))
-        return img, None, img.domain(), 2
     if spec.startswith("image:"):
         img = eval_mod.ImageFunction(eval_mod.read_pgm(spec.split(":", 1)[1]))
         return img, None, img.domain(), 2
-    if spec.startswith("synthetic:"):
-        parts = spec.split(":")
-        kind, seed = parts[1], int(parts[2])
-        dim = int(parts[3]) if len(parts) > 3 else 2
-        rng = np.random.default_rng(seed)
-        fn = synth_data.sample_piecewise_function(kind, dim, rng)
-        return fn, fn.cut, _reference_box(dim), dim
+    # a missing field, a non-integer, a too-small phantom or an unknown cut kind
+    try:
+        if spec.startswith("phantom:"):
+            r = int(spec.split(":", 1)[1])
+            img = eval_mod.ImageFunction(eval_mod.shepp_logan(r))
+            return img, None, img.domain(), 2
+        if spec.startswith("synthetic:"):
+            parts = spec.split(":")
+            kind, seed = parts[1], int(parts[2])
+            dim = int(parts[3]) if len(parts) > 3 else 2
+            rng = np.random.default_rng(seed)
+            fn = synth_data.sample_piecewise_function(kind, dim, rng)
+            return fn, fn.cut, _reference_box(dim), dim
+    except (IndexError, ValueError) as exc:
+        raise ConfigError(f"malformed target spec {spec!r}: {exc}") from exc
     raise ConfigError(f"unknown target spec {spec!r}")
 
 

@@ -8,12 +8,16 @@ nearest to the point no farther from it than from the other endpoint).
 Deterministic detectors provided here:
 
 * ``exact_troubled_oracle`` -- closed-form segment intersections (linear,
-  spherical, or any cut exposing ``segment_roots``); the ground truth used
-  to label data and check convergence.
+  spherical, or any cut exposing ``segment_roots``) over all edges in one
+  call; the ground truth used to label data and check convergence.
 * ``z_detector`` -- the sign-sampling approximation with t+1 equispaced
-  knots per edge; converges to the oracle as t grows.
+  knots per edge (``sample_signs``); converges to the oracle as t grows.
 * ``NeuralDetector`` -- adapter running a trained model on preprocessed
   evaluation vectors, batched across grids.
+
+Both edge-crossing tests (``CutFunction.segment_roots`` and
+``sample_signs``) take stacked segments, so the TPR check in
+``sgdetect.evaluation`` uses the same two functions.
 
 Convention: a grid point outside the target domain carries an infinite
 sentinel in its evaluation slot and its output likelihood is forced to 0.
@@ -34,6 +38,10 @@ from sgdetect.sparse_grid import SparseGrid
 #: sentinel marking an out-of-domain evaluation slot
 OUT_OF_DOMAIN = np.inf
 
+#: most cut samples one sign-sampling call evaluates (bounds the
+#: (segments, knots, n) point tensor of the z-detector and of TPR)
+SAMPLE_BUDGET = 4_000_000
+
 
 # ---------------------------------------------------------------------------
 # cut functions (scalar fields whose zero-level set carries the interface)
@@ -52,8 +60,16 @@ class CutFunction:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def segment_roots(self, a: np.ndarray, b: np.ndarray) -> list[float] | None:
-        """Parameters t in [0, 1] with f(a + t(b-a)) = 0, or None if no closed form."""
+    def segment_roots(self, a: np.ndarray, b: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Extreme roots in [0, 1] of t -> f(a + t(b-a)) per segment, or None.
+
+        ``a`` and ``b`` are stacked endpoints of shape ``(..., n)``.  The
+        result is ``(lo, hi)``, each of shape ``(...)``: the smallest and
+        the largest root t in [0, 1] of each segment, both NaN where the
+        segment has none.  A segment lying inside the zero-level set gives
+        ``(0, 1)``.  ``None`` means the cut has no closed form.
+        """
         return None
 
     def distance(self, x: np.ndarray) -> np.ndarray | None:
@@ -77,14 +93,13 @@ class LinearCut(CutFunction):
         return np.asarray(x, dtype=np.float64) @ self.w + self.b
 
     def segment_roots(self, a, b):
-        va = float(self(np.asarray(a)))
-        vb = float(self(np.asarray(b)))
-        if va == 0.0 and vb == 0.0:
-            return [0.0, 1.0]
-        if va == vb:
-            return []
-        t = -va / (vb - va)
-        return [t] if 0.0 <= t <= 1.0 else []
+        va = np.vecdot(np.asarray(a, dtype=np.float64), self.w) + self.b
+        vb = np.vecdot(np.asarray(b, dtype=np.float64), self.w) + self.b
+        # va == vb gives an infinite or NaN t, which lies outside [0, 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = -va / (vb - va)
+        inside = (va == 0.0) & (vb == 0.0)
+        return _roots_in_unit(np.where(inside, 0.0, t), np.where(inside, 1.0, t))
 
     def distance(self, x):
         return np.abs(self(x))
@@ -106,20 +121,30 @@ class SphericalCut(CutFunction):
         a = np.asarray(a, dtype=np.float64)
         d = np.asarray(b, dtype=np.float64) - a
         u = a - self.center
-        qa = float(d @ d)
-        qb = 2.0 * float(d @ u)
-        qc = float(u @ u) - self.radius**2
-        if qa == 0.0:
-            return [0.0] if qc == 0.0 else []
-        disc = qb * qb - 4.0 * qa * qc
-        if disc < 0.0:
-            return []
-        sq = math.sqrt(disc)
-        roots = sorted(((-qb - sq) / (2 * qa), (-qb + sq) / (2 * qa)))
-        return [t for t in roots if 0.0 <= t <= 1.0]
+        qa = np.vecdot(d, d)
+        qb = 2.0 * np.vecdot(d, u)
+        qc = np.vecdot(u, u) - self.radius**2
+        # a negative discriminant gives NaN roots; qa == 0 is replaced below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sq = np.sqrt(qb * qb - 4.0 * qa * qc)
+            r1 = (-qb - sq) / (2 * qa)
+            r2 = (-qb + sq) / (2 * qa)
+        # a zero-length segment has the root 0 iff its one point is on the sphere
+        point = np.where(qc == 0.0, 0.0, np.nan)
+        zero = qa == 0.0
+        return _roots_in_unit(np.where(zero, point, r1), np.where(zero, point, r2))
 
     def distance(self, x):
         return np.abs(self(x))
+
+
+def _roots_in_unit(r1: np.ndarray, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of the candidate roots r1 <= r2 (NaN: none) that lie in [0, 1]."""
+    in1 = (r1 >= 0.0) & (r1 <= 1.0)
+    in2 = (r2 >= 0.0) & (r2 <= 1.0)
+    lo = np.where(in1, r1, np.where(in2, r2, np.nan))
+    hi = np.where(in2, r2, np.where(in1, r1, np.nan))
+    return lo, hi
 
 
 class PolynomialCut(CutFunction):
@@ -192,26 +217,30 @@ class ProductCut(CutFunction):
 class CallableCut(CutFunction):
     """Wrap an arbitrary vectorized scalar field as a cut."""
 
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], dim: int,
-                 roots: Callable[[np.ndarray, np.ndarray], list[float]] | None = None):
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], dim: int):
         self.fn = fn
         self.dim = dim
-        self._roots = roots
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=np.float64))
-
-    def segment_roots(self, a, b):
-        if self._roots is None:
-            return None
-        return self._roots(a, b)
 
 
 # ---------------------------------------------------------------------------
 # deterministic detectors
 
 
-def z_detector(f: CutFunction, grid: SparseGrid, graph: GridGraph, t: int,
+def sample_signs(f: CutFunction, a: np.ndarray, b: np.ndarray,
+                 knots: np.ndarray) -> np.ndarray:
+    """Signs of f at a + tau (b - a) for each knot tau of each segment.
+
+    ``a`` and ``b`` are stacked endpoints of shape ``(..., n)``; the result
+    has shape ``(..., len(knots))``.  The cut sees one ``(m, n)`` array.
+    """
+    pts = a[..., None, :] + knots[:, None] * (b - a)[..., None, :]
+    return np.sign(f(pts.reshape(-1, pts.shape[-1])).reshape(pts.shape[:-1]))
+
+
+def z_detector(f: CutFunction, graph: GridGraph, t: int,
                coords: np.ndarray | None = None) -> np.ndarray:
     """Sign-sampling zero-level-set detector with t+1 knots per edge.
 
@@ -220,62 +249,51 @@ def z_detector(f: CutFunction, grid: SparseGrid, graph: GridGraph, t: int,
     zero or some tau in {1..ceil(t/2)} changes sign against it; x_j is
     troubled if f(x_j) is zero or some tau in {floor(t/2)..t-1} changes
     sign against it.  Sign zero means exact floating-point zero; no
-    tolerance is applied.
+    tolerance is applied.  ``coords`` defaults to the graph's own grid.
     """
     if t < 2:
         raise DetectorError(f"z-detector needs t >= 2, got {t}")
     if coords is None:
-        coords = grid.coords()
-    n_pts = coords.shape[0]
-    p = np.zeros(n_pts, dtype=np.float64)
-    edges = graph.edges
-    if not edges:
-        return p
-    ei = np.array([e.i for e in edges])
-    ej = np.array([e.j for e in edges])
+        coords = graph.grid.coords()
+    p = np.zeros(coords.shape[0], dtype=np.float64)
+    ei, ej = graph.edge_ends
     taus = np.arange(t + 1, dtype=np.float64) / t
     head_hi = math.ceil(t / 2)  # tau range {1..ceil(t/2)} for x_i
     tail_lo = math.floor(t / 2)  # tau range {floor(t/2)..t-1} for x_j
-    # chunk over edges to bound the (chunk, t+1, n) sample tensor
-    chunk = max(1, int(4_000_000 // (t + 1)))
-    for lo in range(0, len(edges), chunk):
-        sl = slice(lo, min(lo + chunk, len(edges)))
-        a = coords[ei[sl]]
-        b = coords[ej[sl]]
-        pts = a[:, None, :] + taus[None, :, None] * (b - a)[:, None, :]
-        s = np.sign(f(pts.reshape(-1, coords.shape[1])).reshape(pts.shape[0], t + 1))
+    chunk = max(1, SAMPLE_BUDGET // (t + 1))
+    for lo in range(0, len(ei), chunk):
+        i, j = ei[lo : lo + chunk], ej[lo : lo + chunk]
+        s = sample_signs(f, coords[i], coords[j], taus)
         trb_i = (s[:, 0] == 0) | np.any(s[:, 1 : head_hi + 1] != s[:, :1], axis=1)
         trb_j = (s[:, t] == 0) | np.any(s[:, tail_lo:t] != s[:, t:], axis=1)
-        np.maximum.at(p, ei[sl], trb_i.astype(np.float64))
-        np.maximum.at(p, ej[sl], trb_j.astype(np.float64))
+        p[i[trb_i]] = 1.0
+        p[j[trb_j]] = 1.0
     return p
 
 
-def exact_troubled_oracle(f: CutFunction, grid: SparseGrid, graph: GridGraph,
+def exact_troubled_oracle(f: CutFunction, graph: GridGraph,
                           coords: np.ndarray | None = None) -> np.ndarray:
     """Exact troubled-point indicator from closed-form edge intersections.
 
     An endpoint is troubled iff the intersection nearest to it sits on its
     half of the segment (parameter <= 1/2 from that endpoint, ties marking
-    both ends).  Requires the cut to expose ``segment_roots``; otherwise a
-    :class:`DetectorError` directs the caller to the z-detector.
+    both ends).  All edges go to the cut's ``segment_roots`` in one call;
+    a cut without it raises a :class:`DetectorError` directing the caller
+    to the z-detector.  ``coords`` defaults to the graph's own grid.
     """
     if coords is None:
-        coords = grid.coords()
+        coords = graph.grid.coords()
+    ei, ej = graph.edge_ends
+    roots = f.segment_roots(coords[ei], coords[ej])
+    if roots is None:
+        raise DetectorError(
+            f"cut {type(f).__name__} has no closed-form segment intersection; "
+            "use the z-detector instead"
+        )
+    lo, hi = roots
     p = np.zeros(coords.shape[0], dtype=np.float64)
-    for e in graph.edges:
-        roots = f.segment_roots(coords[e.i], coords[e.j])
-        if roots is None:
-            raise DetectorError(
-                f"cut {type(f).__name__} has no closed-form segment intersection; "
-                "use the z-detector instead"
-            )
-        if not roots:
-            continue
-        if min(roots) <= 0.5:
-            p[e.i] = 1.0
-        if max(roots) >= 0.5:
-            p[e.j] = 1.0
+    p[ei[lo <= 0.5]] = 1.0
+    p[ej[hi >= 0.5]] = 1.0
     return p
 
 
@@ -328,7 +346,7 @@ class ZLevelDetector(Detector):
         self.name = f"zlevel:{t}"
 
     def detect(self, sample: GridSample) -> np.ndarray:
-        return z_detector(self.cut, sample.grid, sample.graph, self.t, coords=sample.coords)
+        return z_detector(self.cut, sample.graph, self.t, coords=sample.coords)
 
 
 class ExactOracleDetector(Detector):
@@ -339,7 +357,7 @@ class ExactOracleDetector(Detector):
         self.name = "exact"
 
     def detect(self, sample: GridSample) -> np.ndarray:
-        return exact_troubled_oracle(self.cut, sample.grid, sample.graph, coords=sample.coords)
+        return exact_troubled_oracle(self.cut, sample.graph, coords=sample.coords)
 
 
 class NeuralDetector(Detector):

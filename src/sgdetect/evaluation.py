@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from sgdetect.detectors import (
+    SAMPLE_BUDGET,
     CallableCut,
     CutFunction,
     ProductCut,
@@ -30,6 +31,7 @@ from sgdetect.detectors import (
     SphericalCut,
     PolynomialCut,
     TorusCut,
+    sample_signs,
 )
 from sgdetect.errors import SgdetectError
 from sgdetect.grid_graph import GridGraph
@@ -148,17 +150,6 @@ class TprReport:
         return self.tpr is None
 
 
-def _edge_crosses(cut: CutFunction, a: np.ndarray, b: np.ndarray,
-                  subdivisions: int) -> bool:
-    roots = cut.segment_roots(a, b)
-    if roots is not None:
-        return len(roots) > 0
-    ts = np.linspace(0.0, 1.0, subdivisions + 1)
-    vals = cut(a[None, :] + ts[:, None] * (b - a)[None, :])
-    signs = np.sign(vals)
-    return bool(np.any(signs == 0) or np.any(signs[:-1] != signs[1:]))
-
-
 def tpr(points: np.ndarray, cut: CutFunction, lambda_min, check_graph: GridGraph,
         subdivisions: int = 1000, visited_count: int | None = None) -> TprReport:
     """Fraction of troubled points whose check grid touches the interface.
@@ -167,7 +158,10 @@ def tpr(points: np.ndarray, cut: CutFunction, lambda_min, check_graph: GridGraph
     there with box edge ``lambda_min``; the point is a true troubled point
     iff the cut's zero-level set intersects at least one graph edge.
     Intersections use the cut's closed form when available, otherwise sign
-    sampling with ``subdivisions`` intervals per edge.
+    sampling with ``subdivisions`` intervals per edge.  Points are scored
+    in chunks whose sampled segments stay within
+    :data:`~sgdetect.detectors.SAMPLE_BUDGET` cut samples; within a chunk
+    the edges are tested in order over the points not yet hit.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if points.size == 0:
@@ -177,18 +171,28 @@ def tpr(points: np.ndarray, cut: CutFunction, lambda_min, check_graph: GridGraph
     lam = float(lambda_min)
     grid = check_graph.grid
     m = grid.resolution
-    offsets = (grid.lattice_array().astype(np.float64) - m / 2.0) / m
-    edge_pairs = [(e.i, e.j) for e in check_graph.edges]
-    verdicts: list[bool] = []
-    for x in points:
-        coords = x[None, :] + offsets * lam
-        hit = False
-        for i, j in edge_pairs:
-            if _edge_crosses(cut, coords[i], coords[j], subdivisions):
-                hit = True
+    offsets = (grid.lattice_array().astype(np.float64) - m / 2.0) / m * lam
+    knots = np.linspace(0.0, 1.0, subdivisions + 1)
+    chunk = max(1, SAMPLE_BUDGET // (subdivisions + 1))
+    hit = np.zeros(len(points), dtype=bool)
+    for start in range(0, len(points), chunk):
+        live = np.arange(start, min(start + chunk, len(points)))
+        for e in check_graph.edges:
+            centres = points[live]
+            a = centres + offsets[e.i]
+            b = centres + offsets[e.j]
+            roots = cut.segment_roots(a, b)
+            if roots is None:
+                s = sample_signs(cut, a, b, knots)
+                crosses = np.any(s == 0, axis=1) | np.any(s[:, :-1] != s[:, 1:], axis=1)
+            else:
+                crosses = ~np.isnan(roots[0])
+            hit[live[crosses]] = True
+            live = live[~crosses]
+            if not live.size:
                 break
-        verdicts.append(hit)
-    true_count = int(sum(verdicts))
+    verdicts = hit.tolist()
+    true_count = int(hit.sum())
     return TprReport(
         tpr=true_count / len(verdicts),
         true_count=true_count,

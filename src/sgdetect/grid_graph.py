@@ -18,6 +18,7 @@ import json
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -154,6 +155,15 @@ class GridGraph:
     @property
     def n_points(self) -> int:
         return self.grid.n_points
+
+    @cached_property
+    def edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only endpoint indices (i, j) of the edges, in edge order."""
+        ends = (np.array([e.i for e in self.edges], dtype=np.intp),
+                np.array([e.j for e in self.edges], dtype=np.intp))
+        for a in ends:
+            a.flags.writeable = False
+        return ends
 
     def adjacency_matrix(self) -> sp.csr_matrix:
         n = self.n_points

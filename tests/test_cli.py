@@ -138,6 +138,15 @@ class TestExitCodes:
         assert run_cli(["detect", "--target", "builtin:nonexistent",
                         "--detector", "exact"]) == 2
 
+    @pytest.mark.parametrize("args", [
+        ["--target", "builtin:circle", "--lambda-min", "abc"],
+        ["--target", "phantom:abc"],
+        ["--target", "synthetic:linear"],  # no seed
+    ])
+    def test_malformed_input(self, args, capsys):
+        assert run_cli(["detect", "--detector", "exact", *args]) == 2
+        assert "config error: malformed" in capsys.readouterr().err
+
     def test_budget_with_exact_detector(self, capsys):
         # the exact oracle never evaluates g: a budget could not bind
         assert run_cli(["detect", "--target", "builtin:circle", "--detector", "exact",

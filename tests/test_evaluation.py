@@ -79,6 +79,35 @@ class TestTpr:
         b = tpr(pts, sampled, Fraction(1, 16), graph2d, subdivisions=2000)
         assert a.verdicts == b.verdicts
 
+    @pytest.mark.parametrize("closed_form", [True, False])
+    def test_chunked_verdicts_equal_single_point_verdicts(self, graph2d, rng,
+                                                          monkeypatch, closed_form):
+        from sgdetect import evaluation
+        from sgdetect.detectors import CallableCut
+
+        circle = SphericalCut((0.1, -0.2), 0.4)
+        largest = []
+
+        def sampled(x):
+            largest.append(len(x))
+            return circle(x)
+
+        cut = circle if closed_form else CallableCut(sampled, dim=2)
+        # points near and far from the circle, so chunks hold both verdicts
+        theta = rng.uniform(0, 2 * np.pi, 23)
+        radius = 0.4 + rng.choice([0.0, 0.3], 23) * rng.uniform(0.5, 1.0, 23)
+        pts = np.stack([0.1 + radius * np.cos(theta), -0.2 + radius * np.sin(theta)], axis=1)
+        singles = [tpr(x, cut, Fraction(1, 16), graph2d, subdivisions=40).verdicts[0]
+                   for x in pts]
+        budget = 5 * 41  # five points per chunk
+        monkeypatch.setattr(evaluation, "SAMPLE_BUDGET", budget)
+        largest.clear()
+        chunked = tpr(pts, cut, Fraction(1, 16), graph2d, subdivisions=40)
+        assert chunked.verdicts == singles
+        assert 0 < sum(singles) < len(singles)
+        if not closed_form:
+            assert 0 < max(largest) <= budget
+
     def test_verdicts_deterministic(self, graph2d, rng):
         cut = SphericalCut((0.0, 0.0), 0.3)
         pts = rng.uniform(-0.5, 0.5, size=(10, 2))
