@@ -4,8 +4,8 @@ Every subcommand prints a resolved-configuration echo (YAML) so a run can
 be reproduced exactly from its output.  Options may come from a config
 file (``--config run.yaml``) with command-line flags taking precedence.
 
-Exit codes: 0 success, 2 configuration error, 3 dimension or grid
-mismatch, 4 degenerate dataset, 5 non-finite training loss.
+Exit codes: 0 success, 2 configuration error or unreadable input file,
+3 dimension or grid mismatch, 4 degenerate dataset, 5 non-finite loss.
 """
 
 from __future__ import annotations
@@ -434,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
     except TrainingDivergedError as exc:
         print(f"training diverged: {exc}\n{exc.diagnostics}", file=sys.stderr)
         return EXIT_DIVERGED
-    except SgdetectError as exc:
+    except (SgdetectError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -1,15 +1,16 @@
 """Discontinuity detectors and the cut functions they classify against.
 
-A detector maps one placed grid to a vector p in [0,1]^N of per-point
-troubled likelihoods.  A grid point is troubled when some incident edge
-crosses the interface on the point's half of the segment (intersection
-nearest to the point no farther from it than from the other endpoint).
+A detector maps G placed grids of N points to troubled likelihoods p in
+[0,1]^(G,N) in one ``detect_batch`` call.  A grid point is troubled when
+some incident edge crosses the interface on the point's half of the
+segment (intersection nearest to the point no farther from it than from
+the other endpoint).
 
 Deterministic detectors provided here:
 
 * ``exact_troubled_oracle`` -- closed-form segment intersections (linear,
-  spherical, or any cut exposing ``segment_roots``) over all edges in one
-  call; the ground truth used to label data and check convergence.
+  spherical, or any cut exposing ``segment_roots``) over all edges of a
+  stack of grids in one call; the ground truth for convergence checks.
 * ``z_detector`` -- the sign-sampling approximation with t+1 equispaced
   knots per edge (``sample_signs``); converges to the oracle as t grows.
 * ``NeuralDetector`` -- adapter running a trained model on preprocessed
@@ -279,21 +280,23 @@ def exact_troubled_oracle(f: CutFunction, graph: GridGraph,
     half of the segment (parameter <= 1/2 from that endpoint, ties marking
     both ends).  All edges go to the cut's ``segment_roots`` in one call;
     a cut without it raises a :class:`DetectorError` directing the caller
-    to the z-detector.  ``coords`` defaults to the graph's own grid.
+    to the z-detector.  ``coords`` (default: the graph's grid) may stack
+    placed grids as ``(..., N, n)``; the result is then ``(..., N)``.
     """
     if coords is None:
         coords = graph.grid.coords()
     ei, ej = graph.edge_ends
-    roots = f.segment_roots(coords[ei], coords[ej])
+    roots = f.segment_roots(coords[..., ei, :], coords[..., ej, :])
     if roots is None:
         raise DetectorError(
             f"cut {type(f).__name__} has no closed-form segment intersection; "
             "use the z-detector instead"
         )
     lo, hi = roots
-    p = np.zeros(coords.shape[0], dtype=np.float64)
-    p[ei[lo <= 0.5]] = 1.0
-    p[ej[hi >= 0.5]] = 1.0
+    p = np.zeros(coords.shape[:-1], dtype=np.float64)
+    for ends, hit in ((ei, lo <= 0.5), (ej, hi >= 0.5)):
+        *lead, e = np.nonzero(hit)
+        p[(*lead, ends[e])] = 1.0
     return p
 
 
@@ -303,12 +306,12 @@ def exact_troubled_oracle(f: CutFunction, graph: GridGraph,
 
 @dataclass
 class GridSample:
-    """One placed grid as seen by a detector.
+    """One placed grid as seen by a detector and by an engine visit hook.
 
     ``evaluations`` holds g at the grid points with the out-of-domain
-    sentinel (inf) at masked slots; it is None when the detector does not
-    consume evaluations.  ``in_domain`` marks points inside the target
-    domain.
+    sentinel (inf) at masked slots, taken from the engine's evaluation
+    cache; it is None when neither the detector nor a visit hook needs
+    them.  ``in_domain`` marks points inside the target domain.
     """
 
     grid: SparseGrid
@@ -319,20 +322,17 @@ class GridSample:
 
 
 class Detector:
-    """Contract: per-grid troubled likelihoods in [0,1]^N.
+    """Contract: ``detect_batch`` maps G grids to likelihoods in [0,1]^(G,N).
 
     ``requires_evaluations`` tells the engine whether to evaluate the
-    target on the grid before calling the detector.
+    target on the grids before calling the detector.
     """
 
     requires_evaluations = False
     name = "detector"
 
-    def detect(self, sample: GridSample) -> np.ndarray:
-        raise NotImplementedError
-
     def detect_batch(self, samples: list[GridSample]) -> np.ndarray:
-        return np.stack([self.detect(s) for s in samples])
+        raise NotImplementedError
 
 
 class ZLevelDetector(Detector):
@@ -345,8 +345,9 @@ class ZLevelDetector(Detector):
         self.t = t
         self.name = f"zlevel:{t}"
 
-    def detect(self, sample: GridSample) -> np.ndarray:
-        return z_detector(self.cut, sample.graph, self.t, coords=sample.coords)
+    def detect_batch(self, samples: list[GridSample]) -> np.ndarray:
+        # one call per grid: a generation-wide sample tensor outgrows the cache
+        return np.stack([z_detector(self.cut, s.graph, self.t, s.coords) for s in samples])
 
 
 class ExactOracleDetector(Detector):
@@ -356,8 +357,9 @@ class ExactOracleDetector(Detector):
         self.cut = cut
         self.name = "exact"
 
-    def detect(self, sample: GridSample) -> np.ndarray:
-        return exact_troubled_oracle(self.cut, sample.graph, coords=sample.coords)
+    def detect_batch(self, samples: list[GridSample]) -> np.ndarray:
+        return exact_troubled_oracle(self.cut, samples[0].graph,
+                                     np.stack([s.coords for s in samples]))
 
 
 class NeuralDetector(Detector):
@@ -373,9 +375,6 @@ class NeuralDetector(Detector):
     def __init__(self, model):
         self.model = model
         self.name = f"nn:{model.config.kind}"
-
-    def detect(self, sample: GridSample) -> np.ndarray:
-        return self.detect_batch([sample])[0]
 
     def detect_batch(self, samples: list[GridSample]) -> np.ndarray:
         from sgdetect.synth_data import preprocess_gamma_batch

@@ -5,9 +5,10 @@ place a similar grid on the box, obtain per-point troubled likelihoods from
 the detector, and for each point at or above the threshold either enqueue a
 new box (edge = length of the longest graph edge at that point) or, when
 that length drops below the minimum, record the point as a final troubled
-point.  :func:`run_basic` hands the detector one grid per call and
-:func:`run_batched` a whole generation per call; both run the same loop, so
-they visit the same grids and find the same troubled set.
+point.  :func:`run_basic` hands ``detect_batch`` one grid per call and
+:func:`run_batched` a whole generation; both run the same loop, so they
+visit the same grids and find the same troubled set.  g is evaluated only
+here, through the cache, when the detector or a visit hook needs it.
 
 Every point the engine can reach lies on one lattice ``origin + k * unit``
 with integer ``k``: a new box is centered on a grid point and its edge is
@@ -137,16 +138,16 @@ class _EngineState:
     """
 
     def __init__(self, grid: SparseGrid, graph: GridGraph, detector: Detector,
-                 g: Callable, config: EngineConfig, initial: Sequence):
+                 g: Callable, config: EngineConfig, initial: Sequence, evaluates: bool):
         _require_refined(grid)
-        if config.max_evaluations is not None and not detector.requires_evaluations:
+        if config.max_evaluations is not None and not evaluates:
             raise EngineError(
                 f"max_evaluations={config.max_evaluations} can never bind: detector "
                 f"{detector.name!r} does not evaluate g"
             )
+        self.evaluates = evaluates
         self.grid = grid
         self.graph = graph
-        self.detector = detector
         self.g = g
         self.config = config
         m = self.m = grid.resolution
@@ -187,6 +188,9 @@ class _EngineState:
             steps.extend(c - o for c, o in zip(t.center, self.origin))
         self.unit = Fraction(math.gcd(*(s.numerator for s in steps)),
                              math.lcm(*(s.denominator for s in steps)))
+        self.den = math.lcm(self.unit.denominator, *(o.denominator for o in self.origin))
+        self.origin_num = [int(o * self.den) for o in self.origin]
+        self.unit_num = int(self.unit * self.den)
         # a box's points stay within 1.5 initial edges of its initial center
         reach = max(max(map(abs, self.numerators(t.center))) + 2 * t.edge / self.unit
                     for t in tasks)
@@ -210,7 +214,8 @@ class _EngineState:
         return tuple(int((x - o) / self.unit) for x, o in zip(point, self.origin))
 
     def point(self, key: tuple[int, ...]) -> tuple[Fraction, ...]:
-        return tuple(o + k * self.unit for o, k in zip(self.origin, key))
+        return tuple(Fraction(o + k * self.unit_num, self.den)
+                     for o, k in zip(self.origin_num, key))
 
     # -- per-visit work --------------------------------------------------------
 
@@ -231,7 +236,7 @@ class _EngineState:
         placed = similar_grid(self.grid, task.center, task.edge)
         sample = GridSample(grid=placed, graph=self.graph, coords=coords, in_domain=in_domain)
         self.visited.update(keys)
-        if self.detector.requires_evaluations:
+        if self.evaluates:
             self.evaluate(sample, keys)
         self.depth_sizes[task.depth] += 1
         return sample, keys
@@ -337,7 +342,8 @@ def _run(g: Callable, grid: SparseGrid, graph: GridGraph, detector: Detector,
          initial: Sequence, config: EngineConfig, visit_hook: Callable | None,
          batched: bool) -> DetectionRun:
     """The engine loop: one queued task, or the whole generation, per detector call."""
-    state = _EngineState(grid, graph, detector, g, config, initial)
+    evaluates = detector.requires_evaluations or visit_hook is not None
+    state = _EngineState(grid, graph, detector, g, config, initial, evaluates)
     budget = config.max_evaluations
     while state.pending:
         if budget is not None and state.evaluations >= budget:
@@ -346,7 +352,7 @@ def _run(g: Callable, grid: SparseGrid, graph: GridGraph, detector: Detector,
         chunk = [state.pending.popleft() for _ in range(len(state.pending) if batched else 1)]
         visits = [state.visit(*item) for item in chunk]
         samples = [sample for sample, _ in visits]
-        ps = detector.detect_batch(samples) if batched else [detector.detect(samples[0])]
+        ps = detector.detect_batch(samples)
         state.detector_calls += 1
         for (task, _, edge), (sample, keys), p in zip(chunk, visits, ps):
             if visit_hook is not None:
@@ -358,7 +364,8 @@ def _run(g: Callable, grid: SparseGrid, graph: GridGraph, detector: Detector,
 def run_basic(g: Callable, grid: SparseGrid, graph: GridGraph, detector: Detector,
               initial: Sequence, config: EngineConfig,
               visit_hook: Callable | None = None) -> DetectionRun:
-    """Sequential engine: one grid classified per detector call (FIFO queue)."""
+    """Sequential engine: one grid classified per detector call (FIFO queue);
+    ``visit_hook(task, sample, p)`` sees each grid with g evaluated on it."""
     return _run(g, grid, graph, detector, initial, config, visit_hook, batched=False)
 
 
@@ -367,8 +374,8 @@ def run_batched(g: Callable, grid: SparseGrid, graph: GridGraph, detector: Detec
                 visit_hook: Callable | None = None) -> DetectionRun:
     """Batched engine: every pending grid of a generation in one detector call.
 
-    Semantics are identical to :func:`run_basic` for deterministic
-    detectors; only the number of detector calls differs.
+    Semantics, ``visit_hook`` included, are identical to :func:`run_basic`
+    for deterministic detectors; only the number of detector calls differs.
     """
     return _run(g, grid, graph, detector, initial, config, visit_hook, batched=True)
 

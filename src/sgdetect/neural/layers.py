@@ -141,22 +141,18 @@ class BatchNorm:
             x_hat = (flat - mean) * inv_std
             self.running_mean[...] = self.momentum * self.running_mean + (1 - self.momentum) * mean
             self.running_var[...] = self.momentum * self.running_var + (1 - self.momentum) * var
-            self._cache = ("train", x_hat, inv_std, shape)
+            self._cache = (x_hat, inv_std, shape)
         else:
             inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
             x_hat = (flat - self.running_mean) * inv_std
-            self._cache = ("eval", None, inv_std, shape)
+            self._cache = None
         return (self.gamma * x_hat + self.beta).reshape(shape)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        mode, x_hat, inv_std, shape = self._cache
+        if self._cache is None:
+            raise RuntimeError("BatchNorm.backward needs a training-mode forward first")
+        x_hat, inv_std, shape = self._cache
         dflat = dout.reshape(-1, shape[-1])
-        if mode == "eval":
-            self.dbeta[...] = dflat.sum(axis=0)
-            # x_hat not cached in eval mode; recompute is avoided because
-            # eval-mode training steps never happen
-            self.dgamma[...] = 0.0
-            return (dflat * self.gamma * inv_std).reshape(shape)
         m = dflat.shape[0]
         self.dgamma[...] = (dflat * x_hat).sum(axis=0)
         self.dbeta[...] = dflat.sum(axis=0)

@@ -246,10 +246,10 @@ def generate_dataset(grid: SparseGrid, graph: GridGraph, detector_t: int,
     """Run the engine on each function and record every grid visit.
 
     Labels come from the z-detector on the function's own cut; inputs are
-    the raw g evaluations on the same grid instance (sentinels at
-    out-of-domain slots).  Returns the samples plus generation stats.
-    Samples are ordered by function index, then visit order, so the result
-    is deterministic regardless of ``n_jobs``.
+    the engine's g evaluations on the same grid instance (sentinels at
+    out-of-domain slots, each point evaluated once).  Returns the samples
+    plus generation stats.  Samples are ordered by function index, then
+    visit order, so the result is deterministic regardless of ``n_jobs``.
     """
     if domain is None:
         domain = Box.cube((Fraction(0),) * grid.dim, Fraction(2))
@@ -282,15 +282,13 @@ def _generate_for_function(args) -> tuple[list[Sample], int]:
     samples: list[Sample] = []
     skipped = 0
 
-    def record(task, sample_view, p_raw):
+    def record(task, sample, p_raw):
         nonlocal skipped
-        values = fn(sample_view.coords)
-        inputs = np.where(sample_view.in_domain, values, np.inf)
-        if np.isnan(inputs).any():
+        if np.isnan(sample.evaluations).any():
             skipped += 1
             return
-        labels = ((p_raw >= tau) & sample_view.in_domain).astype(np.uint8)
-        samples.append(Sample(inputs=inputs, labels=labels))
+        labels = ((p_raw >= tau) & sample.in_domain).astype(np.uint8)
+        samples.append(Sample(inputs=sample.evaluations, labels=labels))
 
     run_basic(g=fn, grid=grid, graph=graph, detector=detector,
               initial=[(domain.center, domain.edge)], config=config,

@@ -147,6 +147,18 @@ class TestExitCodes:
         assert run_cli(["detect", "--detector", "exact", *args]) == 2
         assert "config error: malformed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["detect", "--target", "image:{missing}.pgm", "--detector", "exact"],
+        ["eval", "--report", "{missing}.json", "--target", "builtin:circle"],
+        ["--config", "{missing}.yaml", "grid"],
+        ["train", "--dataset", "{missing}.bin", "--out", "{missing}-model.json"],
+        ["detect", "--target", "builtin:circle", "--detector", "nn:{missing}.json"],
+    ])
+    def test_missing_input_file(self, args, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        assert run_cli([a.format(missing=missing) for a in args]) == 2
+        assert "No such file" in capsys.readouterr().err
+
     def test_budget_with_exact_detector(self, capsys):
         # the exact oracle never evaluates g: a budget could not bind
         assert run_cli(["detect", "--target", "builtin:circle", "--detector", "exact",

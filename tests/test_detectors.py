@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgdetect.detectors import (
+    ExactOracleDetector,
     GridSample,
     LinearCut,
     NeuralDetector,
@@ -181,6 +182,33 @@ class TestSegmentRoots:
                 flagged += int(p.sum())
         assert flagged > 0
 
+    @pytest.mark.parametrize("grids", [1, 6])
+    @pytest.mark.parametrize("dim,level", [(2, 6), (3, 6), (4, 7)])
+    def test_stacked_oracle_matches_per_grid_calls(self, dim, level, grids):
+        rng = np.random.default_rng(10 * dim + grids)
+        reference = build_sparse_grid(GridSpec(dim=dim, rule="sum", level=level),
+                                      Box.cube((0,) * dim, 2))
+        graph = build_grid_graph(reference)
+        edges = 2.0 ** -rng.integers(0, 4, size=grids)
+        stack = np.stack([similar_grid(reference, tuple(rng.uniform(-0.5, 0.5, dim)),
+                                       float(edge)).coords() for edge in edges])
+        # cuts through the first placed grid, so that many edges cross
+        center = stack[0, rng.integers(stack.shape[1])]
+        normal = rng.normal(size=dim)
+        normal /= np.linalg.norm(normal)
+        cuts = [LinearCut(normal, -float(normal @ center) + 0.01 * edges[0]),
+                SphericalCut(center, float(rng.uniform(0.1, 0.5) * edges[0]))]
+        for cut in cuts:
+            p = exact_troubled_oracle(cut, graph, coords=stack)
+            assert p.shape == stack.shape[:-1]
+            singles = np.stack([exact_troubled_oracle(cut, graph, coords=c) for c in stack])
+            assert singles.shape == p.shape
+            np.testing.assert_array_equal(p, singles)
+            assert p[0].sum() > 0
+            samples = [GridSample(grid=reference, graph=graph, coords=c,
+                                  in_domain=np.ones(len(c), dtype=bool)) for c in stack]
+            np.testing.assert_array_equal(ExactOracleDetector(cut).detect_batch(samples), p)
+
 
 class TestZDetector:
     def test_requires_t_at_least_two(self, grid2d, graph2d):
@@ -310,7 +338,7 @@ class TestNeuralAdapter:
     def test_all_sentinel_skips_model(self, grid2d, graph2d):
         model = _ConstantModel(grid2d.n_points)
         det = NeuralDetector(model)
-        p = det.detect(self._sample(grid2d, graph2d, np.full(65, np.inf)))
+        p = det.detect_batch([self._sample(grid2d, graph2d, np.full(65, np.inf))])[0]
         assert np.all(p == 0.0)
         assert model.calls == 0
 
@@ -319,14 +347,14 @@ class TestNeuralAdapter:
         det = NeuralDetector(model)
         g = np.arange(65, dtype=float)
         g[[3, 10]] = np.inf
-        p = det.detect(self._sample(grid2d, graph2d, g))
+        p = det.detect_batch([self._sample(grid2d, graph2d, g)])[0]
         assert p[3] == 0.0 and p[10] == 0.0
         assert np.all(p[np.isfinite(g)] == 0.7)
 
     def test_output_in_unit_interval_for_constant_input(self, grid2d, graph2d):
         model = _ConstantModel(grid2d.n_points, value=0.3)
         det = NeuralDetector(model)
-        p = det.detect(self._sample(grid2d, graph2d, np.full(65, 5.0)))
+        p = det.detect_batch([self._sample(grid2d, graph2d, np.full(65, 5.0))])[0]
         assert np.all((0.0 <= p) & (p <= 1.0))
 
     def test_batch_matches_single_rows(self, grid2d, graph2d, tiny_graph):
@@ -344,14 +372,14 @@ class TestNeuralAdapter:
             for r in rows
         ]
         batch = det.detect_batch(samples)
-        singles = np.stack([det.detect(s) for s in samples])
+        singles = np.stack([det.detect_batch([s])[0] for s in samples])
         np.testing.assert_array_equal(batch, singles)
 
     def test_length_mismatch_raises(self, grid2d, graph2d):
         model = _ConstantModel(n_points=10)
         det = NeuralDetector(model)
         with pytest.raises(DetectorError):
-            det.detect(self._sample(grid2d, graph2d, np.zeros(65)))
+            det.detect_batch([self._sample(grid2d, graph2d, np.zeros(65))])
 
 
 class TestMakeDetector:
@@ -364,7 +392,7 @@ class TestMakeDetector:
         expected = exact_troubled_oracle(SphericalCut((0.2, 0.1), 0.65), graph2d)
         sample = GridSample(grid=grid2d, graph=graph2d, coords=grid2d.coords(),
                             in_domain=np.ones(65, dtype=bool))
-        np.testing.assert_array_equal(det.detect(sample), expected)
+        np.testing.assert_array_equal(det.detect_batch([sample])[0], expected)
         linear = make_detector("exact:linear:1,0:-0.25")
         assert np.isclose(linear.cut.b, -0.25)
 

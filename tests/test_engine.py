@@ -13,6 +13,7 @@ from sgdetect.detectors import (
 )
 from sgdetect.engine import (
     EngineConfig,
+    _EngineState,
     run_basic,
     run_batched,
     run_report,
@@ -37,9 +38,9 @@ class CountingDetector(Detector):
         self.requires_evaluations = inner.requires_evaluations
         self.seen_keys = []
 
-    def detect(self, sample):
-        self.seen_keys.append((sample.grid.box.center, sample.grid.box.edge))
-        return self.inner.detect(sample)
+    def detect_batch(self, samples):
+        self.seen_keys.extend((s.grid.box.center, s.grid.box.edge) for s in samples)
+        return self.inner.detect_batch(samples)
 
 
 class EvalOracle(ExactOracleDetector):
@@ -119,9 +120,9 @@ class TestBasicRun:
         assert spans[corner] < global_span
 
         class CornerOnly(Detector):
-            def detect(self, sample):
-                p = np.zeros(sample.grid.n_points)
-                p[corner] = 1.0
+            def detect_batch(self, samples):
+                p = np.zeros((len(samples), samples[0].grid.n_points))
+                p[:, corner] = 1.0
                 return p
 
         det = CountingDetector(CornerOnly())
@@ -211,11 +212,12 @@ class TestDomainHandling:
         class Probe(Detector):
             requires_evaluations = True
 
-            def detect(self, sample):
+            def detect_batch(self, samples):
+                sample, = samples
                 seen["evals"] = sample.evaluations.copy()
                 seen["mask"] = sample.in_domain.copy()
                 seen["coords"] = sample.coords.copy()
-                return np.zeros(sample.grid.n_points)
+                return np.zeros((1, sample.grid.n_points))
 
         config = EngineConfig(lambda_min=Fraction(1, 8),
                               domain=Box.cube((0, 0), 2), boundary_policy="ignore")
@@ -348,6 +350,31 @@ class TestWarningsAndReports:
         assert first.troubled and second.troubled
         assert both.troubled_keys() == first.troubled_keys() | second.troubled_keys()
         assert both.visited_points == first.visited_points + second.visited_points
+
+    @pytest.mark.filterwarnings("ignore:initial grid centers are off-lattice")
+    @pytest.mark.parametrize("initial,domain", [
+        # the 512-pixel phantom: edge 511 and center 511/2 are not dyadic
+        ([((Fraction(511, 2),) * 2, 511)], Box.cube((Fraction(511, 2),) * 2, 511)),
+        # two boxes off each other's lattice
+        ([((0, 0), 1), ((Fraction(1, 3), Fraction(-1, 5)), 1)], Box.cube((0, 0), 4)),
+        # a center whose denominator the lattice unit does not share
+        ([((Fraction(1, 3), Fraction(-2, 7)), 1)], Box.cube((0, 0), 4)),
+    ])
+    def test_exact_points_match_fraction_formula(self, grid2d, graph2d, initial, domain):
+        config = EngineConfig(lambda_min=Fraction(1, 8), domain=domain)
+        state = _EngineState(grid2d, graph2d, ExactOracleDetector(SphericalCut((0, 0), 1)),
+                             constant_g, config, initial, evaluates=False)
+        rng = np.random.default_rng(7)
+        keys = rng.integers(-2 ** 40, 2 ** 40, size=(2000, 2)).tolist()
+        keys += rng.integers(-3, 4, size=(50, 2)).tolist()
+        for key in map(tuple, keys):
+            exact = tuple(o + k * state.unit for o, k in zip(state.origin, key))
+            assert state.point(key) == exact
+            state.record(key, 3)
+            point = state.troubled[key]
+            assert point.exact == exact
+            assert [x.hex() for x in point.coords] == [float(x).hex() for x in exact]
+            assert point.trigger_lambda == 3 * state.unit
 
     def test_lattice_wider_than_62_bits_is_rejected(self, grid2d, graph2d):
         config = EngineConfig(lambda_min=Fraction(1, 2 ** 70), domain=SQUARE)

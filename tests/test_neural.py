@@ -199,6 +199,16 @@ class TestLayerGradients:
         dx = bn.backward(probe * out)
         check_param_grads(loss, [x], [dx], rng)
 
+    def test_batchnorm_backward_needs_training_forward(self, rng):
+        bn = BatchNorm(3)
+        x = rng.normal(size=(6, 3))
+        with pytest.raises(RuntimeError, match="training-mode forward"):
+            bn.backward(x)
+        bn.forward(x, training=True)
+        bn.forward(x, training=False)  # an inference forward drops the cache
+        with pytest.raises(RuntimeError, match="training-mode forward"):
+            bn.backward(x)
+
     def test_loss_gradient(self, rng):
         p_hat = rng.uniform(0.05, 0.95, size=(6, 8))
         p = (rng.random((6, 8)) < 0.4).astype(float)

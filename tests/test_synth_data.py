@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sgdetect import synth_data
-from sgdetect.detectors import PolynomialCut
+from sgdetect.detectors import PolynomialCut, ZLevelDetector
+from sgdetect.engine import EngineConfig, run_basic
 from sgdetect.errors import DegenerateDatasetError
+from sgdetect.sparse_grid import Box
 from sgdetect.synth_data import (
     Dataset,
     LegendrePiece,
@@ -245,6 +247,53 @@ class TestGenerateDataset:
         for a, b in zip(seq, par):
             np.testing.assert_array_equal(a.inputs, b.inputs)
             np.testing.assert_array_equal(a.labels, b.labels)
+
+
+class CountingFunction:
+    """A piecewise function that records every point g is evaluated at."""
+
+    def __init__(self, fn):
+        self.fn, self.cut, self.points = fn, fn.cut, []
+
+    def __call__(self, x):
+        self.points.extend(map(tuple, np.asarray(x).tolist()))
+        return self.fn(x)
+
+
+class TestEngineEvaluations:
+    @pytest.mark.parametrize("kind", ["linear", "spherical", "polynomial"])
+    def test_samples_match_direct_evaluation(self, grid2d, graph2d, kind):
+        fn = sample_piecewise_function(kind, 2, np.random.default_rng(21))
+        domain = Box.cube((0, 0), 2)
+        reference = []
+
+        # the reference hook evaluates fn on every point of every grid
+        def hook(task, sample, p):
+            inputs = np.where(sample.in_domain, fn(sample.coords), np.inf)
+            labels = ((p >= 0.5) & sample.in_domain).astype(np.uint8)
+            reference.append(Sample(inputs=inputs, labels=labels))
+
+        run_basic(g=fn, grid=grid2d, graph=graph2d, detector=ZLevelDetector(fn.cut, 9),
+                  initial=[(domain.center, domain.edge)],
+                  config=EngineConfig(lambda_min=Fraction(1, 8), domain=domain),
+                  visit_hook=hook)
+        samples, _ = generate_dataset(grid2d, graph2d, 9, [fn], Fraction(1, 8))
+        assert len(samples) == len(reference) > 1
+        assert any(np.isinf(s.inputs).any() for s in samples)
+        for a, b in zip(samples, reference):
+            assert a.inputs.tobytes() == b.inputs.tobytes()
+            np.testing.assert_array_equal(a.labels, b.labels)
+
+    def test_g_sees_each_point_once(self, grid2d, graph2d):
+        fns = [CountingFunction(sample_piecewise_function(kind, 2, np.random.default_rng(4)))
+               for kind in ("spherical", "polynomial")]
+        samples, _ = generate_dataset(grid2d, graph2d, 9, fns, Fraction(1, 8))
+        for fn in fns:
+            assert len(fn.points) == len(set(fn.points))
+            assert np.all(np.abs(fn.points) <= 1.0)
+        # neighbouring grids share points, so g sees fewer than the grids hold
+        finite = sum(int(np.isfinite(s.inputs).sum()) for s in samples)
+        assert sum(len(fn.points) for fn in fns) < finite
 
 
 class TestDatasetFiles:
