@@ -190,6 +190,14 @@ def _spec_from_key(key: str) -> GridSpec:
 
 
 def cmd_train(args) -> int:
+    try:
+        model_cfg = ModelConfig(kind=args.kind, features=args.features,
+                                leaky_slope=args.leaky_slope)
+        train_cfg = TrainConfig(max_epochs=args.epochs, seed=args.seed,
+                                batch_size=args.batch_size,
+                                learning_rate=args.learning_rate)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     ds = synth_data.load_dataset(args.dataset)
     spec = _spec_from_key(ds.grid_key)
     grid, graph = _build_reference(spec.rule, spec.level, spec.dim)
@@ -197,10 +205,6 @@ def cmd_train(args) -> int:
     if ds_hash and ds_hash != grid_fingerprint(graph):
         raise DimensionMismatchError(
             f"dataset grid hash {ds_hash} does not match the rebuilt grid")
-    model_cfg = ModelConfig(kind=args.kind, features=args.features,
-                            leaky_slope=args.leaky_slope)
-    train_cfg = TrainConfig(max_epochs=args.epochs, seed=args.seed,
-                            batch_size=args.batch_size, learning_rate=args.learning_rate)
     _echo_config("train", {
         "dataset": args.dataset, "kind": args.kind, "features": args.features,
         "epochs": args.epochs, "seed": args.seed, "batch_size": args.batch_size,

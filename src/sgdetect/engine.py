@@ -19,8 +19,8 @@ center's offset from the first one, which keeps off-lattice initial boxes
 and non-dyadic domains exact.  Grid points, the visited set, the evaluation
 cache and the troubled set use the int64 numerators ``k`` as keys, and the
 domain test is one integer comparison per grid.  Exact ``Fraction`` values
-are built only for the :class:`BoxTask` of an enqueued box and for each
-:class:`TroubledPoint`.
+are built only for the :class:`BoxTask` of an enqueued box; a
+:class:`TroubledPoint` builds its own when they are first read.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import math
 import warnings
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -84,12 +85,45 @@ class EngineConfig:
             raise EngineError(f"lambda_rule must be one of {LAMBDA_RULES}")
 
 
+@dataclass(frozen=True)
+class _Lattice:
+    """Points ``(origin_num + k * unit_num) / den`` for integer numerators ``k``."""
+
+    origin_num: tuple[int, ...]
+    unit_num: int
+    den: int
+
+    def point(self, key: tuple[int, ...]) -> tuple[Fraction, ...]:
+        return tuple(Fraction(o + k * self.unit_num, self.den)
+                     for o, k in zip(self.origin_num, key))
+
+    def coords(self, key: tuple[int, ...]) -> tuple[float, ...]:
+        # int true division rounds correctly, like float(Fraction)
+        return tuple((o + k * self.unit_num) / self.den
+                     for o, k in zip(self.origin_num, key))
+
+    def length(self, steps: int) -> Fraction:
+        return Fraction(steps * self.unit_num, self.den)
+
+
 @dataclass
 class TroubledPoint:
+    """A final troubled point; its exact coordinates and trigger length are
+    built from the lattice numerators on first read."""
+
     coords: tuple[float, ...]
-    exact: tuple[Fraction, ...]
-    trigger_lambda: Fraction
+    key: tuple[int, ...]
+    lam: int
+    lattice: _Lattice = field(repr=False, compare=False)
     boundary_stopped: bool = False
+
+    @cached_property
+    def exact(self) -> tuple[Fraction, ...]:
+        return self.lattice.point(self.key)
+
+    @cached_property
+    def trigger_lambda(self) -> Fraction:
+        return self.lattice.length(self.lam)
 
 
 @dataclass
@@ -188,9 +222,9 @@ class _EngineState:
             steps.extend(c - o for c, o in zip(t.center, self.origin))
         self.unit = Fraction(math.gcd(*(s.numerator for s in steps)),
                              math.lcm(*(s.denominator for s in steps)))
-        self.den = math.lcm(self.unit.denominator, *(o.denominator for o in self.origin))
-        self.origin_num = [int(o * self.den) for o in self.origin]
-        self.unit_num = int(self.unit * self.den)
+        den = math.lcm(self.unit.denominator, *(o.denominator for o in self.origin))
+        self.lattice = _Lattice(tuple(int(o * den) for o in self.origin),
+                                int(self.unit * den), den)
         # a box's points stay within 1.5 initial edges of its initial center
         reach = max(max(map(abs, self.numerators(t.center))) + 2 * t.edge / self.unit
                     for t in tasks)
@@ -213,17 +247,13 @@ class _EngineState:
     def numerators(self, point: Sequence[Fraction]) -> tuple[int, ...]:
         return tuple(int((x - o) / self.unit) for x, o in zip(point, self.origin))
 
-    def point(self, key: tuple[int, ...]) -> tuple[Fraction, ...]:
-        return tuple(Fraction(o + k * self.unit_num, self.den)
-                     for o, k in zip(self.origin_num, key))
-
     # -- per-visit work --------------------------------------------------------
 
     def enqueue(self, center: tuple[int, ...], edge: int, depth: int) -> None:
         if (center, edge) in self.seen:
             return
         self.seen.add((center, edge))
-        task = BoxTask(center=self.point(center), edge=edge * self.unit, depth=depth)
+        task = BoxTask(center=self.lattice.point(center), edge=edge * self.unit, depth=depth)
         self.pending.append((task, center, edge))
 
     def visit(self, task: BoxTask, center: tuple[int, ...],
@@ -280,9 +310,8 @@ class _EngineState:
 
     def record(self, key: tuple[int, ...], lam: int, boundary_stopped: bool = False) -> None:
         if key not in self.troubled:
-            exact = self.point(key)
-            self.troubled[key] = TroubledPoint(tuple(float(x) for x in exact), exact,
-                                               lam * self.unit, boundary_stopped)
+            self.troubled[key] = TroubledPoint(self.lattice.coords(key), key, lam,
+                                               self.lattice, boundary_stopped)
 
     def result(self) -> DetectionRun:
         return DetectionRun(

@@ -15,11 +15,20 @@ For one input and one output feature per node and an unweighted graph this
 is exactly (diag(w) (A + I))^T x + b.  Entries of the effective dense
 matrix at zero positions of A_hat are structurally zero, so no optimizer
 step can break the sparsity pattern.
+
+A_hat is held as a ``scipy.sparse.csr_array``: on the 401-point 4D grid
+it is 1 % non-zero, and the aggregation ``A_hat.T @ t`` (``A_hat @ dz`` in
+backward) touches only the stored entries.  A model builds the matrix once
+and every one of its GI layers holds that same object (plus a transposed
+view on the same arrays); a dense array passed to :class:`GILayer` is
+converted once, on construction.  Only :meth:`GILayer.masked_dense_matrix`,
+a test view, densifies it.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def glorot_normal(rng: np.random.Generator, shape: tuple[int, ...],
@@ -32,9 +41,16 @@ def glorot_normal(rng: np.random.Generator, shape: tuple[int, ...],
 class GILayer:
     """Graph-instructed affine map R^(B,N,K) -> R^(B,N,F) over fixed A_hat."""
 
-    def __init__(self, a_hat: np.ndarray, k: int, f: int, rng: np.random.Generator):
+    def __init__(self, a_hat: sp.csr_array | np.ndarray, k: int, f: int,
+                 rng: np.random.Generator):
         n = a_hat.shape[0]
-        self.a_hat = np.asarray(a_hat, dtype=np.float64)
+        # a model's shared CSR matrix is kept as is; anything else is converted once
+        if not isinstance(a_hat, sp.csr_array):
+            a_hat = sp.csr_array(a_hat, dtype=np.float64)
+        self.a_hat = a_hat
+        # a CSC view on the same arrays, taken once: building it costs as much
+        # as a small aggregation
+        self._a_hat_t = a_hat.T
         self.n = n
         self.k = k
         self.f = f
@@ -44,7 +60,6 @@ class GILayer:
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
         self._x = None
-        self._t = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.shape[1] != self.n or x.shape[2] != self.k:
@@ -52,9 +67,12 @@ class GILayer:
         batch = x.shape[0]
         # t[j, b, f] = sum_k x[b, j, k] w[j, k, f]
         t = np.matmul(x.transpose(1, 0, 2), self.w)
-        out = (self.a_hat.T @ t.reshape(self.n, batch * self.f)).reshape(self.n, batch, self.f)
-        self._x, self._t = x, t
-        return out.transpose(1, 0, 2) + self.b[None, :, :]
+        out = (self._a_hat_t @ t.reshape(self.n, batch * self.f)).reshape(self.n, batch, self.f)
+        out += self.b[:, None, :]
+        self._x = x
+        # a (B, N, F) view of node-major memory: the next GI layer reads it
+        # node-major without a copy
+        return out.transpose(1, 0, 2)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         batch = dout.shape[0]
@@ -68,7 +86,7 @@ class GILayer:
 
     def masked_dense_matrix(self) -> np.ndarray:
         """Effective (N*K, N*F) dense matrix; zero wherever A_hat[j, i] = 0."""
-        w_hat = np.einsum("jkf,ji->jkif", self.w, self.a_hat)
+        w_hat = np.einsum("jkf,ji->jkif", self.w, self.a_hat.toarray())
         return w_hat.reshape(self.n * self.k, self.n * self.f)
 
     def params(self):
@@ -112,6 +130,15 @@ class DenseLayer:
         return self.w.size + self.b.size
 
 
+def _feature_sum(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Sum of ``a`` (or of ``a * b``) over every axis but the last, in one pass
+    over memory of any layout."""
+    axes = list(range(a.ndim))
+    if b is None:
+        return np.einsum(a, axes, axes[-1:])
+    return np.einsum(a, axes, b, axes, axes[-1:])
+
+
 class BatchNorm:
     """Batch normalization over the last axis (momentum 0.99, eps 1e-3).
 
@@ -132,35 +159,39 @@ class BatchNorm:
         self._cache = None
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
-        shape = x.shape
-        flat = x.reshape(-1, shape[-1])
         if training:
-            mean = flat.mean(axis=0)
-            var = flat.var(axis=0)
+            m = x.size // x.shape[-1]
+            mean = _feature_sum(x) / m
+            x_hat = x - mean
+            var = _feature_sum(x_hat, x_hat) / m
             inv_std = 1.0 / np.sqrt(var + self.eps)
-            x_hat = (flat - mean) * inv_std
             self.running_mean[...] = self.momentum * self.running_mean + (1 - self.momentum) * mean
             self.running_var[...] = self.momentum * self.running_var + (1 - self.momentum) * var
-            self._cache = (x_hat, inv_std, shape)
+            self._cache = (x_hat, inv_std)
         else:
             inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
-            x_hat = (flat - self.running_mean) * inv_std
+            x_hat = x - self.running_mean
             self._cache = None
-        return (self.gamma * x_hat + self.beta).reshape(shape)
+        x_hat *= inv_std
+        out = x_hat * self.gamma
+        out += self.beta
+        return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("BatchNorm.backward needs a training-mode forward first")
-        x_hat, inv_std, shape = self._cache
-        dflat = dout.reshape(-1, shape[-1])
-        m = dflat.shape[0]
-        self.dgamma[...] = (dflat * x_hat).sum(axis=0)
-        self.dbeta[...] = dflat.sum(axis=0)
-        dx_hat = dflat * self.gamma
-        dx = (inv_std / m) * (
-            m * dx_hat - dx_hat.sum(axis=0) - x_hat * (dx_hat * x_hat).sum(axis=0)
-        )
-        return dx.reshape(shape)
+        x_hat, inv_std = self._cache
+        m = x_hat.size // x_hat.shape[-1]
+        self.dgamma[...] = _feature_sum(dout, x_hat)
+        self.dbeta[...] = _feature_sum(dout)
+        # with dx_hat = gamma * dout, sum(dx_hat) = gamma * dbeta and
+        # sum(dx_hat * x_hat) = gamma * dgamma, so
+        # dx = gamma * inv_std * (dout - (dbeta + x_hat * dgamma) / m)
+        dx = x_hat * (self.dgamma / m)
+        dx += self.dbeta / m
+        np.subtract(dout, dx, out=dx)
+        dx *= self.gamma * inv_std
+        return dx
 
     def params(self):
         return [self.gamma, self.beta]
@@ -174,7 +205,10 @@ class BatchNorm:
 
 
 def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(x > 0, x, slope * x)
+    """max(x, slope * x): equals ``where(x > 0, x, slope * x)`` for 0 <= slope < 1,
+    signed zeros and NaN included; only at slope 0 does +inf map to NaN (0 * inf)."""
+    out = slope * x
+    return np.maximum(x, out, out=out)
 
 
 def leaky_relu_grad(x: np.ndarray, slope: float) -> np.ndarray:

@@ -12,16 +12,19 @@ use dense N-unit layers throughout.
 A saved model file is self-contained: it stores the config, the grid
 hash, the adjacency triples, every parameter tensor, the batch-norm
 running statistics, and the training history, so loading never requires
-rebuilding the grid.
+rebuilding the grid.  A GINN builds its sparse A_hat = A + I once, from the
+graph or from the stored triples, and shares it across its GI layers.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import expit
 
 from sgdetect.grid_graph import GridGraph, adjacency_triples
@@ -44,13 +47,15 @@ class ModelConfig:
             raise ValueError(f"model kind must be 'ginn' or 'mlp', got {self.kind!r}")
         if self.features < 1:
             raise ValueError("features must be >= 1")
+        if not (math.isfinite(self.leaky_slope) and 0.0 <= self.leaky_slope < 1.0):
+            raise ValueError(f"leaky_slope must be finite and in [0, 1), got {self.leaky_slope}")
 
 
 class ArchetypeModel:
     """One built archetype with explicit forward/backward passes."""
 
     def __init__(self, config: ModelConfig, n_points: int, n_blocks: int,
-                 a_hat: np.ndarray | None, rng: np.random.Generator,
+                 a_hat: sp.csr_array | None, rng: np.random.Generator,
                  grid_key: str = "", grid_hash: str = "",
                  adjacency: list | None = None, diameter: int | None = None):
         self.config = config
@@ -189,9 +194,7 @@ def build_archetype(config: ModelConfig, graph: GridGraph, seed: int = 0) -> Arc
     diam = graph.diameter()
     n_blocks = diam // 2
     n = graph.n_points
-    a_hat = None
-    if config.kind == "ginn":
-        a_hat = graph.adjacency_matrix().toarray() + np.eye(n)
+    a_hat = _with_self_loops(graph.adjacency_matrix()) if config.kind == "ginn" else None
     rng = np.random.default_rng(seed)
     model = ArchetypeModel(
         config=config,
@@ -205,6 +208,14 @@ def build_archetype(config: ModelConfig, graph: GridGraph, seed: int = 0) -> Arc
         diameter=diam,
     )
     return model
+
+
+def _with_self_loops(adjacency) -> sp.csr_array:
+    """A_hat = A + I in canonical CSR form (sorted indices, no duplicates), so
+    the matrix built from a graph and from its stored triples sum alike."""
+    a_hat = sp.csr_array(adjacency + sp.eye_array(adjacency.shape[0]))
+    a_hat.sum_duplicates()
+    return a_hat
 
 
 def grid_fingerprint(graph: GridGraph) -> str:
@@ -300,10 +311,9 @@ def load_model(path) -> ArchetypeModel:
     n = doc["n_points"]
     a_hat = None
     if config.kind == "ginn":
-        a_hat = np.eye(n)
-        for i, j, w in doc["adjacency"]:
-            a_hat[i, j] = w
-            a_hat[j, i] = w
+        i, j, w = np.array(doc["adjacency"], dtype=np.float64).reshape(-1, 3).T
+        upper = sp.coo_array((w, (i.astype(np.int64), j.astype(np.int64))), shape=(n, n))
+        a_hat = _with_self_loops(upper + upper.T)
     model = ArchetypeModel(
         config=config,
         n_points=n,

@@ -6,12 +6,17 @@ predictions are clipped to [1e-7, 1 - 1e-7] so the loss stays finite.
 Validation loss drives both the reduce-on-plateau learning-rate schedule
 and early stopping with best-weights restoration.  All state is seeded,
 so a fixed seed reproduces bit-identical trained parameters on the same
-platform and thread count.
+platform and thread count.  Each epoch logs its losses, learning rate and
+duration at INFO level through this module's logger; nothing prints
+unless the caller configures a handler.
 """
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
@@ -20,6 +25,8 @@ from sgdetect.neural.model import ArchetypeModel
 from sgdetect.synth_data import DatasetSplit, preprocess_gamma_batch
 
 CLIP = 1e-7
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -44,6 +51,12 @@ class TrainConfig:
             raise ValueError("loss weights must be positive")
         if self.plateau_patience < 1 or self.early_stop_patience < 1:
             raise ValueError("patience values must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
 
 
 def weighted_bce(p_hat: np.ndarray, p: np.ndarray, mu0: float, mu1: float,
@@ -112,7 +125,8 @@ class ReduceLROnPlateau:
 
 
 class EarlyStopping:
-    """Stop after ``patience`` stale epochs; snapshot best-validation weights."""
+    """Stop after ``patience`` stale epochs; snapshot best-validation weights
+    into buffers allocated on the first improvement."""
 
     def __init__(self, patience: int):
         self.patience = patience
@@ -124,7 +138,10 @@ class EarlyStopping:
         if value < self.best:
             self.best = value
             self.wait = 0
-            self.best_params = [p.copy() for p in params]
+            if self.best_params is None:
+                self.best_params = [np.empty_like(p) for p in params]
+            for best, p in zip(self.best_params, params):
+                np.copyto(best, p)
             return False
         self.wait += 1
         return self.wait >= self.patience
@@ -178,6 +195,7 @@ def train(model: ArchetypeModel, dataset: DatasetSplit, config: TrainConfig) -> 
     history = TrainHistory()
     lr = config.learning_rate
     for epoch in range(1, config.max_epochs + 1):
+        t0 = perf_counter()
         order = rng.permutation(x_train.shape[0])
         batch_losses = []
         for lo in range(0, order.size, config.batch_size):
@@ -203,6 +221,8 @@ def train(model: ArchetypeModel, dataset: DatasetSplit, config: TrainConfig) -> 
         history.val_loss.append(val_loss)
         history.learning_rate.append(lr)
         history.epochs = epoch
+        logger.info("epoch %d: train loss %.6g, val loss %.6g, lr %.3g, %.3f s", epoch,
+                    history.train_loss[-1], val_loss, lr, perf_counter() - t0)
         lr = plateau.update(val_loss)
         if stopper.update(val_loss, params):
             history.stopped_early = True

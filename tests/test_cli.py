@@ -147,6 +147,24 @@ class TestExitCodes:
         assert run_cli(["detect", "--detector", "exact", *args]) == 2
         assert "config error: malformed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args,message", [
+        (["--features", "0"], "features must be >= 1"),
+        (["--batch-size", "0"], "batch_size must be >= 1"),
+        (["--epochs", "0"], "max_epochs must be >= 1"),
+        (["--leaky-slope", "2"], "leaky_slope must be finite and in [0, 1)"),
+        (["--leaky-slope", "-0.1"], "leaky_slope must be finite and in [0, 1)"),
+        (["--leaky-slope", "nan"], "leaky_slope must be finite and in [0, 1)"),
+        (["--learning-rate", "-0.001"], "learning_rate must be finite and >= 0"),
+        (["--learning-rate", "inf"], "learning_rate must be finite and >= 0"),
+    ])
+    def test_malformed_training_config(self, args, message, tmp_path, capsys):
+        data = make_tiny_dataset(tmp_path, seed=2, count=8)
+        model = tmp_path / "model.json"
+        assert run_cli(["train", "--dataset", str(data), "--kind", "mlp",
+                        "--out", str(model), *args]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not model.exists()
+
     @pytest.mark.parametrize("args", [
         ["detect", "--target", "image:{missing}.pgm", "--detector", "exact"],
         ["eval", "--report", "{missing}.json", "--target", "builtin:circle"],

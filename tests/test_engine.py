@@ -111,6 +111,18 @@ class TestBasicRun:
                 assert isinstance(c, Fraction)
                 assert (c.denominator & (c.denominator - 1)) == 0  # power of two
 
+    def test_exact_values_are_built_on_first_read(self, grid2d, graph2d):
+        config = EngineConfig(lambda_min=Fraction(1, 16), domain=SQUARE)
+        run = run_batched(g=constant_g, grid=grid2d, graph=graph2d,
+                          detector=ExactOracleDetector(SphericalCut((0.2, 0.1), 0.65)),
+                          initial=[((0, 0), 2)], config=config)
+        assert run.troubled
+        for t in run.troubled:
+            assert "exact" not in vars(t) and "trigger_lambda" not in vars(t)
+            assert t.coords == tuple(float(c) for c in t.exact)
+            assert t.trigger_lambda < config.lambda_min
+            assert vars(t)["exact"] is t.exact  # built once, then kept
+
     def test_refinement_uses_incident_not_global_max(self, grid2d, graph2d):
         # a corner point's spawned box takes its own longest incident edge,
         # which is shorter than the longest edge in the grid
@@ -369,7 +381,7 @@ class TestWarningsAndReports:
         keys += rng.integers(-3, 4, size=(50, 2)).tolist()
         for key in map(tuple, keys):
             exact = tuple(o + k * state.unit for o, k in zip(state.origin, key))
-            assert state.point(key) == exact
+            assert state.lattice.point(key) == exact
             state.record(key, 3)
             point = state.troubled[key]
             assert point.exact == exact

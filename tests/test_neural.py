@@ -1,10 +1,13 @@
+import logging
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgdetect.errors import TrainingDivergedError
-from sgdetect.neural.layers import BatchNorm, DenseLayer, GILayer
+from sgdetect.neural.layers import BatchNorm, DenseLayer, GILayer, leaky_relu
 from sgdetect.neural.model import (
     ModelConfig,
     build_archetype,
@@ -133,6 +136,96 @@ class TestGIForward:
             layer.backward(dout)
             adam.step(layer.params(), layer.grads(), 0.05)
         assert np.all(layer.masked_dense_matrix()[zero_mask] == 0.0)
+
+
+def dense_gi_reference(layer, x, dout):
+    """Forward output, dw, db and dx of a GI layer through its masked dense matrix."""
+    batch, n = x.shape[:2]
+    w_dense = layer.masked_dense_matrix()
+    x_flat = x.reshape(batch, n * layer.k)
+    d_flat = dout.reshape(batch, n * layer.f)
+    out = (x_flat @ w_dense + layer.b.reshape(-1)).reshape(batch, n, layer.f)
+    # dw[j, k, f] = sum_i A_hat[j, i] dW[j, k, i, f] with dW = x^T dout
+    dw_dense = (x_flat.T @ d_flat).reshape(n, layer.k, n, layer.f)
+    dw = np.einsum("jkif,ji->jkf", dw_dense, layer.a_hat.toarray())
+    dx = (d_flat @ w_dense.T).reshape(batch, n, layer.k)
+    return out, dw, dout.sum(axis=0), dx
+
+
+def assert_close_to_dense(got, want):
+    # sums of a few hundred terms in another order: relative 1e-12, with the
+    # absolute floor scaled by the array's magnitude for entries that cancel
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+class TestSparseAggregation:
+    """The CSR aggregation against the dense masked-matrix formula."""
+
+    def _check(self, a_hat, rng, k=2, f=3, batch=5):
+        layer = GILayer(a_hat, k=k, f=f, rng=rng)
+        assert isinstance(layer.a_hat, sp.csr_array)
+        layer.b[...] = rng.normal(size=layer.b.shape)
+        n = layer.n
+        x = rng.normal(size=(batch, n, k))
+        dout = rng.normal(size=(batch, n, f))
+        out = layer.forward(x)
+        dx = layer.backward(dout)
+        want_out, want_dw, want_db, want_dx = dense_gi_reference(layer, x, dout)
+        assert_close_to_dense(out, want_out)
+        assert_close_to_dense(layer.dw, want_dw)
+        assert_close_to_dense(layer.db, want_db)
+        assert_close_to_dense(dx, want_dx)
+
+    def test_reference_graph_4d(self, graph4d, rng):
+        a_hat = graph4d.adjacency_matrix() + sp.eye_array(graph4d.n_points)
+        self._check(a_hat, rng)
+
+    def test_asymmetric_random_matrix(self, rng):
+        n = 40
+        a_hat = np.where(rng.random((n, n)) < 0.1, rng.uniform(0.5, 2.0, (n, n)), 0.0)
+        a_hat += np.eye(n)
+        assert not np.array_equal(a_hat, a_hat.T)
+        self._check(a_hat, rng, k=3, f=2)
+
+    def test_model_shares_one_matrix(self, graph2d):
+        model = build_archetype(ModelConfig(kind="ginn", features=2), graph2d, seed=0)
+        assert isinstance(model.a_hat, sp.csr_array)
+        gi_layers = [layer for layer in model._layers() if isinstance(layer, GILayer)]
+        assert len(gi_layers) == 2 * model.n_blocks + 2
+        assert all(layer.a_hat is model.a_hat for layer in gi_layers)
+        dense = graph2d.adjacency_matrix().toarray() + np.eye(graph2d.n_points)
+        np.testing.assert_array_equal(model.a_hat.toarray(), dense)
+
+
+class TestLayerArithmetic:
+    @pytest.mark.parametrize("node_major", [False, True])
+    def test_batchnorm_statistics(self, rng, node_major):
+        # momentum 0 makes the running estimates the batch statistics
+        bn = BatchNorm(4, momentum=0.0)
+        x = rng.normal(loc=3.0, scale=2.0, size=(6, 9, 4))
+        if node_major:  # the layout GI layers hand on
+            x = np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)
+        out = bn.forward(x, training=True)
+        flat = x.reshape(-1, 4)
+        np.testing.assert_allclose(bn.running_mean, flat.mean(0), rtol=1e-12)
+        np.testing.assert_allclose(bn.running_var, flat.var(0), rtol=1e-12)
+        x_hat = (flat - flat.mean(0)) / np.sqrt(flat.var(0) + bn.eps)
+        np.testing.assert_allclose(out.reshape(-1, 4), x_hat, rtol=1e-12, atol=1e-12)
+
+    def test_leaky_relu_matches_where(self, rng):
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                            1e308, -1e308])
+        x = np.concatenate([special, rng.normal(size=200)])
+        for slope in (0.0, 1e-3, 0.01, 0.3, 0.5, 0.999, np.nextafter(1.0, 0.0)):
+            with np.errstate(invalid="ignore"):  # 0 * inf, in both forms
+                got = leaky_relu(x, slope)
+                want = np.where(x > 0, x, slope * x)
+            same = got.view(np.uint64) == want.view(np.uint64)
+            if slope == 0.0:
+                # the one difference: max(inf, 0 * inf) is NaN where `where` gives inf
+                assert np.isnan(got[x == np.inf]).all()
+                same |= x == np.inf
+            assert same.all(), f"slope {slope}: {x[~same]}"
 
 
 class TestLayerGradients:
@@ -288,6 +381,17 @@ class TestArchetype:
         np.testing.assert_array_equal(back.predict(x), before)
         assert back.grid_hash == model.grid_hash
 
+    def test_round_trip_rebuilds_the_same_matrix(self, graph2d, tmp_path, rng):
+        # A_hat from the stored triples equals A_hat from the graph, entry by entry
+        model = build_archetype(ModelConfig(kind="ginn", features=2), graph2d, seed=4)
+        x = rng.normal(size=(5, model.n_points))
+        model.forward(x, training=True)
+        back = load_model(save_model(model, tmp_path / "model.json"))
+        for attr in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(back.a_hat, attr),
+                                          getattr(model.a_hat, attr))
+        np.testing.assert_array_equal(back.predict(x), model.predict(x))
+
     def test_predict_row_independence(self, tiny_graph, rng):
         model = build_archetype(ModelConfig(kind="mlp"), tiny_graph, seed=2)
         x = rng.normal(size=(6, model.n_points))
@@ -340,6 +444,23 @@ class TestSchedulers:
         stops = [stopper.update(2.0, params) for _ in range(3)]
         assert stops == [False, False, True]
         assert stopper.best_params[0][0] == 0.0
+
+    def test_early_stopping_reuses_its_buffers(self, rng):
+        stopper = EarlyStopping(patience=3)
+        params = [rng.normal(size=(3, 4)), rng.normal(size=5)]
+        stopper.update(1.0, params)
+        buffers = stopper.best_params
+        for value in (0.9, 0.8):
+            for p in params:
+                p += rng.normal(size=p.shape)
+            snapshot = [p.copy() for p in params]
+            stopper.update(value, params)
+            assert all(b is c for b, c in zip(stopper.best_params, buffers))
+            for best, want in zip(stopper.best_params, snapshot):
+                np.testing.assert_array_equal(best, want)
+        params[0][...] = 0.0  # a worse epoch leaves the snapshot alone
+        stopper.update(2.0, params)
+        np.testing.assert_array_equal(stopper.best_params[0], snapshot[0])
 
 
 class TestTraining:
@@ -397,6 +518,34 @@ class TestTraining:
         history = train(model, split, TrainConfig(max_epochs=4, seed=3))
         assert len(history.learning_rate) == history.epochs
         assert history.learning_rate[0] == 0.001
+
+    def test_logs_one_record_per_epoch(self, tiny_graph, rng, caplog):
+        model = build_archetype(ModelConfig(kind="mlp"), tiny_graph, seed=3)
+        split = _toy_split(model.n_points, rng)
+        with caplog.at_level(logging.INFO, logger="sgdetect.neural.training"):
+            history = train(model, split, TrainConfig(max_epochs=3, seed=3))
+        records = [r for r in caplog.records if r.name == "sgdetect.neural.training"]
+        assert len(records) == history.epochs == 3
+        for epoch, record in enumerate(records, start=1):
+            _, train_loss, val_loss, lr, seconds = record.args
+            assert record.args[0] == epoch
+            assert train_loss == history.train_loss[epoch - 1]
+            assert val_loss == history.val_loss[epoch - 1]
+            assert lr == history.learning_rate[epoch - 1]
+            assert seconds >= 0.0
+            assert record.getMessage().startswith(f"epoch {epoch}: train loss ")
+
+    @pytest.mark.parametrize("kwargs", [{"batch_size": 0}, {"max_epochs": 0},
+                                        {"batch_size": -3}, {"learning_rate": -1e-3},
+                                        {"learning_rate": np.nan}])
+    def test_train_config_rejects_out_of_range_values(self, kwargs):
+        with pytest.raises(ValueError, match="must be"):
+            TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("slope", [-0.1, 1.0, 2.0, np.nan, np.inf])
+    def test_model_config_rejects_bad_slopes(self, slope):
+        with pytest.raises(ValueError, match="leaky_slope"):
+            ModelConfig(leaky_slope=slope)
 
     def test_mae_metric(self, tiny_graph, rng):
         model = build_archetype(ModelConfig(kind="mlp"), tiny_graph, seed=0)
