@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 configuration error or unreadable input file,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -30,6 +29,7 @@ from sgdetect.errors import (
     DimensionMismatchError,
     SgdetectError,
     TrainingDivergedError,
+    read_document,
 )
 from sgdetect.grid_graph import build_grid_graph, write_graph_record
 from sgdetect.neural.model import (
@@ -184,11 +184,6 @@ def cmd_dataset(args) -> int:
     return 0
 
 
-def _spec_from_key(key: str) -> GridSpec:
-    rule, level, dim = key.split(":")
-    return GridSpec(dim=int(dim.lstrip("d")), rule=rule, level=int(level))
-
-
 def cmd_train(args) -> int:
     try:
         model_cfg = ModelConfig(kind=args.kind, features=args.features,
@@ -199,7 +194,7 @@ def cmd_train(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     ds = synth_data.load_dataset(args.dataset)
-    spec = _spec_from_key(ds.grid_key)
+    spec = GridSpec.from_key(ds.grid_key)
     grid, graph = _build_reference(spec.rule, spec.level, spec.dim)
     ds_hash = ds.meta.get("grid_hash")
     if ds_hash and ds_hash != grid_fingerprint(graph):
@@ -227,7 +222,7 @@ def _detector_for(args, cut, dim) -> tuple[Detector, object, object]:
     """Build (detector, grid, graph) for a detect run."""
     if args.detector.startswith("nn:"):
         model = load_model(args.detector.split(":", 1)[1])
-        spec = _spec_from_key(model.grid_key)
+        spec = GridSpec.from_key(model.grid_key)
         if spec.dim != dim:
             raise DimensionMismatchError(
                 f"model is {spec.dim}-dimensional, target is {dim}-dimensional")
@@ -275,8 +270,7 @@ def cmd_eval(args) -> int:
     target, cut, domain, dim = resolve_target(args.target)
     if cut is None:
         raise ConfigError(f"target {args.target} has no analytic cut to evaluate against")
-    with open(args.report) as fh:
-        report = json.load(fh)
+    report = read_document(args.report, "detection-run")
     points = np.array([t["coords"] for t in report["troubled_points"]], dtype=np.float64)
     grid, graph = _build_reference(args.check_rule, args.check_level, dim)
     lam_min = Fraction(report["config"]["lambda_min"])
@@ -403,7 +397,10 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     except IndexError:
         raise ConfigError("--config needs a file path")
     with open(path) as fh:
-        values = yaml.safe_load(fh) or {}
+        try:
+            values = yaml.safe_load(fh) or {}
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
     if not isinstance(values, dict):
         raise ConfigError(f"config file {path} must hold a mapping")
     defaults = {k.replace("-", "_"): v for k, v in values.items()}

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and a checked JSON reader."""
+
+import json
 
 
 class SgdetectError(Exception):
@@ -43,3 +45,19 @@ class EngineError(SgdetectError):
 
 class ConfigError(SgdetectError):
     """Bad run configuration (CLI / config file)."""
+
+
+class MalformedFileError(SgdetectError):
+    """An input file (dataset, model, run report, image) cannot be parsed."""
+
+
+def read_document(path, kind: str) -> dict:
+    """Load a JSON document and check that it is a ``kind`` document."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise MalformedFileError(f"{path} is not JSON: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("kind") != kind:
+        raise MalformedFileError(f"{path} is not a {kind} file")
+    return doc

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -33,7 +34,7 @@ from sgdetect.detectors import (
     TorusCut,
     sample_signs,
 )
-from sgdetect.errors import SgdetectError
+from sgdetect.errors import MalformedFileError, SgdetectError
 from sgdetect.grid_graph import GridGraph
 from sgdetect.sparse_grid import Box
 from sgdetect.synth_data import LegendrePiece
@@ -163,6 +164,8 @@ def tpr(points: np.ndarray, cut: CutFunction, lambda_min, check_graph: GridGraph
     :data:`~sgdetect.detectors.SAMPLE_BUDGET` cut samples; within a chunk
     the edges are tested in order over the points not yet hit.
     """
+    if subdivisions < 1:
+        raise SgdetectError(f"subdivisions must be >= 1, got {subdivisions}")
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if points.size == 0:
         return TprReport(tpr=None, true_count=0, troubled_count=0, verdicts=[],
@@ -305,35 +308,28 @@ class ImageFunction:
         return Box(center=(half, half), edge=Fraction(r0 - 1))
 
 
+#: magic, width, height and maxval, separated by whitespace or '#' comments,
+#: then the single whitespace byte before the pixels
+_PGM_HEADER = re.compile(rb"(P[25])" + rb"(?:\s|#[^\n]*\n)+([1-9]\d*)" * 3 + rb"\s")
+
+
 def read_pgm(path) -> np.ndarray:
     """Read a portable graymap (plain P2 or raw P5) into [0, 1]."""
     data = Path(path).read_bytes()
-    if data[:2] not in (b"P2", b"P5"):
-        raise SgdetectError(f"not a PGM file: {path}")
-    raw = data[:2] == b"P5"
-    # header: magic, width, height, maxval, with '#' comments allowed
-    tokens: list[bytes] = []
-    pos = 2
-    while len(tokens) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        tokens.append(data[start:pos])
-    width, height, maxval = (int(t) for t in tokens)
-    if raw:
-        pos += 1  # single whitespace after maxval
-        dtype = np.dtype(">u2") if maxval > 255 else np.uint8
-        pixels = np.frombuffer(data, dtype=dtype, offset=pos, count=width * height)
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise MalformedFileError(f"not a PGM file, or a malformed PGM header: {path}")
+    width, height, maxval = (int(v) for v in header.groups()[1:])
+    n, pos = width * height, header.end()
+    if header[1] == b"P5":
+        dtype = np.dtype(">u2") if maxval > 255 else np.dtype(np.uint8)
+        count = min(n, (len(data) - pos) // dtype.itemsize)
+        pixels = np.frombuffer(data, dtype=dtype, offset=pos, count=count)
     else:
-        pixels = np.array(data[pos:].split()[: width * height], dtype=np.int64)
-    img = pixels.reshape(height, width).astype(np.float64) / maxval
-    return img
+        pixels = np.array(data[pos:].split()[:n], dtype=np.int64)
+    if pixels.size != n:
+        raise MalformedFileError(f"{path} holds fewer than {width}x{height} pixels")
+    return pixels.reshape(height, width).astype(np.float64) / maxval
 
 
 def write_pgm(matrix: np.ndarray, path, maxval: int = 255) -> None:

@@ -15,7 +15,7 @@ ell = edge/M.
 from __future__ import annotations
 
 import json
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -172,13 +172,6 @@ class GridGraph:
         ww = [e.weight for e in self.edges] * 2
         return sp.csr_matrix((ww, (ii, jj)), shape=(n, n))
 
-    def neighbor_lists(self) -> list[list[int]]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n_points)]
-        for e in self.edges:
-            nbrs[e.i].append(e.j)
-            nbrs[e.j].append(e.i)
-        return nbrs
-
     def incident_max_span(self) -> np.ndarray:
         """Largest incident segment span per node, 0 for isolated nodes."""
         spans = np.zeros(self.n_points, dtype=np.int64)
@@ -187,21 +180,39 @@ class GridGraph:
             spans[e.j] = max(spans[e.j], e.span)
         return spans
 
-    def incident_max_edge_length(self, node: int) -> Fraction:
-        """Length of the longest edge with the node as a vertex."""
-        span = int(self.incident_max_span()[node])
-        if span == 0:
-            raise DegenerateGraphError(f"node {node} has no incident edge")
-        return self.grid.box.edge * Fraction(span, self.grid.resolution)
-
     @property
     def shortest_segment(self) -> Fraction:
         """ell, the global minimum segment length."""
         return self.grid.box.edge * Fraction(self.min_span, self.grid.resolution)
 
     def diameter(self) -> int:
-        """Unweighted shortest-path diameter by BFS from every node."""
-        return graph_diameter(self)
+        """Unweighted shortest-path diameter, computed once per graph."""
+        return self._diameter
+
+    @cached_property
+    def _diameter(self) -> int:
+        """Breadth-first search from every node at once.
+
+        Column ``s`` of ``reached`` marks the nodes found from node ``s``; each
+        step expands only the last step's marks, and the diameter is the number
+        of steps that mark something new.  A disconnected graph raises
+        :class:`DegenerateGraphError`, so the architecture builder rejects it.
+        """
+        n = self.n_points
+        adjacency = self.adjacency_matrix()
+        reached = np.eye(n, dtype=bool)
+        frontier = sp.eye_array(n, format="csr")
+        hops = -1
+        while frontier.nnz:
+            hops += 1
+            step = (adjacency @ frontier).tocoo()
+            new = ~reached[step.row, step.col]
+            rows, cols = step.row[new], step.col[new]
+            reached[rows, cols] = True
+            frontier = sp.csr_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
+        if not reached.all():
+            raise DegenerateGraphError("graph is disconnected: diameter is infinite")
+        return hops
 
 
 def build_grid_graph(grid: SparseGrid) -> GridGraph:
@@ -211,35 +222,6 @@ def build_grid_graph(grid: SparseGrid) -> GridGraph:
     pruned = prune_edges(build_raw_edges(grid), grid)
     weighted = edge_weights(pruned, grid)
     return GridGraph(grid=grid, edges=tuple(weighted), min_span=min(e.span for e in weighted))
-
-
-def graph_diameter(graph: GridGraph) -> int:
-    """Max over node pairs of the unweighted shortest-path length.
-
-    Raises :class:`DegenerateGraphError` if the graph is disconnected
-    (infinite diameter): the architecture builder must reject it.
-    """
-    n = graph.n_points
-    if n == 1:
-        return 0
-    nbrs = graph.neighbor_lists()
-    diam = 0
-    for src in range(n):
-        dist = [-1] * n
-        dist[src] = 0
-        queue = deque([src])
-        seen = 1
-        while queue:
-            u = queue.popleft()
-            for v in nbrs[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    seen += 1
-                    queue.append(v)
-        if seen != n:
-            raise DegenerateGraphError("graph is disconnected: diameter is infinite")
-        diam = max(diam, max(dist))
-    return diam
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,6 @@ from sgdetect.neural.model import (
 )
 from sgdetect.neural.training import (
     TrainConfig,
-    mean_absolute_error,
-    predict_batch,
     train,
     weighted_bce,
 )
@@ -28,8 +26,6 @@ __all__ = [
     "load_model",
     "save_model",
     "TrainConfig",
-    "mean_absolute_error",
-    "predict_batch",
     "train",
     "weighted_bce",
 ]

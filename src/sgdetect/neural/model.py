@@ -27,6 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
+from sgdetect.errors import MalformedFileError, read_document
 from sgdetect.grid_graph import GridGraph, adjacency_triples
 from sgdetect.neural.layers import BatchNorm, DenseLayer, GILayer, leaky_relu, leaky_relu_grad
 
@@ -40,7 +41,6 @@ class ModelConfig:
     kind: str = "ginn"  # "ginn" | "mlp"
     features: int = 15  # F, per-node features of GI hidden layers
     leaky_slope: float = 0.3
-    init: str = "glorot_normal"
 
     def __post_init__(self):
         if self.kind not in ("ginn", "mlp"):
@@ -303,11 +303,11 @@ def save_model(model: ArchetypeModel, path) -> Path:
 
 
 def load_model(path) -> ArchetypeModel:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_document(path, "detector-model")
     if doc.get("version") != MODEL_FILE_VERSION:
-        raise ValueError(f"unsupported model file version {doc.get('version')}")
-    config = ModelConfig(**doc["config"])
+        raise MalformedFileError(f"unsupported model file version {doc.get('version')}")
+    # files written before the unused ``init`` field was removed still load
+    config = ModelConfig(**{k: v for k, v in doc["config"].items() if k != "init"})
     n = doc["n_points"]
     a_hat = None
     if config.kind == "ginn":

@@ -42,7 +42,6 @@ class TrainConfig:
     plateau_factor: float = 0.75
     plateau_patience: int = 7
     early_stop_patience: int = 35
-    restore_best: bool = True
     max_epochs: int = 500
     seed: int = 0
 
@@ -57,6 +56,10 @@ class TrainConfig:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError(f"beta1 and beta2 must be in [0, 1), got {self.beta1}, {self.beta2}")
+        if not 0.0 < self.plateau_factor <= 1.0:
+            raise ValueError(f"plateau_factor must be in (0, 1], got {self.plateau_factor}")
 
 
 def weighted_bce(p_hat: np.ndarray, p: np.ndarray, mu0: float, mu1: float,
@@ -227,7 +230,7 @@ def train(model: ArchetypeModel, dataset: DatasetSplit, config: TrainConfig) -> 
         if stopper.update(val_loss, params):
             history.stopped_early = True
             break
-    if config.restore_best and stopper.best_params is not None:
+    if stopper.best_params is not None:
         model.set_parameters(stopper.best_params)
     model.history = history.as_dict()
     return history
@@ -237,16 +240,6 @@ def evaluate_loss(model: ArchetypeModel, x: np.ndarray, y: np.ndarray,
                   mu0: float, mu1: float) -> float:
     p_hat = model.predict(x)
     return weighted_bce(p_hat, y, mu0, mu1)
-
-
-def predict_batch(model: ArchetypeModel, gamma_rows: np.ndarray) -> np.ndarray:
-    """Batched inference P = model(Gamma); rows must be preprocessed already."""
-    return model.predict(np.asarray(gamma_rows, dtype=np.float64))
-
-
-def mean_absolute_error(model: ArchetypeModel, samples) -> float:
-    x, y = _prepare(samples)
-    return float(np.mean(np.abs(model.predict(x) - y)))
 
 
 def evaluate_metrics(model: ArchetypeModel, samples, mu0: float = 0.5, mu1: float = 1.5) -> dict:

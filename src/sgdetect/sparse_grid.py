@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from sgdetect.errors import EmptyGridError, InvalidLevelError
+from sgdetect.errors import EmptyGridError, InvalidLevelError, MalformedFileError
 
 RULES = ("prod", "sum", "max")
 
@@ -174,6 +175,14 @@ class GridSpec:
     def key(self) -> str:
         return f"{self.rule}:{self.level}:d{self.dim}"
 
+    @staticmethod
+    def from_key(key) -> "GridSpec":
+        """Inverse of :meth:`key`, for keys read from dataset and model files."""
+        match = re.fullmatch(r"(\w+):(\d+):d(\d+)", str(key))
+        if match is None or match[1] not in RULES:
+            raise MalformedFileError(f"grid key {key!r} is not rule:level:dN")
+        return GridSpec(dim=int(match[3]), rule=match[1], level=int(match[2]))
+
 
 @dataclass(frozen=True)
 class SparseGrid:
@@ -216,7 +225,7 @@ class SparseGrid:
         return lo + lat * (float(self.box.edge) / self.resolution)
 
     def exact_coords(self) -> list[tuple[Fraction, ...]]:
-        """Exact rational coordinates of every point (cache/identity keys)."""
+        """Exact rational coordinates of every point, which :meth:`coords` rounds."""
         lo = self.box.lower
         step = self.box.edge / self.resolution
         return [tuple(lo[i] + k[i] * step for i in range(self.dim)) for k in self.lattice]

@@ -35,7 +35,7 @@ from sgdetect.detectors import (
     SphericalCut,
     ZLevelDetector,
 )
-from sgdetect.errors import DegenerateDatasetError
+from sgdetect.errors import DegenerateDatasetError, MalformedFileError, read_document
 from sgdetect.grid_graph import GridGraph
 from sgdetect.sparse_grid import Box, SparseGrid, multi_index_set
 
@@ -412,10 +412,12 @@ def save_dataset(ds: Dataset, path) -> tuple[Path, Path]:
 
 def load_dataset(path) -> Dataset:
     bin_path, hdr_path = dataset_paths(path)
-    with open(hdr_path) as fh:
-        header = json.load(fh)
+    header = read_document(hdr_path, "detector-dataset")
     s, n = header["n_samples"], header["n_points"]
     raw = Path(bin_path).read_bytes()
+    if len(raw) != s * n * 9:
+        raise MalformedFileError(
+            f"{bin_path} holds {len(raw)} bytes; its header needs {s * n * 9}")
     inputs = np.frombuffer(raw, dtype="<f8", count=s * n).reshape(s, n).copy()
     labels = np.frombuffer(raw, dtype=np.uint8, offset=s * n * 8, count=s * n).reshape(s, n).copy()
     return Dataset(

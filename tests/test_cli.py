@@ -133,6 +133,45 @@ class TestTrainDetectEval:
         assert "visited points" in out
 
 
+def _truncated_dataset(tmp_path):
+    data = make_tiny_dataset(tmp_path)
+    data.write_bytes(data.read_bytes()[:-1])
+    return ["train", "--dataset", str(data), "--out", str(tmp_path / "model.json")]
+
+
+def _dataset_with_bad_grid_key(tmp_path):
+    data = make_tiny_dataset(tmp_path)
+    header = data.with_suffix(".json")
+    doc = json.loads(header.read_text())
+    doc["grid"] = "sum-3-2"
+    header.write_text(json.dumps(doc))
+    return ["train", "--dataset", str(data), "--out", str(tmp_path / "model.json")]
+
+
+def _model_that_is_a_report(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text('{"kind": "detection-run", "version": 1}')
+    return ["detect", "--target", "builtin:circle", "--detector", f"nn:{path}"]
+
+
+def _report_that_is_a_list(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text("[1, 2, 3]")
+    return ["eval", "--report", str(path), "--target", "builtin:circle"]
+
+
+def _config_with_bad_yaml(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text("level: [8\n")
+    return ["--config", str(path), "grid"]
+
+
+def _pgm_with_bad_header(tmp_path):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(b"P5\nwide 2\n255\n\x00\x00")
+    return ["image", "--path", str(path), "--detector", "exact"]
+
+
 class TestExitCodes:
     def test_unknown_target(self, capsys):
         assert run_cli(["detect", "--target", "builtin:nonexistent",
@@ -176,6 +215,27 @@ class TestExitCodes:
         missing = tmp_path / "missing"
         assert run_cli([a.format(missing=missing) for a in args]) == 2
         assert "No such file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make_args,message", [
+        (_truncated_dataset, "its header needs"),
+        (_dataset_with_bad_grid_key, "is not rule:level:dN"),
+        (_model_that_is_a_report, "is not a detector-model file"),
+        (_report_that_is_a_list, "is not a detection-run file"),
+        (_config_with_bad_yaml, "is not valid YAML"),
+        (_pgm_with_bad_header, "malformed PGM header"),
+    ])
+    def test_malformed_input_file(self, make_args, message, tmp_path, capsys):
+        assert run_cli(make_args(tmp_path)) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subdivisions", ["0", "-1"])
+    def test_subdivisions_below_one(self, subdivisions, tmp_path, capsys):
+        report = tmp_path / "run.json"
+        assert run_cli(["detect", "--target", "builtin:sine", "--detector", "zlevel:9",
+                        "--lambda-min", "1/8", "--out", str(report)]) == 0
+        assert run_cli(["eval", "--report", str(report), "--target", "builtin:sine",
+                        "--subdivisions", subdivisions]) == 2
+        assert "subdivisions must be >= 1" in capsys.readouterr().err
 
     def test_budget_with_exact_detector(self, capsys):
         # the exact oracle never evaluates g: a budget could not bind

@@ -19,7 +19,8 @@ from sgdetect.engine import (
     run_report,
     write_troubled_csv,
 )
-from sgdetect.errors import DimensionMismatchError, EngineError
+from sgdetect.errors import DegenerateGraphError, DimensionMismatchError, EngineError
+from sgdetect.grid_graph import GridGraph
 from sgdetect.sparse_grid import Box
 from sgdetect.synth_data import sample_piecewise_function
 
@@ -178,6 +179,17 @@ class TestDomainHandling:
             run_basic(g=constant_g, grid=grid, graph=graph,
                       detector=ExactOracleDetector(SphericalCut((0, 0), 0.5)),
                       initial=[((0, 0), 2)], config=config)
+
+    def test_isolated_node_rejected(self, grid2d, graph2d):
+        # node 0 loses its edges: it has no incident span to refine by
+        edges = tuple(e for e in graph2d.edges if 0 not in (e.i, e.j))
+        graph = GridGraph(grid=grid2d, edges=edges, min_span=graph2d.min_span)
+        config = EngineConfig(lambda_min=Fraction(1, 8), domain=SQUARE)
+        for runner in (run_basic, run_batched):
+            with pytest.raises(DegenerateGraphError, match="isolated node"):
+                runner(g=constant_g, grid=grid2d, graph=graph,
+                       detector=ExactOracleDetector(SphericalCut((0, 0), 0.5)),
+                       initial=[((0, 0), 2)], config=config)
 
     def test_initial_box_must_be_inside_domain(self, grid2d, graph2d):
         config = EngineConfig(lambda_min=Fraction(1, 8), domain=SQUARE)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sgdetect.detectors import SphericalCut
+from sgdetect.errors import MalformedFileError
 from sgdetect.evaluation import (
     ImageFunction,
     builtin_test_functions,
@@ -175,6 +176,13 @@ class TestPgm:
         img = read_pgm(tmp_path / "img.pgm")
         assert img.shape == (2, 3)
         assert img[0, 1] == pytest.approx(128 / 255)
+
+    @pytest.mark.parametrize("content", [b"P5\n3 x\n255\n", b"P5\n3 2\n", b"P5\n3 0\n255\n",
+                                         b"P5\n3 2\n255\n\x00\x00", b"P2\n3 2\n255\n0 1\n"])
+    def test_rejects_malformed_header_or_short_body(self, tmp_path, content):
+        (tmp_path / "img.pgm").write_bytes(content)
+        with pytest.raises(MalformedFileError):
+            read_pgm(tmp_path / "img.pgm")
 
     def test_rejects_other_formats(self, tmp_path):
         (tmp_path / "img.ppm").write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")

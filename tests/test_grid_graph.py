@@ -13,7 +13,6 @@ from sgdetect.grid_graph import (
     build_grid_graph,
     build_raw_edges,
     edge_weights,
-    graph_diameter,
     prune_edges,
 )
 from sgdetect.sparse_grid import Box, GridSpec, build_sparse_grid, similar_grid
@@ -222,23 +221,36 @@ class TestDiameter:
     def test_disconnected_raises(self, grid2d):
         lonely = GridGraph(grid=grid2d, edges=(), min_span=0)
         with pytest.raises(DegenerateGraphError):
-            graph_diameter(lonely)
+            lonely.diameter()
+
+    def test_one_cut_off_node_raises(self, grid2d, graph2d):
+        edges = tuple(e for e in graph2d.edges if 0 not in (e.i, e.j))
+        split = GridGraph(grid=grid2d, edges=edges, min_span=graph2d.min_span)
+        with pytest.raises(DegenerateGraphError, match="disconnected"):
+            split.diameter()
+
+    def test_two_archetypes_search_once(self, grid2d, monkeypatch):
+        from sgdetect.neural.model import ModelConfig, build_archetype
+
+        builds = []
+        adjacency = GridGraph.adjacency_matrix
+        monkeypatch.setattr(GridGraph, "adjacency_matrix",
+                            lambda self: builds.append(1) or adjacency(self))
+        graph = build_grid_graph(grid2d)
+        # the MLP archetype reads no adjacency matrix: every build is the search's
+        first = build_archetype(ModelConfig(kind="mlp"), graph, seed=0)
+        second = build_archetype(ModelConfig(kind="mlp"), graph, seed=1)
+        assert first.diameter == second.diameter == 10
+        assert len(builds) == 1
 
 
 class TestIncidentMaxEdge:
-    def test_max_of_incident_lengths(self, graph2d, grid2d):
+    def test_max_of_incident_lengths(self, graph2d):
         spans = graph2d.incident_max_span()
         for node in (0, 10, 32):
             incident = [e.span for e in graph2d.edges if node in (e.i, e.j)]
             assert spans[node] == max(incident)
-            expected = grid2d.box.edge * Fraction(max(incident), grid2d.resolution)
-            assert graph2d.incident_max_edge_length(node) == expected
 
     def test_bounded_by_half_edge(self, graph2d, grid2d):
-        for node in range(graph2d.n_points):
-            assert graph2d.incident_max_edge_length(node) <= grid2d.box.edge / 2
-
-    def test_isolated_node_raises(self, grid2d):
-        lonely = GridGraph(grid=grid2d, edges=(), min_span=0)
-        with pytest.raises(DegenerateGraphError):
-            lonely.incident_max_edge_length(0)
+        spans = graph2d.incident_max_span()
+        assert np.all((spans >= 1) & (2 * spans <= grid2d.resolution))

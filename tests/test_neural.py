@@ -1,3 +1,4 @@
+import json
 import logging
 
 import numpy as np
@@ -20,8 +21,7 @@ from sgdetect.neural.training import (
     EarlyStopping,
     ReduceLROnPlateau,
     TrainConfig,
-    mean_absolute_error,
-    predict_batch,
+    evaluate_metrics,
     train,
     weighted_bce,
 )
@@ -381,6 +381,16 @@ class TestArchetype:
         np.testing.assert_array_equal(back.predict(x), before)
         assert back.grid_hash == model.grid_hash
 
+    def test_loads_files_with_the_removed_init_field(self, tiny_graph, tmp_path, rng):
+        model = build_archetype(ModelConfig(kind="mlp"), tiny_graph, seed=5)
+        path = save_model(model, tmp_path / "model.json")
+        doc = json.loads(path.read_text())
+        assert "init" not in doc["config"]
+        doc["config"]["init"] = "glorot_normal"
+        path.write_text(json.dumps(doc))
+        x = rng.normal(size=(4, model.n_points))
+        np.testing.assert_array_equal(load_model(path).predict(x), model.predict(x))
+
     def test_round_trip_rebuilds_the_same_matrix(self, graph2d, tmp_path, rng):
         # A_hat from the stored triples equals A_hat from the graph, entry by entry
         model = build_archetype(ModelConfig(kind="ginn", features=2), graph2d, seed=4)
@@ -408,8 +418,7 @@ class TestArchetype:
     def test_single_row_equals_batch_row(self, tiny_graph, rng):
         model = build_archetype(ModelConfig(kind="ginn", features=2), tiny_graph, seed=2)
         x = rng.normal(size=(3, model.n_points))
-        np.testing.assert_array_equal(predict_batch(model, x)[0],
-                                      predict_batch(model, x[:1])[0])
+        np.testing.assert_array_equal(model.predict(x)[0], model.predict(x[:1])[0])
 
 
 def _toy_split(n_points, rng, size=30):
@@ -537,7 +546,12 @@ class TestTraining:
 
     @pytest.mark.parametrize("kwargs", [{"batch_size": 0}, {"max_epochs": 0},
                                         {"batch_size": -3}, {"learning_rate": -1e-3},
-                                        {"learning_rate": np.nan}])
+                                        {"learning_rate": np.nan}, {"beta1": 1.5},
+                                        {"beta1": 1.0}, {"beta1": -0.1}, {"beta1": np.nan},
+                                        {"beta2": 1.0}, {"beta2": np.nan},
+                                        {"plateau_factor": 0.0}, {"plateau_factor": 2.0},
+                                        {"plateau_factor": -0.5},
+                                        {"plateau_factor": np.nan}])
     def test_train_config_rejects_out_of_range_values(self, kwargs):
         with pytest.raises(ValueError, match="must be"):
             TrainConfig(**kwargs)
@@ -550,5 +564,5 @@ class TestTraining:
     def test_mae_metric(self, tiny_graph, rng):
         model = build_archetype(ModelConfig(kind="mlp"), tiny_graph, seed=0)
         split = _toy_split(model.n_points, rng)
-        mae = mean_absolute_error(model, split.test)
+        mae = evaluate_metrics(model, split.test)["mae"]
         assert 0.0 <= mae <= 1.0
