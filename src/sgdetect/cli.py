@@ -27,6 +27,7 @@ from sgdetect.errors import (
     ConfigError,
     DegenerateDatasetError,
     DimensionMismatchError,
+    MalformedFileError,
     SgdetectError,
     TrainingDivergedError,
     read_document,
@@ -271,16 +272,21 @@ def cmd_eval(args) -> int:
     if cut is None:
         raise ConfigError(f"target {args.target} has no analytic cut to evaluate against")
     report = read_document(args.report, "detection-run")
-    points = np.array([t["coords"] for t in report["troubled_points"]], dtype=np.float64)
+    try:
+        coords = [t["coords"] for t in report["troubled_points"]]
+        lam_min = Fraction(report["config"]["lambda_min"])
+        visited = report["counters"]["visited_points"]
+    except KeyError as exc:
+        raise MalformedFileError(f"{args.report} has no {exc.args[0]!r} entry") from exc
+    points = np.array(coords, dtype=np.float64)
     grid, graph = _build_reference(args.check_rule, args.check_level, dim)
-    lam_min = Fraction(report["config"]["lambda_min"])
     _echo_config("eval", {
         "report": args.report, "target": args.target, "check_rule": args.check_rule,
         "check_level": args.check_level, "subdivisions": args.subdivisions,
         "out": args.out,
     })
     result = eval_mod.tpr(points, cut, lam_min, graph, subdivisions=args.subdivisions,
-                          visited_count=report["counters"]["visited_points"])
+                          visited_count=visited)
     if result.undefined:
         print("tpr: undefined (empty troubled set)")
     else:

@@ -158,11 +158,29 @@ def tpr(points: np.ndarray, cut: CutFunction, lambda_min, check_graph: GridGraph
     For each point, a grid similar to the check graph's grid is centered
     there with box edge ``lambda_min``; the point is a true troubled point
     iff the cut's zero-level set intersects at least one graph edge.
-    Intersections use the cut's closed form when available, otherwise sign
-    sampling with ``subdivisions`` intervals per edge.  Points are scored
-    in chunks whose sampled segments stay within
-    :data:`~sgdetect.detectors.SAMPLE_BUDGET` cut samples; within a chunk
-    the edges are tested in order over the points not yet hit.
+    Intersections use the cut's closed form when available (one
+    ``segment_roots`` call over every edge of a chunk of points), otherwise
+    sign sampling with ``subdivisions`` intervals per edge, in three steps
+    per chunk:
+
+    1. *Node signs.*  The cut is evaluated once at every node of every
+       check grid; a point's candidate edge is its first edge whose first
+       node's sign is zero or whose two node signs differ.
+    2. *Confirmation.*  The candidate edge is sampled at the walk's first
+       and last knot only.  Those are the same floats as the full walk's
+       (the last one is ``a + (b - a)``, which may differ from the node
+       ``b`` in the last bit), so a zero or a sign change there is a
+       crossing the full walk would also report.
+    3. *Full walk.*  Points the confirmation does not decide (no candidate,
+       or a candidate edge whose sampled ends agree) have every edge walked
+       at all knots, stacked over (point, edge) pairs.
+
+    The node signs only choose which edge to confirm, so the verdicts are
+    those of walking every edge, provided the cut returns the same value
+    for a point whatever batch it is evaluated in, as every cut in this
+    package does.  Points are scored in chunks whose node and edge arrays
+    stay within :data:`~sgdetect.detectors.SAMPLE_BUDGET` entries, and no
+    cut call evaluates more than that many points.
     """
     if subdivisions < 1:
         raise SgdetectError(f"subdivisions must be >= 1, got {subdivisions}")
@@ -171,29 +189,27 @@ def tpr(points: np.ndarray, cut: CutFunction, lambda_min, check_graph: GridGraph
         return TprReport(tpr=None, true_count=0, troubled_count=0, verdicts=[],
                          visited_count=visited_count,
                          detail={"reason": "empty troubled set"})
-    lam = float(lambda_min)
     grid = check_graph.grid
+    if points.shape[1] != grid.dim:
+        raise SgdetectError(f"{points.shape[1]}D points cannot be scored with a "
+                            f"{grid.dim}D check grid")
+    lam = float(lambda_min)
     m = grid.resolution
     offsets = (grid.lattice_array().astype(np.float64) - m / 2.0) / m * lam
     knots = np.linspace(0.0, 1.0, subdivisions + 1)
-    chunk = max(1, SAMPLE_BUDGET // (subdivisions + 1))
+    ei, ej = check_graph.edge_ends
+    no_segments = np.empty((0, grid.dim))
+    closed_form = cut.segment_roots(no_segments, no_segments) is not None
+    chunk = max(1, SAMPLE_BUDGET // max(len(offsets), len(ei)))
     hit = np.zeros(len(points), dtype=bool)
     for start in range(0, len(points), chunk):
-        live = np.arange(start, min(start + chunk, len(points)))
-        for e in check_graph.edges:
-            centres = points[live]
-            a = centres + offsets[e.i]
-            b = centres + offsets[e.j]
-            roots = cut.segment_roots(a, b)
-            if roots is None:
-                s = sample_signs(cut, a, b, knots)
-                crosses = np.any(s == 0, axis=1) | np.any(s[:, :-1] != s[:, 1:], axis=1)
-            else:
-                crosses = ~np.isnan(roots[0])
-            hit[live[crosses]] = True
-            live = live[~crosses]
-            if not live.size:
-                break
+        centres = points[start : start + chunk, None]
+        if closed_form:
+            lo, _ = cut.segment_roots(centres + offsets[ei], centres + offsets[ej])
+            hit[start : start + len(centres)] = np.any(~np.isnan(lo), axis=1)
+        else:
+            hit[start : start + len(centres)] = _sampled_hits(cut, centres + offsets,
+                                                              ei, ej, knots)
     verdicts = hit.tolist()
     true_count = int(hit.sum())
     return TprReport(
@@ -205,6 +221,36 @@ def tpr(points: np.ndarray, cut: CutFunction, lambda_min, check_graph: GridGraph
         detail={"subdivisions": subdivisions, "lambda_min": lam,
                 "check_grid": grid.spec.key()},
     )
+
+
+def _sampled_hits(cut: CutFunction, x: np.ndarray, ei: np.ndarray, ej: np.ndarray,
+                  knots: np.ndarray) -> np.ndarray:
+    """Whether sign sampling finds a crossing on some edge of each placed grid.
+
+    ``x`` stacks P placed check grids as ``(P, N, n)``; ``tpr`` documents
+    the three steps.
+    """
+    hit = np.zeros(len(x), dtype=bool)
+    if not len(ei):  # a one-point check grid has no edge to cross
+        return hit
+    v = cut(x.reshape(-1, x.shape[-1])).reshape(x.shape[:-1])
+    # comparisons, not np.sign: a NaN value becomes 0 without a cast warning
+    s = (v > 0).astype(np.int8) - (v < 0)
+    candidate = (s[:, ei] == 0) | (s[:, ei] != s[:, ej])
+    rows = np.flatnonzero(candidate.any(axis=1))
+    first = candidate[rows].argmax(axis=1)
+    ends = sample_signs(cut, x[rows, ei[first]], x[rows, ej[first]], knots[[0, -1]])
+    hit[rows] = np.any(ends == 0, axis=1) | (ends[:, 0] != ends[:, 1])
+    rest = np.flatnonzero(~hit)
+    n_edges = len(ei)
+    pairs = max(1, SAMPLE_BUDGET // len(knots))
+    for lo in range(0, len(rest) * n_edges, pairs):
+        k = np.arange(lo, min(lo + pairs, len(rest) * n_edges))
+        p, e = rest[k // n_edges], k % n_edges
+        s = sample_signs(cut, x[p, ei[e]], x[p, ej[e]], knots)
+        crosses = np.any(s == 0, axis=1) | np.any(s[:, :-1] != s[:, 1:], axis=1)
+        hit[p[crosses]] = True
+    return hit
 
 
 def tpr_report_doc(report: TprReport) -> dict:
@@ -329,6 +375,8 @@ def read_pgm(path) -> np.ndarray:
         pixels = np.array(data[pos:].split()[:n], dtype=np.int64)
     if pixels.size != n:
         raise MalformedFileError(f"{path} holds fewer than {width}x{height} pixels")
+    if pixels.max() > maxval:
+        raise MalformedFileError(f"{path} holds a pixel above its maxval {maxval}")
     return pixels.reshape(height, width).astype(np.float64) / maxval
 
 

@@ -160,6 +160,12 @@ def _report_that_is_a_list(tmp_path):
     return ["eval", "--report", str(path), "--target", "builtin:circle"]
 
 
+def _report_without_troubled_points(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text('{"kind": "detection-run", "version": 1}')
+    return ["eval", "--report", str(path), "--target", "builtin:circle"]
+
+
 def _config_with_bad_yaml(tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text("level: [8\n")
@@ -223,6 +229,7 @@ class TestExitCodes:
         (_report_that_is_a_list, "is not a detection-run file"),
         (_config_with_bad_yaml, "is not valid YAML"),
         (_pgm_with_bad_header, "malformed PGM header"),
+        (_report_without_troubled_points, "has no 'troubled_points' entry"),
     ])
     def test_malformed_input_file(self, make_args, message, tmp_path, capsys):
         assert run_cli(make_args(tmp_path)) == 2
@@ -241,6 +248,13 @@ class TestExitCodes:
         # the exact oracle never evaluates g: a budget could not bind
         assert run_cli(["detect", "--target", "builtin:circle", "--detector", "exact",
                         "--lambda-min", "1/8", "--budget", "10"]) == 2
+
+    def test_eval_against_a_target_of_another_dimension(self, tmp_path, capsys):
+        report = tmp_path / "run.json"
+        assert run_cli(["detect", "--target", "builtin:circle", "--detector", "exact",
+                        "--lambda-min", "1/8", "--out", str(report)]) == 0
+        assert run_cli(["eval", "--report", str(report), "--target", "builtin:torus4d"]) == 2
+        assert "cannot be scored with a 4D check grid" in capsys.readouterr().err
 
     def test_dimension_mismatch(self, tmp_path, capsys):
         data = make_tiny_dataset(tmp_path, seed=2, count=8)

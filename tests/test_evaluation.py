@@ -1,10 +1,19 @@
+import functools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from sgdetect.detectors import SphericalCut
-from sgdetect.errors import MalformedFileError
+from sgdetect.detectors import (
+    CallableCut,
+    LinearCut,
+    ProductCut,
+    SphericalCut,
+    TorusCut,
+    sample_signs,
+)
+from sgdetect.errors import MalformedFileError, SgdetectError
+from sgdetect.grid_graph import build_grid_graph
 from sgdetect.evaluation import (
     ImageFunction,
     builtin_test_functions,
@@ -13,6 +22,7 @@ from sgdetect.evaluation import (
     tpr,
     write_pgm,
 )
+from sgdetect.sparse_grid import Box, GridSpec, build_sparse_grid
 
 
 class TestBuiltins:
@@ -117,6 +127,146 @@ class TestTpr:
         assert a.verdicts == b.verdicts
 
 
+def check_offsets(lambda_min, graph):
+    """Node offsets of a check grid with box edge ``lambda_min``, as ``tpr`` computes them."""
+    grid = graph.grid
+    m = grid.resolution
+    return (grid.lattice_array().astype(np.float64) - m / 2.0) / m * float(lambda_min)
+
+
+def placed_nodes(points, lambda_min, graph):
+    """The check-grid nodes of each point: (P, N, n)."""
+    return points[:, None] + check_offsets(lambda_min, graph)
+
+
+def edge_walk_verdicts(points, cut, lambda_min, graph, subdivisions):
+    """Reference verdicts: every edge of every check grid, one edge at a time.
+
+    This is ``tpr`` without its node-sign prefilter: each edge goes to the
+    cut's closed form, or is walked at all ``subdivisions + 1`` knots.
+    """
+    offsets = check_offsets(lambda_min, graph)
+    knots = np.linspace(0.0, 1.0, subdivisions + 1)
+    hit = np.zeros(len(points), dtype=bool)
+    for e in graph.edges:
+        a = points + offsets[e.i]
+        b = points + offsets[e.j]
+        roots = cut.segment_roots(a, b)
+        if roots is None:
+            s = sample_signs(cut, a, b, knots)
+            hit |= np.any(s == 0, axis=1) | np.any(s[:, :-1] != s[:, 1:], axis=1)
+        else:
+            hit |= ~np.isnan(roots[0])
+    return hit.tolist()
+
+
+@functools.cache
+def check_graph(dim):
+    """The level-6 sum-rule check graph: 65, 69 or 41 points in 2D, 3D or 4D."""
+    grid = build_sparse_grid(GridSpec(dim=dim, rule="sum", level=6), Box.cube((0,) * dim, 2))
+    return build_grid_graph(grid)
+
+
+CUTS = {
+    "callable": lambda d: CallableCut(SphericalCut(np.full(d, 0.1), 0.5), dim=d),
+    "product": lambda d: ProductCut([LinearCut(np.arange(1.0, d + 1), 0.2),
+                                     SphericalCut(np.zeros(d), 0.6)]),
+    "linear": lambda d: LinearCut(np.arange(1.0, d + 1), 0.2),
+    "spherical": lambda d: SphericalCut(np.full(d, -0.1), 0.55),
+}
+
+
+class TestTprMatchesEdgeWalk:
+    """``tpr``'s verdicts equal the plain edge walk's, bit for bit."""
+
+    @pytest.mark.parametrize("lambda_min", [Fraction(1, 4), Fraction(1, 3)])
+    @pytest.mark.parametrize("cut_name", sorted(CUTS))
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_random_check_grids(self, dim, cut_name, lambda_min, rng):
+        graph = check_graph(dim)
+        cut = CUTS[cut_name](dim)
+        pts = rng.uniform(-0.8, 0.8, size=(60, dim))
+        expected = edge_walk_verdicts(pts, cut, lambda_min, graph, 50)
+        assert tpr(pts, cut, lambda_min, graph, subdivisions=50).verdicts == expected
+        assert 0 < sum(expected) < len(expected)
+
+    @pytest.mark.parametrize("lambda_min", [Fraction(1, 2), Fraction(1, 3)])
+    def test_torus(self, lambda_min, rng):
+        graph = check_graph(4)
+        pts = rng.uniform(-0.9, 0.9, size=(60, 4))
+        expected = edge_walk_verdicts(pts, TorusCut(), lambda_min, graph, 50)
+        assert tpr(pts, TorusCut(), lambda_min, graph, subdivisions=50).verdicts == expected
+        assert 0 < sum(expected) < len(expected)
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_nodes_on_the_interface(self, dim, sampled, rng):
+        # dyadic centres and box edge: the plane x0 = 1/8 passes through lattice nodes
+        graph = check_graph(dim)
+        plane = LinearCut(np.eye(dim)[0], -0.125)
+        cut = CallableCut(plane, dim=dim) if sampled else plane
+        pts = rng.integers(-48, 48, size=(60, dim)) / 64.0
+        nodes = placed_nodes(pts, Fraction(1, 4), graph)
+        assert np.any(plane(nodes) == 0.0)
+        expected = edge_walk_verdicts(pts, cut, Fraction(1, 4), graph, 50)
+        assert tpr(pts, cut, Fraction(1, 4), graph, subdivisions=50).verdicts == expected
+        assert 0 < sum(expected) < len(expected)
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_edge_crossed_twice(self, dim, sampled):
+        # a small sphere around the middle of one edge: every node lies outside it
+        graph = check_graph(dim)
+        lam = Fraction(1, 3)
+        centre = np.full((1, dim), 0.05)
+        nodes = placed_nodes(centre, lam, graph)[0]
+        i, j = graph.edge_ends[0][0], graph.edge_ends[1][0]
+        length = np.linalg.norm(nodes[j] - nodes[i])
+        sphere = SphericalCut((nodes[i] + nodes[j]) / 2, 0.3 * length)
+        assert np.all(sphere(nodes) > 0.0)
+        cut = CallableCut(sphere, dim=dim) if sampled else sphere
+        expected = edge_walk_verdicts(centre, cut, lam, graph, 50)
+        assert expected == [True]
+        assert tpr(centre, cut, lam, graph, subdivisions=50).verdicts == expected
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_one_point_check_grid(self, sampled):
+        # the level-2 sum grid is its centre alone: no edge, so no crossing
+        grid = build_sparse_grid(GridSpec(dim=2, rule="sum", level=2), Box.cube((0, 0), 2))
+        graph = build_grid_graph(grid)
+        circle = SphericalCut((0.0, 0.0), 0.5)
+        cut = CallableCut(circle, dim=2) if sampled else circle
+        pts = np.array([[0.5, 0.0], [0.1, 0.1]])
+        assert edge_walk_verdicts(pts, cut, Fraction(1, 4), graph, 50) == [False, False]
+        assert tpr(pts, cut, Fraction(1, 4), graph, subdivisions=50).verdicts == [False, False]
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_last_knot_differs_from_its_node(self, dim, rng):
+        # a centre coordinate p near 0 makes each edge from x0 < 0 into the
+        # row x0 = p end its walk at a + (b - a) != b.  A plane between p
+        # and all those last knots splits the node signs, yet no sampled
+        # point crosses it: the verdict is the walk's False, not the nodes'
+        graph = check_graph(dim)
+        lam = Fraction(1, 3)
+        ei, ej = graph.edge_ends
+        offsets = check_offsets(lam, graph)[:, 0]
+        into_row = (offsets[ei] < 0) & (offsets[ej] == 0)
+        for p in rng.uniform(-0.01, 0.01, 200):
+            pts = np.full((1, dim), 0.05)
+            pts[0, 0] = p
+            nodes = placed_nodes(pts, lam, graph)[0]
+            a, b = nodes[ei[into_row], 0], nodes[ej[into_row], 0]
+            level = np.nextafter(p, -np.inf)
+            if np.all(a + (b - a) < level):
+                break
+        else:
+            pytest.fail("no centre puts every last knot below the row")
+        plane = CallableCut(lambda x: x[..., 0] - level, dim=dim)
+        assert np.any(np.sign(plane(nodes[ei])) != np.sign(plane(nodes[ej])))
+        assert edge_walk_verdicts(pts, plane, lam, graph, 50) == [False]
+        assert tpr(pts, plane, lam, graph, subdivisions=50).verdicts == [False]
+
+
 class TestSheppLogan:
     def test_range_and_shape(self):
         img = shepp_logan(64)
@@ -182,6 +332,12 @@ class TestPgm:
     def test_rejects_malformed_header_or_short_body(self, tmp_path, content):
         (tmp_path / "img.pgm").write_bytes(content)
         with pytest.raises(MalformedFileError):
+            read_pgm(tmp_path / "img.pgm")
+
+    @pytest.mark.parametrize("content", [b"P2\n1 1\n255\n300\n", b"P5\n2 1\n200\n\x00\xc9"])
+    def test_rejects_pixels_above_maxval(self, tmp_path, content):
+        (tmp_path / "img.pgm").write_bytes(content)
+        with pytest.raises(MalformedFileError, match="above its maxval"):
             read_pgm(tmp_path / "img.pgm")
 
     def test_rejects_other_formats(self, tmp_path):
