@@ -1,4 +1,4 @@
-"""Command-line pipeline: grid, dataset, train, detect, eval, image.
+"""Command-line pipeline: grid, dataset, train, detect, eval.
 
 Every subcommand prints a resolved-configuration echo (YAML) so a run can
 be reproduced exactly from its output.  Options may come from a config
@@ -211,7 +211,7 @@ def cmd_train(args) -> int:
     print(f"model: {args.kind}, {count_parameters(model)} trainable parameters "
           f"({model.n_blocks} residual blocks)")
     history = train(model, split, train_cfg)
-    metrics = evaluate_metrics(model, split.test, train_cfg.mu0, train_cfg.mu1)
+    metrics = evaluate_metrics(model, split.test)
     save_model(model, args.out)
     print(f"epochs: {history.epochs} (early stop: {history.stopped_early})")
     print(f"test loss: {metrics['loss']:.4f}  test MAE: {metrics['mae']:.4f}")
@@ -240,7 +240,6 @@ def cmd_detect(args) -> int:
     config = engine_mod.EngineConfig(
         lambda_min=lam_min, tau=args.tau, domain=domain,
         boundary_policy=args.boundary_policy,
-        cache_evaluations=not args.no_cache,
         lambda_rule=args.lambda_rule,
         max_evaluations=args.budget,
     )
@@ -248,11 +247,10 @@ def cmd_detect(args) -> int:
         "target": args.target, "detector": args.detector, "lambda_min": lam_min,
         "tau": args.tau, "boundary_policy": args.boundary_policy,
         "lambda_rule": args.lambda_rule, "budget": args.budget,
-        "batched": not args.basic, "out": args.out, "csv": args.csv,
+        "out": args.out, "csv": args.csv,
     })
-    runner = engine_mod.run_basic if args.basic else engine_mod.run_batched
     initial = [(domain.center, domain.edge)]
-    run = runner(g=target, grid=grid, graph=graph, detector=detector,
+    run = engine_mod.run_batched(g=target, grid=grid, graph=graph, detector=detector,
                  initial=initial, config=config)
     print(f"troubled points: {len(run.troubled)}")
     print(f"visited points: {run.visited_points}")
@@ -350,33 +348,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
-    for name, help_text in (("detect", "run the detection engine on a target"),
-                            ("image", "detect edges in an image target")):
-        p = sub.add_parser(name, help=help_text)
-        if name == "image":
-            p.add_argument("--path", help="PGM image path (sets target=image:<path>)")
-            p.add_argument("--target", default=None)
-        else:
-            p.add_argument("--target", required=True)
-        p.add_argument("--detector", default="exact",
-                       help="exact | exact:<cut-spec> | zlevel:<t> | nn:<model-file>")
-        p.add_argument("--rule", default="sum", choices=["prod", "sum", "max"],
-                       help="reference grid rule for non-NN detectors")
-        p.add_argument("--level", type=int, default=6)
-        p.add_argument("--lambda-min", default="auto",
-                       help="fraction, or auto = domain edge / 2^(h_max+1)")
-        p.add_argument("--tau", type=float, default=0.5)
-        p.add_argument("--boundary-policy", default="clip-stop",
-                       choices=["clip-stop", "ignore"])
-        p.add_argument("--lambda-rule", default="incident", choices=["incident", "global"])
-        p.add_argument("--budget", type=int, default=None,
-                       help="optional cap on function evaluations")
-        p.add_argument("--basic", action="store_true",
-                       help="use the sequential engine instead of the batched one")
-        p.add_argument("--no-cache", action="store_true")
-        p.add_argument("--out")
-        p.add_argument("--csv")
-        p.set_defaults(func=cmd_detect)
+    p = sub.add_parser("detect", help="run the detection engine on a target")
+    p.add_argument("--target", required=True)
+    p.add_argument("--detector", default="exact",
+                   help="exact | exact:<cut-spec> | zlevel:<t> | nn:<model-file>")
+    p.add_argument("--rule", default="sum", choices=["prod", "sum", "max"],
+                   help="reference grid rule for non-NN detectors")
+    p.add_argument("--level", type=int, default=6)
+    p.add_argument("--lambda-min", default="auto",
+                   help="fraction, or auto = domain edge / 2^(h_max+1)")
+    p.add_argument("--tau", type=float, default=0.5)
+    p.add_argument("--boundary-policy", default="clip-stop",
+                   choices=["clip-stop", "ignore"])
+    p.add_argument("--lambda-rule", default="incident", choices=["incident", "global"])
+    p.add_argument("--budget", type=int, default=None,
+                   help="optional cap on function evaluations")
+    p.add_argument("--out")
+    p.add_argument("--csv")
+    p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("eval", help="score a detection run against an analytic cut")
     p.add_argument("--report", required=True, help="detection run report (JSON)")
@@ -423,11 +412,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
-        if args.command == "image":
-            if args.target is None:
-                if not args.path:
-                    raise ConfigError("image command needs --path or --target")
-                args.target = f"image:{args.path}"
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -57,19 +57,15 @@ class BoxTask:
     edge: Fraction
     depth: int = field(default=0, compare=False)
 
-    def key(self) -> tuple:
-        return (self.center, self.edge)
-
 
 @dataclass
 class EngineConfig:
-    """Stopping rule, threshold, domain handling, and engine toggles."""
+    """Stopping rule, threshold, domain handling, refinement rule and budget."""
 
     lambda_min: Fraction
     tau: float = 0.5
     domain: Box | None = None
     boundary_policy: str = "clip-stop"
-    cache_evaluations: bool = True
     lambda_rule: str = "incident"
     max_evaluations: int | None = None
 
@@ -83,6 +79,8 @@ class EngineConfig:
             raise EngineError(f"boundary_policy must be one of {BOUNDARY_POLICIES}")
         if self.lambda_rule not in LAMBDA_RULES:
             raise EngineError(f"lambda_rule must be one of {LAMBDA_RULES}")
+        if self.max_evaluations is not None and self.max_evaluations < 1:
+            raise EngineError(f"max_evaluations must be >= 1, got {self.max_evaluations}")
 
 
 @dataclass(frozen=True)
@@ -273,10 +271,10 @@ class _EngineState:
 
     def evaluate(self, sample: GridSample, keys: list[tuple[int, ...]]) -> None:
         values = np.full(len(keys), OUT_OF_DOMAIN, dtype=np.float64)
-        cache = self.cache if self.config.cache_evaluations else None
+        cache = self.cache
         misses = []
         for i in np.flatnonzero(sample.in_domain).tolist():
-            if cache is not None and keys[i] in cache:
+            if keys[i] in cache:
                 values[i] = cache[keys[i]]
                 self.cache_hits += 1
             else:
@@ -290,8 +288,7 @@ class _EngineState:
                 )
             self.evaluations += len(misses)
             values[misses] = got
-            if cache is not None:
-                cache.update(zip([keys[i] for i in misses], got.tolist()))
+            cache.update(zip([keys[i] for i in misses], got.tolist()))
         sample.evaluations = values
 
     # -- the refinement rule ---------------------------------------------------
@@ -426,7 +423,6 @@ def run_report(run: DetectionRun, extra: dict | None = None) -> dict:
                 "edge": str(cfg.domain.edge),
             },
             "boundary_policy": cfg.boundary_policy,
-            "cache_evaluations": cfg.cache_evaluations,
             "lambda_rule": cfg.lambda_rule,
             "max_evaluations": cfg.max_evaluations,
         },

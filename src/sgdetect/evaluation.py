@@ -37,7 +37,7 @@ from sgdetect.detectors import (
 from sgdetect.errors import MalformedFileError, SgdetectError
 from sgdetect.grid_graph import GridGraph
 from sgdetect.sparse_grid import Box
-from sgdetect.synth_data import LegendrePiece
+from sgdetect.synth_data import LegendrePiece, PiecewiseFunction
 
 
 @dataclass(frozen=True)
@@ -61,14 +61,6 @@ def _piece(dim: int, coeffs: dict[tuple[int, ...], float]) -> LegendrePiece:
                          coeffs=tuple(float(coeffs[h]) for h in indices))
 
 
-def _piecewise(g1, g2, cut):
-    def fn(x):
-        x = np.asarray(x, dtype=np.float64)
-        return np.where(cut(x) >= 0.0, g1(x), g2(x))
-
-    return fn
-
-
 def builtin_test_functions() -> dict[str, TestFunction]:
     """The evaluation targets: four 2D functions and the 4D growing torus.
 
@@ -85,7 +77,7 @@ def builtin_test_functions() -> dict[str, TestFunction]:
     g2 = _piece(2, {(1, 1): -2.5, (2, 1): 0.1, (1, 2): -0.2, (2, 2): 0.3})
     circle = SphericalCut(center=(0.2, 0.1), radius=0.65)
     registry["circle"] = TestFunction(
-        name="circle", dim=2, fn=_piecewise(g1, g2, circle), cut=circle,
+        name="circle", dim=2, fn=PiecewiseFunction(g1, g2, circle), cut=circle,
         domain=square, description="circular cut, radius 0.65 at (0.2, 0.1)")
 
     # (ii) polynomial-graph cut x2 = C * Pi(x1) / max|Pi|
@@ -96,7 +88,7 @@ def builtin_test_functions() -> dict[str, TestFunction]:
     g1 = _piece(2, {(1, 1): 2.4, (1, 2): -0.6, (2, 2): 0.4})
     g2 = _piece(2, {(1, 1): -1.8, (2, 1): 0.8, (1, 3): -0.3})
     registry["poly"] = TestFunction(
-        name="poly", dim=2, fn=_piecewise(g1, g2, poly_cut), cut=poly_cut,
+        name="poly", dim=2, fn=PiecewiseFunction(g1, g2, poly_cut), cut=poly_cut,
         domain=square, description="polynomial-graph cut (degree 3)")
 
     # (iii) sinusoidal cut x2 = 0.4 sin(2 pi x1)
@@ -104,7 +96,7 @@ def builtin_test_functions() -> dict[str, TestFunction]:
     g1 = _piece(2, {(1, 1): 2.8, (2, 1): 0.5, (1, 3): -0.4})
     g2 = _piece(2, {(1, 1): -2.2, (1, 2): 0.7, (3, 1): 0.2})
     registry["sine"] = TestFunction(
-        name="sine", dim=2, fn=_piecewise(g1, g2, sine), cut=sine,
+        name="sine", dim=2, fn=PiecewiseFunction(g1, g2, sine), cut=sine,
         domain=square, description="sinusoidal cut, amplitude 0.4, two periods")
 
     # (iv) one elliptic cut plus two bow-shaped cuts, combined as a product
@@ -116,7 +108,7 @@ def builtin_test_functions() -> dict[str, TestFunction]:
     g1 = _piece(2, {(1, 1): 2.6, (2, 1): -0.5, (2, 2): 0.3})
     g2 = _piece(2, {(1, 1): -2.4, (1, 2): 0.6, (3, 1): -0.2})
     registry["bows"] = TestFunction(
-        name="bows", dim=2, fn=_piecewise(g1, g2, bows), cut=bows,
+        name="bows", dim=2, fn=PiecewiseFunction(g1, g2, bows), cut=bows,
         domain=square, description="ellipse plus two bow-shaped cuts (product form)")
 
     # 4D: growing torus
@@ -124,7 +116,7 @@ def builtin_test_functions() -> dict[str, TestFunction]:
     g1 = _piece(4, {(1, 1, 1, 1): 3.0})
     g2 = _piece(4, {(1, 1, 1, 1): -2.0})
     registry["torus4d"] = TestFunction(
-        name="torus4d", dim=4, fn=_piecewise(g1, g2, torus), cut=torus,
+        name="torus4d", dim=4, fn=PiecewiseFunction(g1, g2, torus), cut=torus,
         domain=Box.cube((0, 0, 0, 0), 2),
         description="torus with tube radius growing with |x4|")
 
@@ -157,7 +149,8 @@ def tpr(points: np.ndarray, cut: CutFunction, lambda_min, check_graph: GridGraph
 
     For each point, a grid similar to the check graph's grid is centered
     there with box edge ``lambda_min``; the point is a true troubled point
-    iff the cut's zero-level set intersects at least one graph edge.
+    iff the cut's zero-level set intersects at least one graph edge.  A
+    check graph without edges (a one-point grid) raises :class:`SgdetectError`.
     Intersections use the cut's closed form when available (one
     ``segment_roots`` call over every edge of a chunk of points), otherwise
     sign sampling with ``subdivisions`` intervals per edge, in three steps
@@ -184,6 +177,9 @@ def tpr(points: np.ndarray, cut: CutFunction, lambda_min, check_graph: GridGraph
     """
     if subdivisions < 1:
         raise SgdetectError(f"subdivisions must be >= 1, got {subdivisions}")
+    if not check_graph.edges:
+        raise SgdetectError(f"check grid {check_graph.grid.spec.key()} is a single point: "
+                            "it has no edge for the interface to cross")
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if points.size == 0:
         return TprReport(tpr=None, true_count=0, troubled_count=0, verdicts=[],
@@ -231,8 +227,6 @@ def _sampled_hits(cut: CutFunction, x: np.ndarray, ei: np.ndarray, ej: np.ndarra
     the three steps.
     """
     hit = np.zeros(len(x), dtype=bool)
-    if not len(ei):  # a one-point check grid has no edge to cross
-        return hit
     v = cut(x.reshape(-1, x.shape[-1])).reshape(x.shape[:-1])
     # comparisons, not np.sign: a NaN value becomes 0 without a cast warning
     s = (v > 0).astype(np.int8) - (v < 0)

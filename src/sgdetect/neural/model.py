@@ -67,34 +67,21 @@ class ArchetypeModel:
         self.adjacency = adjacency or []
         self.diameter = diameter
         self.history: dict = {}
-        f = config.features
-        if config.kind == "ginn":
-            if a_hat is None:
-                raise ValueError("GINN archetype needs the A + I matrix")
-            self.l1 = GILayer(a_hat, k=1, f=f, rng=rng)
-            self.bn1 = BatchNorm(f)
-            self.blocks = []
-            for _ in range(n_blocks):
-                self.blocks.append((
-                    GILayer(a_hat, k=f, f=f, rng=rng),
-                    BatchNorm(f),
-                    GILayer(a_hat, k=f, f=f, rng=rng),
-                    BatchNorm(f),
-                ))
-            self.l_fin = GILayer(a_hat, k=f, f=f, rng=rng)
-        else:
-            n = n_points
-            self.l1 = DenseLayer(n, n, rng)
-            self.bn1 = BatchNorm(n)
-            self.blocks = []
-            for _ in range(n_blocks):
-                self.blocks.append((
-                    DenseLayer(n, n, rng),
-                    BatchNorm(n),
-                    DenseLayer(n, n, rng),
-                    BatchNorm(n),
-                ))
-            self.l_fin = DenseLayer(n, n, rng)
+        ginn = config.kind == "ginn"
+        if ginn and a_hat is None:
+            raise ValueError("GINN archetype needs the A + I matrix")
+        width = config.features if ginn else n_points
+
+        def layer(k: int):
+            """A layer from k input features (GI) or units (dense) to ``width``."""
+            return GILayer(a_hat, k=k, f=width, rng=rng) if ginn else DenseLayer(k, width, rng)
+
+        # draw order: l1, then each block's two layers, then l_fin
+        self.l1 = layer(1 if ginn else width)
+        self.bn1 = BatchNorm(width)
+        self.blocks = [(layer(width), BatchNorm(width), layer(width), BatchNorm(width))
+                       for _ in range(n_blocks)]
+        self.l_fin = layer(width)
         self._cache = None
 
     # -- parameter plumbing -------------------------------------------------
@@ -121,9 +108,14 @@ class ArchetypeModel:
             out.extend(layer.grads())
         return out
 
-    def set_parameters(self, values: list[np.ndarray]) -> None:
-        for current, new in zip(self.parameters(), values):
-            current[...] = new
+    def state(self) -> list[np.ndarray]:
+        """The parameters, then every batch norm's running statistics: all
+        that inference reads, so a copy of it restores the model."""
+        out = self.parameters()
+        for layer in self._layers():
+            if isinstance(layer, BatchNorm):
+                out.extend((layer.running_mean, layer.running_var))
+        return out
 
     # -- forward / backward ---------------------------------------------------
 
@@ -181,11 +173,12 @@ class ArchetypeModel:
         dh = self.l1.backward(da1 * self._act_grad(a1_pre))
         return dh[:, :, 0] if ginn else dh
 
-    def predict(self, x: np.ndarray, chunk: int = 1024) -> np.ndarray:
-        """Row-independent inference (batch norm on running statistics)."""
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Row-independent inference (batch norm on running statistics), 1024
+        rows per forward pass."""
         x = np.asarray(x, dtype=np.float64)
-        parts = [self.forward(x[lo : lo + chunk], training=False)
-                 for lo in range(0, x.shape[0], chunk)]
+        parts = [self.forward(x[lo : lo + 1024], training=False)
+                 for lo in range(0, x.shape[0], 1024)]
         return np.concatenate(parts) if parts else np.zeros((0, self.n_points))
 
 
@@ -255,32 +248,22 @@ def count_parameters(model: ArchetypeModel, batchnorm: str = "trainable") -> int
 # model files
 
 
-def _bn_state(bn: BatchNorm) -> dict:
-    return {
-        "gamma": bn.gamma.tolist(),
-        "beta": bn.beta.tolist(),
-        "running_mean": bn.running_mean.tolist(),
-        "running_var": bn.running_var.tolist(),
-    }
-
-
-def _bn_load(bn: BatchNorm, state: dict) -> None:
-    bn.gamma[...] = state["gamma"]
-    bn.beta[...] = state["beta"]
-    bn.running_mean[...] = state["running_mean"]
-    bn.running_var[...] = state["running_var"]
+def _tensors(layer) -> dict[str, np.ndarray]:
+    """A layer's stored tensors, by their key in the model file."""
+    if isinstance(layer, BatchNorm):
+        return {"gamma": layer.gamma, "beta": layer.beta,
+                "running_mean": layer.running_mean, "running_var": layer.running_var}
+    return {"w": layer.w, "b": layer.b}
 
 
 def save_model(model: ArchetypeModel, path) -> Path:
     layers = []
     for layer in model._layers():
-        if isinstance(layer, BatchNorm):
-            layers.append({"type": "batchnorm", **_bn_state(layer)})
-        elif isinstance(layer, GILayer):
-            layers.append({"type": "gi", "k": layer.k, "f": layer.f,
-                           "w": layer.w.tolist(), "b": layer.b.tolist()})
+        if isinstance(layer, GILayer):
+            head = {"type": "gi", "k": layer.k, "f": layer.f}
         else:
-            layers.append({"type": "dense", "w": layer.w.tolist(), "b": layer.b.tolist()})
+            head = {"type": "batchnorm" if isinstance(layer, BatchNorm) else "dense"}
+        layers.append({**head, **{key: t.tolist() for key, t in _tensors(layer).items()}})
     doc = {
         "kind": "detector-model",
         "version": MODEL_FILE_VERSION,
@@ -303,9 +286,20 @@ def save_model(model: ArchetypeModel, path) -> Path:
 
 
 def load_model(path) -> ArchetypeModel:
+    """Rebuild a saved model; a missing entry, a layer count or tensor shape
+    other than its config implies, or a bad config raises MalformedFileError."""
     doc = read_document(path, "detector-model")
     if doc.get("version") != MODEL_FILE_VERSION:
         raise MalformedFileError(f"unsupported model file version {doc.get('version')}")
+    try:
+        return _model_from_document(doc)
+    except KeyError as exc:
+        raise MalformedFileError(f"{path} has no {exc.args[0]!r} entry") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise MalformedFileError(f"{path} is not a valid model file: {exc}") from exc
+
+
+def _model_from_document(doc: dict) -> ArchetypeModel:
     # files written before the unused ``init`` field was removed still load
     config = ModelConfig(**{k: v for k, v in doc["config"].items() if k != "init"})
     n = doc["n_points"]
@@ -326,12 +320,17 @@ def load_model(path) -> ArchetypeModel:
         diameter=doc.get("diameter"),
     )
     model.history = doc.get("history", {})
-    for layer, state in zip(model._layers(), doc["layers"]):
-        if state["type"] == "batchnorm":
-            _bn_load(layer, state)
-        else:
-            layer.w[...] = state["w"]
-            layer.b[...] = state["b"]
+    layers = list(model._layers())
+    if len(doc["layers"]) != len(layers):
+        raise ValueError(f"it holds {len(doc['layers'])} layers, its config "
+                         f"builds {len(layers)}")
+    for index, (layer, state) in enumerate(zip(layers, doc["layers"])):
+        for key, current in _tensors(layer).items():
+            value = np.asarray(state[key], dtype=np.float64)
+            if value.shape != current.shape:
+                raise ValueError(f"layer {index} {key!r} has shape {value.shape}, "
+                                 f"its config builds {current.shape}")
+            current[...] = value
     return model
 
 

@@ -1,10 +1,11 @@
 """Training loop: weighted BCE, Adam, plateau scheduler, early stopping.
 
 The loss is the batch-averaged sum of component-wise binary cross
-entropies with class weights mu1 (troubled) and mu0 (non-troubled);
+entropies with class weights MU1 (troubled) and MU0 (non-troubled);
 predictions are clipped to [1e-7, 1 - 1e-7] so the loss stays finite.
 Validation loss drives both the reduce-on-plateau learning-rate schedule
-and early stopping with best-weights restoration.  All state is seeded,
+and early stopping; training ends by restoring the best-validation epoch's
+weights and batch-norm running statistics.  All state is seeded,
 so a fixed seed reproduces bit-identical trained parameters on the same
 platform and thread count.  Each epoch logs its losses, learning rate and
 duration at INFO level through this module's logger; nothing prints
@@ -26,40 +27,35 @@ from sgdetect.synth_data import DatasetSplit, preprocess_gamma_batch
 
 CLIP = 1e-7
 
+#: class weights of the loss: non-troubled (mu0) and troubled (mu1) components
+MU0, MU1 = 0.5, 1.5
+#: Adam moment decay rates and denominator offset
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-7
+#: reduce-on-plateau schedule: learning-rate factor and stale epochs before it applies
+PLATEAU_FACTOR, PLATEAU_PATIENCE = 0.75, 7
+
 logger = logging.getLogger(__name__)
 
 
 @dataclass
 class TrainConfig:
-    """Optimizer and schedule knobs."""
+    """The knobs a run chooses; the loss weights and schedule are constants."""
 
-    mu0: float = 0.5
-    mu1: float = 1.5
     batch_size: int = 64
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    plateau_factor: float = 0.75
-    plateau_patience: int = 7
     early_stop_patience: int = 35
     max_epochs: int = 500
     seed: int = 0
 
     def __post_init__(self):
-        if self.mu0 <= 0 or self.mu1 <= 0:
-            raise ValueError("loss weights must be positive")
-        if self.plateau_patience < 1 or self.early_stop_patience < 1:
-            raise ValueError("patience values must be >= 1")
+        if self.early_stop_patience < 1:
+            raise ValueError("early_stop_patience must be >= 1")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError(f"beta1 and beta2 must be in [0, 1), got {self.beta1}, {self.beta2}")
-        if not 0.0 < self.plateau_factor <= 1.0:
-            raise ValueError(f"plateau_factor must be in (0, 1], got {self.plateau_factor}")
 
 
 def weighted_bce(p_hat: np.ndarray, p: np.ndarray, mu0: float, mu1: float,
@@ -84,25 +80,22 @@ def weighted_bce(p_hat: np.ndarray, p: np.ndarray, mu0: float, mu1: float,
 
 
 class Adam:
-    """Standard Adam with bias correction; learning rate passed per step."""
+    """Standard Adam (BETA1, BETA2, EPS) with bias correction; learning rate
+    passed per step."""
 
-    def __init__(self, params: list[np.ndarray], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-7):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, params: list[np.ndarray]):
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray], lr: float) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - BETA1**self.t
+        b2c = 1.0 - BETA2**self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m[...] = self.beta1 * m + (1.0 - self.beta1) * g
-            v[...] = self.beta2 * v + (1.0 - self.beta2) * g * g
-            p -= lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m[...] = BETA1 * m + (1.0 - BETA1) * g
+            v[...] = BETA2 * v + (1.0 - BETA2) * g * g
+            p -= lr * (m / b1c) / (np.sqrt(v / b2c) + EPS)
 
 
 class ReduceLROnPlateau:
@@ -128,8 +121,9 @@ class ReduceLROnPlateau:
 
 
 class EarlyStopping:
-    """Stop after ``patience`` stale epochs; snapshot best-validation weights
-    into buffers allocated on the first improvement."""
+    """Stop after ``patience`` stale epochs; snapshot the best-validation
+    arrays (``train`` passes ``model.state()``) into buffers
+    allocated on the first improvement."""
 
     def __init__(self, patience: int):
         self.patience = patience
@@ -191,9 +185,9 @@ def train(model: ArchetypeModel, dataset: DatasetSplit, config: TrainConfig) -> 
         )
     rng = np.random.default_rng(config.seed)
     params = model.parameters()
-    adam = Adam(params, beta1=config.beta1, beta2=config.beta2)
-    plateau = ReduceLROnPlateau(config.learning_rate, config.plateau_factor,
-                                config.plateau_patience)
+    state = model.state()
+    adam = Adam(params)
+    plateau = ReduceLROnPlateau(config.learning_rate, PLATEAU_FACTOR, PLATEAU_PATIENCE)
     stopper = EarlyStopping(config.early_stop_patience)
     history = TrainHistory()
     lr = config.learning_rate
@@ -204,8 +198,7 @@ def train(model: ArchetypeModel, dataset: DatasetSplit, config: TrainConfig) -> 
         for lo in range(0, order.size, config.batch_size):
             idx = order[lo : lo + config.batch_size]
             p_hat = model.forward(x_train[idx], training=True)
-            loss, dp = weighted_bce(p_hat, y_train[idx], config.mu0, config.mu1,
-                                    with_grad=True)
+            loss, dp = weighted_bce(p_hat, y_train[idx], MU0, MU1, with_grad=True)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite training loss at epoch {epoch}",
@@ -219,7 +212,7 @@ def train(model: ArchetypeModel, dataset: DatasetSplit, config: TrainConfig) -> 
             batch_losses.append(loss)
             model.backward(dp)
             adam.step(params, model.gradients(), lr)
-        val_loss = evaluate_loss(model, x_val, y_val, config.mu0, config.mu1)
+        val_loss = evaluate_loss(model, x_val, y_val)
         history.train_loss.append(float(np.mean(batch_losses)))
         history.val_loss.append(val_loss)
         history.learning_rate.append(lr)
@@ -227,26 +220,26 @@ def train(model: ArchetypeModel, dataset: DatasetSplit, config: TrainConfig) -> 
         logger.info("epoch %d: train loss %.6g, val loss %.6g, lr %.3g, %.3f s", epoch,
                     history.train_loss[-1], val_loss, lr, perf_counter() - t0)
         lr = plateau.update(val_loss)
-        if stopper.update(val_loss, params):
+        if stopper.update(val_loss, state):
             history.stopped_early = True
             break
     if stopper.best_params is not None:
-        model.set_parameters(stopper.best_params)
+        for current, best in zip(state, stopper.best_params):
+            current[...] = best
     model.history = history.as_dict()
     return history
 
 
-def evaluate_loss(model: ArchetypeModel, x: np.ndarray, y: np.ndarray,
-                  mu0: float, mu1: float) -> float:
+def evaluate_loss(model: ArchetypeModel, x: np.ndarray, y: np.ndarray) -> float:
     p_hat = model.predict(x)
-    return weighted_bce(p_hat, y, mu0, mu1)
+    return weighted_bce(p_hat, y, MU0, MU1)
 
 
-def evaluate_metrics(model: ArchetypeModel, samples, mu0: float = 0.5, mu1: float = 1.5) -> dict:
+def evaluate_metrics(model: ArchetypeModel, samples) -> dict:
     x, y = _prepare(samples)
     p_hat = model.predict(x)
     return {
-        "loss": weighted_bce(p_hat, y, mu0, mu1),
+        "loss": weighted_bce(p_hat, y, MU0, MU1),
         "mae": float(np.mean(np.abs(p_hat - y))),
         "n_samples": int(x.shape[0]),
     }

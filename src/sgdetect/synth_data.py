@@ -117,11 +117,10 @@ class PiecewiseFunction:
 CUT_KINDS = ("linear", "spherical", "polynomial")
 
 
-def estimate_max_abs(poly, n_free: int, rng: np.random.Generator,
-                     mc_samples: int = 100_000) -> float:
-    """Estimate max |poly| over [-1,1]^n_free: Monte Carlo plus the
-    {-1, 0, 1}^n_free tensor of corner/mid points."""
-    pts = rng.uniform(-1.0, 1.0, size=(mc_samples, n_free))
+def estimate_max_abs(poly, n_free: int, rng: np.random.Generator) -> float:
+    """Estimate max |poly| over [-1,1]^n_free: 100,000 Monte Carlo points plus
+    the {-1, 0, 1}^n_free tensor of corner/mid points."""
+    pts = rng.uniform(-1.0, 1.0, size=(100_000, n_free))
     best = float(np.max(np.abs(poly(pts))))
     corners = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=n_free)))
     best = max(best, float(np.max(np.abs(poly(corners)))))
@@ -316,16 +315,15 @@ def balance_dataset(samples: list[Sample], rng: np.random.Generator) -> list[Sam
     return nonzero + zeros
 
 
-def split_dataset(samples: list[Sample], rng: np.random.Generator,
-                  test_frac: float = 0.3, train_frac: float = 0.8) -> DatasetSplit:
+def split_dataset(samples: list[Sample], rng: np.random.Generator) -> DatasetSplit:
     """Shuffle, then carve off floor(30%) test and floor(80% of rest) train."""
     if len(samples) < 10:
         raise DegenerateDatasetError(f"need at least 10 samples to split, got {len(samples)}")
     order = rng.permutation(len(samples))
     shuffled = [samples[i] for i in order]
-    n_test = int(test_frac * len(samples))
+    n_test = int(0.3 * len(samples))
     rest = len(samples) - n_test
-    n_train = int(train_frac * rest)
+    n_train = int(0.8 * rest)
     return DatasetSplit(
         test=shuffled[:n_test],
         train=shuffled[n_test : n_test + n_train],

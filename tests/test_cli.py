@@ -126,7 +126,7 @@ class TestTrainDetectEval:
 
         img = tmp_path / "phantom.pgm"
         write_pgm(shepp_logan(33), img)
-        code = run_cli(["image", "--path", str(img),
+        code = run_cli(["detect", "--target", f"image:{img}",
                         "--detector", f"nn:{tiny_model}", "--lambda-min", "8"])
         assert code == 0
         out = capsys.readouterr().out
@@ -175,7 +175,41 @@ def _config_with_bad_yaml(tmp_path):
 def _pgm_with_bad_header(tmp_path):
     path = tmp_path / "img.pgm"
     path.write_bytes(b"P5\nwide 2\n255\n\x00\x00")
-    return ["image", "--path", str(path), "--detector", "exact"]
+    return ["detect", "--target", f"image:{path}", "--detector", "exact"]
+
+
+def _model_without_config(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text('{"kind": "detector-model", "version": 1}')
+    return ["detect", "--target", "builtin:circle", "--detector", f"nn:{path}"]
+
+
+def _model_of_unknown_kind(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text('{"kind": "detector-model", "version": 1, "config": {"kind": "cnn"}}')
+    return ["detect", "--target", "builtin:circle", "--detector", f"nn:{path}"]
+
+
+def _saved_model_with(tmp_path, damage):
+    from sgdetect.grid_graph import build_grid_graph
+    from sgdetect.neural.model import ModelConfig, build_archetype, save_model
+    from sgdetect.sparse_grid import Box, GridSpec, build_sparse_grid
+
+    grid = build_sparse_grid(GridSpec(dim=2, rule="sum", level=3), Box.cube((0, 0), 2))
+    model = build_archetype(ModelConfig(kind="ginn", features=2), build_grid_graph(grid))
+    path = save_model(model, tmp_path / "model.json")
+    doc = json.loads(path.read_text())
+    damage(doc["layers"])
+    path.write_text(json.dumps(doc))
+    return ["detect", "--target", "builtin:circle", "--detector", f"nn:{path}"]
+
+
+def _model_missing_its_last_layer(tmp_path):
+    return _saved_model_with(tmp_path, lambda layers: layers.pop())
+
+
+def _model_with_a_short_bias(tmp_path):
+    return _saved_model_with(tmp_path, lambda layers: layers[-1].update(b=layers[-1]["b"][1:]))
 
 
 class TestExitCodes:
@@ -230,6 +264,10 @@ class TestExitCodes:
         (_config_with_bad_yaml, "is not valid YAML"),
         (_pgm_with_bad_header, "malformed PGM header"),
         (_report_without_troubled_points, "has no 'troubled_points' entry"),
+        (_model_without_config, "has no 'config' entry"),
+        (_model_of_unknown_kind, "model kind must be 'ginn' or 'mlp', got 'cnn'"),
+        (_model_missing_its_last_layer, "layers, its config builds"),
+        (_model_with_a_short_bias, "'b' has shape"),
     ])
     def test_malformed_input_file(self, make_args, message, tmp_path, capsys):
         assert run_cli(make_args(tmp_path)) == 2
@@ -255,6 +293,21 @@ class TestExitCodes:
                         "--lambda-min", "1/8", "--out", str(report)]) == 0
         assert run_cli(["eval", "--report", str(report), "--target", "builtin:torus4d"]) == 2
         assert "cannot be scored with a 4D check grid" in capsys.readouterr().err
+
+    def test_eval_with_a_one_point_check_grid(self, tmp_path, capsys):
+        # the level-2 sum grid is its centre alone: no edge to score against
+        report = tmp_path / "run.json"
+        assert run_cli(["detect", "--target", "builtin:circle", "--detector", "exact",
+                        "--lambda-min", "1/8", "--out", str(report)]) == 0
+        assert run_cli(["eval", "--report", str(report), "--target", "builtin:circle",
+                        "--check-level", "2"]) == 2
+        assert "is a single point" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one(self, budget, capsys):
+        assert run_cli(["detect", "--target", "builtin:circle", "--detector", "zlevel:9",
+                        "--lambda-min", "1/8", "--budget", budget]) == 2
+        assert "max_evaluations must be >= 1" in capsys.readouterr().err
 
     def test_dimension_mismatch(self, tmp_path, capsys):
         data = make_tiny_dataset(tmp_path, seed=2, count=8)

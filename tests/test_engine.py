@@ -56,6 +56,9 @@ class TestConfig:
             EngineConfig(lambda_min=Fraction(1, 4), tau=0.0)
         with pytest.raises(EngineError):
             EngineConfig(lambda_min=Fraction(1, 4), boundary_policy="bounce")
+        for budget in (0, -5):
+            with pytest.raises(EngineError, match="max_evaluations must be >= 1"):
+                EngineConfig(lambda_min=Fraction(1, 4), max_evaluations=budget)
 
 
 class TestBasicRun:
@@ -259,7 +262,7 @@ class TestDomainHandling:
 
 
 class TestCache:
-    def _run(self, grid2d, graph2d, cache):
+    def _run(self, grid2d, graph2d, runner=run_basic, visit_hook=None):
         cut = SphericalCut((0.2, 0.1), 0.65)
         calls = {"n": 0}
 
@@ -268,20 +271,32 @@ class TestCache:
             return np.where(cut(x) >= 0, 2.0, -1.0)
 
         config = EngineConfig(lambda_min=Fraction(1, 32), domain=SQUARE,
-                              boundary_policy="ignore", cache_evaluations=cache)
-        run = run_basic(g=g, grid=grid2d, graph=graph2d, detector=EvalOracle(cut),
-                        initial=[((0, 0), 2)], config=config)
+                              boundary_policy="ignore")
+        run = runner(g=g, grid=grid2d, graph=graph2d, detector=EvalOracle(cut),
+                     initial=[((0, 0), 2)], config=config, visit_hook=visit_hook)
         return run, calls["n"]
 
     def test_cache_identical_results_and_hits(self, grid2d, graph2d):
-        run_on, calls_on = self._run(grid2d, graph2d, cache=True)
-        run_off, calls_off = self._run(grid2d, graph2d, cache=False)
-        assert run_on.troubled_keys() == run_off.troubled_keys()
-        assert run_on.cache_hits > 0
-        assert run_off.cache_hits == 0
-        assert calls_on < calls_off
-        assert run_on.visited_points == run_off.visited_points
-        assert calls_on == run_on.visited_points  # each distinct point once
+        # the oracle never reads g, so the same run without it evaluates nothing
+        run, calls = self._run(grid2d, graph2d)
+        plain = run_basic(g=constant_g, grid=grid2d, graph=graph2d,
+                          detector=ExactOracleDetector(SphericalCut((0.2, 0.1), 0.65)),
+                          initial=[((0, 0), 2)], config=run.config)
+        assert run.troubled_keys() == plain.troubled_keys()
+        assert plain.evaluations == plain.cache_hits == 0
+        assert run.cache_hits > 0
+        assert run.visited_points == plain.visited_points
+        assert calls == run.evaluations == run.visited_points  # each distinct point once
+
+    @pytest.mark.parametrize("runner", [run_basic, run_batched])
+    def test_every_in_domain_visit_is_an_evaluation_or_a_hit(self, grid2d, graph2d,
+                                                             runner):
+        in_domain = []
+        run, _ = self._run(grid2d, graph2d, runner,
+                           visit_hook=lambda task, sample, p: in_domain.append(
+                               int(sample.in_domain.sum())))
+        assert len(in_domain) == run.grids_visited
+        assert run.evaluations + run.cache_hits == sum(in_domain)
 
 
 class TestBudget:

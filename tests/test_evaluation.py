@@ -231,14 +231,16 @@ class TestTprMatchesEdgeWalk:
 
     @pytest.mark.parametrize("sampled", [False, True])
     def test_one_point_check_grid(self, sampled):
-        # the level-2 sum grid is its centre alone: no edge, so no crossing
+        # the level-2 sum grid is its centre alone: no edge to cross, so a
+        # point on the interface would score False; tpr refuses the grid
         grid = build_sparse_grid(GridSpec(dim=2, rule="sum", level=2), Box.cube((0, 0), 2))
         graph = build_grid_graph(grid)
         circle = SphericalCut((0.0, 0.0), 0.5)
         cut = CallableCut(circle, dim=2) if sampled else circle
         pts = np.array([[0.5, 0.0], [0.1, 0.1]])
         assert edge_walk_verdicts(pts, cut, Fraction(1, 4), graph, 50) == [False, False]
-        assert tpr(pts, cut, Fraction(1, 4), graph, subdivisions=50).verdicts == [False, False]
+        with pytest.raises(SgdetectError, match="is a single point"):
+            tpr(pts, cut, Fraction(1, 4), graph, subdivisions=50)
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_last_knot_differs_from_its_node(self, dim, rng):
