@@ -362,7 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["clip-stop", "ignore"])
     p.add_argument("--lambda-rule", default="incident", choices=["incident", "global"])
     p.add_argument("--budget", type=int, default=None,
-                   help="optional cap on function evaluations")
+                   help="optional cap on function evaluations; the run stops at the "
+                        "first grid that reaches it, so it ends fewer than one grid's "
+                        "point count above it")
     p.add_argument("--out")
     p.add_argument("--csv")
     p.set_defaults(func=cmd_detect)
@@ -398,11 +400,14 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
             raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
     if not isinstance(values, dict):
         raise ConfigError(f"config file {path} must hold a mapping")
-    defaults = {k.replace("-", "_"): v for k, v in values.items()}
-    parser.set_defaults(**defaults)
-    for sub in parser.subcommand_parsers.values():
-        known = {a.dest for a in sub._actions}
-        sub.set_defaults(**{k: v for k, v in defaults.items() if k in known})
+    defaults = {str(k).replace("-", "_"): v for k, v in values.items()}
+    known = {sub: {a.dest for a in sub._actions}
+             for sub in (parser, *parser.subcommand_parsers.values())}
+    unknown = sorted(set(defaults).difference(*known.values()))
+    if unknown:
+        raise ConfigError(f"config file {path} has unknown keys: {', '.join(unknown)}")
+    for sub, dests in known.items():
+        sub.set_defaults(**{k: v for k, v in defaults.items() if k in dests})
     return argv
 
 

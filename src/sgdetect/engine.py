@@ -6,9 +6,12 @@ the detector, and for each point at or above the threshold either enqueue a
 new box (edge = length of the longest graph edge at that point) or, when
 that length drops below the minimum, record the point as a final troubled
 point.  :func:`run_basic` hands ``detect_batch`` one grid per call and
-:func:`run_batched` a whole generation; both run the same loop, so they
-visit the same grids and find the same troubled set.  g is evaluated only
-here, through the cache, when the detector or a visit hook needs it.
+:func:`run_batched` a whole generation (fewer grids when an evaluation
+budget is set); both run the same loop, so they visit the same grids in the
+same order and find the same troubled set.  The loop visits a chunk of G
+grids at once: one ``(G, N, n)`` placement, one pass over the evaluation
+cache and, when the detector or a visit hook needs g, one call to g on the
+chunk's distinct new points.  g is evaluated nowhere else.
 
 Every point the engine can reach lies on one lattice ``origin + k * unit``
 with integer ``k``: a new box is centered on a grid point and its edge is
@@ -17,8 +20,10 @@ initial edge allows before dropping below ``lambda_min``, ``unit`` is the
 rational gcd of every initial ``edge / (M 2^J)`` and of every initial
 center's offset from the first one, which keeps off-lattice initial boxes
 and non-dyadic domains exact.  Grid points, the visited set, the evaluation
-cache and the troubled set use the int64 numerators ``k`` as keys, and the
-domain test is one integer comparison per grid.  Exact ``Fraction`` values
+cache and the troubled set use the int64 numerators ``k`` as keys (the
+visited set and the cache as the packed bytes of ``k``, which a chunk
+builds in one call), and the domain test is one integer comparison per
+chunk.  Exact ``Fraction`` values
 are built only for the :class:`BoxTask` of an enqueued box; a
 :class:`TroubledPoint` builds its own when they are first read.
 """
@@ -166,7 +171,9 @@ class _EngineState:
     """Point lattice, queue, visited set, cache, and counters for one run.
 
     Queue entries are ``(task, center, edge)`` with ``center`` and ``edge``
-    the task's lattice numerators; every key is a tuple of numerators.
+    the task's lattice numerators.  The queue, ``seen`` and the troubled set
+    key points by numerator tuples, the visited set and the cache by the
+    bytes of the int64 numerators.
     """
 
     def __init__(self, grid: SparseGrid, graph: GridGraph, detector: Detector,
@@ -192,7 +199,7 @@ class _EngineState:
             raise DegenerateGraphError("reference graph has an isolated node")
         if config.lambda_rule == "global":
             spans[:] = max((e.span for e in graph.edges), default=0)
-        self.spans = spans.tolist()
+        self.spans = spans
         tasks = _initial_tasks(initial, config, grid)
         self._set_lattice(tasks)
         self.pending: deque = deque()
@@ -245,7 +252,7 @@ class _EngineState:
     def numerators(self, point: Sequence[Fraction]) -> tuple[int, ...]:
         return tuple(int((x - o) / self.unit) for x, o in zip(point, self.origin))
 
-    # -- per-visit work --------------------------------------------------------
+    # -- per-chunk work --------------------------------------------------------
 
     def enqueue(self, center: tuple[int, ...], edge: int, depth: int) -> None:
         if (center, edge) in self.seen:
@@ -254,56 +261,87 @@ class _EngineState:
         task = BoxTask(center=self.lattice.point(center), edge=edge * self.unit, depth=depth)
         self.pending.append((task, center, edge))
 
-    def visit(self, task: BoxTask, center: tuple[int, ...],
-              edge: int) -> tuple[GridSample, list[tuple[int, ...]]]:
-        pts = np.array(center, dtype=np.int64) + self.offsets * (edge // self.m)
-        keys = list(map(tuple, pts.tolist()))
-        in_domain = np.all((pts >= self.lo) & (pts <= self.hi), axis=1)
-        center_f = np.array([float(c) for c in task.center])
-        coords = center_f + self.offsets_float * float(task.edge)
-        placed = similar_grid(self.grid, task.center, task.edge)
-        sample = GridSample(grid=placed, graph=self.graph, coords=coords, in_domain=in_domain)
+    def visit(self, chunk: list) -> tuple[list[GridSample], np.ndarray, np.ndarray]:
+        """Place the chunk's G grids as one ``(G, N, n)`` numerator array,
+        evaluate g on them when needed, and return their samples, the
+        numerators and the ``(G, N)`` domain mask."""
+        lat = self.lattice
+        centers = np.array([center for _, center, _ in chunk], dtype=np.int64)
+        steps = np.array([edge // self.m for _, _, edge in chunk], dtype=np.int64)
+        pts = centers[:, None, :] + self.offsets * steps[:, None, None]
+        # each point's numerators as one bytes key of the visited set and the cache
+        n = pts.shape[2]
+        keys = pts.reshape(-1, n).view(np.dtype((np.void, 8 * n))).ravel().tolist()
+        in_domain = np.all((pts >= self.lo) & (pts <= self.hi), axis=2)
+        # both correctly rounded, like float(Fraction) of the exact center and edge
+        center_f = np.array([lat.coords(center) for _, center, _ in chunk])
+        edge_f = np.array([(edge * lat.unit_num) / lat.den for _, _, edge in chunk])
+        coords = center_f[:, None, :] + self.offsets_float * edge_f[:, None, None]
         self.visited.update(keys)
+        values = None
         if self.evaluates:
-            self.evaluate(sample, keys)
-        self.depth_sizes[task.depth] += 1
-        return sample, keys
+            values = self.evaluate(keys, in_domain, coords).reshape(in_domain.shape)
+        samples = []
+        for j, (task, _, _) in enumerate(chunk):
+            placed = similar_grid(self.grid, task.center, task.edge)
+            samples.append(GridSample(grid=placed, graph=self.graph, coords=coords[j],
+                                      in_domain=in_domain[j],
+                                      evaluations=None if values is None else values[j]))
+            self.depth_sizes[task.depth] += 1
+        return samples, pts, in_domain
 
-    def evaluate(self, sample: GridSample, keys: list[tuple[int, ...]]) -> None:
-        values = np.full(len(keys), OUT_OF_DOMAIN, dtype=np.float64)
-        cache = self.cache
-        misses = []
-        for i in np.flatnonzero(sample.in_domain).tolist():
-            if keys[i] in cache:
-                values[i] = cache[keys[i]]
-                self.cache_hits += 1
-            else:
-                misses.append(i)
-        if misses:
-            got = np.asarray(self.g(sample.coords[misses]), dtype=np.float64)
-            if got.shape != (len(misses),):
+    def evaluate(self, keys: list[bytes], in_domain: np.ndarray,
+                 coords: np.ndarray) -> np.ndarray:
+        """g at every in-domain point of the chunk, out-of-domain sentinel
+        elsewhere: one cache pass, then one g call on the distinct misses in
+        first-seen order.  A point seen again in the chunk counts as a hit."""
+        slots = np.flatnonzero(in_domain)
+        in_keys = [keys[i] for i in slots.tolist()]  # shares key objects with visited
+        found = list(map(self.cache.get, in_keys))
+        missed = [j for j, v in enumerate(found) if v is None]
+        first: dict = {}  # each missed key's first slot, in first-seen order
+        for j in missed:
+            first.setdefault(in_keys[j], j)
+        if first:
+            points = coords.reshape(-1, coords.shape[-1])[slots[list(first.values())]]
+            got = np.asarray(self.g(points), dtype=np.float64)
+            if got.shape != (len(first),):
                 raise EngineError(
-                    f"g returned shape {got.shape} for {len(misses)} points; "
-                    f"expected ({len(misses)},)"
+                    f"g returned shape {got.shape} for {len(first)} points; "
+                    f"expected ({len(first)},)"
                 )
-            self.evaluations += len(misses)
-            values[misses] = got
-            cache.update(zip([keys[i] for i in misses], got.tolist()))
-        sample.evaluations = values
+            self.cache.update(zip(first, got.tolist()))
+            for j in missed:
+                found[j] = self.cache[in_keys[j]]
+        self.evaluations += len(first)
+        self.cache_hits += len(in_keys) - len(first)
+        values = np.full(len(keys), OUT_OF_DOMAIN, dtype=np.float64)
+        values[slots] = found
+        return values
 
     # -- the refinement rule ---------------------------------------------------
 
-    def process(self, depth: int, edge: int, sample: GridSample,
-                keys: list[tuple[int, ...]], p: np.ndarray) -> None:
-        for i in np.flatnonzero(p >= self.config.tau).tolist():
-            lam = edge * self.spans[i] // self.m
-            if not sample.in_domain[i]:
-                if self.config.boundary_policy == "clip-stop":
-                    self.record(keys[i], lam, boundary_stopped=True)
-            elif lam >= self.min_edge:
-                self.enqueue(keys[i], lam, depth + 1)
-            else:
-                self.record(keys[i], lam)
+    def process(self, chunk: list, pts: np.ndarray, in_domain: np.ndarray,
+                p: np.ndarray) -> None:
+        """Refine or record every flagged point of the chunk, in grid then
+        point order.  ``lam = edge * span // M`` is split as below so int64
+        cannot overflow: ``span <= M`` and ``edge < 2^62``."""
+        grid_i, point_i = np.nonzero(p >= self.config.tau)
+        edges = np.array([edge for _, _, edge in chunk], dtype=np.int64)
+        spans = self.spans[point_i]
+        lam = (edges // self.m)[grid_i] * spans + (edges % self.m)[grid_i] * spans // self.m
+        inside = in_domain[grid_i, point_i]
+        refine = inside & (lam >= self.min_edge)
+        final = inside & ~refine
+        if self.config.boundary_policy == "clip-stop":
+            final |= ~inside
+        flagged = pts[grid_i, point_i]
+        for key, lam_i, stopped in zip(map(tuple, flagged[final].tolist()), lam[final].tolist(),
+                                       (~inside[final]).tolist()):
+            self.record(key, lam_i, boundary_stopped=stopped)
+        for key, lam_i, g in zip(map(tuple, flagged[refine].tolist()), lam[refine].tolist(),
+                                 grid_i[refine].tolist()):
+            self.enqueue(key, lam_i, chunk[g][0].depth + 1)
 
     def record(self, key: tuple[int, ...], lam: int, boundary_stopped: bool = False) -> None:
         if key not in self.troubled:
@@ -367,23 +405,30 @@ def _warn_off_lattice(tasks: list[BoxTask], m: int) -> None:
 def _run(g: Callable, grid: SparseGrid, graph: GridGraph, detector: Detector,
          initial: Sequence, config: EngineConfig, visit_hook: Callable | None,
          batched: bool) -> DetectionRun:
-    """The engine loop: one queued task, or the whole generation, per detector call."""
+    """The engine loop: one queued task, or the whole generation, per chunk.
+
+    Under ``max_evaluations`` a chunk takes at most ``(budget - evaluations)
+    // N`` grids, and at least one, so a batched run overshoots its budget by
+    fewer than N evaluations, as a basic run does.
+    """
     evaluates = detector.requires_evaluations or visit_hook is not None
     state = _EngineState(grid, graph, detector, g, config, initial, evaluates)
     budget = config.max_evaluations
     while state.pending:
-        if budget is not None and state.evaluations >= budget:
-            state.truncated = True
-            break
-        chunk = [state.pending.popleft() for _ in range(len(state.pending) if batched else 1)]
-        visits = [state.visit(*item) for item in chunk]
-        samples = [sample for sample, _ in visits]
+        size = len(state.pending) if batched else 1
+        if budget is not None:
+            if state.evaluations >= budget:
+                state.truncated = True
+                break
+            size = min(size, max(1, (budget - state.evaluations) // grid.n_points))
+        chunk = [state.pending.popleft() for _ in range(size)]
+        samples, pts, in_domain = state.visit(chunk)
         ps = detector.detect_batch(samples)
         state.detector_calls += 1
-        for (task, _, edge), (sample, keys), p in zip(chunk, visits, ps):
-            if visit_hook is not None:
+        if visit_hook is not None:
+            for (task, _, _), sample, p in zip(chunk, samples, ps):
                 visit_hook(task, sample, p)
-            state.process(task.depth, edge, sample, keys, p)
+        state.process(chunk, pts, in_domain, ps)
     return state.result()
 
 
@@ -398,10 +443,11 @@ def run_basic(g: Callable, grid: SparseGrid, graph: GridGraph, detector: Detecto
 def run_batched(g: Callable, grid: SparseGrid, graph: GridGraph, detector: Detector,
                 initial: Sequence, config: EngineConfig,
                 visit_hook: Callable | None = None) -> DetectionRun:
-    """Batched engine: every pending grid of a generation in one detector call.
+    """Batched engine: every pending grid of a generation in one detector call
+    and one g call (a budget caps the chunk, see :func:`_run`).
 
     Semantics, ``visit_hook`` included, are identical to :func:`run_basic`
-    for deterministic detectors; only the number of detector calls differs.
+    for deterministic detectors; only the number of detector and g calls differs.
     """
     return _run(g, grid, graph, detector, initial, config, visit_hook, batched=True)
 

@@ -272,7 +272,7 @@ def generate_dataset(grid: SparseGrid, graph: GridGraph, detector_t: int,
 
 
 def _generate_for_function(args) -> tuple[list[Sample], int]:
-    from sgdetect.engine import EngineConfig, run_basic
+    from sgdetect.engine import EngineConfig, run_batched
 
     grid, graph, detector_t, fn, lambda_min, tau, domain = args
     detector = ZLevelDetector(fn.cut, detector_t)
@@ -289,9 +289,9 @@ def _generate_for_function(args) -> tuple[list[Sample], int]:
         labels = ((p_raw >= tau) & sample.in_domain).astype(np.uint8)
         samples.append(Sample(inputs=sample.evaluations, labels=labels))
 
-    run_basic(g=fn, grid=grid, graph=graph, detector=detector,
-              initial=[(domain.center, domain.edge)], config=config,
-              visit_hook=record)
+    run_batched(g=fn, grid=grid, graph=graph, detector=detector,
+                initial=[(domain.center, domain.edge)], config=config,
+                visit_hook=record)
     return samples, skipped
 
 

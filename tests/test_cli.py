@@ -332,3 +332,16 @@ class TestExitCodes:
         cfg.write_text("level: 8\ndim: 4\nrule: sum\n")
         assert run_cli(["--config", str(cfg), "grid"]) == 0
         assert "points: 401" in capsys.readouterr().out
+
+    def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("levle: 8\ndim: 4\n")
+        assert run_cli(["--config", str(cfg), "grid"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown keys: levle" in err and "dim" not in err.split("unknown keys:")[1]
+
+    def test_config_key_of_another_subcommand_is_accepted(self, tmp_path, capsys):
+        # one file can serve several subcommands
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("level: 4\nbudget: 10\n")
+        assert run_cli(["--config", str(cfg), "grid"]) == 0

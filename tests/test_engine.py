@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgdetect.detectors import (
     Detector,
@@ -12,6 +15,7 @@ from sgdetect.detectors import (
     ZLevelDetector,
 )
 from sgdetect.engine import (
+    BOUNDARY_POLICIES,
     EngineConfig,
     _EngineState,
     run_basic,
@@ -324,6 +328,22 @@ class TestBudget:
                        detector=ExactOracleDetector(SphericalCut((0.2, 0.1), 0.65)),
                        initial=[((0, 0), 2)], config=config)
 
+    @pytest.mark.parametrize("budget", [1, 64, 65, 100, 300, 1000])
+    def test_budget_binds_per_grid_in_batched_runs(self, grid2d, graph2d, budget):
+        cut = SphericalCut((0.2, 0.1), 0.65)
+        config = EngineConfig(lambda_min=Fraction(1, 64), domain=SQUARE,
+                              max_evaluations=budget)
+        n = grid2d.n_points
+        full = run_batched(g=constant_g, grid=grid2d, graph=graph2d, detector=EvalOracle(cut),
+                           initial=[((0, 0), 2)], config=replace(config, max_evaluations=None))
+        assert full.evaluations > 1000
+        for runner in (run_basic, run_batched):
+            run = runner(g=constant_g, grid=grid2d, graph=graph2d, detector=EvalOracle(cut),
+                         initial=[((0, 0), 2)], config=config)
+            assert run.truncated
+            assert budget <= run.evaluations < budget + n
+            assert run.troubled_keys() <= full.troubled_keys()
+
 
 class TestEvaluationShape:
     @pytest.mark.parametrize("bad_g", [
@@ -340,6 +360,29 @@ class TestEvaluationShape:
                       initial=[((0, 0), 2)], config=config)
 
 
+def _hooked(runner, g, grid, graph, detector, initial, config):
+    """Run with a visit hook, which makes the engine evaluate g on every grid;
+    returns the run and each visit's (center, edge, evaluation bytes)."""
+    visits = []
+
+    def hook(task, sample, p):
+        visits.append((task.center, task.edge, sample.evaluations.tobytes()))
+
+    run = runner(g=g, grid=grid, graph=graph, detector=detector, initial=initial,
+                 config=config, visit_hook=hook)
+    return run, visits
+
+
+def _assert_same_run(a, b):
+    assert a.troubled_keys() == b.troubled_keys()
+    assert [t.key for t in a.troubled] == [t.key for t in b.troubled]
+    assert a.evaluations == b.evaluations
+    assert a.cache_hits == b.cache_hits
+    assert a.visited_points == b.visited_points
+    assert a.generation_sizes == b.generation_sizes
+    assert a.grids_visited == b.grids_visited
+
+
 class TestBatchedEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_piecewise_functions_z_detector(self, grid2d, graph2d, seed):
@@ -347,16 +390,33 @@ class TestBatchedEquivalence:
         fn = sample_piecewise_function(kind, 2, np.random.default_rng(seed))
         det = ZLevelDetector(fn.cut, 49)
         config = EngineConfig(lambda_min=Fraction(1, 16), domain=SQUARE)
-        a = run_basic(g=fn, grid=grid2d, graph=graph2d, detector=det,
-                      initial=[((0, 0), 2)], config=config)
-        b = run_batched(g=fn, grid=grid2d, graph=graph2d, detector=det,
-                        initial=[((0, 0), 2)], config=config)
-        assert a.troubled_keys() == b.troubled_keys()
-        assert a.visited_points == b.visited_points
-        assert a.grids_visited == b.grids_visited
-        assert a.generation_sizes == b.generation_sizes
+        a, visits_a = _hooked(run_basic, fn, grid2d, graph2d, det, [((0, 0), 2)], config)
+        b, visits_b = _hooked(run_batched, fn, grid2d, graph2d, det, [((0, 0), 2)], config)
+        _assert_same_run(a, b)
+        assert visits_a == visits_b  # same grids, same order, same g bytes
         assert sum(a.generation_sizes) == a.grids_visited
         assert sum(b.generation_sizes) == b.grids_visited
+
+    @pytest.mark.parametrize("name,detector_spec,lambda_min", [
+        ("circle", "exact", Fraction(1, 32)),
+        ("torus4d", "zlevel:9", Fraction(1, 2)),
+    ])
+    def test_builtin_targets(self, grid2d, graph2d, grid4d, graph4d,
+                             name, detector_spec, lambda_min):
+        from sgdetect.detectors import make_detector
+        from sgdetect.evaluation import builtin_test_functions
+
+        target = builtin_test_functions()[name]
+        grid, graph = (grid2d, graph2d) if target.dim == 2 else (grid4d, graph4d)
+        det = make_detector(detector_spec, target.cut)
+        config = EngineConfig(lambda_min=lambda_min, domain=target.domain)
+        initial = [(target.domain.center, target.domain.edge)]
+        a, visits_a = _hooked(run_basic, target.fn, grid, graph, det, initial, config)
+        b, visits_b = _hooked(run_batched, target.fn, grid, graph, det, initial, config)
+        _assert_same_run(a, b)
+        assert visits_a == visits_b
+        assert a.troubled and a.cache_hits > 0
+        assert b.detector_calls == len(b.generation_sizes) < a.detector_calls
 
     def test_single_task_batch_of_one(self, grid2d, graph2d):
         cut = SphericalCut((0.2, 0.1), 0.65)
@@ -370,6 +430,128 @@ class TestBatchedEquivalence:
         assert a.troubled_keys() == b.troubled_keys()
         assert sum(a.generation_sizes) == a.grids_visited
         assert sum(b.generation_sizes) == b.grids_visited
+
+
+class TestChunkVisit:
+    def test_point_shared_within_a_chunk_is_evaluated_once(self, grid2d, graph2d):
+        # two side-by-side boxes of one generation share their common edge
+        points = []
+
+        def g(x):
+            points.append(np.asarray(x).copy())
+            return np.ones(len(x))
+
+        grids = []
+
+        def hook(task, sample, p):
+            grids.append(set(map(tuple, sample.coords.tolist())))
+
+        config = EngineConfig(lambda_min=Fraction(1, 2), domain=SQUARE)
+        run = run_batched(g=g, grid=grid2d, graph=graph2d,
+                          detector=ExactOracleDetector(SphericalCut((50.0, 50.0), 0.5)),
+                          initial=[((-0.5, 0), 1), ((0.5, 0), 1)], config=config,
+                          visit_hook=hook)
+        shared = grids[0] & grids[1]
+        assert shared  # the points on x = 0
+        assert len(points) == 1  # one chunk, one g call
+        evaluated = list(map(tuple, points[0].tolist()))
+        assert len(evaluated) == len(set(evaluated)) == len(grids[0] | grids[1])
+        assert run.evaluations == len(evaluated)
+        assert run.cache_hits == len(shared)
+
+    def test_g_called_at_most_once_per_chunk(self, grid2d, graph2d):
+        cut = SphericalCut((0.2, 0.1), 0.65)
+        calls = []
+
+        def g(x):
+            calls.append(len(x))
+            return np.where(cut(x) >= 0, 2.0, -1.0)
+
+        config = EngineConfig(lambda_min=Fraction(1, 64), domain=SQUARE)
+        run = run_batched(g=g, grid=grid2d, graph=graph2d, detector=EvalOracle(cut),
+                          initial=[((0, 0), 2)], config=config)
+        assert len(run.generation_sizes) > 3
+        assert run.detector_calls == len(run.generation_sizes)
+        assert 0 < len(calls) <= run.detector_calls
+        assert sum(calls) == run.evaluations
+
+
+@st.composite
+def engine_cases(draw):
+    """Random initial boxes inside the square [-1, 1]^2, lambda_min, and a
+    linear or spherical cut."""
+    boxes = []
+    for _ in range(draw(st.integers(1, 2))):
+        edge = draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(3, 4)]))
+        den = draw(st.sampled_from([3, 4, 8]))
+        reach = math.floor((1 - edge / 2) * den)
+        center = tuple(Fraction(draw(st.integers(-reach, reach)), den) for _ in range(2))
+        boxes.append((center, edge))
+    lambda_min = Fraction(1, draw(st.sampled_from([8, 16, 24, 32, 64])))
+    if draw(st.booleans()):
+        angle = draw(st.floats(0, 2 * math.pi))
+        cut = LinearCut([math.cos(angle), math.sin(angle)], draw(st.floats(-1, 1)))
+    else:
+        center = [draw(st.floats(-1.5, 1.5)) for _ in range(2)]
+        cut = SphericalCut(center, draw(st.floats(0.05, 1.0)))
+    policy = draw(st.sampled_from(BOUNDARY_POLICIES))
+    config = EngineConfig(lambda_min=lambda_min, domain=SQUARE, boundary_policy=policy)
+    return boxes, cut, config
+
+
+@pytest.mark.filterwarnings("ignore:initial grid centers are off-lattice")
+class TestEngineProperties:
+    @staticmethod
+    def _g(cut):
+        return lambda x: np.where(cut(x) >= 0, 2.0, -1.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(engine_cases())
+    def test_basic_equals_batched(self, grid2d, graph2d, case):
+        boxes, cut, config = case
+        a, visits_a = _hooked(run_basic, self._g(cut), grid2d, graph2d, EvalOracle(cut),
+                              boxes, config)
+        b, visits_b = _hooked(run_batched, self._g(cut), grid2d, graph2d, EvalOracle(cut),
+                              boxes, config)
+        _assert_same_run(a, b)
+        assert visits_a == visits_b
+        assert sum(a.generation_sizes) == a.grids_visited
+        assert sum(b.generation_sizes) == b.grids_visited
+
+    @settings(max_examples=25, deadline=None)
+    @given(engine_cases())
+    def test_troubled_points_lie_on_their_trigger_grid(self, grid2d, graph2d, case):
+        boxes, cut, config = case
+        m = grid2d.resolution
+        lattice = grid2d.lattice_array().tolist()
+        spans = graph2d.incident_max_span().tolist()
+        triggers = set()
+
+        def hook(task, sample, p):
+            for i in np.flatnonzero(p >= config.tau).tolist():
+                point = tuple(c + Fraction(2 * l - m, 2 * m) * task.edge
+                              for c, l in zip(task.center, lattice[i]))
+                triggers.add((point, task.edge * Fraction(spans[i], m)))
+
+        run = run_batched(g=self._g(cut), grid=grid2d, graph=graph2d,
+                          detector=ExactOracleDetector(cut), initial=boxes, config=config,
+                          visit_hook=hook)
+        assert {(t.exact, t.trigger_lambda) for t in run.troubled} <= triggers
+        assert all(t.trigger_lambda < config.lambda_min
+                   for t in run.troubled if not t.boundary_stopped)
+
+    @settings(max_examples=25, deadline=None)
+    @given(engine_cases(), st.integers(1, 3000))
+    def test_budgeted_troubled_set_is_a_subset(self, grid2d, graph2d, case, budget):
+        boxes, cut, config = case
+        full = run_batched(g=self._g(cut), grid=grid2d, graph=graph2d,
+                           detector=EvalOracle(cut), initial=boxes, config=config)
+        capped = run_batched(g=self._g(cut), grid=grid2d, graph=graph2d,
+                             detector=EvalOracle(cut), initial=boxes,
+                             config=replace(config, max_evaluations=budget))
+        assert capped.troubled_keys() <= full.troubled_keys()
+        assert capped.evaluations < budget + grid2d.n_points
+        assert capped.truncated == (capped.grids_visited < full.grids_visited)
 
 
 class TestWarningsAndReports:

@@ -284,6 +284,29 @@ class TestEngineEvaluations:
             assert a.inputs.tobytes() == b.inputs.tobytes()
             np.testing.assert_array_equal(a.labels, b.labels)
 
+    @pytest.mark.parametrize("kind", ["linear", "spherical", "polynomial"])
+    def test_batched_labelling_matches_a_basic_reference(self, grid2d, graph2d, kind):
+        # the reference labels every visit of a one-grid-per-chunk run
+        fn = sample_piecewise_function(kind, 2, np.random.default_rng(31))
+        domain = Box.cube((0, 0), 2)
+        reference = []
+
+        def hook(task, sample, p):
+            labels = ((p >= 0.5) & sample.in_domain).astype(np.uint8)
+            reference.append(Sample(inputs=sample.evaluations.copy(), labels=labels))
+
+        run_basic(g=fn, grid=grid2d, graph=graph2d, detector=ZLevelDetector(fn.cut, 9),
+                  initial=[(domain.center, domain.edge)],
+                  config=EngineConfig(lambda_min=Fraction(1, 16), domain=domain),
+                  visit_hook=hook)
+        samples, stats = generate_dataset(grid2d, graph2d, 9, [fn], Fraction(1, 16))
+        assert stats["skipped_nan_visits"] == 0
+        assert len(samples) == len(reference) > 10
+        got = Dataset.from_samples(samples, "g", "zlevel:9", 0)
+        want = Dataset.from_samples(reference, "g", "zlevel:9", 0)
+        assert got.inputs.tobytes() == want.inputs.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+
     def test_g_sees_each_point_once(self, grid2d, graph2d):
         fns = [CountingFunction(sample_piecewise_function(kind, 2, np.random.default_rng(4)))
                for kind in ("spherical", "polynomial")]
