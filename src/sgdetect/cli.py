@@ -50,8 +50,23 @@ EXIT_DEGENERATE = 4
 EXIT_DIVERGED = 5
 
 
-def _default_jobs() -> int:
-    return int(os.environ.get("SGDETECT_THREADS", "1"))
+def _worker_count(value, source: str) -> int:
+    try:
+        jobs = int(str(value))
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ConfigError(f"{source} must be an integer >= 1, got {value!r}")
+    return jobs
+
+
+def _resolve_jobs(args) -> None:
+    """Check ``SGDETECT_THREADS`` for every subcommand and resolve ``--jobs``
+    (flag or config file) against it: both must be integers >= 1."""
+    env = os.environ.get("SGDETECT_THREADS")
+    default = 1 if env is None else _worker_count(env, "SGDETECT_THREADS")
+    if hasattr(args, "jobs"):
+        args.jobs = default if args.jobs is None else _worker_count(args.jobs, "--jobs")
 
 
 def _echo_config(command: str, options: dict) -> None:
@@ -328,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fraction, or auto = domain edge / 2^(h_max+1)")
     p.add_argument("--tau", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", help="worker processes (default: SGDETECT_THREADS, else 1)")
     p.add_argument("--coeff-convention", default="variance",
                    choices=["variance", "stddev"],
                    help="reading of the normal(0, 10) coefficient distribution")
@@ -417,6 +432,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
+        _resolve_jobs(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -10,15 +10,21 @@ Deterministic detectors provided here:
 
 * ``exact_troubled_oracle`` -- closed-form segment intersections (linear,
   spherical, or any cut exposing ``segment_roots``) over all edges of a
-  stack of grids in one call; the ground truth for convergence checks.
+  stack of grids; the ground truth for convergence checks.
 * ``z_detector`` -- the sign-sampling approximation with t+1 equispaced
-  knots per edge (``sample_signs``); converges to the oracle as t grows.
+  knots per edge (``sample_signs``) over all edges of a stack of grids;
+  converges to the oracle as t grows.
 * ``NeuralDetector`` -- adapter running a trained model on preprocessed
   evaluation vectors, batched across grids.
 
 Both edge-crossing tests (``CutFunction.segment_roots`` and
 ``sample_signs``) take stacked segments, so the TPR check in
-``sgdetect.evaluation`` uses the same two functions.
+``sgdetect.evaluation`` uses the same two functions.  Both deterministic
+detectors walk the flattened (grid, edge) segments of their stack in
+blocks, and no cut call here or in the TPR check evaluates more than
+:data:`SAMPLE_BUDGET` points (``segment_roots`` sees at most that many
+segments).  Every cut returns the same value for a point in any batch, so
+the block size never changes a result.
 
 Convention: a grid point outside the target domain carries an infinite
 sentinel in its evaluation slot and its output likelihood is forced to 0.
@@ -39,9 +45,13 @@ from sgdetect.sparse_grid import SparseGrid
 #: sentinel marking an out-of-domain evaluation slot
 OUT_OF_DOMAIN = np.inf
 
-#: most cut samples one sign-sampling call evaluates (bounds the
-#: (segments, knots, n) point tensor of the z-detector and of TPR)
-SAMPLE_BUDGET = 4_000_000
+#: most points one cut call evaluates (or segments one ``segment_roots``
+#: call solves), in the detectors and in TPR alike.  2^15 points keep a
+#: call's float64 point tensor at 1 MB for n = 4, so it and the cut's
+#: temporaries stay in one core's 2 MB L2 cache; it was the fastest of
+#: 2^13..2^17 on both benchmark workloads.  A call exceeds it only when one
+#: segment's knots alone do (t + 1 > 2^15).
+SAMPLE_BUDGET = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -230,15 +240,49 @@ class CallableCut(CutFunction):
 # deterministic detectors
 
 
+def add_points(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a + b`` for broadcast stacks of points ``(..., n)``, one coordinate
+    at a time: the same floats, but NumPy loops over the points instead of
+    over n coordinates per point, which is several times faster at n <= 4."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    for d in range(out.shape[-1]):
+        np.add(a[..., d], b[..., d], out=out[..., d])
+    return out
+
+
 def sample_signs(f: CutFunction, a: np.ndarray, b: np.ndarray,
                  knots: np.ndarray) -> np.ndarray:
     """Signs of f at a + tau (b - a) for each knot tau of each segment.
 
     ``a`` and ``b`` are stacked endpoints of shape ``(..., n)``; the result
-    has shape ``(..., len(knots))``.  The cut sees one ``(m, n)`` array.
+    has shape ``(..., len(knots))``.  The cut sees one ``(m, n)`` array,
+    knot-major: building it as ``(len(knots), ..., n)`` gives NumPy long
+    inner loops, while a trailing axis of n gives it loops of n floats.
+    Each point is still ``a + tau (b - a)`` to the bit.
     """
-    pts = a[..., None, :] + knots[:, None] * (b - a)[..., None, :]
-    return np.sign(f(pts.reshape(-1, pts.shape[-1])).reshape(pts.shape[:-1]))
+    pts = knots.reshape(-1, *(1,) * a.ndim) * (b - a)
+    pts += a
+    signs = np.sign(f(pts.reshape(-1, pts.shape[-1])).reshape(pts.shape[:-1]))
+    return np.moveaxis(signs, 0, -1)
+
+
+def _segment_blocks(graph: GridGraph, coords: np.ndarray, per_segment: int):
+    """Walk the (grid, edge) segments of a ``(..., N, n)`` stack in blocks
+    of at most ``SAMPLE_BUDGET // per_segment`` segments (at least one).
+
+    Segments run grid by grid, edges in graph order, and a block may split
+    a grid.  Yields each block's endpoint indices into the flattened
+    ``(G*N,)`` points and the endpoint coordinates ``(B, n)``.
+    """
+    ei, ej = graph.edge_ends
+    flat = coords.reshape(-1, coords.shape[-1])
+    n_points, n_edges = coords.shape[-2], len(ei)
+    total = flat.shape[0] // max(n_points, 1) * n_edges
+    size = max(1, SAMPLE_BUDGET // per_segment)
+    for lo in range(0, total, size):
+        grid, edge = np.divmod(np.arange(lo, min(lo + size, total)), n_edges)
+        ia, ja = grid * n_points + ei[edge], grid * n_points + ej[edge]
+        yield ia, ja, flat[ia], flat[ja]
 
 
 def z_detector(f: CutFunction, graph: GridGraph, t: int,
@@ -250,25 +294,25 @@ def z_detector(f: CutFunction, graph: GridGraph, t: int,
     zero or some tau in {1..ceil(t/2)} changes sign against it; x_j is
     troubled if f(x_j) is zero or some tau in {floor(t/2)..t-1} changes
     sign against it.  Sign zero means exact floating-point zero; no
-    tolerance is applied.  ``coords`` defaults to the graph's own grid.
+    tolerance is applied.  ``coords`` (default: the graph's grid) may stack
+    placed grids as ``(..., N, n)``; the result is then ``(..., N)``.  The
+    segments are sampled in blocks of ``SAMPLE_BUDGET // (t+1)``.
     """
     if t < 2:
         raise DetectorError(f"z-detector needs t >= 2, got {t}")
     if coords is None:
         coords = graph.grid.coords()
-    p = np.zeros(coords.shape[0], dtype=np.float64)
-    ei, ej = graph.edge_ends
+    p = np.zeros(coords.shape[:-1], dtype=np.float64)
+    flags = p.reshape(-1)
     taus = np.arange(t + 1, dtype=np.float64) / t
     head_hi = math.ceil(t / 2)  # tau range {1..ceil(t/2)} for x_i
     tail_lo = math.floor(t / 2)  # tau range {floor(t/2)..t-1} for x_j
-    chunk = max(1, SAMPLE_BUDGET // (t + 1))
-    for lo in range(0, len(ei), chunk):
-        i, j = ei[lo : lo + chunk], ej[lo : lo + chunk]
-        s = sample_signs(f, coords[i], coords[j], taus)
+    for ia, ja, a, b in _segment_blocks(graph, coords, t + 1):
+        s = sample_signs(f, a, b, taus)
         trb_i = (s[:, 0] == 0) | np.any(s[:, 1 : head_hi + 1] != s[:, :1], axis=1)
         trb_j = (s[:, t] == 0) | np.any(s[:, tail_lo:t] != s[:, t:], axis=1)
-        p[i[trb_i]] = 1.0
-        p[j[trb_j]] = 1.0
+        for ends, hit in ((ia, trb_i), (ja, trb_j)):
+            flags[ends[np.nonzero(hit)]] = 1.0
     return p
 
 
@@ -278,25 +322,26 @@ def exact_troubled_oracle(f: CutFunction, graph: GridGraph,
 
     An endpoint is troubled iff the intersection nearest to it sits on its
     half of the segment (parameter <= 1/2 from that endpoint, ties marking
-    both ends).  All edges go to the cut's ``segment_roots`` in one call;
-    a cut without it raises a :class:`DetectorError` directing the caller
-    to the z-detector.  ``coords`` (default: the graph's grid) may stack
-    placed grids as ``(..., N, n)``; the result is then ``(..., N)``.
+    both ends).  The edges go to the cut's ``segment_roots`` in blocks of
+    at most :data:`SAMPLE_BUDGET` segments; a cut without it raises a
+    :class:`DetectorError` directing the caller to the z-detector.
+    ``coords`` (default: the graph's grid) may stack placed grids as
+    ``(..., N, n)``; the result is then ``(..., N)``.
     """
     if coords is None:
         coords = graph.grid.coords()
-    ei, ej = graph.edge_ends
-    roots = f.segment_roots(coords[..., ei, :], coords[..., ej, :])
-    if roots is None:
+    no_segments = np.empty((0, coords.shape[-1]))
+    if f.segment_roots(no_segments, no_segments) is None:
         raise DetectorError(
             f"cut {type(f).__name__} has no closed-form segment intersection; "
             "use the z-detector instead"
         )
-    lo, hi = roots
     p = np.zeros(coords.shape[:-1], dtype=np.float64)
-    for ends, hit in ((ei, lo <= 0.5), (ej, hi >= 0.5)):
-        *lead, e = np.nonzero(hit)
-        p[(*lead, ends[e])] = 1.0
+    flags = p.reshape(-1)
+    for ia, ja, a, b in _segment_blocks(graph, coords, 1):
+        lo, hi = f.segment_roots(a, b)
+        for ends, hit in ((ia, lo <= 0.5), (ja, hi >= 0.5)):
+            flags[ends[np.nonzero(hit)]] = 1.0
     return p
 
 
@@ -346,8 +391,8 @@ class ZLevelDetector(Detector):
         self.name = f"zlevel:{t}"
 
     def detect_batch(self, samples: list[GridSample]) -> np.ndarray:
-        # one call per grid: a generation-wide sample tensor outgrows the cache
-        return np.stack([z_detector(self.cut, s.graph, self.t, s.coords) for s in samples])
+        return z_detector(self.cut, samples[0].graph, self.t,
+                          np.stack([s.coords for s in samples]))
 
 
 class ExactOracleDetector(Detector):

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
 import warnings
 from collections import Counter, deque
@@ -52,6 +53,8 @@ LAMBDA_RULES = ("incident", "global")
 
 #: lattice numerators must stay below 2^62 so int64 products cannot overflow
 _LATTICE_LIMIT = 1 << 62
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -409,7 +412,9 @@ def _run(g: Callable, grid: SparseGrid, graph: GridGraph, detector: Detector,
 
     Under ``max_evaluations`` a chunk takes at most ``(budget - evaluations)
     // N`` grids, and at least one, so a batched run overshoots its budget by
-    fewer than N evaluations, as a basic run does.
+    fewer than N evaluations, as a basic run does.  Each chunk logs one
+    DEBUG record: the depth of its first grid, its grid count, and the
+    evaluations, cache hits and troubled points so far.
     """
     evaluates = detector.requires_evaluations or visit_hook is not None
     state = _EngineState(grid, graph, detector, g, config, initial, evaluates)
@@ -429,6 +434,9 @@ def _run(g: Callable, grid: SparseGrid, graph: GridGraph, detector: Detector,
             for (task, _, _), sample, p in zip(chunk, samples, ps):
                 visit_hook(task, sample, p)
         state.process(chunk, pts, in_domain, ps)
+        logger.debug("chunk at depth %d: %d grids; %d evaluations, %d cache hits, "
+                     "%d troubled so far", chunk[0][0].depth, len(chunk), state.evaluations,
+                     state.cache_hits, len(state.troubled))
     return state.result()
 
 

@@ -32,6 +32,7 @@ from sgdetect.detectors import (
     SphericalCut,
     PolynomialCut,
     TorusCut,
+    add_points,
     sample_signs,
 )
 from sgdetect.errors import MalformedFileError, SgdetectError
@@ -172,8 +173,12 @@ def tpr(points: np.ndarray, cut: CutFunction, lambda_min, check_graph: GridGraph
     those of walking every edge, provided the cut returns the same value
     for a point whatever batch it is evaluated in, as every cut in this
     package does.  Points are scored in chunks whose node and edge arrays
-    stay within :data:`~sgdetect.detectors.SAMPLE_BUDGET` entries, and no
-    cut call evaluates more than that many points.
+    stay within :data:`~sgdetect.detectors.SAMPLE_BUDGET` entries, and the
+    full walk goes in blocks of ``SAMPLE_BUDGET // (subdivisions + 1)``
+    (point, edge) pairs, so no cut call evaluates more than that many
+    points (nor ``segment_roots`` call solves more segments).  The budget
+    is sized to one core's L2 cache; by the property above, no chunk or
+    block size changes a verdict.
     """
     if subdivisions < 1:
         raise SgdetectError(f"subdivisions must be >= 1, got {subdivisions}")
@@ -201,11 +206,12 @@ def tpr(points: np.ndarray, cut: CutFunction, lambda_min, check_graph: GridGraph
     for start in range(0, len(points), chunk):
         centres = points[start : start + chunk, None]
         if closed_form:
-            lo, _ = cut.segment_roots(centres + offsets[ei], centres + offsets[ej])
+            lo, _ = cut.segment_roots(add_points(centres, offsets[ei]),
+                                      add_points(centres, offsets[ej]))
             hit[start : start + len(centres)] = np.any(~np.isnan(lo), axis=1)
         else:
-            hit[start : start + len(centres)] = _sampled_hits(cut, centres + offsets,
-                                                              ei, ej, knots)
+            hit[start : start + len(centres)] = _sampled_hits(
+                cut, add_points(centres, offsets), ei, ej, knots)
     verdicts = hit.tolist()
     true_count = int(hit.sum())
     return TprReport(

@@ -21,6 +21,7 @@ import concurrent.futures
 import csv
 import itertools
 import json
+import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -44,6 +45,8 @@ COEFF_STD_VARIANCE = float(np.sqrt(10.0))
 
 #: total degree of the random Legendre expansions (multi-index sum cap)
 PIECE_DEGREE = 4
+
+logger = logging.getLogger(__name__)
 
 
 def legendre_value(degree: int, u: np.ndarray) -> np.ndarray:
@@ -249,6 +252,8 @@ def generate_dataset(grid: SparseGrid, graph: GridGraph, detector_t: int,
     out-of-domain slots, each point evaluated once).  Returns the samples
     plus generation stats.  Samples are ordered by function index, then
     visit order, so the result is deterministic regardless of ``n_jobs``.
+    Each function logs one INFO record with its sample count and skipped
+    NaN visits.
     """
     if domain is None:
         domain = Box.cube((Fraction(0),) * grid.dim, Fraction(2))
@@ -260,7 +265,9 @@ def generate_dataset(grid: SparseGrid, graph: GridGraph, detector_t: int,
         results = [_generate_for_function(a) for a in args]
     samples: list[Sample] = []
     skipped = 0
-    for fn_samples, fn_skipped in results:
+    for i, (fn_samples, fn_skipped) in enumerate(results, start=1):
+        logger.info("function %d/%d: %d samples, %d skipped NaN visits", i, len(functions),
+                    len(fn_samples), fn_skipped)
         samples.extend(fn_samples)
         skipped += fn_skipped
     stats = {

@@ -309,6 +309,52 @@ class TestExitCodes:
                         "--lambda-min", "1/8", "--budget", budget]) == 2
         assert "max_evaluations must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+    @pytest.mark.parametrize("command", [["grid"], ["detect", "--target", "builtin:circle"]])
+    def test_bad_thread_variable_fails_every_subcommand(self, value, command, monkeypatch,
+                                                        capsys):
+        monkeypatch.setenv("SGDETECT_THREADS", value)
+        assert run_cli(command) == 2
+        assert ("config error: SGDETECT_THREADS must be an integer >= 1"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("jobs", ["abc", "0", "-1"])
+    def test_bad_jobs_flag(self, jobs, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("SGDETECT_THREADS", raising=False)
+        out = tmp_path / "d.bin"
+        assert run_cli(["dataset", "--level", "3", "--count", "1", "--detector-t", "4",
+                        "--lambda-min", "1", "--jobs", jobs, "--out", str(out)]) == 2
+        assert "config error: --jobs must be an integer >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_jobs_in_config_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("SGDETECT_THREADS", raising=False)
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("jobs: 0\n")
+        assert run_cli(["--config", str(cfg), "dataset", "--out", str(tmp_path / "d")]) == 2
+        assert "config error: --jobs must be an integer >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("env,flag,expected", [
+        (None, None, 1), ("3", None, 3), ("3", "2", 2), (None, "4", 4), (" 2 ", None, 2),
+    ])
+    def test_jobs_resolution(self, env, flag, expected, monkeypatch):
+        import argparse
+
+        from sgdetect.cli import _resolve_jobs
+
+        if env is None:
+            monkeypatch.delenv("SGDETECT_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("SGDETECT_THREADS", env)
+        args = argparse.Namespace(jobs=flag)
+        _resolve_jobs(args)
+        assert args.jobs == expected
+
+    def test_good_thread_variable_is_echoed(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SGDETECT_THREADS", "1")
+        make_tiny_dataset(tmp_path)
+        assert "jobs: 1\n" in capsys.readouterr().out
+
     def test_dimension_mismatch(self, tmp_path, capsys):
         data = make_tiny_dataset(tmp_path, seed=2, count=8)
         model = tmp_path / "model.json"

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,14 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sgdetect import detectors
 from sgdetect.detectors import (
+    CallableCut,
+    CutFunction,
     ExactOracleDetector,
     GridSample,
     LinearCut,
     NeuralDetector,
+    PolynomialCut,
+    ProductCut,
+    SinusoidalCut,
     SphericalCut,
+    TorusCut,
+    ZLevelDetector,
     exact_troubled_oracle,
     make_detector,
+    sample_signs,
     z_detector,
 )
 from sgdetect.errors import DetectorError
@@ -254,6 +264,239 @@ class TestZDetector:
         p_t = z_detector(cut, graph2d, t)
         p_2t = z_detector(cut, graph2d, 2 * t)
         assert np.all(p_2t >= p_t)
+
+
+def sample_signs_ref(f, a, b, knots):
+    """``sample_signs`` as first written: segment-major points, one cut call."""
+    pts = a[..., None, :] + knots[:, None] * (b - a)[..., None, :]
+    return np.sign(f(pts.reshape(-1, pts.shape[-1])).reshape(pts.shape[:-1]))
+
+
+def z_detector_per_grid(f, graph, t, stack):
+    """The per-grid loop the stacked z-detector replaced: one call per grid,
+    every edge of the grid sampled in one segment-major cut call."""
+    ei, ej = graph.edge_ends
+    taus = np.arange(t + 1, dtype=np.float64) / t
+    head_hi, tail_lo = math.ceil(t / 2), math.floor(t / 2)
+    out = np.zeros(stack.shape[:-1])
+    for p, coords in zip(out, stack):
+        s = sample_signs_ref(f, coords[ei], coords[ej], taus)
+        trb_i = (s[:, 0] == 0) | np.any(s[:, 1 : head_hi + 1] != s[:, :1], axis=1)
+        trb_j = (s[:, t] == 0) | np.any(s[:, tail_lo:t] != s[:, t:], axis=1)
+        p[ei[trb_i]] = 1.0
+        p[ej[trb_j]] = 1.0
+    return out
+
+
+def cut_through(kind, dim, rng):
+    """A cut of the given family and a point on its zero-level set."""
+    anchor = rng.uniform(-0.5, 0.5, dim)
+    if kind == "linear":
+        w = rng.normal(size=dim)
+        cut = LinearCut(w, 0.0)
+        return LinearCut(w, -float(cut.w @ anchor)), anchor
+    if kind == "sphere":
+        radius = float(rng.uniform(0.1, 0.6))
+        return SphericalCut(anchor - radius * np.eye(dim)[0], radius), anchor
+    if kind == "polynomial":
+        cut = PolynomialCut(lambda xi: xi.sum(axis=-1) ** 3 - xi[..., 0], scale=0.6,
+                            axis=dim - 1, max_abs=float((dim - 1) ** 3 + 1), dim=dim)
+        anchor[-1] = 0.0
+        anchor[-1] = cut(anchor)
+        return cut, anchor
+    if kind == "sinusoidal":
+        cut = SinusoidalCut(amplitude=0.4, freq=2.0)
+        anchor[1] = 0.4 * np.sin(2.0 * np.pi * anchor[0])
+        return cut, anchor
+    if kind == "torus":
+        # |x4| = 0.5, x3 = 0 and sqrt(x1^2 + x2^2) = 0.5 + 0.5 / 4
+        return TorusCut(), np.array([0.625, 0.0, 0.0, 0.5])
+    assert kind == "product"
+    linear, anchor = cut_through("linear", dim, rng)
+    sphere, _ = cut_through("sphere", dim, rng)
+    return ProductCut([sphere, linear]), anchor
+
+
+@functools.cache
+def reference_graph(dim):
+    """The level-6 sum-rule graph: 65, 69 or 41 points in 2D, 3D or 4D."""
+    return build_grid_graph(build_sparse_grid(GridSpec(dim=dim, rule="sum", level=6),
+                                              Box.cube((0,) * dim, 2)))
+
+
+def placed_stack(graph, anchor, grids, rng):
+    """``grids`` placed copies of the graph's grid around ``anchor``, the
+    first centred on it: ``(G, N, n)``."""
+    reference = graph.grid
+    dim = len(anchor)
+    edges = 2.0 ** -rng.integers(0, 4, size=grids)
+    centers = [anchor] + [anchor + rng.uniform(-e, e, dim) for e in edges[1:]]
+    return np.stack([similar_grid(reference, tuple(c), float(e)).coords()
+                     for c, e in zip(centers, edges)])
+
+
+STACKED_CUTS = [(kind, dim) for dim in (2, 3, 4)
+                for kind in ("linear", "sphere", "polynomial", "product")]
+STACKED_CUTS += [("sinusoidal", 2), ("torus", 4)]
+
+
+class TestStackedZDetector:
+    """The stacked z-detector equals the per-grid loop, bit for bit."""
+
+    @pytest.mark.parametrize("t", [2, 3, 9, 49])
+    @pytest.mark.parametrize("kind,dim", STACKED_CUTS)
+    def test_matches_per_grid_loop(self, kind, dim, t):
+        rng = np.random.default_rng(100 * dim + t + len(kind))
+        graph = reference_graph(dim)
+        cut, anchor = cut_through(kind, dim, rng)
+        for grids in (1, 6, 40):
+            stack = placed_stack(graph, anchor, grids, rng)
+            p = z_detector(cut, graph, t, stack)
+            ref = z_detector_per_grid(cut, graph, t, stack)
+            assert p.shape == stack.shape[:-1]
+            np.testing.assert_array_equal(p, ref)
+            assert p[0].sum() > 0
+
+    @pytest.mark.parametrize("t", [2, 3, 9, 49])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_nodes_on_the_interface(self, dim, t):
+        # dyadic centres and edges put whole planes of nodes on x0 = 1/8 and
+        # nodes at distance exactly 1/4 from a dyadic sphere centre
+        rng = np.random.default_rng(dim + t)
+        graph = reference_graph(dim)
+        centers = rng.integers(-4, 5, size=(40, dim)) / 16
+        edges = 2.0 ** -rng.integers(1, 3, size=40)
+        stack = np.stack([similar_grid(graph.grid, tuple(c), float(e)).coords()
+                          for c, e in zip(centers, edges)])
+        axis = np.eye(dim)[0]
+        for cut in (LinearCut(axis, -0.125), SphericalCut(centers[0] + 0.25 * axis, 0.25),
+                    ProductCut([LinearCut(axis, -0.125), SphericalCut(centers[0], 0.25)])):
+            assert np.any(cut(stack) == 0.0)
+            for grids in (1, 6, 40):
+                np.testing.assert_array_equal(z_detector(cut, graph, t, stack[:grids]),
+                                              z_detector_per_grid(cut, graph, t,
+                                                                  stack[:grids]))
+
+    def test_leading_axes_and_default_coords(self, grid2d, graph2d):
+        cut = SphericalCut((0.1, -0.2), 0.45)
+        single = z_detector(cut, graph2d, 9)
+        np.testing.assert_array_equal(single, z_detector(cut, graph2d, 9, grid2d.coords()))
+        stack = np.broadcast_to(grid2d.coords(), (2, 3, *grid2d.coords().shape))
+        p = z_detector(cut, graph2d, 9, stack)
+        assert p.shape == (2, 3, grid2d.n_points)
+        np.testing.assert_array_equal(p, np.broadcast_to(single, p.shape))
+
+    def test_detect_batch_is_one_stacked_call(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        graph = reference_graph(2)
+        cut, anchor = cut_through("sphere", 2, rng)
+        stack = placed_stack(graph, anchor, 6, rng)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[3].shape)
+            return z_detector(*args)
+
+        monkeypatch.setattr(detectors, "z_detector", counted)
+        samples = [GridSample(grid=graph.grid, graph=graph, coords=c,
+                              in_domain=np.ones(len(c), dtype=bool)) for c in stack]
+        p = ZLevelDetector(cut, 9).detect_batch(samples)
+        assert calls == [stack.shape]
+        np.testing.assert_array_equal(p, z_detector_per_grid(cut, graph, 9, stack))
+
+
+class TestPointBuilders:
+    """The knot-major ``sample_signs`` and ``add_points`` build the same floats."""
+
+    @pytest.mark.parametrize("lead", [(), (7,), (3, 5)])
+    @pytest.mark.parametrize("dim,knots", [(2, 10), (4, 3), (3, 201)])
+    def test_sample_signs_matches_segment_major(self, lead, dim, knots):
+        rng = np.random.default_rng(dim * knots + len(lead))
+        a = rng.uniform(-1, 1, (*lead, dim))
+        b = np.where(rng.random((*lead, dim)) < 0.3, a, rng.uniform(-1, 1, (*lead, dim)))
+        taus = np.linspace(0.0, 1.0, knots)
+        seen = []
+        cut = CallableCut(lambda x: seen.append(x.copy()) or x.sum(axis=-1) - 0.1, dim)
+        s = sample_signs(cut, a, b, taus)
+        (x,) = seen
+        assert s.shape == (*lead, knots)
+        np.testing.assert_array_equal(s, sample_signs_ref(cut.fn, a, b, taus))
+        # the cut saw exactly the points a + tau (b - a), bit for bit
+        ref = a[..., None, :] + taus[:, None] * (b - a)[..., None, :]
+        got = np.moveaxis(x.reshape(knots, *lead, dim), 0, -2)
+        np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize("shapes", [((5, 1, 4), (401, 4)), ((3, 2), (3, 2)),
+                                        ((2, 1, 1, 3), (4, 6, 3))])
+    def test_add_points_is_plain_addition(self, shapes):
+        rng = np.random.default_rng(len(shapes[1]))
+        a, b = (rng.normal(size=shape) for shape in shapes)
+        b.flat[0] = -a.flat[0]  # a signed zero
+        out = detectors.add_points(a, b)
+        np.testing.assert_array_equal(out.view(np.int64), (a + b).view(np.int64))
+
+
+class CountingCut(CutFunction):
+    """Delegating cut that records the size of every call it sees."""
+
+    def __init__(self, cut):
+        self.cut = cut
+        self.dim = cut.dim
+        self.points: list[int] = []
+        self.segments: list[int] = []
+
+    def __call__(self, x):
+        self.points.append(int(np.prod(np.shape(x)[:-1])))
+        return self.cut(x)
+
+    def segment_roots(self, a, b):
+        self.segments.append(int(np.prod(np.shape(a)[:-1])))
+        return self.cut.segment_roots(a, b)
+
+
+class TestSampleBudget:
+    """Blocks smaller than one grid change no result, and no cut call
+    evaluates more than ``SAMPLE_BUDGET`` points or segments."""
+
+    @pytest.mark.parametrize("budget", [50, 61])
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_blocks_below_one_grid(self, monkeypatch, dim, budget):
+        rng = np.random.default_rng(dim)
+        graph = reference_graph(dim)
+        assert budget < len(graph.edges)
+        cut, anchor = cut_through("sphere", dim, rng)
+        stack = placed_stack(graph, anchor, 6, rng)
+        samples = [GridSample(grid=graph.grid, graph=graph, coords=c,
+                              in_domain=np.ones(len(c), dtype=bool)) for c in stack]
+        z = {t: z_detector(cut, graph, t, stack) for t in (2, 9, 49)}
+        oracle = exact_troubled_oracle(cut, graph, stack)
+        batch = ExactOracleDetector(cut).detect_batch(samples)
+        assert oracle.sum() > 0
+
+        monkeypatch.setattr(detectors, "SAMPLE_BUDGET", budget)
+        counting = CountingCut(cut)
+        for t, p in z.items():
+            np.testing.assert_array_equal(z_detector(counting, graph, t, stack), p)
+        np.testing.assert_array_equal(exact_troubled_oracle(counting, graph, stack), oracle)
+        np.testing.assert_array_equal(ExactOracleDetector(counting).detect_batch(samples),
+                                      batch)
+        assert max(counting.points) <= budget
+        assert max(counting.segments) <= budget
+        # the blocks split grids: more calls than grids
+        assert len(counting.points) > 3 * len(stack)
+
+    def test_default_budget_binds_a_large_stack(self):
+        rng = np.random.default_rng(3)
+        graph = reference_graph(4)
+        cut, anchor = cut_through("sphere", 4, rng)
+        stack = placed_stack(graph, anchor, 40, rng)
+        counting = CountingCut(cut)
+        np.testing.assert_array_equal(z_detector(counting, graph, 49, stack),
+                                      z_detector_per_grid(cut, graph, 49, stack))
+        exact_troubled_oracle(counting, graph, stack)
+        assert max(counting.points) <= detectors.SAMPLE_BUDGET
+        assert max(counting.segments) <= detectors.SAMPLE_BUDGET
+        assert len(counting.points) > 1
 
 
 class TestExactOracle:

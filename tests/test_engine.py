@@ -1,3 +1,4 @@
+import logging
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -430,6 +431,28 @@ class TestBatchedEquivalence:
         assert a.troubled_keys() == b.troubled_keys()
         assert sum(a.generation_sizes) == a.grids_visited
         assert sum(b.generation_sizes) == b.grids_visited
+
+
+class TestProgressLog:
+    @pytest.mark.parametrize("runner", [run_basic, run_batched])
+    def test_one_debug_record_per_chunk(self, grid2d, graph2d, caplog, runner):
+        config = EngineConfig(lambda_min=Fraction(1, 16), domain=SQUARE)
+        with caplog.at_level(logging.DEBUG, logger="sgdetect.engine"):
+            run = runner(g=constant_g, grid=grid2d, graph=graph2d,
+                         detector=EvalOracle(SphericalCut((0.2, 0.1), 0.65)),
+                         initial=[((0, 0), 2)], config=config)
+        records = [r for r in caplog.records if r.name == "sgdetect.engine"]
+        assert len(records) == run.detector_calls > 1
+        assert all(r.levelno == logging.DEBUG for r in records)
+        depths, grids, evaluations, hits, troubled = zip(*(r.args for r in records))
+        assert sum(grids) == run.grids_visited
+        assert (evaluations[-1], hits[-1], troubled[-1]) == (
+            run.evaluations, run.cache_hits, len(run.troubled))
+        assert list(evaluations) == sorted(evaluations) and list(troubled) == sorted(troubled)
+        if runner is run_batched:
+            assert list(grids) == run.generation_sizes
+            assert list(depths) == list(range(len(run.generation_sizes)))
+        assert records[0].getMessage().startswith("chunk at depth 0: 1 grids; ")
 
 
 class TestChunkVisit:

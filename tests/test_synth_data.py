@@ -1,3 +1,4 @@
+import logging
 from fractions import Fraction
 
 import numpy as np
@@ -247,6 +248,35 @@ class TestGenerateDataset:
         for a, b in zip(seq, par):
             np.testing.assert_array_equal(a.inputs, b.inputs)
             np.testing.assert_array_equal(a.labels, b.labels)
+
+
+class NanBeyond:
+    """A piecewise function that returns NaN right of ``x0 = 0.5``."""
+
+    def __init__(self, fn):
+        self.fn, self.cut = fn, fn.cut
+
+    def __call__(self, x):
+        x = np.asarray(x)
+        return np.where(x[..., 0] > 0.5, np.nan, self.fn(x))
+
+
+class TestGenerateDatasetLog:
+    def test_one_info_record_per_function(self, grid2d, graph2d, caplog):
+        fns = [sample_piecewise_function(kind, 2, np.random.default_rng(s))
+               for s, kind in enumerate(["linear", "spherical"])]
+        fns.append(NanBeyond(fns[0]))
+        with caplog.at_level(logging.INFO, logger="sgdetect.synth_data"):
+            samples, stats = generate_dataset(grid2d, graph2d, 9, fns, Fraction(1, 4))
+        records = [r for r in caplog.records if r.name == "sgdetect.synth_data"]
+        assert len(records) == len(fns)
+        assert all(r.levelno == logging.INFO for r in records)
+        index, total, counts, skipped = zip(*(r.args for r in records))
+        assert index == (1, 2, 3) and total == (3, 3, 3)
+        assert sum(counts) == len(samples) == stats["samples"]
+        assert sum(skipped) == stats["skipped_nan_visits"] == skipped[2] > 0
+        assert records[2].getMessage() == (
+            f"function 3/3: {counts[2]} samples, {skipped[2]} skipped NaN visits")
 
 
 class CountingFunction:
