@@ -279,7 +279,12 @@ class _EngineState:
         # both correctly rounded, like float(Fraction) of the exact center and edge
         center_f = np.array([lat.coords(center) for _, center, _ in chunk])
         edge_f = np.array([(edge * lat.unit_num) / lat.den for _, _, edge in chunk])
-        coords = center_f[:, None, :] + self.offsets_float * edge_f[:, None, None]
+        # center + offset * edge, one axis at a time: the same floats, but
+        # NumPy loops over the points instead of over n coordinates per point
+        coords = np.empty(pts.shape)
+        for d in range(n):
+            np.multiply(self.offsets_float[:, d], edge_f[:, None], out=coords[..., d])
+            coords[..., d] += center_f[:, None, d]
         self.visited.update(keys)
         values = None
         if self.evaluates:

@@ -62,6 +62,13 @@ class GILayer:
         self._x = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        out = self.infer(x)
+        self._x = x
+        return out
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """The affine map alone, keeping nothing for a backward pass; the
+        output is a fresh array that the caller may overwrite."""
         if x.shape[1] != self.n or x.shape[2] != self.k:
             raise ValueError(f"expected (B, {self.n}, {self.k}) input, got {x.shape}")
         batch = x.shape[0]
@@ -69,7 +76,6 @@ class GILayer:
         t = np.matmul(x.transpose(1, 0, 2), self.w)
         out = (self._a_hat_t @ t.reshape(self.n, batch * self.f)).reshape(self.n, batch, self.f)
         out += self.b[:, None, :]
-        self._x = x
         # a (B, N, F) view of node-major memory: the next GI layer reads it
         # node-major without a copy
         return out.transpose(1, 0, 2)
@@ -112,7 +118,13 @@ class DenseLayer:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
-        return x @ self.w + self.b
+        return self.infer(x)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """The affine map alone, keeping nothing for a backward pass."""
+        out = x @ self.w
+        out += self.b
+        return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         self.dw[...] = self._x.T @ dout
@@ -142,9 +154,10 @@ def _feature_sum(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
 class BatchNorm:
     """Batch normalization over the last axis (momentum 0.99, eps 1e-3).
 
-    Training mode normalizes with biased batch statistics over all leading
-    axes and updates the running estimates; inference mode uses the
-    running statistics, making prediction row-independent.
+    :meth:`forward` is the training pass: it normalizes with biased batch
+    statistics over all leading axes and updates the running estimates.
+    :meth:`infer` uses the running statistics, making prediction
+    row-independent, and keeps no state.
     """
 
     def __init__(self, n_features: int, momentum: float = 0.99, eps: float = 1e-3):
@@ -158,22 +171,28 @@ class BatchNorm:
         self.dbeta = np.zeros_like(self.beta)
         self._cache = None
 
-    def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
-        if training:
-            m = x.size // x.shape[-1]
-            mean = _feature_sum(x) / m
-            x_hat = x - mean
-            var = _feature_sum(x_hat, x_hat) / m
-            inv_std = 1.0 / np.sqrt(var + self.eps)
-            self.running_mean[...] = self.momentum * self.running_mean + (1 - self.momentum) * mean
-            self.running_var[...] = self.momentum * self.running_var + (1 - self.momentum) * var
-            self._cache = (x_hat, inv_std)
-        else:
-            inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
-            x_hat = x - self.running_mean
-            self._cache = None
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        m = x.size // x.shape[-1]
+        mean = _feature_sum(x) / m
+        x_hat = x - mean
+        var = _feature_sum(x_hat, x_hat) / m
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        self.running_mean[...] = self.momentum * self.running_mean + (1 - self.momentum) * mean
+        self.running_var[...] = self.momentum * self.running_var + (1 - self.momentum) * var
+        self._cache = (x_hat, inv_std)
         x_hat *= inv_std
         out = x_hat * self.gamma
+        out += self.beta
+        return out
+
+    def infer(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Normalize on the running statistics into ``out`` (a new array by
+        default; ``x`` itself is allowed), in the operation order of
+        :meth:`forward`."""
+        inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
+        out = np.subtract(x, self.running_mean, out=out)
+        out *= inv_std
+        out *= self.gamma
         out += self.beta
         return out
 
@@ -204,11 +223,12 @@ class BatchNorm:
         return self.gamma.size + self.beta.size
 
 
-def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
-    """max(x, slope * x): equals ``where(x > 0, x, slope * x)`` for 0 <= slope < 1,
-    signed zeros and NaN included; only at slope 0 does +inf map to NaN (0 * inf)."""
-    out = slope * x
-    return np.maximum(x, out, out=out)
+def leaky_relu(x: np.ndarray, slope: float, out: np.ndarray | None = None) -> np.ndarray:
+    """max(x, slope * x), into ``out`` (``x`` itself is allowed) or a new array:
+    equals ``where(x > 0, x, slope * x)`` for 0 <= slope < 1, signed zeros and
+    NaN included; only at slope 0 does +inf map to NaN (0 * inf)."""
+    scaled = slope * x
+    return np.maximum(x, scaled, out=scaled if out is None else out)
 
 
 def leaky_relu_grad(x: np.ndarray, slope: float) -> np.ndarray:

@@ -27,6 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
+from sgdetect.detectors import SAMPLE_BUDGET
 from sgdetect.errors import MalformedFileError, read_document
 from sgdetect.grid_graph import GridGraph, adjacency_triples
 from sgdetect.neural.layers import BatchNorm, DenseLayer, GILayer, leaky_relu, leaky_relu_grad
@@ -125,25 +126,31 @@ class ArchetypeModel:
     def _act_grad(self, x):
         return leaky_relu_grad(x, self.config.leaky_slope)
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        """Input (B, N) of preprocessed evaluations -> likelihoods (B, N)."""
+    def _input(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.n_points:
             raise ValueError(f"expected (batch, {self.n_points}) input, got {x.shape}")
+        return x
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Training pass: input (B, N) of preprocessed evaluations ->
+        likelihoods (B, N), normalized on batch statistics, which it folds
+        into the running ones; keeps what :meth:`backward` reads."""
+        x = self._input(x)
         ginn = self.config.kind == "ginn"
         h = x[:, :, None] if ginn else x
         a1_pre = self.l1.forward(h)
         s = self._act(a1_pre)
-        z = self.bn1.forward(s, training)
+        z = self.bn1.forward(s)
         block_cache = []
         for lp, bnp, lpp, bnpp in self.blocks:
             u_pre = lp.forward(z)
             u = self._act(u_pre)
-            v = bnp.forward(u, training)
+            v = bnp.forward(u)
             w = lpp.forward(v)
             s_pre = w + s
             s = self._act(s_pre)
-            z = bnpp.forward(s, training)
+            z = bnpp.forward(s)
             block_cache.append((u_pre, s_pre))
         fin_pre = self.l_fin.forward(z)
         q = expit(fin_pre)
@@ -174,12 +181,53 @@ class ArchetypeModel:
         return dh[:, :, 0] if ginn else dh
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Row-independent inference (batch norm on running statistics), 1024
-        rows per forward pass."""
-        x = np.asarray(x, dtype=np.float64)
-        parts = [self.forward(x[lo : lo + 1024], training=False)
-                 for lo in range(0, x.shape[0], 1024)]
-        return np.concatenate(parts) if parts else np.zeros((0, self.n_points))
+        """Inference: input (B, N) -> likelihoods (B, N), with batch norm on
+        the running statistics, so each row's output depends on that row
+        alone, up to the rounding of a lone row noted below.  It keeps no
+        state, so it may run between :meth:`forward` and :meth:`backward`.
+
+        Rows go in chunks of 1,024.  An MLP forwards each chunk whole: dense
+        products are not bit-equal across row counts, and its ``(rows, N)``
+        activations are small anyway.  A GINN splits each chunk evenly into
+        blocks of at most ``SAMPLE_BUDGET // (N F)`` rows, so each
+        ``(rows, N, F)`` activation stays cache-sized.  The bound is at least
+        3, so that no block but a lone-row chunk has one row: NumPy multiplies
+        a single row by another kernel, which rounds differently.
+        """
+        x = self._input(x)
+        rows = 1024
+        if self.config.kind == "ginn":
+            rows = max(3, SAMPLE_BUDGET // (self.n_points * self.config.features))
+        p = np.empty(x.shape)
+        for lo in range(0, x.shape[0], 1024):
+            size = min(1024, x.shape[0] - lo)
+            parts = -(-size // rows)
+            cuts = [lo + size * i // parts for i in range(parts + 1)]
+            for a, b in zip(cuts, cuts[1:]):
+                p[a:b] = self._infer(x[a:b])
+        return p
+
+    def _infer(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward`'s operations in its order, on running statistics,
+        each on the fresh array of the step before it where that array is
+        not read again."""
+        slope = self.config.leaky_slope
+
+        def act(h):
+            return leaky_relu(h, slope, out=h)
+
+        ginn = self.config.kind == "ginn"
+        s = act(self.l1.infer(x[:, :, None] if ginn else x))
+        z = self.bn1.infer(s)  # s is the residual stream: normalize into a new array
+        for lp, bnp, lpp, bnpp in self.blocks:
+            u = act(lp.infer(z))
+            w = lpp.infer(bnp.infer(u, out=u))
+            w += s
+            s = act(w)
+            z = bnpp.infer(s)
+        q = self.l_fin.infer(z)
+        expit(q, out=q)
+        return q.mean(axis=2) if ginn else q
 
 
 def build_archetype(config: ModelConfig, graph: GridGraph, seed: int = 0) -> ArchetypeModel:

@@ -197,7 +197,7 @@ def train(model: ArchetypeModel, dataset: DatasetSplit, config: TrainConfig) -> 
         batch_losses = []
         for lo in range(0, order.size, config.batch_size):
             idx = order[lo : lo + config.batch_size]
-            p_hat = model.forward(x_train[idx], training=True)
+            p_hat = model.forward(x_train[idx])
             loss, dp = weighted_bce(p_hat, y_train[idx], MU0, MU1, with_grad=True)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(

@@ -200,9 +200,9 @@ def test_criterion_7_gradient_checks(tiny_graph):
         bn.beta[...] = rng.normal(size=feats)
         x = rng.normal(size=(6, feats))
         probe = rng.normal(size=(6, feats))
-        out = bn.forward(x, training=True)
+        out = bn.forward(x)
         bn.backward(probe * out)
-        fd_check(lambda: 0.5 * float(np.sum(probe * bn.forward(x, training=True) ** 2)),
+        fd_check(lambda: 0.5 * float(np.sum(probe * bn.forward(x) ** 2)),
                  bn.params(), bn.grads())
         instances += 1
     # 5 loss instances
@@ -220,9 +220,9 @@ def test_criterion_7_gradient_checks(tiny_graph):
         labels = (rng.random((3, n)) < 0.3).astype(float)
 
         def model_loss():
-            return weighted_bce(model.forward(x, training=True), labels, 0.5, 1.5)
+            return weighted_bce(model.forward(x), labels, 0.5, 1.5)
 
-        p_hat = model.forward(x, training=True)
+        p_hat = model.forward(x)
         _, dp = weighted_bce(p_hat, labels, 0.5, 1.5, with_grad=True)
         model.backward(dp)
         fd_check(model_loss, model.parameters(), model.gradients(), probes=2)

@@ -363,11 +363,13 @@ class TestEvaluationShape:
 
 def _hooked(runner, g, grid, graph, detector, initial, config):
     """Run with a visit hook, which makes the engine evaluate g on every grid;
-    returns the run and each visit's (center, edge, evaluation bytes)."""
+    returns the run and each visit's (center, edge, evaluation bytes,
+    coordinate bytes)."""
     visits = []
 
     def hook(task, sample, p):
-        visits.append((task.center, task.edge, sample.evaluations.tobytes()))
+        visits.append((task.center, task.edge, sample.evaluations.tobytes(),
+                       sample.coords.tobytes()))
 
     run = runner(g=g, grid=grid, graph=graph, detector=detector, initial=initial,
                  config=config, visit_hook=hook)
@@ -418,6 +420,12 @@ class TestBatchedEquivalence:
         assert visits_a == visits_b
         assert a.troubled and a.cache_hits > 0
         assert b.detector_calls == len(b.generation_sizes) < a.detector_calls
+        # each grid's float coordinates are the broadcast formula's, to the bit
+        m = grid.resolution
+        offsets = (grid.lattice_array() - m / 2.0) / m
+        for center, edge, _, coords in visits_b:
+            expected = np.array([float(c) for c in center]) + offsets * float(edge)
+            assert coords == expected.tobytes()
 
     def test_single_task_batch_of_one(self, grid2d, graph2d):
         cut = SphericalCut((0.2, 0.1), 0.65)

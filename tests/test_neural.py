@@ -1,15 +1,19 @@
 import json
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
+from sgdetect.detectors import SAMPLE_BUDGET
 from sgdetect.errors import MalformedFileError, TrainingDivergedError
 from sgdetect.neural.layers import BatchNorm, DenseLayer, GILayer, leaky_relu
 from sgdetect.neural.model import (
+    ArchetypeModel,
     ModelConfig,
     build_archetype,
     count_parameters,
@@ -207,7 +211,7 @@ class TestLayerArithmetic:
         x = rng.normal(loc=3.0, scale=2.0, size=(6, 9, 4))
         if node_major:  # the layout GI layers hand on
             x = np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)
-        out = bn.forward(x, training=True)
+        out = bn.forward(x)
         flat = x.reshape(-1, 4)
         np.testing.assert_allclose(bn.running_mean, flat.mean(0), rtol=1e-12)
         np.testing.assert_allclose(bn.running_var, flat.var(0), rtol=1e-12)
@@ -275,9 +279,9 @@ class TestLayerGradients:
 
         def loss():
             bn.running_mean[...], bn.running_var[...] = running  # keep side effects out
-            return 0.5 * float(np.sum(probe * bn.forward(x, training=True) ** 2))
+            return 0.5 * float(np.sum(probe * bn.forward(x) ** 2))
 
-        out = bn.forward(x, training=True)
+        out = bn.forward(x)
         dx = bn.backward(probe * out)
         check_param_grads(loss, bn.params(), bn.grads(), rng)
         check_param_grads(loss, [x], [dx], rng)
@@ -288,9 +292,9 @@ class TestLayerGradients:
         probe = rng.normal(size=(4, 5, 3))
 
         def loss():
-            return 0.5 * float(np.sum(probe * bn.forward(x, training=True) ** 2))
+            return 0.5 * float(np.sum(probe * bn.forward(x) ** 2))
 
-        out = bn.forward(x, training=True)
+        out = bn.forward(x)
         dx = bn.backward(probe * out)
         check_param_grads(loss, [x], [dx], rng)
 
@@ -299,10 +303,11 @@ class TestLayerGradients:
         x = rng.normal(size=(6, 3))
         with pytest.raises(RuntimeError, match="training-mode forward"):
             bn.backward(x)
-        bn.forward(x, training=True)
-        bn.forward(x, training=False)  # an inference forward drops the cache
-        with pytest.raises(RuntimeError, match="training-mode forward"):
-            bn.backward(x)
+        bn.forward(x)
+        expected = bn.backward(x)
+        bn.forward(x)
+        bn.infer(x)  # inference keeps no state: the training cache stays
+        np.testing.assert_array_equal(bn.backward(x), expected)
 
     def test_loss_gradient(self, rng):
         p_hat = rng.uniform(0.05, 0.95, size=(6, 8))
@@ -323,9 +328,9 @@ class TestLayerGradients:
         y = (rng.random((5, n)) < 0.3).astype(float)
 
         def loss():
-            return weighted_bce(model.forward(x, training=True), y, 0.5, 1.5)
+            return weighted_bce(model.forward(x), y, 0.5, 1.5)
 
-        p_hat = model.forward(x, training=True)
+        p_hat = model.forward(x)
         _, dp = weighted_bce(p_hat, y, 0.5, 1.5, with_grad=True)
         dx = model.backward(dp)
         check_param_grads(loss, model.parameters(), model.gradients(), rng, n_probes=3)
@@ -376,7 +381,7 @@ class TestArchetype:
     def test_save_load_round_trip(self, tiny_graph, tmp_path, rng):
         model = build_archetype(ModelConfig(kind="ginn", features=3), tiny_graph, seed=5)
         x = rng.normal(size=(4, model.n_points))
-        model.forward(x, training=True)  # move batch-norm stats off their init
+        model.forward(x)  # move batch-norm stats off their init
         before = model.predict(x)
         save_model(model, tmp_path / "model.json")
         back = load_model(tmp_path / "model.json")
@@ -417,7 +422,7 @@ class TestArchetype:
         # A_hat from the stored triples equals A_hat from the graph, entry by entry
         model = build_archetype(ModelConfig(kind="ginn", features=2), graph2d, seed=4)
         x = rng.normal(size=(5, model.n_points))
-        model.forward(x, training=True)
+        model.forward(x)
         back = load_model(save_model(model, tmp_path / "model.json"))
         for attr in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(back.a_hat, attr),
@@ -441,6 +446,160 @@ class TestArchetype:
         model = build_archetype(ModelConfig(kind="ginn", features=2), tiny_graph, seed=2)
         x = rng.normal(size=(3, model.n_points))
         np.testing.assert_array_equal(model.predict(x)[0], model.predict(x[:1])[0])
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+
+
+def reference_predict(model, x):
+    """The inference forward that blocking replaced: 1,024 rows per pass and
+    a fresh array at every step."""
+    ginn = model.config.kind == "ginn"
+    slope = model.config.leaky_slope
+
+    def affine(layer, h):
+        if not ginn:
+            return h @ layer.w + layer.b
+        t = np.matmul(h.transpose(1, 0, 2), layer.w)
+        out = (layer.a_hat.T @ t.reshape(layer.n, -1)).reshape(layer.n, len(h), layer.f)
+        out += layer.b[:, None, :]
+        return out.transpose(1, 0, 2)
+
+    def batchnorm(layer, h):
+        inv_std = 1.0 / np.sqrt(layer.running_var + layer.eps)
+        x_hat = h - layer.running_mean
+        x_hat *= inv_std
+        out = x_hat * layer.gamma
+        out += layer.beta
+        return out
+
+    def forward(rows):
+        s = leaky_relu(affine(model.l1, rows[:, :, None] if ginn else rows), slope)
+        z = batchnorm(model.bn1, s)
+        for lp, bnp, lpp, bnpp in model.blocks:
+            v = batchnorm(bnp, leaky_relu(affine(lp, z), slope))
+            s = leaky_relu(affine(lpp, v) + s, slope)
+            z = batchnorm(bnpp, s)
+        q = expit(affine(model.l_fin, z))
+        return q.mean(axis=2) if ginn else q
+
+    parts = [forward(x[lo : lo + 1024]) for lo in range(0, len(x), 1024)]
+    return np.concatenate(parts) if parts else np.zeros((0, model.n_points))
+
+
+def row_bound(model):
+    if model.config.kind == "mlp":
+        return 1024
+    return max(3, SAMPLE_BUDGET // (model.n_points * model.config.features))
+
+
+def randomized(model, seed):
+    """The model with random biases, batch-norm scales, shifts and running
+    statistics, so that no inference step is an identity."""
+    rng = np.random.default_rng(seed)
+    for layer in model._layers():
+        if isinstance(layer, BatchNorm):
+            for arr in (layer.gamma, layer.beta, layer.running_mean):
+                arr[...] = rng.normal(size=arr.shape)
+            layer.running_var[...] = rng.uniform(0.2, 3.0, size=layer.running_var.shape)
+        else:
+            layer.b[...] = rng.normal(scale=0.3, size=layer.b.shape)
+    return model
+
+
+@pytest.fixture(scope="module")
+def predict_models(graph2d, graph4d):
+    """Fixture GINNs and random 65- and 401-point GINNs and MLPs, by name.
+    The 401-point GINN has two blocks, not the six its graph implies: the
+    blocking and the residual stream are the same, at a sixth of the cost."""
+    a_hat = build_archetype(ModelConfig(), graph4d).a_hat
+    rng = np.random.default_rng(0)
+    return {
+        "fixture ginn2d": load_model(FIXTURES / "ginn2d.json"),
+        "fixture ginn4d": load_model(FIXTURES / "ginn4d.json"),
+        "ginn 65": randomized(build_archetype(ModelConfig(), graph2d, seed=1), 1),
+        "ginn 401": randomized(ArchetypeModel(ModelConfig(), graph4d.n_points, 2, a_hat,
+                                              rng), 2),
+        "mlp 65": randomized(build_archetype(ModelConfig(kind="mlp"), graph2d, seed=3), 3),
+        "mlp 401": randomized(build_archetype(ModelConfig(kind="mlp"), graph4d, seed=4), 4),
+    }
+
+
+class TestPredict:
+    @pytest.mark.parametrize("name", ["fixture ginn2d", "fixture ginn4d", "ginn 65",
+                                      "ginn 401", "mlp 65", "mlp 401"])
+    def test_bit_equal_to_the_unblocked_forward(self, predict_models, name):
+        model = predict_models[name]
+        bound = row_bound(model)
+        x = 3.0 * np.random.default_rng(5).normal(size=(1500, model.n_points))
+        for rows in sorted({0, 1, bound - 1, bound, bound + 1, 1500}):
+            p = model.predict(x[:rows])
+            assert p.shape == (rows, model.n_points)
+            np.testing.assert_array_equal(p, reference_predict(model, x[:rows]))
+
+    @pytest.mark.parametrize("name,bound", [("fixture ginn2d", 33), ("ginn 401", 5),
+                                            ("mlp 65", 1024)])
+    def test_no_layer_call_sees_more_rows_than_the_bound(self, predict_models, name,
+                                                         bound, monkeypatch):
+        model = predict_models[name]
+        layer = GILayer if model.config.kind == "ginn" else DenseLayer
+        seen = []
+        original = layer.infer
+
+        def spy(self, h):
+            seen.append(len(h))
+            return original(self, h)
+
+        monkeypatch.setattr(layer, "infer", spy)
+        model.predict(np.zeros((1500, model.n_points)))
+        assert row_bound(model) == bound
+        assert max(seen) <= bound
+        # the 1,024- and 476-row chunks split evenly into the fewest blocks,
+        # each of which passes through the model's 2 + 2 * n_blocks layers
+        blocks = -(-1024 // bound) + -(-476 // bound)
+        assert len(seen) == blocks * (2 + 2 * model.n_blocks)
+        assert min(seen) > 1
+
+    @pytest.mark.parametrize("rows", [3, 0])
+    def test_rejects_a_wrong_shape(self, predict_models, rows):
+        model = predict_models["fixture ginn2d"]
+        with pytest.raises(ValueError, match=r"expected \(batch, 65\) input"):
+            model.predict(np.zeros((rows, 7)))
+
+    @pytest.mark.parametrize("kind", ["ginn", "mlp"])
+    def test_runs_between_forward_and_backward(self, graph2d, kind):
+        # predict keeps no state: the backward after it is the backward of a
+        # plain forward -> backward
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(40, graph2d.n_points))
+        dp = rng.normal(size=x.shape)
+        grads = []
+        for between in (False, True):
+            model = build_archetype(ModelConfig(kind=kind), graph2d, seed=6)
+            model.forward(x)
+            if between:
+                model.predict(x)
+            dx = model.backward(dp)
+            grads.append([dx, *model.gradients()])
+        for a, b in zip(*grads):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("kind", ["ginn", "mlp"])
+    def test_fixed_seed_training_unchanged(self, graph2d, kind, monkeypatch):
+        # the validation loss reads predict, and the plateau schedule and early
+        # stopping read the validation loss; 35 validation rows span two GINN blocks
+        split = _toy_split(graph2d.n_points, np.random.default_rng(8), size=60)
+        split = DatasetSplit(train=split.train, validation=split.test, test=[])
+        config = TrainConfig(max_epochs=3, batch_size=8, seed=2)
+        runs = []
+        for predict in (ArchetypeModel.predict, reference_predict):
+            monkeypatch.setattr(ArchetypeModel, "predict", predict)
+            model = build_archetype(ModelConfig(kind=kind), graph2d, seed=9)
+            history = train(model, split, config)
+            runs.append((history.val_loss, [t.copy() for t in model.state()]))
+        assert runs[0][0] == runs[1][0]
+        for a, b in zip(runs[0][1], runs[1][1]):
+            np.testing.assert_array_equal(a, b)
 
 
 def _toy_split(n_points, rng, size=30):
