@@ -82,11 +82,11 @@ class GILayer:
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         batch = dout.shape[0]
-        self.db[...] = dout.sum(axis=0)
+        np.sum(dout, axis=0, out=self.db)
         dz = dout.transpose(1, 0, 2).reshape(self.n, batch * self.f)
         dt = (self.a_hat @ dz).reshape(self.n, batch, self.f)
         # dw[j, k, f] = sum_b x[b, j, k] dt[j, b, f]
-        self.dw[...] = np.matmul(self._x.transpose(1, 2, 0), dt)
+        np.matmul(self._x.transpose(1, 2, 0), dt, out=self.dw)
         dx = np.matmul(dt, self.w.transpose(0, 2, 1))
         return dx.transpose(1, 0, 2)
 
@@ -127,8 +127,8 @@ class DenseLayer:
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        self.dw[...] = self._x.T @ dout
-        self.db[...] = dout.sum(axis=0)
+        np.matmul(self._x.T, dout, out=self.dw)
+        np.sum(dout, axis=0, out=self.db)
         return dout @ self.w.T
 
     def params(self):
