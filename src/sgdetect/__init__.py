@@ -18,7 +18,7 @@ from sgdetect.sparse_grid import (
     similar_grid,
     univariate_knots,
 )
-from sgdetect.grid_graph import GridEdge, GridGraph, build_grid_graph
+from sgdetect.grid_graph import GridGraph, build_grid_graph
 from sgdetect.engine import BoxTask, DetectionRun, EngineConfig, run_basic, run_batched
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "multi_index_set",
     "similar_grid",
     "univariate_knots",
-    "GridEdge",
     "GridGraph",
     "build_grid_graph",
     "BoxTask",

@@ -287,11 +287,22 @@ def cmd_eval(args) -> int:
     report = read_document(args.report, "detection-run")
     try:
         coords = [t["coords"] for t in report["troubled_points"]]
-        lam_min = Fraction(report["config"]["lambda_min"])
+        lam_min = report["config"]["lambda_min"]
         visited = report["counters"]["visited_points"]
     except KeyError as exc:
         raise MalformedFileError(f"{args.report} has no {exc.args[0]!r} entry") from exc
-    points = np.array(coords, dtype=np.float64)
+    try:
+        lam_min = Fraction(lam_min)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise MalformedFileError(f"{args.report}: lambda_min {lam_min!r} is not a number") from exc
+    if type(visited) is not int or visited < 0:
+        raise MalformedFileError(f"{args.report}: visited_points {visited!r} is not a "
+                                 "non-negative integer")
+    try:
+        points = np.array(coords, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise MalformedFileError(f"{args.report}: troubled point coords are not "
+                                 "equal-length lists of numbers") from exc
     grid, graph = _build_reference(args.check_rule, args.check_level, dim)
     _echo_config("eval", {
         "report": args.report, "target": args.target, "check_rule": args.check_rule,

@@ -198,10 +198,10 @@ class _EngineState:
         self.offsets = lat - m // 2
         self.offsets_float = (lat.astype(np.float64) - m / 2.0) / m
         spans = graph.incident_max_span()
-        if graph.edges and int(spans.min()) == 0:
+        if graph.n_points > 1 and int(spans.min()) == 0:
             raise DegenerateGraphError("reference graph has an isolated node")
         if config.lambda_rule == "global":
-            spans[:] = max((e.span for e in graph.edges), default=0)
+            spans[:] = graph.edges[:, 3].max(initial=0)
         self.spans = spans
         tasks = _initial_tasks(initial, config, grid)
         self._set_lattice(tasks)

@@ -182,7 +182,7 @@ def tpr(points: np.ndarray, cut: CutFunction, lambda_min, check_graph: GridGraph
     """
     if subdivisions < 1:
         raise SgdetectError(f"subdivisions must be >= 1, got {subdivisions}")
-    if not check_graph.edges:
+    if not len(check_graph.edges):
         raise SgdetectError(f"check grid {check_graph.grid.spec.key()} is a single point: "
                             "it has no edge for the interface to cross")
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))

@@ -15,8 +15,7 @@ ell = edge/M.
 from __future__ import annotations
 
 import json
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -27,63 +26,37 @@ from sgdetect.errors import DegenerateGraphError
 from sgdetect.sparse_grid import SparseGrid
 
 
-@dataclass(frozen=True)
-class GridEdge:
-    """Edge between points ``i < j`` of a grid, aligned with ``axis``.
-
-    ``span`` is the segment length in lattice units; the real length is
-    ``edge * span / M = edge / 2^depth`` and the weight is
-    ``omega = min_span / span`` (a power of two in (0, 1]).
-    """
-
-    i: int
-    j: int
-    axis: int
-    span: int
-    depth: int
-    weight: float = field(default=0.0, compare=False)
-
-
-def build_raw_edges(grid: SparseGrid) -> list[GridEdge]:
+def build_raw_edges(grid: SparseGrid) -> np.ndarray:
     """Connect consecutive points along each axis (no point in between).
 
-    Consecutiveness on the exact lattice guarantees that no third grid
-    point lies on the open segment.
+    Returns ``(E, 4)`` int64 rows ``(i, j, axis, span)`` with ``i < j``,
+    sorted by ``(i, j, axis)``; ``span`` is the segment length in lattice
+    units.  Consecutiveness on the exact lattice guarantees that no third
+    grid point lies on the open segment.
     """
     if grid.n_points == 0:
         raise DegenerateGraphError("empty grid")
-    lattice = grid.lattice
-    m = grid.resolution
-    n = grid.dim
-    index_of = {k: i for i, k in enumerate(lattice)}
-    edges: list[GridEdge] = []
-    for axis in range(n):
-        rows: dict[tuple[int, ...], list[int]] = defaultdict(list)
-        for k in lattice:
-            rows[k[:axis] + k[axis + 1 :]].append(k[axis])
-        for key, cols in sorted(rows.items()):
-            cols.sort()
-            for a, b in zip(cols, cols[1:]):
-                ka = key[:axis] + (a,) + key[axis:]
-                kb = key[:axis] + (b,) + key[axis:]
-                i, j = index_of[ka], index_of[kb]
-                if i > j:
-                    i, j = j, i
-                span = b - a
-                edges.append(GridEdge(i=i, j=j, axis=axis, span=span, depth=_depth(span, m)))
-    edges.sort(key=lambda e: (e.i, e.j, e.axis))
-    return edges
+    lattice = grid.lattice_array()
+    parts = []
+    for axis in range(grid.dim):
+        rest = np.delete(lattice, axis, axis=1)
+        # rows of equal other coordinates, each ordered along the axis; the
+        # lattice is sorted lexicographically, so the lower point has i < j
+        order = np.lexsort((lattice[:, axis], *rest.T))
+        i, j = order[:-1], order[1:]
+        same_row = (rest[i] == rest[j]).all(axis=1)
+        i, j = i[same_row], j[same_row]
+        parts.append(np.stack([i, j, np.full_like(i, axis),
+                               lattice[j, axis] - lattice[i, axis]], axis=1))
+    edges = np.concatenate(parts).astype(np.int64, copy=False)
+    steps = grid.resolution // edges[:, 3]
+    if np.any(steps * edges[:, 3] != grid.resolution) or np.any(steps & (steps - 1)):
+        raise DegenerateGraphError(f"edge spans are not all power-of-two fractions of "
+                                   f"M={grid.resolution}")
+    return edges[np.lexsort((edges[:, 2], edges[:, 1], edges[:, 0]))]
 
 
-def _depth(span: int, m: int) -> int:
-    """d such that span = M / 2^d; spans of nested equispaced grids are powers of two."""
-    d = (m // span).bit_length() - 1
-    if span << d != m:
-        raise DegenerateGraphError(f"edge span {span} is not a power-of-two fraction of M={m}")
-    return d
-
-
-def prune_edges(raw: list[GridEdge], grid: SparseGrid) -> list[GridEdge]:
+def prune_edges(raw: np.ndarray, grid: SparseGrid) -> np.ndarray:
     """Drop every edge crossed by a not-strictly-longer edge of another axis.
 
     A crossing is a lattice point interior to both segments (a crossing at
@@ -92,92 +65,76 @@ def prune_edges(raw: list[GridEdge], grid: SparseGrid) -> list[GridEdge]:
     pass against the raw set: when two crossing edges have equal length,
     both are removed.
     """
-    lattice = grid.lattice
-    # interior lattice points of each segment -> edges passing through
-    through: dict[tuple[int, ...], list[int]] = defaultdict(list)
-    for e_idx, e in enumerate(raw):
-        base = list(lattice[e.i])
-        lo = base[e.axis]
-        for k in range(lo + 1, lo + e.span):
-            base[e.axis] = k
-            through[tuple(base)].append(e_idx)
-    keep = [True] * len(raw)
-    for point_edges in through.values():
-        if len(point_edges) < 2:
-            continue
-        for a_pos, ei in enumerate(point_edges):
-            for ej in point_edges[a_pos + 1 :]:
-                ea, eb = raw[ei], raw[ej]
-                if ea.axis == eb.axis:
-                    continue
-                if ea.span >= eb.span:
-                    keep[ei] = False
-                if eb.span >= ea.span:
-                    keep[ej] = False
-    return [e for e_idx, e in enumerate(raw) if keep[e_idx]]
+    axis, span = raw[:, 2], raw[:, 3]
+    # one row per (edge, interior lattice point of that edge)
+    inner = span - 1
+    owner = np.repeat(np.arange(len(raw)), inner)
+    rows = np.arange(len(owner))
+    step = rows - np.repeat(np.cumsum(inner) - inner, inner) + 1
+    points = grid.lattice_array()[raw[owner, 0]]
+    points[rows, axis[owner]] += step
+    unique, point = np.unique(points, axis=0, return_inverse=True)
+    point = point.reshape(-1)
+    # raw edges of one axis never overlap, so at most one passes through a
+    # point per axis; ``through`` holds its span, or more than any span
+    through = np.full((len(unique), grid.dim), np.iinfo(np.int64).max)
+    through[point, axis[owner]] = span[owner]
+    crossing = through[point] <= span[owner, None]
+    crossing[rows, axis[owner]] = False
+    keep = np.ones(len(raw), dtype=bool)
+    keep[owner[crossing.any(axis=1)]] = False
+    return raw[keep]
 
 
-def edge_weights(edges: list[GridEdge], grid: SparseGrid) -> list[GridEdge]:
-    """Assign omega = ell / length with ell the minimum segment length.
-
-    Lengths are proportional to lattice spans, so the ratio is computed in
-    exact integer arithmetic; for power-of-two spans it is a power of two
-    and therefore an exact float.
-    """
-    if not edges:
-        raise DegenerateGraphError("cannot weight an empty edge list")
-    min_span = min(e.span for e in edges)
-    return [
-        GridEdge(
-            i=e.i,
-            j=e.j,
-            axis=e.axis,
-            span=e.span,
-            depth=e.depth,
-            weight=float(Fraction(min_span, e.span)),
-        )
-        for e in edges
-    ]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridGraph:
     """Weighted sparse grid graph of a grid plus derived structure.
 
-    The adjacency matrix (weights on edges, zero diagonal) depends only on
-    the grid's similarity class: similar grids share it entrywise.
+    ``edges`` holds read-only ``(E, 4)`` int64 rows ``(i, j, axis, span)``
+    with ``i < j``, sorted by ``(i, j, axis)``.  The real length of an edge
+    is ``edge * span / M = edge / 2^depth`` and its weight is
+    ``omega = min_span / span``, a power of two in (0, 1].  The adjacency
+    matrix (weights on edges, zero diagonal) depends only on the grid's
+    similarity class: similar grids share it entrywise.
     """
 
     grid: SparseGrid
-    edges: tuple[GridEdge, ...]
-    min_span: int
+    edges: np.ndarray
 
     @property
     def n_points(self) -> int:
         return self.grid.n_points
 
+    @property
+    def min_span(self) -> int:
+        """Shortest edge span, 0 for a graph with no edges."""
+        return int(self.edges[:, 3].min()) if len(self.edges) else 0
+
+    @property
+    def weights(self) -> np.ndarray:
+        """omega = ell / length per edge; exact, as each ratio is a power of two."""
+        return self.min_span / self.edges[:, 3]
+
     @cached_property
     def edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only endpoint indices (i, j) of the edges, in edge order."""
-        ends = (np.array([e.i for e in self.edges], dtype=np.intp),
-                np.array([e.j for e in self.edges], dtype=np.intp))
+        ends = (self.edges[:, 0].copy(), self.edges[:, 1].copy())
         for a in ends:
             a.flags.writeable = False
         return ends
 
     def adjacency_matrix(self) -> sp.csr_matrix:
-        n = self.n_points
-        ii = [e.i for e in self.edges] + [e.j for e in self.edges]
-        jj = [e.j for e in self.edges] + [e.i for e in self.edges]
-        ww = [e.weight for e in self.edges] * 2
-        return sp.csr_matrix((ww, (ii, jj)), shape=(n, n))
+        i, j = self.edge_ends
+        w = self.weights
+        rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+        return sp.csr_matrix((np.concatenate([w, w]), (rows, cols)),
+                             shape=(self.n_points, self.n_points))
 
     def incident_max_span(self) -> np.ndarray:
         """Largest incident segment span per node, 0 for isolated nodes."""
         spans = np.zeros(self.n_points, dtype=np.int64)
-        for e in self.edges:
-            spans[e.i] = max(spans[e.i], e.span)
-            spans[e.j] = max(spans[e.j], e.span)
+        for ends in self.edge_ends:
+            np.maximum.at(spans, ends, self.edges[:, 3])
         return spans
 
     @property
@@ -216,12 +173,10 @@ class GridGraph:
 
 
 def build_grid_graph(grid: SparseGrid) -> GridGraph:
-    """Raw construction, perpendicular pruning, then inverse-distance weights."""
-    if grid.n_points == 1:
-        return GridGraph(grid=grid, edges=(), min_span=0)
-    pruned = prune_edges(build_raw_edges(grid), grid)
-    weighted = edge_weights(pruned, grid)
-    return GridGraph(grid=grid, edges=tuple(weighted), min_span=min(e.span for e in weighted))
+    """Raw construction, then perpendicular pruning."""
+    edges = prune_edges(build_raw_edges(grid), grid)
+    edges.flags.writeable = False
+    return GridGraph(grid=grid, edges=edges)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +186,7 @@ def build_grid_graph(grid: SparseGrid) -> GridGraph:
 def graph_record(graph: GridGraph) -> dict:
     """Edge list plus adjacency triples in the grid-export text format."""
     adj = graph.adjacency_matrix().tocoo()
+    m = graph.grid.resolution
     return {
         "kind": "sparse-grid-graph",
         "version": 1,
@@ -238,7 +194,8 @@ def graph_record(graph: GridGraph) -> dict:
         "n_edges": len(graph.edges),
         "diameter": graph.diameter(),
         "shortest_segment": str(graph.shortest_segment),
-        "edges": [[e.i, e.j, e.axis, e.depth, e.weight] for e in graph.edges],
+        "edges": [[i, j, axis, (m // span).bit_length() - 1, w]
+                  for (i, j, axis, span), w in zip(graph.edges.tolist(), graph.weights.tolist())],
         "adjacency": [[int(i), int(j), float(w)] for i, j, w in zip(adj.row, adj.col, adj.data)],
     }
 
@@ -247,8 +204,3 @@ def write_graph_record(graph: GridGraph, path) -> None:
     with open(path, "w") as fh:
         json.dump(graph_record(graph), fh, indent=1)
         fh.write("\n")
-
-
-def adjacency_triples(graph: GridGraph) -> list[tuple[int, int, float]]:
-    """Symmetric (i, j, omega) triples, i < j, as baked into model files."""
-    return [(e.i, e.j, e.weight) for e in graph.edges]

@@ -29,7 +29,7 @@ from scipy.special import expit
 
 from sgdetect.detectors import SAMPLE_BUDGET
 from sgdetect.errors import MalformedFileError, read_document
-from sgdetect.grid_graph import GridGraph, adjacency_triples
+from sgdetect.grid_graph import GridGraph
 from sgdetect.neural.layers import BatchNorm, DenseLayer, GILayer, leaky_relu, leaky_relu_grad
 
 MODEL_FILE_VERSION = 1
@@ -245,7 +245,8 @@ def build_archetype(config: ModelConfig, graph: GridGraph, seed: int = 0) -> Arc
         rng=rng,
         grid_key=graph.grid.spec.key(),
         grid_hash=grid_fingerprint(graph),
-        adjacency=[[i, j, w] for i, j, w in adjacency_triples(graph)],
+        adjacency=[[i, j, w] for (i, j), w in zip(graph.edges[:, :2].tolist(),
+                                                  graph.weights.tolist())],
         diameter=diam,
     )
     return model

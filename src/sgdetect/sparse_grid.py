@@ -217,18 +217,11 @@ class SparseGrid:
     def coords(self) -> np.ndarray:
         """Real coordinates as an (N, n) float array.
 
-        For dyadic boxes the float arithmetic is exact; exact rationals are
-        available from :meth:`exact_coords`.
+        For dyadic boxes the float arithmetic is exact.
         """
         lat = self.lattice_array().astype(np.float64)
         lo = np.array([float(x) for x in self.box.lower])
         return lo + lat * (float(self.box.edge) / self.resolution)
-
-    def exact_coords(self) -> list[tuple[Fraction, ...]]:
-        """Exact rational coordinates of every point, which :meth:`coords` rounds."""
-        lo = self.box.lower
-        step = self.box.edge / self.resolution
-        return [tuple(lo[i] + k[i] * step for i in range(self.dim)) for k in self.lattice]
 
 
 def build_sparse_grid(spec: GridSpec, box: Box) -> SparseGrid:
@@ -301,14 +294,3 @@ def write_grid_record(grid: SparseGrid, path) -> None:
     with open(path, "w") as fh:
         json.dump(grid_record(grid), fh, indent=1)
         fh.write("\n")
-
-
-def grid_from_record(rec: dict) -> SparseGrid:
-    spec = GridSpec(dim=rec["dim"], rule=rec["rule"], level=rec["level"])
-    box = Box(tuple(Fraction(c) for c in rec["center"]), Fraction(rec["edge"]))
-    return SparseGrid(
-        spec=spec,
-        box=box,
-        lattice=tuple(tuple(k) for k in rec["lattice"]),
-        resolution=rec["resolution"],
-    )

@@ -230,15 +230,6 @@ class DatasetSplit:
     validation: list[Sample]
     test: list[Sample]
 
-    @staticmethod
-    def _stack(samples: list[Sample]) -> tuple[np.ndarray, np.ndarray]:
-        x = np.stack([s.inputs for s in samples]) if samples else np.zeros((0, 0))
-        y = np.stack([s.labels for s in samples]) if samples else np.zeros((0, 0))
-        return x, y
-
-    def arrays(self, part: str) -> tuple[np.ndarray, np.ndarray]:
-        return self._stack(getattr(self, part))
-
 
 def generate_dataset(grid: SparseGrid, graph: GridGraph, detector_t: int,
                      functions: Sequence[PiecewiseFunction],
@@ -418,7 +409,13 @@ def save_dataset(ds: Dataset, path) -> tuple[Path, Path]:
 def load_dataset(path) -> Dataset:
     bin_path, hdr_path = dataset_paths(path)
     header = read_document(hdr_path, "detector-dataset")
+    for key in ("grid", "detector", "seed", "coefficients", "n_samples", "n_points"):
+        if key not in header:
+            raise MalformedFileError(f"{hdr_path} has no {key!r} entry")
     s, n = header["n_samples"], header["n_points"]
+    for key, value in (("n_samples", s), ("n_points", n)):
+        if type(value) is not int or value < 0:
+            raise MalformedFileError(f"{hdr_path}: {key} {value!r} is not a non-negative integer")
     raw = Path(bin_path).read_bytes()
     if len(raw) != s * n * 9:
         raise MalformedFileError(

@@ -88,9 +88,10 @@ def test_criterion_3_hypercubic_weight_formula(graph2d, graph4d):
             report(3, False, f"resolution {m} != 2^(h_max-1)")
         if graph.shortest_segment != grid.box.edge / m:
             report(3, False, "ell != edge/M")
-        for e in graph.edges:
-            if e.weight != 2.0 ** (e.depth - (h_max - 1)):
-                report(3, False, f"weight {e.weight} != 2^(d-(h_max-1)) for d={e.depth}")
+        for span, weight in zip(graph.edges[:, 3].tolist(), graph.weights.tolist()):
+            depth = (m // span).bit_length() - 1
+            if weight != 2.0 ** (depth - (h_max - 1)):
+                report(3, False, f"weight {weight} != 2^(d-(h_max-1)) for d={depth}")
     report(3, True, "omega = 2^(d-(h_max-1)) and ell = edge/M on 2D and 4D graphs")
 
 

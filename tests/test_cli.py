@@ -139,13 +139,25 @@ def _truncated_dataset(tmp_path):
     return ["train", "--dataset", str(data), "--out", str(tmp_path / "model.json")]
 
 
-def _dataset_with_bad_grid_key(tmp_path):
+def _dataset_header_with(tmp_path, damage):
     data = make_tiny_dataset(tmp_path)
     header = data.with_suffix(".json")
     doc = json.loads(header.read_text())
-    doc["grid"] = "sum-3-2"
+    damage(doc)
     header.write_text(json.dumps(doc))
     return ["train", "--dataset", str(data), "--out", str(tmp_path / "model.json")]
+
+
+def _dataset_with_bad_grid_key(tmp_path):
+    return _dataset_header_with(tmp_path, lambda doc: doc.update(grid="sum-3-2"))
+
+
+def _dataset_without_grid_key(tmp_path):
+    return _dataset_header_with(tmp_path, lambda doc: doc.pop("grid"))
+
+
+def _dataset_with_text_sample_count(tmp_path):
+    return _dataset_header_with(tmp_path, lambda doc: doc.update(n_samples="12"))
 
 
 def _model_that_is_a_report(tmp_path):
@@ -164,6 +176,28 @@ def _report_without_troubled_points(tmp_path):
     path = tmp_path / "run.json"
     path.write_text('{"kind": "detection-run", "version": 1}')
     return ["eval", "--report", str(path), "--target", "builtin:circle"]
+
+
+def _report_with(tmp_path, lambda_min, coords, visited=10):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "kind": "detection-run", "version": 1, "config": {"lambda_min": lambda_min},
+        "counters": {"visited_points": visited},
+        "troubled_points": [{"coords": c} for c in coords],
+    }))
+    return ["eval", "--report", str(path), "--target", "builtin:circle"]
+
+
+def _report_with_text_lambda_min(tmp_path):
+    return _report_with(tmp_path, "tiny", [[0.0, 0.5]])
+
+
+def _report_with_ragged_coords(tmp_path):
+    return _report_with(tmp_path, "1/8", [[0.0, 0.5], [0.25]])
+
+
+def _report_with_text_visited_count(tmp_path):
+    return _report_with(tmp_path, "1/8", [[0.0, 0.5]], visited="many")
 
 
 def _config_with_bad_yaml(tmp_path):
@@ -259,11 +293,16 @@ class TestExitCodes:
     @pytest.mark.parametrize("make_args,message", [
         (_truncated_dataset, "its header needs"),
         (_dataset_with_bad_grid_key, "is not rule:level:dN"),
+        (_dataset_without_grid_key, "has no 'grid' entry"),
+        (_dataset_with_text_sample_count, "n_samples '12' is not a non-negative integer"),
         (_model_that_is_a_report, "is not a detector-model file"),
         (_report_that_is_a_list, "is not a detection-run file"),
         (_config_with_bad_yaml, "is not valid YAML"),
         (_pgm_with_bad_header, "malformed PGM header"),
         (_report_without_troubled_points, "has no 'troubled_points' entry"),
+        (_report_with_text_lambda_min, "lambda_min 'tiny' is not a number"),
+        (_report_with_ragged_coords, "coords are not equal-length lists of numbers"),
+        (_report_with_text_visited_count, "visited_points 'many' is not a non-negative integer"),
         (_model_without_config, "has no 'config' entry"),
         (_model_of_unknown_kind, "model kind must be 'ginn' or 'mlp', got 'cnn'"),
         (_model_missing_its_last_layer, "layers, its config builds"),

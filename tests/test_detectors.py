@@ -81,12 +81,12 @@ def roots_ref(cut, a, b):
 
 def oracle_ref(cut, graph, coords):
     p = np.zeros(len(coords))
-    for e in graph.edges:
-        (lo,), (hi,) = roots_ref(cut, coords[[e.i]], coords[[e.j]])
+    for i, j, _, _ in graph.edges.tolist():
+        (lo,), (hi,) = roots_ref(cut, coords[[i]], coords[[j]])
         if lo <= 0.5:
-            p[e.i] = 1.0
+            p[i] = 1.0
         if hi >= 0.5:
-            p[e.j] = 1.0
+            p[j] = 1.0
     return p
 
 
@@ -149,11 +149,11 @@ class TestSegmentRoots:
     def test_in_plane_edges_flag_both_ends(self, grid2d, graph2d):
         coords = grid2d.coords()
         p = exact_troubled_oracle(LinearCut([1.0, 0.0], 0.0), graph2d)
-        in_plane = [e for e in graph2d.edges
-                    if coords[e.i, 0] == 0.0 and coords[e.j, 0] == 0.0]
+        in_plane = [(i, j) for i, j, _, _ in graph2d.edges.tolist()
+                    if coords[i, 0] == 0.0 and coords[j, 0] == 0.0]
         assert in_plane
-        for e in in_plane:
-            assert p[e.i] == 1.0 and p[e.j] == 1.0
+        for i, j in in_plane:
+            assert p[i] == 1.0 and p[j] == 1.0
 
     def test_no_closed_form_is_none(self):
         from sgdetect.detectors import TorusCut
@@ -171,8 +171,8 @@ class TestSegmentRoots:
             edge = 2.0 ** -int(rng.integers(0, 4))
             placed = similar_grid(reference, tuple(rng.uniform(-0.5, 0.5, dim)), edge)
             coords = placed.coords()
-            a = coords[[e.i for e in graph.edges]]
-            b = coords[[e.j for e in graph.edges]]
+            a = coords[graph.edges[:, 0]]
+            b = coords[graph.edges[:, 1]]
             # cuts through the placed box, so that many edges cross
             center = coords[rng.integers(len(coords))]
             cuts = [LinearCut(rng.normal(size=dim), -float(rng.normal(size=dim) @ center)),
@@ -234,12 +234,13 @@ class TestZDetector:
         # a vertical line just left of an edge midpoint marks the left
         # endpoint, not the right one, once t resolves the offset
         coords = grid2d.coords()
-        edge = next(e for e in graph2d.edges if e.axis == 0 and e.span == grid2d.resolution // 4)
-        a, b = coords[edge.i], coords[edge.j]
+        i, j, _, _ = next(e for e in graph2d.edges.tolist()
+                          if e[2] == 0 and e[3] == grid2d.resolution // 4)
+        a, b = coords[i], coords[j]
         mid = (a[0] + b[0]) / 2
         cut = LinearCut([1.0, 0.0], -(mid - 0.01 * (b[0] - a[0])))
         p = z_detector(cut, graph2d, 1000)
-        left, right = (edge.i, edge.j) if a[0] < b[0] else (edge.j, edge.i)
+        left, right = (i, j) if a[0] < b[0] else (j, i)
         assert p[left] == 1.0
         # the right endpoint may be marked through a different incident edge,
         # so check the oracle agrees overall instead
@@ -251,8 +252,7 @@ class TestZDetector:
         coords = grid2d.coords()
         on_cut = np.isclose(coords[:, 0], 0.0)
         connected = np.zeros(len(coords), dtype=bool)
-        for e in graph2d.edges:
-            connected[e.i] = connected[e.j] = True
+        connected[graph2d.edges[:, :2]] = True
         assert np.all(p[on_cut & connected] == 1.0)
 
     @settings(max_examples=10, deadline=None)
@@ -506,10 +506,10 @@ class TestExactOracle:
 
     def test_midpoint_tie_marks_both_ends(self, grid2d, graph2d):
         coords = grid2d.coords()
-        edge = next(e for e in graph2d.edges if e.axis == 0)
-        mid = (coords[edge.i, 0] + coords[edge.j, 0]) / 2
+        i, j, _, _ = next(e for e in graph2d.edges.tolist() if e[2] == 0)
+        mid = (coords[i, 0] + coords[j, 0]) / 2
         p = exact_troubled_oracle(LinearCut([1.0, 0.0], -mid), graph2d)
-        assert p[edge.i] == 1.0 and p[edge.j] == 1.0
+        assert p[i] == 1.0 and p[j] == 1.0
 
     def test_matches_z_detector_at_large_t(self, grid2d, graph2d):
         rng = np.random.default_rng(42)

@@ -137,7 +137,7 @@ class TestBasicRun:
         # which is shorter than the longest edge in the grid
         corner = grid2d.lattice.index((0, 0))
         spans = graph2d.incident_max_span()
-        global_span = max(e.span for e in graph2d.edges)
+        global_span = graph2d.edges[:, 3].max()
         assert spans[corner] < global_span
 
         class CornerOnly(Detector):
@@ -190,8 +190,8 @@ class TestDomainHandling:
 
     def test_isolated_node_rejected(self, grid2d, graph2d):
         # node 0 loses its edges: it has no incident span to refine by
-        edges = tuple(e for e in graph2d.edges if 0 not in (e.i, e.j))
-        graph = GridGraph(grid=grid2d, edges=edges, min_span=graph2d.min_span)
+        edges = graph2d.edges[(graph2d.edges[:, :2] != 0).all(axis=1)]
+        graph = GridGraph(grid=grid2d, edges=edges)
         config = EngineConfig(lambda_min=Fraction(1, 8), domain=SQUARE)
         for runner in (run_basic, run_batched):
             with pytest.raises(DegenerateGraphError, match="isolated node"):

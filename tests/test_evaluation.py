@@ -148,9 +148,9 @@ def edge_walk_verdicts(points, cut, lambda_min, graph, subdivisions):
     offsets = check_offsets(lambda_min, graph)
     knots = np.linspace(0.0, 1.0, subdivisions + 1)
     hit = np.zeros(len(points), dtype=bool)
-    for e in graph.edges:
-        a = points + offsets[e.i]
-        b = points + offsets[e.j]
+    for i, j, _, _ in graph.edges.tolist():
+        a = points + offsets[i]
+        b = points + offsets[j]
         roots = cut.segment_roots(a, b)
         if roots is None:
             s = sample_signs(cut, a, b, knots)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -12,9 +13,10 @@ from sgdetect.grid_graph import (
     GridGraph,
     build_grid_graph,
     build_raw_edges,
-    edge_weights,
     prune_edges,
+    write_graph_record,
 )
+from sgdetect.neural.model import ModelConfig, build_archetype, save_model
 from sgdetect.sparse_grid import Box, GridSpec, build_sparse_grid, similar_grid
 
 
@@ -39,69 +41,128 @@ def brute_force_raw_edges(grid):
 
 
 def brute_force_prune(raw, grid):
-    """Oracle for rule (iii): literal all-pairs crossing comparison."""
+    """Oracle for rule (iii): literal all-pairs crossing comparison.
+
+    Takes and returns ``(i, j, axis, span)`` tuples.
+    """
     kept = []
-    for e in raw:
-        a_lo = grid.lattice[e.i]
+    for e_i, e_j, e_axis, e_span in raw:
+        a_lo = grid.lattice[e_i]
         ok = True
-        for other in raw:
-            if other is e or other.axis == e.axis:
+        for o_i, _, o_axis, o_span in raw:
+            if o_axis == e_axis:
                 continue
-            b_lo = grid.lattice[other.i]
+            b_lo = grid.lattice[o_i]
             shared = all(
                 a_lo[d] == b_lo[d]
                 for d in range(len(a_lo))
-                if d not in (e.axis, other.axis)
+                if d not in (e_axis, o_axis)
             )
             if not shared:
                 continue
-            cross_on_e = a_lo[e.axis] < b_lo[e.axis] < a_lo[e.axis] + e.span
-            cross_on_other = b_lo[other.axis] < a_lo[other.axis] < b_lo[other.axis] + other.span
-            if cross_on_e and cross_on_other and other.span <= e.span:
+            cross_on_e = a_lo[e_axis] < b_lo[e_axis] < a_lo[e_axis] + e_span
+            cross_on_other = b_lo[o_axis] < a_lo[o_axis] < b_lo[o_axis] + o_span
+            if cross_on_e and cross_on_other and o_span <= e_span:
                 ok = False
                 break
         if ok:
-            kept.append(e)
+            kept.append((e_i, e_j, e_axis, e_span))
     return kept
+
+
+def rows(edges):
+    return [tuple(e) for e in edges.tolist()]
+
+
+def depths(graph):
+    """d with span = M / 2^d, per edge."""
+    return [(graph.grid.resolution // span).bit_length() - 1
+            for span in graph.edges[:, 3].tolist()]
+
+
+#: every rule in dims 1-4, at each level whose graph the oracles finish in seconds
+SPECS = [(rule, dim, level)
+         for rule, dim, levels in [
+             ("sum", 1, range(1, 9)), ("sum", 2, range(2, 9)), ("sum", 3, range(3, 8)),
+             ("sum", 4, range(4, 9)),
+             ("max", 1, range(1, 9)), ("max", 2, range(1, 6)), ("max", 3, range(1, 4)),
+             ("max", 4, range(1, 3)),
+             ("prod", 1, range(1, 7)), ("prod", 2, range(1, 9)), ("prod", 3, range(1, 7)),
+             ("prod", 4, range(1, 7)),
+         ]
+         for level in levels]
+
+
+class TestPinnedGraph:
+    @pytest.mark.parametrize("rule,dim,level", SPECS)
+    def test_matches_brute_force(self, rule, dim, level):
+        grid = build_sparse_grid(GridSpec(dim=dim, rule=rule, level=level), Box.cube((0,) * dim, 2))
+        graph = build_grid_graph(grid)
+        raw = sorted(brute_force_raw_edges(grid))
+        assert graph.edges.dtype == np.int64 and graph.edges.shape == (len(graph.edges), 4)
+        assert not graph.edges.flags.writeable
+        assert rows(graph.edges) == sorted(brute_force_prune(raw, grid))
+
+    @pytest.mark.parametrize("dim,level,points,edges,diameter",
+                             [(2, 6, 65, 80, 10), (4, 8, 401, 608, 12)])
+    def test_paper_graphs(self, dim, level, points, edges, diameter):
+        grid = build_sparse_grid(GridSpec(dim=dim, rule="sum", level=level), Box.cube((0,) * dim, 2))
+        graph = build_grid_graph(grid)
+        assert (graph.n_points, len(graph.edges), graph.diameter()) == (points, edges, diameter)
+
+    @pytest.mark.parametrize("dim,level,digest", [
+        (2, 6, "39f093720243054fedbe30d0dd9a53c40f7ff67b6732a6ffc28b580cb1c8b565"),
+        (4, 8, "8af680483e49275434502f2f3703e051a37ce9a1bf9ed302fe8977c7e2eb0672"),
+    ], ids=["2d", "4d"])
+    def test_graph_record_bytes(self, dim, level, digest, tmp_path):
+        # pinned bytes: the graph file and model files below must not change
+        grid = build_sparse_grid(GridSpec(dim=dim, rule="sum", level=level), Box.cube((0,) * dim, 2))
+        write_graph_record(build_grid_graph(grid), tmp_path / "graph.json")
+        assert hashlib.sha256((tmp_path / "graph.json").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("kind,digest", [
+        ("ginn", "082322c5469264e8d68ffdbafbd54e26d2edab1efd9116f06d8cbcbdf7fafbb0"),
+        ("mlp", "2c3b03d9bb899d873ab9b7b2724cb71fd04c9d76df4927dc65a3ceba24fdc633"),
+    ], ids=["ginn", "mlp"])
+    def test_model_file_bytes(self, graph2d, kind, digest, tmp_path):
+        path = save_model(build_archetype(ModelConfig(kind=kind), graph2d, seed=0),
+                          tmp_path / "model.json")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestRawEdges:
     def test_single_point_grid(self):
         g = build_sparse_grid(GridSpec(dim=2, rule="max", level=1), Box.cube((0, 0), 2))
         graph = build_grid_graph(g)
-        assert graph.edges == ()
+        assert graph.edges.shape == (0, 4)
 
     def test_full_3x3_tensor(self):
         g = build_sparse_grid(GridSpec(dim=2, rule="max", level=2), Box.cube((0, 0), 2))
         assert g.n_points == 9
         raw = build_raw_edges(g)
         assert len(raw) == 12
-        assert all(e.span == g.resolution // 2 for e in raw)
+        assert all(raw[:, 3] == g.resolution // 2)
 
     def test_matches_brute_force_2d(self, grid2d):
-        raw = build_raw_edges(grid2d)
-        got = {(e.i, e.j, e.axis, e.span) for e in raw}
-        assert got == brute_force_raw_edges(grid2d)
+        assert set(rows(build_raw_edges(grid2d))) == brute_force_raw_edges(grid2d)
 
     def test_matches_brute_force_small_4d(self):
         g = build_sparse_grid(GridSpec(dim=4, rule="sum", level=6), Box.cube((0,) * 4, 2))
-        raw = build_raw_edges(g)
-        got = {(e.i, e.j, e.axis, e.span) for e in raw}
-        assert got == brute_force_raw_edges(g)
+        assert set(rows(build_raw_edges(g))) == brute_force_raw_edges(g)
 
     def test_rule_ii_no_interior_grid_point(self, graph2d, grid2d):
         points = set(grid2d.lattice)
-        for e in graph2d.edges:
-            a = grid2d.lattice[e.i]
-            for k in range(a[e.axis] + 1, a[e.axis] + e.span):
-                assert a[: e.axis] + (k,) + a[e.axis + 1 :] not in points
+        for i, _, axis, span in graph2d.edges.tolist():
+            a = grid2d.lattice[i]
+            for k in range(a[axis] + 1, a[axis] + span):
+                assert a[:axis] + (k,) + a[axis + 1 :] not in points
 
 
 class TestPruneEdges:
     def test_matches_brute_force(self, grid2d):
         raw = build_raw_edges(grid2d)
-        got = {(e.i, e.j) for e in prune_edges(raw, grid2d)}
-        expected = {(e.i, e.j) for e in brute_force_prune(raw, grid2d)}
+        got = {(i, j) for i, j, _, _ in rows(prune_edges(raw, grid2d))}
+        expected = {(i, j) for i, j, _, _ in brute_force_prune(rows(raw), grid2d)}
         assert got == expected
 
     def test_equal_length_crossings_removed(self, grid2d):
@@ -112,13 +173,13 @@ class TestPruneEdges:
         pruned = prune_edges(raw, grid2d)
         assert len(pruned) < len(raw)
         # verify at least one removed pair crossed with equal spans
-        removed = set(raw) - set(pruned)
-        assert any(e.span > 1 for e in removed)
+        removed = set(rows(raw)) - set(rows(pruned))
+        assert any(span > 1 for _, _, _, span in removed)
 
     def test_shorter_edge_survives_crossing(self):
         g = build_sparse_grid(GridSpec(dim=2, rule="sum", level=6), Box.cube((0, 0), 2))
         raw = build_raw_edges(g)
-        pruned = {(e.i, e.j) for e in prune_edges(raw, g)}
+        pruned = {(i, j) for i, j, _, _ in rows(prune_edges(raw, g))}
         lattice = {k: i for i, k in enumerate(g.lattice)}
         m = g.resolution
         # horizontal span-4 edge in row y=M/4 from x=0: crossed only by longer
@@ -135,36 +196,32 @@ class TestPruneEdges:
         # plus-shaped grid: arms meet at the center point only; no interior
         # crossings, so pruning keeps everything
         raw = build_raw_edges(tiny_grid)
-        assert prune_edges(raw, tiny_grid) == raw
+        np.testing.assert_array_equal(prune_edges(raw, tiny_grid), raw)
 
 
 class TestEdgeWeights:
     def test_all_equal_lengths_weight_one(self):
         g = build_sparse_grid(GridSpec(dim=2, rule="max", level=2), Box.cube((0, 0), 2))
         graph = build_grid_graph(g)
-        assert all(e.weight == 1.0 for e in graph.edges)
+        assert all(graph.weights == 1.0)
 
     def test_hypercubic_weight_formula_2d(self, graph2d, grid2d):
         h_max = grid2d.spec.h_max
-        for e in graph2d.edges:
-            assert e.weight == 2.0 ** (e.depth - (h_max - 1))
+        for weight, depth in zip(graph2d.weights.tolist(), depths(graph2d)):
+            assert weight == 2.0 ** (depth - (h_max - 1))
 
     def test_hypercubic_weight_formula_4d(self, graph4d, grid4d):
         h_max = grid4d.spec.h_max
-        for e in graph4d.edges:
-            assert e.weight == 2.0 ** (e.depth - (h_max - 1))
+        for weight, depth in zip(graph4d.weights.tolist(), depths(graph4d)):
+            assert weight == 2.0 ** (depth - (h_max - 1))
 
     def test_shortest_segment_is_edge_over_m(self, graph2d, grid2d):
         assert graph2d.shortest_segment == grid2d.box.edge / grid2d.resolution
 
     def test_weight_range_and_attained_one(self, graph2d):
-        weights = [e.weight for e in graph2d.edges]
+        weights = graph2d.weights.tolist()
         assert all(0.0 < w <= 1.0 for w in weights)
         assert 1.0 in weights
-
-    def test_empty_edge_list_raises(self, tiny_grid):
-        with pytest.raises(DegenerateGraphError):
-            edge_weights([], tiny_grid)
 
 
 class TestAdjacency:
@@ -219,13 +276,13 @@ class TestDiameter:
         assert graph4d.diameter() == int(dists.max())
 
     def test_disconnected_raises(self, grid2d):
-        lonely = GridGraph(grid=grid2d, edges=(), min_span=0)
+        lonely = GridGraph(grid=grid2d, edges=np.empty((0, 4), dtype=np.int64))
         with pytest.raises(DegenerateGraphError):
             lonely.diameter()
 
     def test_one_cut_off_node_raises(self, grid2d, graph2d):
-        edges = tuple(e for e in graph2d.edges if 0 not in (e.i, e.j))
-        split = GridGraph(grid=grid2d, edges=edges, min_span=graph2d.min_span)
+        edges = graph2d.edges[(graph2d.edges[:, :2] != 0).all(axis=1)]
+        split = GridGraph(grid=grid2d, edges=edges)
         with pytest.raises(DegenerateGraphError, match="disconnected"):
             split.diameter()
 
@@ -248,7 +305,7 @@ class TestIncidentMaxEdge:
     def test_max_of_incident_lengths(self, graph2d):
         spans = graph2d.incident_max_span()
         for node in (0, 10, 32):
-            incident = [e.span for e in graph2d.edges if node in (e.i, e.j)]
+            incident = [span for i, j, _, span in graph2d.edges.tolist() if node in (i, j)]
             assert spans[node] == max(incident)
 
     def test_bounded_by_half_edge(self, graph2d, grid2d):

@@ -11,7 +11,6 @@ from sgdetect.sparse_grid import (
     Box,
     GridSpec,
     build_sparse_grid,
-    grid_from_record,
     grid_record,
     level_to_knots,
     multi_index_set,
@@ -119,12 +118,6 @@ class TestBuildSparseGrid:
         }
         assert got == expected
 
-    def test_exact_coords_match_float_coords(self, grid2d):
-        exact = grid2d.exact_coords()
-        coords = grid2d.coords()
-        for row, pt in zip(coords, exact):
-            assert [float(x) for x in pt] == list(row)
-
 
 class TestBox:
     def test_bounds(self):
@@ -185,9 +178,8 @@ class TestSimilarGrid:
 
 
 class TestGridRecord:
-    def test_round_trip(self, grid2d, tmp_path):
+    def test_record_holds_lattice_and_box(self, grid2d):
         rec = grid_record(grid2d)
         assert rec["n_points"] == 65
-        back = grid_from_record(rec)
-        assert back.lattice == grid2d.lattice
-        assert back.box == grid2d.box
+        assert [tuple(k) for k in rec["lattice"]] == list(grid2d.lattice)
+        assert Box(tuple(Fraction(c) for c in rec["center"]), Fraction(rec["edge"])) == grid2d.box

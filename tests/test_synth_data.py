@@ -209,10 +209,10 @@ class TestSplit:
         a = split_dataset(samples, np.random.default_rng(9))
         b = split_dataset(samples, np.random.default_rng(9))
         for part in ("train", "validation", "test"):
-            xa, ya = a.arrays(part)
-            xb, yb = b.arrays(part)
-            np.testing.assert_array_equal(xa, xb)
-            np.testing.assert_array_equal(ya, yb)
+            assert len(getattr(a, part)) == len(getattr(b, part))
+            for sa, sb in zip(getattr(a, part), getattr(b, part)):
+                np.testing.assert_array_equal(sa.inputs, sb.inputs)
+                np.testing.assert_array_equal(sa.labels, sb.labels)
 
     def test_parts_disjoint_and_complete(self, rng):
         samples = [_mk([i % 2, 1]) for i in range(25)]
