@@ -155,19 +155,19 @@ class DetectionRun:
         return {t.exact for t in self.troubled}
 
 
-def _require_refined(grid: SparseGrid) -> None:
+def _require_refined(lat: np.ndarray) -> None:
     """Refinement needs at least one subdivision per axis (level >= 2),
-    otherwise the shrink-by-half argument behind termination has no grip."""
-    from sgdetect.sparse_grid import multi_index_set
+    otherwise the shrink-by-half argument behind termination has no grip.
 
-    spec = grid.spec
-    indices = multi_index_set(spec.rule, spec.level, spec.dim)
-    for axis in range(spec.dim):
-        if max(h[axis] for h in indices) < 2:
-            raise EngineError(
-                f"reference grid has no refinement along axis {axis}; the engine "
-                "needs minimum per-axis refinement level 2"
-            )
+    Level-1 knots are the midpoint alone, so an axis is unrefined exactly
+    when every point of the ``(N, n)`` lattice array has the same numerator
+    on it."""
+    unrefined = np.flatnonzero((lat == lat[0]).all(axis=0))
+    if len(unrefined):
+        raise EngineError(
+            f"reference grid has no refinement along axis {unrefined[0]}; the engine "
+            "needs minimum per-axis refinement level 2"
+        )
 
 
 class _EngineState:
@@ -181,7 +181,8 @@ class _EngineState:
 
     def __init__(self, grid: SparseGrid, graph: GridGraph, detector: Detector,
                  g: Callable, config: EngineConfig, initial: Sequence, evaluates: bool):
-        _require_refined(grid)
+        lat = grid.lattice_array()
+        _require_refined(lat)
         if config.max_evaluations is not None and not evaluates:
             raise EngineError(
                 f"max_evaluations={config.max_evaluations} can never bind: detector "
@@ -193,7 +194,6 @@ class _EngineState:
         self.g = g
         self.config = config
         m = self.m = grid.resolution
-        lat = grid.lattice_array()
         # per-point offsets from the box center, in units of edge / M
         self.offsets = lat - m // 2
         self.offsets_float = (lat.astype(np.float64) - m / 2.0) / m

@@ -312,13 +312,22 @@ def shepp_logan(r: int) -> np.ndarray:
     if r < 16:
         raise ValueError(f"phantom resolution must be >= 16, got {r}")
     ticks = np.linspace(-1.0, 1.0, r)
-    x, y = np.meshgrid(ticks, ticks, indexing="ij")
     img = np.zeros((r, r), dtype=np.float64)
     for a_val, sa, sb, x0, y0, phi_deg in SHEPP_LOGAN_ELLIPSES:
         phi = np.radians(phi_deg)
-        xr = (x - x0) * np.cos(phi) + (y - y0) * np.sin(phi)
-        yr = -(x - x0) * np.sin(phi) + (y - y0) * np.cos(phi)
-        img[(xr / sa) ** 2 + (yr / sb) ** 2 <= 1.0] += a_val
+        cos, sin = np.cos(phi), np.sin(phi)
+        # the ellipse's bounding box, widened so that every pixel outside it
+        # has a quadratic form well above 1 despite rounding
+        half_x = np.hypot(sa * cos, sb * sin) + 1e-6
+        half_y = np.hypot(sa * sin, sb * cos) + 1e-6
+        rows = slice(*np.searchsorted(ticks, (x0 - half_x, x0 + half_x)))
+        cols = slice(*np.searchsorted(ticks, (y0 - half_y, y0 + half_y)))
+        # per-axis terms of the rotated coordinates: each pixel gets the
+        # same float operations as on full (x, y) meshgrids
+        x, y = ticks[rows, None], ticks[None, cols]
+        xr = (x - x0) * cos + (y - y0) * sin
+        yr = -(x - x0) * sin + (y - y0) * cos
+        img[rows, cols][(xr / sa) ** 2 + (yr / sb) ** 2 <= 1.0] += a_val
     return np.clip(img, 0.0, 1.0)
 
 

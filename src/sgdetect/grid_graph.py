@@ -148,26 +148,43 @@ class GridGraph:
 
     @cached_property
     def _diameter(self) -> int:
-        """Breadth-first search from every node at once.
+        """Breadth-first search from every node at once, on bit sets.
 
-        Column ``s`` of ``reached`` marks the nodes found from node ``s``; each
-        step expands only the last step's marks, and the diameter is the number
-        of steps that mark something new.  A disconnected graph raises
-        :class:`DegenerateGraphError`, so the architecture builder rejects it.
+        Row ``v`` of ``frontier`` is a bit set of ceil(N/64) uint64 words that
+        marks the sources whose search found node ``v`` in the last hop;
+        ``unreached`` marks those that have not found it yet.  One hop ORs
+        each node's neighbours' frontier rows (one gather over the edge ends
+        sorted by node, then one ``bitwise_or.reduceat``) and keeps the bits
+        still unreached.  The diameter is the number of hops that add a bit.
+        A row of ``unreached`` that never empties (a disconnected graph)
+        raises :class:`DegenerateGraphError`, so the architecture builder
+        rejects it.
         """
         n = self.n_points
-        adjacency = self.adjacency_matrix()
-        reached = np.eye(n, dtype=bool)
-        frontier = sp.eye_array(n, format="csr")
-        hops = -1
-        while frontier.nnz:
+        i, j = self.edge_ends
+        ends = np.concatenate([i, j])
+        # every edge in both directions, grouped by the node it leads into
+        order = np.argsort(ends)
+        neighbours = np.concatenate([j, i])[order]
+        degree = np.bincount(ends, minlength=n)
+        # reduceat cannot reduce an empty segment, and a node with no edge is cut off
+        if n > 1 and not degree.all():
+            raise DegenerateGraphError("graph is disconnected: diameter is infinite")
+        starts = np.cumsum(degree) - degree
+        node = np.arange(n, dtype=np.uint64)
+        frontier = np.zeros((n, -(-n // 64)), dtype=np.uint64)
+        frontier[node, node >> 6] = np.uint64(1) << (node & 63)
+        # per node, the sources whose search has not found it yet
+        unreached = np.bitwise_or.reduce(frontier, axis=0) ^ frontier
+        hops = 0
+        while len(neighbours):
+            frontier = np.bitwise_or.reduceat(frontier[neighbours], starts, axis=0)
+            frontier &= unreached
+            if not frontier.any():
+                break
+            unreached ^= frontier
             hops += 1
-            step = (adjacency @ frontier).tocoo()
-            new = ~reached[step.row, step.col]
-            rows, cols = step.row[new], step.col[new]
-            reached[rows, cols] = True
-            frontier = sp.csr_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
-        if not reached.all():
+        if unreached.any():
             raise DegenerateGraphError("graph is disconnected: diameter is infinite")
         return hops
 

@@ -232,4 +232,8 @@ def leaky_relu(x: np.ndarray, slope: float, out: np.ndarray | None = None) -> np
 
 
 def leaky_relu_grad(x: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(x > 0, 1.0, slope)
+    """1 where x > 0, else slope, in one new array: equals
+    ``where(x > 0, 1.0, slope)`` for 0 <= slope < 1, signed zeros and NaN
+    included (sign gives -1, +0, 1 or NaN; fmax ignores the NaN)."""
+    grad = np.sign(x)
+    return np.fmax(grad, slope, out=grad)

@@ -188,6 +188,29 @@ class TestDomainHandling:
                       detector=ExactOracleDetector(SphericalCut((0, 0), 0.5)),
                       initial=[((0, 0), 2)], config=config)
 
+    @pytest.mark.parametrize("rule,dim,level", [("sum", 2, 2), ("sum", 3, 3), ("sum", 4, 4),
+                                                ("max", 2, 1), ("max", 4, 1),
+                                                ("prod", 2, 1), ("prod", 3, 1)])
+    @pytest.mark.parametrize("runner", [run_basic, run_batched])
+    def test_unrefined_grid_raises_before_any_evaluation(self, rule, dim, level, runner):
+        from sgdetect.grid_graph import build_grid_graph
+        from sgdetect.sparse_grid import GridSpec, build_sparse_grid
+
+        grid = build_sparse_grid(GridSpec(dim=dim, rule=rule, level=level),
+                                 Box.cube((0,) * dim, 2))
+        calls = []
+
+        def counting_g(x):
+            calls.append(len(x))
+            return constant_g(x)
+
+        config = EngineConfig(lambda_min=Fraction(1, 8), domain=Box.cube((0,) * dim, 2))
+        with pytest.raises(EngineError, match="no refinement along axis 0;"):
+            runner(g=counting_g, grid=grid, graph=build_grid_graph(grid),
+                   detector=EvalOracle(SphericalCut((0,) * dim, 0.5)),
+                   initial=[((0,) * dim, 2)], config=config)
+        assert calls == []
+
     def test_isolated_node_rejected(self, grid2d, graph2d):
         # node 0 loses its edges: it has no incident span to refine by
         edges = graph2d.edges[(graph2d.edges[:, :2] != 0).all(axis=1)]

@@ -15,6 +15,7 @@ from sgdetect.detectors import (
 from sgdetect.errors import MalformedFileError, SgdetectError
 from sgdetect.grid_graph import build_grid_graph
 from sgdetect.evaluation import (
+    SHEPP_LOGAN_ELLIPSES,
     ImageFunction,
     builtin_test_functions,
     read_pgm,
@@ -291,6 +292,24 @@ class TestSheppLogan:
         # so compare block means instead
         coarse = b.reshape(64, 2, 64, 2).mean(axis=(1, 3))
         assert np.mean(np.abs(coarse - a)) < 0.02
+
+    @staticmethod
+    def meshgrid_phantom(r):
+        """Reference: every ellipse's quadratic form on full (x, y) meshgrids."""
+        ticks = np.linspace(-1.0, 1.0, r)
+        x, y = np.meshgrid(ticks, ticks, indexing="ij")
+        img = np.zeros((r, r), dtype=np.float64)
+        for a_val, sa, sb, x0, y0, phi_deg in SHEPP_LOGAN_ELLIPSES:
+            phi = np.radians(phi_deg)
+            xr = (x - x0) * np.cos(phi) + (y - y0) * np.sin(phi)
+            yr = -(x - x0) * np.sin(phi) + (y - y0) * np.cos(phi)
+            img[(xr / sa) ** 2 + (yr / sb) ** 2 <= 1.0] += a_val
+        return np.clip(img, 0.0, 1.0)
+
+    @pytest.mark.parametrize("r", [16, 17, 63, 64, 255, 256, 512, 1001])
+    def test_bit_equal_to_the_meshgrid_form(self, r):
+        got, want = shepp_logan(r), self.meshgrid_phantom(r)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestImageFunction:

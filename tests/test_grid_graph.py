@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -289,16 +290,63 @@ class TestDiameter:
     def test_two_archetypes_search_once(self, grid2d, monkeypatch):
         from sgdetect.neural.model import ModelConfig, build_archetype
 
-        builds = []
-        adjacency = GridGraph.adjacency_matrix
-        monkeypatch.setattr(GridGraph, "adjacency_matrix",
-                            lambda self: builds.append(1) or adjacency(self))
+        searches = []
+        search = GridGraph.__dict__["_diameter"]
+        monkeypatch.setattr(search, "func",
+                            lambda self, func=search.func: searches.append(1) or func(self))
         graph = build_grid_graph(grid2d)
-        # the MLP archetype reads no adjacency matrix: every build is the search's
         first = build_archetype(ModelConfig(kind="mlp"), graph, seed=0)
         second = build_archetype(ModelConfig(kind="mlp"), graph, seed=1)
         assert first.diameter == second.diameter == 10
-        assert len(builds) == 1
+        assert len(searches) == 1
+
+    @pytest.mark.parametrize("rule,dim,level", [("sum", 3, 6), ("prod", 2, 7), ("prod", 3, 5),
+                                                ("prod", 4, 4), ("max", 2, 5), ("max", 3, 3)])
+    def test_against_scipy_oracle_rules(self, rule, dim, level):
+        grid = build_sparse_grid(GridSpec(dim=dim, rule=rule, level=level),
+                                 Box.cube((0,) * dim, 2))
+        graph = build_grid_graph(grid)
+        pattern = (graph.adjacency_matrix() != 0).astype(np.int8)
+        dists = csgraph.shortest_path(pattern, method="D", unweighted=True)
+        assert graph.diameter() == int(dists.max())
+
+
+def chain_graph(n, links, seed=0):
+    """A graph of ``n`` nodes over custom edges: each ``(a, b)`` link joins the
+    a-th and b-th node of a fixed random relabelling, so that paths cross
+    64-node word boundaries in both directions."""
+    label = np.random.default_rng(seed).permutation(n)
+    ends = np.sort(label[np.asarray(links, dtype=np.int64).reshape(-1, 2)], axis=1)
+    edges = np.column_stack([ends, np.zeros((len(ends), 1), dtype=np.int64),
+                             np.ones((len(ends), 1), dtype=np.int64)])
+    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+    return GridGraph(grid=SimpleNamespace(n_points=n), edges=edges)
+
+
+class TestDiameterWordBoundaries:
+    @pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
+    def test_chain(self, n):
+        links = [(k, k + 1) for k in range(n - 1)]
+        assert chain_graph(n, links).diameter() == n - 1
+
+    @pytest.mark.parametrize("n", [64, 65, 128, 129])
+    def test_ring(self, n):
+        links = [(k, (k + 1) % n) for k in range(n)]
+        assert chain_graph(n, links).diameter() == n // 2
+
+    def test_one_node(self):
+        graph = GridGraph(grid=SimpleNamespace(n_points=1),
+                          edges=np.empty((0, 4), dtype=np.int64))
+        assert graph.diameter() == 0
+
+    @pytest.mark.parametrize("n", [128, 129])
+    def test_split_at_a_word_boundary_raises(self, n):
+        # two chains, nodes 0-63 and 64 onwards, in node order
+        links = [(k, k + 1) for k in range(n - 1) if k != 63]
+        edges = np.array([(a, b, 0, 1) for a, b in links], dtype=np.int64)
+        graph = GridGraph(grid=SimpleNamespace(n_points=n), edges=edges)
+        with pytest.raises(DegenerateGraphError, match="disconnected"):
+            graph.diameter()
 
 
 class TestIncidentMaxEdge:

@@ -12,7 +12,7 @@ from scipy.special import expit
 
 from sgdetect.detectors import SAMPLE_BUDGET
 from sgdetect.errors import MalformedFileError, TrainingDivergedError
-from sgdetect.neural.layers import BatchNorm, DenseLayer, GILayer, leaky_relu
+from sgdetect.neural.layers import BatchNorm, DenseLayer, GILayer, leaky_relu, leaky_relu_grad
 from sgdetect.neural.model import (
     ArchetypeModel,
     ModelConfig,
@@ -21,6 +21,7 @@ from sgdetect.neural.model import (
     load_model,
     save_model,
 )
+from sgdetect.neural import model as model_mod
 from sgdetect.neural import training
 from sgdetect.neural.training import (
     BETA1,
@@ -237,6 +238,16 @@ class TestLayerArithmetic:
                 assert np.isnan(got[x == np.inf]).all()
                 same |= x == np.inf
             assert same.all(), f"slope {slope}: {x[~same]}"
+
+    def test_leaky_relu_grad_matches_where(self, rng):
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                            2.2e-308, -2.2e-308, 1e308, -1e308])
+        x = np.concatenate([special, rng.normal(size=200)]).reshape(2, 53, 2)
+        for slope in (0.0, 0.3, 0.999):
+            got = leaky_relu_grad(x, slope)
+            want = np.where(x > 0, 1.0, slope)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestLayerGradients:
@@ -684,6 +695,19 @@ class TestTraining:
             runs.append([p.copy() for p in model.parameters()])
         for a, b in zip(*runs):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("kind", ["ginn", "mlp"])
+    def test_activation_gradient_keeps_training_bit_identical(self, tiny_graph, rng,
+                                                              monkeypatch, kind):
+        split = _toy_split(5, rng, size=30)
+        runs = []
+        for grad in (leaky_relu_grad, lambda x, slope: np.where(x > 0, 1.0, slope)):
+            monkeypatch.setattr(model_mod, "leaky_relu_grad", grad)
+            model = build_archetype(ModelConfig(kind=kind, features=3), tiny_graph, seed=3)
+            train(model, split, TrainConfig(max_epochs=3, seed=3))
+            runs.append(model.state())
+        for a, b in zip(*runs):
+            np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
     def test_early_stop_restores_best(self, tiny_graph, rng):
         # flipped validation labels turn the validation loss upward, so the
