@@ -31,9 +31,12 @@ import numpy as np
 import scipy.sparse as sp
 
 
-def glorot_normal(rng: np.random.Generator, shape: tuple[int, ...],
+def glorot_normal(rng: np.random.Generator | None, shape: tuple[int, ...],
                   fan_in: int, fan_out: int) -> np.ndarray:
-    """Normal init with variance 2 / (fan_in + fan_out)."""
+    """Normal init with variance 2 / (fan_in + fan_out); zeros without an
+    ``rng``, for a loader that overwrites every weight anyway."""
+    if rng is None:
+        return np.zeros(shape)
     std = np.sqrt(2.0 / (fan_in + fan_out))
     return rng.normal(0.0, std, size=shape)
 
@@ -42,7 +45,7 @@ class GILayer:
     """Graph-instructed affine map R^(B,N,K) -> R^(B,N,F) over fixed A_hat."""
 
     def __init__(self, a_hat: sp.csr_array | np.ndarray, k: int, f: int,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator | None):
         n = a_hat.shape[0]
         # a model's shared CSR matrix is kept as is; anything else is converted once
         if not isinstance(a_hat, sp.csr_array):
@@ -109,7 +112,7 @@ class GILayer:
 class DenseLayer:
     """Fully connected affine map R^(B,in) -> R^(B,out)."""
 
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
+    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator | None):
         self.w = glorot_normal(rng, (n_in, n_out), fan_in=n_in, fan_out=n_out)
         self.b = np.zeros(n_out, dtype=np.float64)
         self.dw = np.zeros_like(self.w)

@@ -14,6 +14,18 @@ hash, the adjacency triples, every parameter tensor, the batch-norm
 running statistics, and the training history, so loading never requires
 rebuilding the grid.  A GINN builds its sparse A_hat = A + I once, from the
 graph or from the stored triples, and shares it across its GI layers.
+
+Storage.  Once its layers are built, a model moves every array of fewer
+than ``SAMPLE_BUDGET`` elements into one of two buffers and rebinds the
+layer attribute to a view of it.  The state buffer holds those parameters
+in :meth:`~ArchetypeModel.parameters` order, then every batch norm's
+running mean and variance; the gradient buffer holds the matching
+gradients in the same order.  Arrays of ``SAMPLE_BUDGET`` elements or
+more (the 401-point grid's weight matrices) keep their own allocation.
+:attr:`ArchetypeModel.storage` lists what training steps and snapshots:
+the packed buffer, then each large array.  On the 65-point grid that makes
+an Adam step two or six blocks instead of 46 arrays, and a best-epoch
+snapshot one copy.
 """
 
 from __future__ import annotations
@@ -22,6 +34,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,11 +65,21 @@ class ModelConfig:
             raise ValueError(f"leaky_slope must be finite and in [0, 1), got {self.leaky_slope}")
 
 
+class Storage(NamedTuple):
+    """A model's arrays as training walks them: in each list the packed
+    buffer comes first, then the large arrays in parameter order."""
+
+    params: list[np.ndarray]  # the state buffer's parameter part
+    grads: list[np.ndarray]  # the gradient buffer
+    state: list[np.ndarray]  # the whole state buffer, running statistics included
+
+
 class ArchetypeModel:
-    """One built archetype with explicit forward/backward passes."""
+    """One built archetype with explicit forward/backward passes; without
+    an ``rng`` its weights start at zero."""
 
     def __init__(self, config: ModelConfig, n_points: int, n_blocks: int,
-                 a_hat: sp.csr_array | None, rng: np.random.Generator,
+                 a_hat: sp.csr_array | None, rng: np.random.Generator | None,
                  grid_key: str = "", grid_hash: str = "",
                  adjacency: list | None = None, diameter: int | None = None):
         self.config = config
@@ -84,6 +107,7 @@ class ArchetypeModel:
                        for _ in range(n_blocks)]
         self.l_fin = layer(width)
         self._cache = None
+        self.storage = self._pack()
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -96,6 +120,31 @@ class ArchetypeModel:
             yield lpp
             yield bnpp
         yield self.l_fin
+
+    def _pack(self) -> Storage:
+        """Copy each small array into its view of the state or gradient
+        buffer and rebind the layer attribute to that view."""
+        layers = list(self._layers())
+        params = [(layer, name) for layer in layers for name in _param_names(layer)]
+        small = [(layer, name) for layer, name in params
+                 if getattr(layer, name).size < SAMPLE_BUDGET]
+        stats = [(layer, name) for layer in layers for name in _stat_names(layer)]
+        n_small = sum(getattr(layer, name).size for layer, name in small)
+        state = np.empty(n_small + sum(getattr(layer, name).size for layer, name in stats))
+        grads = np.empty(n_small)
+        lo = 0
+        for layer, name in small + stats:
+            hi = lo + getattr(layer, name).size
+            _rebind(layer, name, state[lo:hi])
+            if hi <= n_small:
+                _rebind(layer, "d" + name, grads[lo:hi])
+            lo = hi
+        large = [(layer, name) for layer, name in params
+                 if getattr(layer, name).size >= SAMPLE_BUDGET]
+        arrays = [getattr(layer, name) for layer, name in large]
+        gradients = [getattr(layer, "d" + name) for layer, name in large]
+        return Storage(params=[state[:n_small], *arrays], grads=[grads, *gradients],
+                       state=[state, *arrays])
 
     def parameters(self) -> list[np.ndarray]:
         out = []
@@ -230,6 +279,23 @@ class ArchetypeModel:
         return q.mean(axis=2) if ginn else q
 
 
+def _param_names(layer) -> tuple[str, ...]:
+    """A layer's parameter attributes; each one's gradient is ``"d" + name``."""
+    return ("gamma", "beta") if isinstance(layer, BatchNorm) else ("w", "b")
+
+
+def _stat_names(layer) -> tuple[str, ...]:
+    """A layer's running statistics: only a batch norm has them."""
+    return ("running_mean", "running_var") if isinstance(layer, BatchNorm) else ()
+
+
+def _rebind(layer, name: str, flat: np.ndarray) -> None:
+    """Point ``layer.name`` at ``flat`` shaped like it, holding its values."""
+    view = flat.reshape(getattr(layer, name).shape)
+    view[...] = getattr(layer, name)
+    setattr(layer, name, view)
+
+
 def build_archetype(config: ModelConfig, graph: GridGraph, seed: int = 0) -> ArchetypeModel:
     """Instantiate the archetype for a grid graph: depth = floor(diam/2) blocks."""
     diam = graph.diameter()
@@ -299,10 +365,7 @@ def count_parameters(model: ArchetypeModel, batchnorm: str = "trainable") -> int
 
 def _tensors(layer) -> dict[str, np.ndarray]:
     """A layer's stored tensors, by their key in the model file."""
-    if isinstance(layer, BatchNorm):
-        return {"gamma": layer.gamma, "beta": layer.beta,
-                "running_mean": layer.running_mean, "running_var": layer.running_var}
-    return {"w": layer.w, "b": layer.b}
+    return {name: getattr(layer, name) for name in _param_names(layer) + _stat_names(layer)}
 
 
 def save_model(model: ArchetypeModel, path) -> Path:
@@ -362,7 +425,7 @@ def _model_from_document(doc: dict) -> ArchetypeModel:
         n_points=n,
         n_blocks=doc["n_blocks"],
         a_hat=a_hat,
-        rng=np.random.default_rng(0),
+        rng=None,
         grid_key=doc.get("grid_key", ""),
         grid_hash=doc.get("grid_hash", ""),
         adjacency=doc.get("adjacency", []),
@@ -386,6 +449,7 @@ def _model_from_document(doc: dict) -> ArchetypeModel:
 __all__ = [
     "ArchetypeModel",
     "ModelConfig",
+    "Storage",
     "build_archetype",
     "count_parameters",
     "grid_fingerprint",

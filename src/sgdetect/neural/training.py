@@ -93,6 +93,8 @@ class Adam:
     scratch blocks allocated once.  Each element's result depends on that
     element alone, so the blocks keep the step bit-identical to the
     whole-array one, and a step allocates nothing the size of a parameter.
+    ``train`` passes the model's storage lists, so a small model's step is a
+    few blocks of one packed buffer rather than a pass per array.
     """
 
     def __init__(self, params: list[np.ndarray]):
@@ -104,15 +106,7 @@ class Adam:
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         block = min(SAMPLE_BUDGET, max((p.size for p in params), default=0))
-        self._scratch = s1, s2 = np.empty((2, block))
-        # per parameter, each block's slice with its views of m, v and the
-        # scratch, taken once: taking them every step slowed the small models' steps
-        self._blocks = []
-        for m, v in zip(self.m, self.v):
-            m, v = m.reshape(-1), v.reshape(-1)
-            spans = [slice(lo, lo + SAMPLE_BUDGET) for lo in range(0, m.size, SAMPLE_BUDGET)]
-            self._blocks.append([(sl, m[sl], v[sl], s1[: m[sl].size], s2[: m[sl].size])
-                                 for sl in spans])
+        self._scratch = np.empty((2, block))
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray], lr: float) -> None:
         if len(params) != len(self.m) or len(grads) != len(self.m):
@@ -127,10 +121,13 @@ class Adam:
         self.t += 1
         b1c = 1.0 - BETA1**self.t
         b2c = 1.0 - BETA2**self.t
-        for p, g, blocks in zip(params, grads, self._blocks):
-            p, g = p.reshape(-1), g.reshape(-1)
-            for sl, mb, vb, a, b in blocks:
-                pb, gb = p[sl], g[sl]
+        s1, s2 = self._scratch
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
+            for lo in range(0, p.size, SAMPLE_BUDGET):
+                hi = lo + SAMPLE_BUDGET
+                pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+                a, b = s1[: pb.size], s2[: pb.size]
                 np.multiply(mb, BETA1, out=mb)
                 np.multiply(gb, 1.0 - BETA1, out=a)
                 np.add(mb, a, out=mb)
@@ -171,7 +168,7 @@ class ReduceLROnPlateau:
 
 class EarlyStopping:
     """Stop after ``patience`` stale epochs; snapshot the best-validation
-    arrays (``train`` passes ``model.state()``) into buffers
+    arrays (``train`` passes ``model.storage.state``) into buffers
     allocated on the first improvement."""
 
     def __init__(self, patience: int):
@@ -233,9 +230,8 @@ def train(model: ArchetypeModel, dataset: DatasetSplit, config: TrainConfig) -> 
             f"dataset has {x_train.shape[1]} points per sample, model expects {model.n_points}"
         )
     rng = np.random.default_rng(config.seed)
-    params = model.parameters()
-    state = model.state()
-    adam = Adam(params)
+    storage = model.storage
+    adam = Adam(storage.params)
     plateau = ReduceLROnPlateau(config.learning_rate, PLATEAU_FACTOR, PLATEAU_PATIENCE)
     stopper = EarlyStopping(config.early_stop_patience)
     history = TrainHistory()
@@ -255,12 +251,13 @@ def train(model: ArchetypeModel, dataset: DatasetSplit, config: TrainConfig) -> 
                         "epoch": epoch,
                         "batch_start": int(lo),
                         "learning_rate": lr,
-                        "param_norms": [float(np.linalg.norm(p)) for p in params],
+                        "param_norms": [float(np.linalg.norm(p))
+                                        for p in model.parameters()],
                     },
                 )
             batch_losses.append(loss)
             model.backward(dp)
-            adam.step(params, model.gradients(), lr)
+            adam.step(storage.params, storage.grads, lr)
         val_loss = evaluate_loss(model, x_val, y_val)
         history.train_loss.append(float(np.mean(batch_losses)))
         history.val_loss.append(val_loss)
@@ -269,11 +266,11 @@ def train(model: ArchetypeModel, dataset: DatasetSplit, config: TrainConfig) -> 
         logger.info("epoch %d: train loss %.6g, val loss %.6g, lr %.3g, %.3f s", epoch,
                     history.train_loss[-1], val_loss, lr, perf_counter() - t0)
         lr = plateau.update(val_loss)
-        if stopper.update(val_loss, state):
+        if stopper.update(val_loss, storage.state):
             history.stopped_early = True
             break
     if stopper.best_params is not None:
-        for current, best in zip(state, stopper.best_params):
+        for current, best in zip(storage.state, stopper.best_params):
             current[...] = best
     model.history = history.as_dict()
     return history

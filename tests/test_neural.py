@@ -16,11 +16,13 @@ from sgdetect.neural.layers import BatchNorm, DenseLayer, GILayer, leaky_relu, l
 from sgdetect.neural.model import (
     ArchetypeModel,
     ModelConfig,
+    Storage,
     build_archetype,
     count_parameters,
     load_model,
     save_model,
 )
+from sgdetect.neural import layers as layers_mod
 from sgdetect.neural import model as model_mod
 from sgdetect.neural import training
 from sgdetect.neural.training import (
@@ -464,6 +466,136 @@ class TestArchetype:
         np.testing.assert_array_equal(model.predict(x)[0], model.predict(x[:1])[0])
 
 
+def layer_arrays(model):
+    """Every parameter, running statistic and gradient, as the layers hold them."""
+    params, stats, grads = [], [], []
+    for layer in model._layers():
+        params.extend(layer.params())
+        if isinstance(layer, BatchNorm):
+            stats.extend((layer.running_mean, layer.running_var))
+        grads.extend(layer.grads())
+    return params, stats, grads
+
+
+@pytest.fixture(scope="module")
+def storage_models(graph2d, graph4d):
+    """65- and 401-point GINNs and MLPs; the 401-point GINN has two blocks."""
+    a_hat = build_archetype(ModelConfig(), graph4d).a_hat
+    return {
+        "ginn 65": build_archetype(ModelConfig(), graph2d, seed=1),
+        "mlp 65": build_archetype(ModelConfig(kind="mlp"), graph2d, seed=2),
+        "ginn 401": ArchetypeModel(ModelConfig(), graph4d.n_points, 2, a_hat,
+                                   np.random.default_rng(3)),
+        "mlp 401": build_archetype(ModelConfig(kind="mlp"), graph4d, seed=4),
+    }
+
+
+STORAGE_MODELS = ["ginn 65", "mlp 65", "ginn 401", "mlp 401"]
+
+
+class TestStorage:
+    """Arrays under SAMPLE_BUDGET elements live in two packed buffers."""
+
+    @pytest.mark.parametrize("name", STORAGE_MODELS)
+    def test_small_arrays_and_only_they_share_the_buffers(self, storage_models, name):
+        model = storage_models[name]
+        state_buffer, grad_buffer = model.storage.state[0], model.storage.grads[0]
+        params, stats, grads = layer_arrays(model)
+        for arrays, home, other in ((params + stats, state_buffer, grad_buffer),
+                                    (grads, grad_buffer, state_buffer)):
+            for arr in arrays:
+                assert not np.shares_memory(arr, other)
+                if arr.size < SAMPLE_BUDGET:
+                    assert np.shares_memory(arr, home)
+                else:
+                    assert not np.shares_memory(arr, home)
+                    assert arr.flags.owndata
+
+    @pytest.mark.parametrize("name", STORAGE_MODELS)
+    def test_layout(self, storage_models, name):
+        # the small parameters in parameter order, then the running statistics;
+        # the gradient buffer in the same order; then each large array
+        model = storage_models[name]
+        storage = model.storage
+        params, stats, _ = layer_arrays(model)
+        small = [p for p in params if p.size < SAMPLE_BUDGET]
+        np.testing.assert_array_equal(storage.state[0],
+                                      np.concatenate([a.ravel() for a in small + stats]))
+        assert np.shares_memory(storage.params[0], storage.state[0])
+        assert storage.params[0].size == sum(p.size for p in small)
+        large = [p for p in params if p.size >= SAMPLE_BUDGET]
+        large_grads = [g for g in model.gradients() if g.size >= SAMPLE_BUDGET]
+        assert all(a is b for a, b in zip(storage.params[1:], large, strict=True))
+        assert all(a is b for a, b in zip(storage.state[1:], large, strict=True))
+        assert all(a is b for a, b in zip(storage.grads[1:], large_grads, strict=True))
+        assert len(storage.params) == len(storage.grads) == len(storage.state)
+        assert len(large) == {"ginn 65": 0, "mlp 65": 0, "ginn 401": 5, "mlp 401": 14}[name]
+
+    @pytest.mark.parametrize("name", STORAGE_MODELS)
+    def test_no_two_storage_arrays_overlap(self, storage_models, name):
+        arrays = [*storage_models[name].storage.state, *storage_models[name].storage.grads]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("name", STORAGE_MODELS)
+    def test_sizes_add_up(self, storage_models, name):
+        model = storage_models[name]
+        storage = model.storage
+        stats = sum(a.size for a in layer_arrays(model)[1])
+        assert sum(a.size for a in storage.params) == count_parameters(model)
+        assert [a.shape for a in storage.grads] == [a.shape for a in storage.params]
+        assert sum(a.size for a in storage.state) == count_parameters(model) + stats
+
+    @pytest.mark.parametrize("kind", ["ginn", "mlp"])
+    def test_backward_writes_into_the_gradient_buffer(self, graph2d, rng, kind):
+        model = build_archetype(ModelConfig(kind=kind), graph2d, seed=5)
+        views = model.gradients()
+        x = rng.normal(size=(9, model.n_points))
+        model.forward(x)
+        model.backward(rng.normal(size=x.shape))
+        # each layer's dw, db, dgamma and dbeta is still the view it was built with
+        assert all(a is b for a, b in zip(model.gradients(), views, strict=True))
+        buffer = model.storage.grads[0]
+        np.testing.assert_array_equal(buffer, np.concatenate([g.ravel() for g in views]))
+        assert np.count_nonzero(buffer) > buffer.size // 2
+
+    @pytest.mark.parametrize("kind,graph", [("ginn", "graph2d"), ("mlp", "graph2d"),
+                                            ("mlp", "graph4d")])
+    def test_save_load_save_is_byte_identical(self, tmp_path, request, rng, kind, graph):
+        # the 401-point MLP has one block, so its three weight matrices are the
+        # large arrays that keep their own allocation
+        graph = request.getfixturevalue(graph)
+        if graph.n_points > 100:
+            model = ArchetypeModel(ModelConfig(kind=kind), graph.n_points, 1, None,
+                                   np.random.default_rng(6))
+        else:
+            model = build_archetype(ModelConfig(kind=kind), graph, seed=6)
+        x = rng.normal(size=(20, model.n_points))
+        model.forward(x)  # move batch-norm stats off their init
+        first = save_model(model, tmp_path / "first.json")
+        back = load_model(first)
+        second = save_model(back, tmp_path / "second.json")
+        assert first.read_bytes() == second.read_bytes()
+        np.testing.assert_array_equal(back.predict(x), model.predict(x))
+        assert [a.shape for a in back.storage.state] == [a.shape for a in model.storage.state]
+        for a, b in zip(back.storage.state, model.storage.state):
+            np.testing.assert_array_equal(a, b)
+
+    def test_loader_draws_no_weights(self, tmp_path, graph2d, monkeypatch):
+        path = save_model(build_archetype(ModelConfig(), graph2d, seed=7), tmp_path / "m.json")
+        draws = []
+        original = layers_mod.glorot_normal
+
+        def spy(rng, *args, **kwargs):
+            draws.append(rng)
+            return original(rng, *args, **kwargs)
+
+        monkeypatch.setattr(layers_mod, "glorot_normal", spy)
+        load_model(path)
+        assert len(draws) == 12 and all(rng is None for rng in draws)
+
+
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 
 
@@ -882,19 +1014,29 @@ class TestAdam:
     @pytest.mark.parametrize("kind,graph", [("ginn", "graph2d"), ("mlp", "graph2d"),
                                             ("mlp", "graph4d")])
     def test_fixed_seed_training_unchanged(self, kind, graph, request, monkeypatch):
-        # the 401-point MLP's 401 x 401 weights span five blocks
+        # the blocked step over the model's storage lists against the whole-array
+        # step on the same lists, and on each array with per-array snapshots;
+        # the 401-point MLP's 401 x 401 weights span five blocks; at this
+        # learning rate the validation loss rises within 8 epochs, so early
+        # stopping restores an earlier epoch
         graph = request.getfixturevalue(graph)
         split = _toy_split(graph.n_points, np.random.default_rng(8), size=40)
-        config = TrainConfig(max_epochs=2, batch_size=8, seed=2)
+        config = TrainConfig(max_epochs=8, batch_size=8, seed=2, learning_rate=0.01,
+                             early_stop_patience=1)
         runs = []
-        for optimizer in (Adam, ReferenceAdam):
+        for optimizer, per_array in ((Adam, False), (ReferenceAdam, False),
+                                     (ReferenceAdam, True)):
             monkeypatch.setattr(training, "Adam", optimizer)
             model = build_archetype(ModelConfig(kind=kind), graph, seed=9)
+            if per_array:
+                model.storage = Storage(model.parameters(), model.gradients(), model.state())
             history = train(model, split, config)
+            assert history.stopped_early and history.val_loss[-1] > min(history.val_loss)
             runs.append((history.val_loss, [t.copy() for t in model.state()]))
-        assert runs[0][0] == runs[1][0]
-        for a, b in zip(runs[0][1], runs[1][1]):
-            np.testing.assert_array_equal(a, b)
+        for val_loss, state in runs[1:]:
+            assert val_loss == runs[0][0]
+            for a, b in zip(state, runs[0][1], strict=True):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestGradientBuffers:
