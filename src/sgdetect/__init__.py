@@ -13,10 +13,8 @@ from sgdetect.sparse_grid import (
     GridSpec,
     SparseGrid,
     build_sparse_grid,
-    level_to_knots,
     multi_index_set,
     similar_grid,
-    univariate_knots,
 )
 from sgdetect.grid_graph import GridGraph, build_grid_graph
 from sgdetect.engine import BoxTask, DetectionRun, EngineConfig, run_basic, run_batched
@@ -26,10 +24,8 @@ __all__ = [
     "GridSpec",
     "SparseGrid",
     "build_sparse_grid",
-    "level_to_knots",
     "multi_index_set",
     "similar_grid",
-    "univariate_knots",
     "GridGraph",
     "build_grid_graph",
     "BoxTask",

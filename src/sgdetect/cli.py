@@ -38,7 +38,6 @@ from sgdetect.neural.model import (
     build_archetype,
     count_parameters,
     grid_fingerprint,
-    load_model,
     save_model,
 )
 from sgdetect.neural.training import TrainConfig, evaluate_metrics, train
@@ -235,17 +234,15 @@ def cmd_train(args) -> int:
 
 
 def _detector_for(args, cut, dim) -> tuple[Detector, object, object]:
-    """Build (detector, grid, graph) for a detect run."""
-    if args.detector.startswith("nn:"):
-        model = load_model(args.detector.split(":", 1)[1])
-        spec = GridSpec.from_key(model.grid_key)
-        if spec.dim != dim:
-            raise DimensionMismatchError(
-                f"model is {spec.dim}-dimensional, target is {dim}-dimensional")
-        grid, graph = _build_reference(spec.rule, spec.level, spec.dim)
-        return NeuralDetector(model), grid, graph
-    grid, graph = _build_reference(args.rule, args.level, dim)
-    return make_detector(args.detector, cut=cut), grid, graph
+    """Build (detector, grid, graph) for a detect run; a model brings its own grid."""
+    detector = make_detector(args.detector, cut=cut)
+    if not isinstance(detector, NeuralDetector):
+        return detector, *_build_reference(args.rule, args.level, dim)
+    spec = GridSpec.from_key(detector.model.grid_key)
+    if spec.dim != dim:
+        raise DimensionMismatchError(
+            f"model is {spec.dim}-dimensional, target is {dim}-dimensional")
+    return detector, *_build_reference(spec.rule, spec.level, spec.dim)
 
 
 def cmd_detect(args) -> int:

@@ -240,16 +240,6 @@ class CallableCut(CutFunction):
 # deterministic detectors
 
 
-def add_points(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a + b`` for broadcast stacks of points ``(..., n)``, one coordinate
-    at a time: the same floats, but NumPy loops over the points instead of
-    over n coordinates per point, which is several times faster at n <= 4."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    for d in range(out.shape[-1]):
-        np.add(a[..., d], b[..., d], out=out[..., d])
-    return out
-
-
 def sample_signs(f: CutFunction, a: np.ndarray, b: np.ndarray,
                  knots: np.ndarray) -> np.ndarray:
     """Signs of f at a + tau (b - a) for each knot tau of each segment.

@@ -11,7 +11,10 @@ budget is set); both run the same loop, so they visit the same grids in the
 same order and find the same troubled set.  The loop visits a chunk of G
 grids at once: one ``(G, N, n)`` placement, one pass over the evaluation
 cache and, when the detector or a visit hook needs g, one call to g on the
-chunk's distinct new points.  g is evaluated nowhere else.
+chunk's distinct new points.  g is evaluated nowhere else.  The float
+coordinates come from :meth:`~sgdetect.sparse_grid.SparseGrid.place` on
+each box's correctly rounded center and edge, so a sample's ``coords`` are
+its placed grid's ``coords()`` to the bit.
 
 Every point the engine can reach lies on one lattice ``origin + k * unit``
 with integer ``k``: a new box is centered on a grid point and its edge is
@@ -151,9 +154,6 @@ class DetectionRun:
             return np.zeros((0, 0))
         return np.array([t.coords for t in self.troubled], dtype=np.float64)
 
-    def troubled_keys(self) -> set:
-        return {t.exact for t in self.troubled}
-
 
 def _require_refined(lat: np.ndarray) -> None:
     """Refinement needs at least one subdivision per axis (level >= 2),
@@ -181,8 +181,7 @@ class _EngineState:
 
     def __init__(self, grid: SparseGrid, graph: GridGraph, detector: Detector,
                  g: Callable, config: EngineConfig, initial: Sequence, evaluates: bool):
-        lat = grid.lattice_array()
-        _require_refined(lat)
+        _require_refined(grid.lattice)
         if config.max_evaluations is not None and not evaluates:
             raise EngineError(
                 f"max_evaluations={config.max_evaluations} can never bind: detector "
@@ -195,8 +194,7 @@ class _EngineState:
         self.config = config
         m = self.m = grid.resolution
         # per-point offsets from the box center, in units of edge / M
-        self.offsets = lat - m // 2
-        self.offsets_float = (lat.astype(np.float64) - m / 2.0) / m
+        self.offsets = grid.lattice - m // 2
         spans = graph.incident_max_span()
         if graph.n_points > 1 and int(spans.min()) == 0:
             raise DegenerateGraphError("reference graph has an isolated node")
@@ -276,15 +274,10 @@ class _EngineState:
         n = pts.shape[2]
         keys = pts.reshape(-1, n).view(np.dtype((np.void, 8 * n))).ravel().tolist()
         in_domain = np.all((pts >= self.lo) & (pts <= self.hi), axis=2)
-        # both correctly rounded, like float(Fraction) of the exact center and edge
-        center_f = np.array([lat.coords(center) for _, center, _ in chunk])
-        edge_f = np.array([(edge * lat.unit_num) / lat.den for _, _, edge in chunk])
-        # center + offset * edge, one axis at a time: the same floats, but
-        # NumPy loops over the points instead of over n coordinates per point
-        coords = np.empty(pts.shape)
-        for d in range(n):
-            np.multiply(self.offsets_float[:, d], edge_f[:, None], out=coords[..., d])
-            coords[..., d] += center_f[:, None, d]
+        # both correctly rounded, like float(Fraction) of the exact center and
+        # edge, so each grid gets the floats of its placed grid's coords()
+        coords = self.grid.place([lat.coords(center) for _, center, _ in chunk],
+                                 [(edge * lat.unit_num) / lat.den for _, _, edge in chunk])
         self.visited.update(keys)
         values = None
         if self.evaluates:

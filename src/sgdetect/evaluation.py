@@ -32,7 +32,6 @@ from sgdetect.detectors import (
     SphericalCut,
     PolynomialCut,
     TorusCut,
-    add_points,
     sample_signs,
 )
 from sgdetect.errors import MalformedFileError, SgdetectError
@@ -148,8 +147,9 @@ def tpr(points: np.ndarray, cut: CutFunction, lambda_min, check_graph: GridGraph
         subdivisions: int = 1000, visited_count: int | None = None) -> TprReport:
     """Fraction of troubled points whose check grid touches the interface.
 
-    For each point, a grid similar to the check graph's grid is centered
-    there with box edge ``lambda_min``; the point is a true troubled point
+    For each point, the check graph's grid is placed
+    (:meth:`~sgdetect.sparse_grid.SparseGrid.place`) on the box centered
+    there with edge ``lambda_min``; the point is a true troubled point
     iff the cut's zero-level set intersects at least one graph edge.  A
     check graph without edges (a one-point grid) raises :class:`SgdetectError`.
     Intersections use the cut's closed form when available (one
@@ -195,23 +195,20 @@ def tpr(points: np.ndarray, cut: CutFunction, lambda_min, check_graph: GridGraph
         raise SgdetectError(f"{points.shape[1]}D points cannot be scored with a "
                             f"{grid.dim}D check grid")
     lam = float(lambda_min)
-    m = grid.resolution
-    offsets = (grid.lattice_array().astype(np.float64) - m / 2.0) / m * lam
     knots = np.linspace(0.0, 1.0, subdivisions + 1)
     ei, ej = check_graph.edge_ends
     no_segments = np.empty((0, grid.dim))
     closed_form = cut.segment_roots(no_segments, no_segments) is not None
-    chunk = max(1, SAMPLE_BUDGET // max(len(offsets), len(ei)))
+    chunk = max(1, SAMPLE_BUDGET // max(grid.n_points, len(ei)))
     hit = np.zeros(len(points), dtype=bool)
     for start in range(0, len(points), chunk):
-        centres = points[start : start + chunk, None]
+        x = grid.place(points[start : start + chunk], lam)
         if closed_form:
-            lo, _ = cut.segment_roots(add_points(centres, offsets[ei]),
-                                      add_points(centres, offsets[ej]))
-            hit[start : start + len(centres)] = np.any(~np.isnan(lo), axis=1)
+            # np.take, not x[:, ei]: several times faster on this layout
+            lo, _ = cut.segment_roots(np.take(x, ei, axis=1), np.take(x, ej, axis=1))
+            hit[start : start + len(x)] = np.any(~np.isnan(lo), axis=1)
         else:
-            hit[start : start + len(centres)] = _sampled_hits(
-                cut, add_points(centres, offsets), ei, ej, knots)
+            hit[start : start + len(x)] = _sampled_hits(cut, x, ei, ej, knots)
     verdicts = hit.tolist()
     true_count = int(hit.sum())
     return TprReport(

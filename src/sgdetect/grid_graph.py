@@ -36,7 +36,7 @@ def build_raw_edges(grid: SparseGrid) -> np.ndarray:
     """
     if grid.n_points == 0:
         raise DegenerateGraphError("empty grid")
-    lattice = grid.lattice_array()
+    lattice = grid.lattice
     parts = []
     for axis in range(grid.dim):
         rest = np.delete(lattice, axis, axis=1)
@@ -71,7 +71,7 @@ def prune_edges(raw: np.ndarray, grid: SparseGrid) -> np.ndarray:
     owner = np.repeat(np.arange(len(raw)), inner)
     rows = np.arange(len(owner))
     step = rows - np.repeat(np.cumsum(inner) - inner, inner) + 1
-    points = grid.lattice_array()[raw[owner, 0]]
+    points = grid.lattice[raw[owner, 0]]
     points[rows, axis[owner]] += step
     unique, point = np.unique(points, axis=0, return_inverse=True)
     point = point.reshape(-1)

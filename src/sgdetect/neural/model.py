@@ -333,7 +333,7 @@ def grid_fingerprint(graph: GridGraph) -> str:
     grid = graph.grid
     payload = json.dumps(
         {"spec": grid.spec.key(), "resolution": grid.resolution,
-         "lattice": [list(k) for k in grid.lattice]},
+         "lattice": grid.lattice.tolist()},
         sort_keys=True,
     ).encode()
     return hashlib.sha256(payload).hexdigest()[:16]

@@ -5,63 +5,58 @@ multi-index rule.  Univariate knots follow the doubling rule
 
     m(1) = 1,   m(h) = 2^(h-1) + 1  for h >= 2,
 
-which yields nested equispaced knot sets on [0, 1].  Every grid point is
-stored as a tuple of integer lattice numerators over a common power-of-two
-resolution M, so that point identity, deduplication, and cross-grid
-comparisons are exact (no floating-point tolerance anywhere).
+which yields nested equispaced knot sets on [0, 1].  A grid's points are
+one read-only ``(N, n)`` int64 array of lattice numerators over a common
+power-of-two resolution M, so that point identity, deduplication, and
+cross-grid comparisons are exact (no floating-point tolerance anywhere).
 
 Similar grids (same lattice, different box) share all combinatorial
-structure; the detection engine exploits this by building the reference
-grid once and re-placing it with new centers and edge lengths.
+structure.  :meth:`SparseGrid.place` maps the one lattice onto any number
+of boxes, and it is the only place where grid points become floats: the
+detection engine, the TPR check grids and :meth:`SparseGrid.coords` all
+call it, so the same box always gives the same coordinates.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from sgdetect.errors import EmptyGridError, InvalidLevelError, MalformedFileError
 
-RULES = ("prod", "sum", "max")
-
-#: multi-index rules r(h); a tensor grid enters the union iff r(h) <= level
-_RULE_FUNCS = {
-    "prod": lambda h: int(np.prod(h)),
-    "sum": lambda h: int(sum(h)),
-    "max": lambda h: int(max(h)),
-}
+#: multi-index rules r(h) as a ufunc folded over the axes from its start
+#: value; a tensor grid enters the union iff r(h) <= level
+_RULES = {"prod": (np.multiply, 1), "sum": (np.add, 0), "max": (np.maximum, 1)}
+RULES = tuple(_RULES)
 
 
-def level_to_knots(h: int) -> int:
-    """Number of univariate knots m(h) at refinement level h.
+def _admissible(rule: str, level: int, dim: int, weights: np.ndarray) -> np.ndarray:
+    """Every row ``k`` of indices into ``weights`` whose weights
+    ``(weights[k_1], .., weights[k_dim])`` have rule value <= level, as a
+    lexicographically sorted ``(R, dim)`` int64 array.
 
-    m(1) = 1 (single midpoint), m(h) = 2^(h-1) + 1 otherwise, so each
-    refinement essentially doubles the knot count and the sets are nested
-    for h >= 2.
+    Rows grow one axis at a time, in increasing order, so they come out
+    sorted.  Weights are >= 1 and every rule is monotone in each axis, so a
+    prefix whose value with ones in the remaining axes passes the level has
+    no admissible extension and is dropped at once.
     """
-    if h < 1:
-        raise InvalidLevelError(f"refinement level must be >= 1, got {h}")
-    return 1 if h == 1 else 2 ** (h - 1) + 1
-
-
-def univariate_knots(h: int) -> list[Fraction]:
-    """Equispaced knots on [0, 1] at refinement level h, as exact fractions.
-
-    Level 1 is the midpoint {1/2}; level h >= 2 is {k / 2^(h-1), k = 0..2^(h-1)}.
-    The level-h set is contained in the level-(h+1) set for every h >= 2.
-    """
-    if h < 1:
-        raise InvalidLevelError(f"refinement level must be >= 1, got {h}")
-    if h == 1:
-        return [Fraction(1, 2)]
-    denom = 2 ** (h - 1)
-    return [Fraction(k, denom) for k in range(denom + 1)]
+    combine, start = _RULES[rule]
+    rows = np.zeros((1, 0), dtype=np.int64)
+    value = np.array([start])
+    for axis in range(dim):
+        grown = combine.outer(value, weights)
+        # the rule's value over ones in the remaining axes
+        rest = combine.reduce(np.ones(dim - axis - 1, dtype=np.int64), initial=start)
+        row, k = np.nonzero(combine(grown, rest) <= level)
+        rows = np.column_stack([rows[row], k])
+        value = grown[row, k]
+    return rows
 
 
 def multi_index_set(rule: str, level: int, dim: int) -> list[tuple[int, ...]]:
@@ -77,17 +72,11 @@ def multi_index_set(rule: str, level: int, dim: int) -> list[tuple[int, ...]]:
         raise InvalidLevelError(f"level must be >= 1, got {level}")
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
-    r = _RULE_FUNCS[rule]
-    # Per-axis levels never exceed the level of the rule itself: each h_i >= 1,
-    # so r(h) >= h_i for all three rules.
-    out = [
-        h
-        for h in itertools.product(range(1, level + 1), repeat=dim)
-        if r(h) <= level
-    ]
-    if not out:
+    # per-axis levels never exceed the level: each h_i >= 1, so r(h) >= h_i
+    out = _admissible(rule, level, dim, np.arange(1, level + 1)) + 1
+    if not len(out):
         raise EmptyGridError(f"rule {rule!r} at level {level} admits no multi-index in dim {dim}")
-    return sorted(out)
+    return list(map(tuple, out.tolist()))
 
 
 def _as_fraction(x) -> Fraction:
@@ -158,10 +147,15 @@ class GridSpec:
         if self.dim < 1 or self.level < 1:
             raise InvalidLevelError(f"dim and level must be >= 1, got {self.dim}, {self.level}")
 
+    @cached_property
+    def indices(self) -> tuple[tuple[int, ...], ...]:
+        """The multi-index set, sorted; enumerated once per spec."""
+        return tuple(multi_index_set(self.rule, self.level, self.dim))
+
     @property
     def h_max(self) -> int:
         """Maximum per-axis refinement level over the multi-index set."""
-        return max(max(h) for h in multi_index_set(self.rule, self.level, self.dim))
+        return max(max(h) for h in self.indices)
 
     @property
     def resolution(self) -> int:
@@ -184,20 +178,19 @@ class GridSpec:
         return GridSpec(dim=int(match[3]), rule=match[1], level=int(match[2]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseGrid:
     """A sparse grid: lattice points plus the box mapping them into R^n.
 
-    ``lattice`` holds one integer tuple per point, lexicographically
-    sorted, with entries in {0, .., M}; the real coordinate of numerator k
-    on axis i is ``lower_i + (k / M) * edge``.  Grids that share a lattice
-    are similar in the recentering/rescaling sense.
+    ``lattice`` is a read-only ``(N, n)`` int64 array of numerators in
+    {0, .., M}, its rows sorted lexicographically; numerator k on axis i
+    lies at ``center_i + (k / M - 1/2) * edge``.  Grids that share a
+    lattice are similar in the recentering/rescaling sense.
     """
 
     spec: GridSpec
     box: Box
-    lattice: tuple[tuple[int, ...], ...]
-    resolution: int
+    lattice: np.ndarray
 
     def __post_init__(self):
         if self.box.dim != self.spec.dim:
@@ -211,43 +204,71 @@ class SparseGrid:
     def dim(self) -> int:
         return self.spec.dim
 
-    def lattice_array(self) -> np.ndarray:
-        return np.asarray(self.lattice, dtype=np.int64)
+    @property
+    def resolution(self) -> int:
+        return self.spec.resolution
+
+    @cached_property
+    def _unit_offsets(self) -> np.ndarray:
+        """Each point's offset from the box center for a unit edge,
+        ``k / M - 1/2`` as ``(k - M/2) / M``; exact in float64."""
+        m = self.resolution
+        offsets = (self.lattice - m / 2.0) / m
+        offsets.flags.writeable = False
+        return offsets
+
+    def place(self, centers, edge) -> np.ndarray:
+        """The grid placed on P boxes: ``center + unit_offset * edge`` as a
+        ``(P, N, n)`` float array.
+
+        ``centers`` is ``(P, n)``.  ``edge`` is one edge per box, ``(P,)``,
+        or one shared edge, which scales the offsets once.  Either way each
+        coordinate is one rounded product and one rounded sum, so the same
+        box gives the same floats.  The work goes one axis at a time, so
+        NumPy loops over the points instead of over n coordinates per point.
+        """
+        centers = np.asarray(centers, dtype=np.float64)
+        edge = np.asarray(edge, dtype=np.float64)
+        out = np.empty((len(centers), self.n_points, self.dim))
+        if edge.ndim == 0:
+            scaled = self._unit_offsets * edge
+            for d in range(self.dim):
+                np.add(centers[:, None, d], scaled[:, d], out=out[..., d])
+        else:
+            for d in range(self.dim):
+                np.multiply(self._unit_offsets[:, d], edge[:, None], out=out[..., d])
+                out[..., d] += centers[:, None, d]
+        return out
 
     def coords(self) -> np.ndarray:
-        """Real coordinates as an (N, n) float array.
-
-        For dyadic boxes the float arithmetic is exact.
-        """
-        lat = self.lattice_array().astype(np.float64)
-        lo = np.array([float(x) for x in self.box.lower])
-        return lo + lat * (float(self.box.edge) / self.resolution)
+        """Real coordinates as an (N, n) float array: :meth:`place` on the
+        box's correctly rounded center and edge."""
+        center = [float(c) for c in self.box.center]
+        return self.place([center], float(self.box.edge))[0]
 
 
 def build_sparse_grid(spec: GridSpec, box: Box) -> SparseGrid:
     """Union of the tensor grids selected by the multi-index rule.
 
-    Points are deduplicated on exact lattice numerators and ordered
-    lexicographically, so detector input/output slots map to fixed grid
-    positions across runs and across similar grids.
+    Over denominator M, the level-1 knot is the midpoint M/2 and the
+    level-h >= 2 knots are every (M / 2^(h-1))-th numerator of 0..M.  Each
+    point appears once and the rows are ordered lexicographically, so
+    detector input/output slots map to fixed grid positions across runs
+    and across similar grids.
     """
     if box.dim != spec.dim:
         raise ValueError(f"box dim {box.dim} != spec dim {spec.dim}")
-    indices = multi_index_set(spec.rule, spec.level, spec.dim)
     m = spec.resolution
-    # Univariate knot numerators at level h over denominator M: the level-1
-    # midpoint is M/2; level h >= 2 is every (M / 2^(h-1))-th numerator.
-    numerators: dict[int, list[int]] = {}
-    for h in {h_i for idx in indices for h_i in idx}:
-        if h == 1:
-            numerators[h] = [m // 2]
-        else:
-            step = m // 2 ** (h - 1)
-            numerators[h] = list(range(0, m + 1, step))
-    points: set[tuple[int, ...]] = set()
-    for idx in indices:
-        points.update(itertools.product(*(numerators[h] for h in idx)))
-    return SparseGrid(spec=spec, box=box, lattice=tuple(sorted(points)), resolution=m)
+    # the first level whose knots hold each numerator
+    first_level = np.empty(m + 1, dtype=np.int64)
+    for h in range(m.bit_length(), 1, -1):
+        first_level[:: m >> (h - 1)] = h
+    first_level[m // 2] = 1
+    # the knot sets are nested and the rules monotone, so a point lies in the
+    # union iff the first levels of its numerators form an admissible index
+    lattice = _admissible(spec.rule, spec.level, spec.dim, first_level)
+    lattice.flags.writeable = False
+    return SparseGrid(spec=spec, box=box, lattice=lattice)
 
 
 def similar_grid(reference: SparseGrid, center: Sequence, edge) -> SparseGrid:
@@ -260,12 +281,7 @@ def similar_grid(reference: SparseGrid, center: Sequence, edge) -> SparseGrid:
     box = Box.cube(center, edge)
     if box.dim != reference.dim:
         raise ValueError(f"center dim {box.dim} != grid dim {reference.dim}")
-    return SparseGrid(
-        spec=reference.spec,
-        box=box,
-        lattice=reference.lattice,
-        resolution=reference.resolution,
-    )
+    return SparseGrid(spec=reference.spec, box=box, lattice=reference.lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +301,7 @@ def grid_record(grid: SparseGrid) -> dict:
         "center": [str(c) for c in grid.box.center],
         "edge": str(grid.box.edge),
         "n_points": grid.n_points,
-        "lattice": [list(k) for k in grid.lattice],
+        "lattice": grid.lattice.tolist(),
         "coords": [[float(x) for x in row] for row in grid.coords()],
     }
 

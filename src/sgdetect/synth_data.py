@@ -184,18 +184,13 @@ def sample_piecewise_function(kind: str, n: int, rng: np.random.Generator,
 # preprocessing
 
 
-def preprocess_gamma(g: np.ndarray) -> np.ndarray:
-    """Abs-max rescaling into [-1, 1]^N.
+def preprocess_gamma_batch(g: np.ndarray) -> np.ndarray:
+    """Abs-max rescaling of each row of a (K, N) batch into [-1, 1]^N.
 
-    Returns the zero vector when every (finite) entry is zero; otherwise
-    divides by max{|max|, |min|} over the finite entries.  Sentinel slots
+    A row whose (finite) entries are all zero stays zero; any other row is
+    divided by max{|max|, |min|} over its finite entries.  Sentinel slots
     (non-finite) are excluded from the scale and come out as exactly 0.
     """
-    return preprocess_gamma_batch(np.asarray(g, dtype=np.float64)[None, :])[0]
-
-
-def preprocess_gamma_batch(g: np.ndarray) -> np.ndarray:
-    """Row-wise gamma for a (K, N) batch of evaluation vectors."""
     g = np.asarray(g, dtype=np.float64)
     finite = np.isfinite(g)
     masked = np.where(finite, g, 0.0)

@@ -406,7 +406,7 @@ class TestStackedZDetector:
 
 
 class TestPointBuilders:
-    """The knot-major ``sample_signs`` and ``add_points`` build the same floats."""
+    """The knot-major ``sample_signs`` builds the segment-major walk's floats."""
 
     @pytest.mark.parametrize("lead", [(), (7,), (3, 5)])
     @pytest.mark.parametrize("dim,knots", [(2, 10), (4, 3), (3, 201)])
@@ -425,15 +425,6 @@ class TestPointBuilders:
         ref = a[..., None, :] + taus[:, None] * (b - a)[..., None, :]
         got = np.moveaxis(x.reshape(knots, *lead, dim), 0, -2)
         np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
-
-    @pytest.mark.parametrize("shapes", [((5, 1, 4), (401, 4)), ((3, 2), (3, 2)),
-                                        ((2, 1, 1, 3), (4, 6, 3))])
-    def test_add_points_is_plain_addition(self, shapes):
-        rng = np.random.default_rng(len(shapes[1]))
-        a, b = (rng.normal(size=shape) for shape in shapes)
-        b.flat[0] = -a.flat[0]  # a signed zero
-        out = detectors.add_points(a, b)
-        np.testing.assert_array_equal(out.view(np.int64), (a + b).view(np.int64))
 
 
 class CountingCut(CutFunction):

@@ -2,16 +2,19 @@ import logging
 import math
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sgdetect.cli import resolve_target
 from sgdetect.detectors import (
     Detector,
     ExactOracleDetector,
     LinearCut,
+    NeuralDetector,
     SphericalCut,
     ZLevelDetector,
 )
@@ -25,15 +28,21 @@ from sgdetect.engine import (
     write_troubled_csv,
 )
 from sgdetect.errors import DegenerateGraphError, DimensionMismatchError, EngineError
-from sgdetect.grid_graph import GridGraph
-from sgdetect.sparse_grid import Box
+from sgdetect.grid_graph import GridGraph, build_grid_graph
+from sgdetect.neural.model import ModelConfig, build_archetype, load_model
+from sgdetect.sparse_grid import Box, GridSpec, build_sparse_grid
 from sgdetect.synth_data import sample_piecewise_function
 
 SQUARE = Box.cube((0, 0), 2)
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 
 
 def constant_g(x):
     return np.ones(np.asarray(x).shape[0])
+
+
+def exact_points(run) -> set:
+    return {t.exact for t in run.troubled}
 
 
 class CountingDetector(Detector):
@@ -135,7 +144,7 @@ class TestBasicRun:
     def test_refinement_uses_incident_not_global_max(self, grid2d, graph2d):
         # a corner point's spawned box takes its own longest incident edge,
         # which is shorter than the longest edge in the grid
-        corner = grid2d.lattice.index((0, 0))
+        corner = grid2d.lattice.tolist().index([0, 0])
         spans = graph2d.incident_max_span()
         global_span = graph2d.edges[:, 3].max()
         assert spans[corner] < global_span
@@ -310,7 +319,7 @@ class TestCache:
         plain = run_basic(g=constant_g, grid=grid2d, graph=graph2d,
                           detector=ExactOracleDetector(SphericalCut((0.2, 0.1), 0.65)),
                           initial=[((0, 0), 2)], config=run.config)
-        assert run.troubled_keys() == plain.troubled_keys()
+        assert exact_points(run) == exact_points(plain)
         assert plain.evaluations == plain.cache_hits == 0
         assert run.cache_hits > 0
         assert run.visited_points == plain.visited_points
@@ -366,7 +375,7 @@ class TestBudget:
                          initial=[((0, 0), 2)], config=config)
             assert run.truncated
             assert budget <= run.evaluations < budget + n
-            assert run.troubled_keys() <= full.troubled_keys()
+            assert exact_points(run) <= exact_points(full)
 
 
 class TestEvaluationShape:
@@ -400,13 +409,33 @@ def _hooked(runner, g, grid, graph, detector, initial, config):
 
 
 def _assert_same_run(a, b):
-    assert a.troubled_keys() == b.troubled_keys()
+    assert exact_points(a) == exact_points(b)
     assert [t.key for t in a.troubled] == [t.key for t in b.troubled]
     assert a.evaluations == b.evaluations
     assert a.cache_hits == b.cache_hits
     assert a.visited_points == b.visited_points
     assert a.generation_sizes == b.generation_sizes
     assert a.grids_visited == b.grids_visited
+
+
+class TestPlacement:
+    def test_sample_coords_are_the_placed_grids_coords(self, grid2d, graph2d):
+        # a box whose center and edge are not dyadic, so that two placement
+        # formulas can round differently
+        from sgdetect.evaluation import builtin_test_functions
+
+        target = builtin_test_functions()["circle"]
+        config = EngineConfig(lambda_min=Fraction(1, 32), domain=SQUARE)
+        initial = [((Fraction(1, 3), Fraction(-1, 3)), Fraction(3, 4))]
+        same = []
+
+        def hook(task, sample, p):
+            same.append(sample.coords.tobytes() == sample.grid.coords().tobytes())
+
+        run_batched(g=target.fn, grid=grid2d, graph=graph2d,
+                    detector=ExactOracleDetector(target.cut), initial=initial,
+                    config=config, visit_hook=hook)
+        assert len(same) == 16 and all(same)
 
 
 class TestBatchedEquivalence:
@@ -445,10 +474,33 @@ class TestBatchedEquivalence:
         assert b.detector_calls == len(b.generation_sizes) < a.detector_calls
         # each grid's float coordinates are the broadcast formula's, to the bit
         m = grid.resolution
-        offsets = (grid.lattice_array() - m / 2.0) / m
+        offsets = (grid.lattice - m / 2.0) / m
         for center, edge, _, coords in visits_b:
             expected = np.array([float(c) for c in center]) + offsets * float(edge)
             assert coords == expected.tobytes()
+
+    @pytest.mark.parametrize("trained", [True, False], ids=["fixture", "untrained-mlp"])
+    @pytest.mark.parametrize("fixture,target,lambda_min", [
+        ("ginn2d.json", "builtin:circle", Fraction(1, 32)),
+        ("ginn2d.json", "builtin:bows", Fraction(1, 32)),
+        ("ginn2d.json", "phantom:256", Fraction(1)),
+        ("ginn4d.json", "builtin:torus4d", Fraction(1, 4)),
+    ])
+    def test_neural_detector(self, fixture, target, lambda_min, trained):
+        # the NN sees its grids in chunks of 1 (basic) or a generation
+        # (batched); its troubled list must not depend on the chunking
+        model = load_model(FIXTURES / fixture)
+        spec = GridSpec.from_key(model.grid_key)
+        graph = build_grid_graph(build_sparse_grid(spec, Box.cube((0,) * spec.dim, 2)))
+        if not trained:
+            model = build_archetype(ModelConfig(kind="mlp"), graph, seed=5)
+        g, _, domain, _ = resolve_target(target)
+        config = EngineConfig(lambda_min=lambda_min, domain=domain)
+        runs = [runner(g=g, grid=graph.grid, graph=graph, detector=NeuralDetector(model),
+                       initial=[(domain.center, domain.edge)], config=config)
+                for runner in (run_basic, run_batched)]
+        a, b = ([(t.key, t.lam, t.boundary_stopped) for t in run.troubled] for run in runs)
+        assert a and a == b
 
     def test_single_task_batch_of_one(self, grid2d, graph2d):
         cut = SphericalCut((0.2, 0.1), 0.65)
@@ -459,7 +511,7 @@ class TestBatchedEquivalence:
         b = run_batched(g=constant_g, grid=grid2d, graph=graph2d,
                         detector=ExactOracleDetector(cut), initial=[((0, 0), 2)],
                         config=config)
-        assert a.troubled_keys() == b.troubled_keys()
+        assert exact_points(a) == exact_points(b)
         assert sum(a.generation_sizes) == a.grids_visited
         assert sum(b.generation_sizes) == b.grids_visited
 
@@ -577,7 +629,7 @@ class TestEngineProperties:
     def test_troubled_points_lie_on_their_trigger_grid(self, grid2d, graph2d, case):
         boxes, cut, config = case
         m = grid2d.resolution
-        lattice = grid2d.lattice_array().tolist()
+        lattice = grid2d.lattice.tolist()
         spans = graph2d.incident_max_span().tolist()
         triggers = set()
 
@@ -603,7 +655,7 @@ class TestEngineProperties:
         capped = run_batched(g=self._g(cut), grid=grid2d, graph=graph2d,
                              detector=EvalOracle(cut), initial=boxes,
                              config=replace(config, max_evaluations=budget))
-        assert capped.troubled_keys() <= full.troubled_keys()
+        assert exact_points(capped) <= exact_points(full)
         assert capped.evaluations < budget + grid2d.n_points
         assert capped.truncated == (capped.grids_visited < full.grids_visited)
 
@@ -623,7 +675,7 @@ class TestWarningsAndReports:
             both = run(boxes)
         first, second = run(boxes[:1]), run(boxes[1:])
         assert first.troubled and second.troubled
-        assert both.troubled_keys() == first.troubled_keys() | second.troubled_keys()
+        assert exact_points(both) == exact_points(first) | exact_points(second)
         assert both.visited_points == first.visited_points + second.visited_points
 
     @pytest.mark.filterwarnings("ignore:initial grid centers are off-lattice")

@@ -132,7 +132,7 @@ def check_offsets(lambda_min, graph):
     """Node offsets of a check grid with box edge ``lambda_min``, as ``tpr`` computes them."""
     grid = graph.grid
     m = grid.resolution
-    return (grid.lattice_array().astype(np.float64) - m / 2.0) / m * float(lambda_min)
+    return (grid.lattice - m / 2.0) / m * float(lambda_min)
 
 
 def placed_nodes(points, lambda_min, graph):

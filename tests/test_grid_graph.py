@@ -21,9 +21,14 @@ from sgdetect.neural.model import ModelConfig, build_archetype, save_model
 from sgdetect.sparse_grid import Box, GridSpec, build_sparse_grid, similar_grid
 
 
+def lattice_rows(grid) -> list[tuple[int, ...]]:
+    """The grid's lattice rows as integer tuples, for the set-based oracles."""
+    return list(map(tuple, grid.lattice.tolist()))
+
+
 def brute_force_raw_edges(grid):
     """Oracle for rule (i)-(ii): aligned pairs with no grid point between."""
-    lattice = grid.lattice
+    lattice = lattice_rows(grid)
     points = set(lattice)
     edges = set()
     for i, j in itertools.combinations(range(len(lattice)), 2):
@@ -46,14 +51,15 @@ def brute_force_prune(raw, grid):
 
     Takes and returns ``(i, j, axis, span)`` tuples.
     """
+    lattice = lattice_rows(grid)
     kept = []
     for e_i, e_j, e_axis, e_span in raw:
-        a_lo = grid.lattice[e_i]
+        a_lo = lattice[e_i]
         ok = True
         for o_i, _, o_axis, o_span in raw:
             if o_axis == e_axis:
                 continue
-            b_lo = grid.lattice[o_i]
+            b_lo = lattice[o_i]
             shared = all(
                 a_lo[d] == b_lo[d]
                 for d in range(len(a_lo))
@@ -152,9 +158,10 @@ class TestRawEdges:
         assert set(rows(build_raw_edges(g))) == brute_force_raw_edges(g)
 
     def test_rule_ii_no_interior_grid_point(self, graph2d, grid2d):
-        points = set(grid2d.lattice)
+        lattice = lattice_rows(grid2d)
+        points = set(lattice)
         for i, _, axis, span in graph2d.edges.tolist():
-            a = grid2d.lattice[i]
+            a = lattice[i]
             for k in range(a[axis] + 1, a[axis] + span):
                 assert a[:axis] + (k,) + a[axis + 1 :] not in points
 
@@ -181,7 +188,7 @@ class TestPruneEdges:
         g = build_sparse_grid(GridSpec(dim=2, rule="sum", level=6), Box.cube((0, 0), 2))
         raw = build_raw_edges(g)
         pruned = {(i, j) for i, j, _, _ in rows(prune_edges(raw, g))}
-        lattice = {k: i for i, k in enumerate(g.lattice)}
+        lattice = {k: i for i, k in enumerate(lattice_rows(g))}
         m = g.resolution
         # horizontal span-4 edge in row y=M/4 from x=0: crossed only by longer
         # vertical edges, survives

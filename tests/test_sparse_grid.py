@@ -12,47 +12,60 @@ from sgdetect.sparse_grid import (
     GridSpec,
     build_sparse_grid,
     grid_record,
-    level_to_knots,
     multi_index_set,
     similar_grid,
-    univariate_knots,
 )
 
 
+def line(h: int):
+    """The 1D max-rule grid at level h on [0, 1]: the union of the knot sets
+    of levels 1..h, which are nested for h >= 2 and all hold the midpoint,
+    so its points are the level-h univariate knots."""
+    return build_sparse_grid(GridSpec(dim=1, rule="max", level=h),
+                             Box.cube((Fraction(1, 2),), 1))
+
+
+def knots(h: int) -> list[Fraction]:
+    grid = line(h)
+    return [Fraction(k, grid.resolution) for k in grid.lattice[:, 0].tolist()]
+
+
 class TestLevelToKnots:
+    """The knot count m(1) = 1, m(h) = 2^(h-1) + 1."""
+
     def test_paper_values(self):
-        assert level_to_knots(1) == 1
-        assert level_to_knots(2) == 3
+        assert line(1).n_points == 1
+        assert line(2).n_points == 3
 
     def test_doubling(self):
-        assert level_to_knots(5) == 17
+        assert line(5).n_points == 17
 
     def test_invalid_level(self):
         with pytest.raises(InvalidLevelError):
-            level_to_knots(0)
+            GridSpec(dim=1, rule="max", level=0)
 
     @given(st.integers(min_value=1, max_value=20))
     def test_monotone(self, h):
-        assert level_to_knots(h + 1) >= level_to_knots(h)
+        assert line(h + 1).n_points >= line(h).n_points
 
 
 class TestUnivariateKnots:
     def test_level_one_is_midpoint(self):
-        assert univariate_knots(1) == [Fraction(1, 2)]
+        assert knots(1) == [Fraction(1, 2)]
 
     def test_level_two(self):
-        assert univariate_knots(2) == [Fraction(0), Fraction(1, 2), Fraction(1)]
+        assert knots(2) == [Fraction(0), Fraction(1, 2), Fraction(1)]
 
     def test_level_three(self):
-        assert univariate_knots(3) == [Fraction(k, 4) for k in range(5)]
+        assert knots(3) == [Fraction(k, 4) for k in range(5)]
 
     @given(st.integers(min_value=2, max_value=10))
     def test_nested(self, h):
-        assert set(univariate_knots(h)) <= set(univariate_knots(h + 1))
+        assert set(knots(h)) <= set(knots(h + 1))
 
     @given(st.integers(min_value=1, max_value=10))
     def test_cardinality_matches_level_to_knots(self, h):
-        assert len(univariate_knots(h)) == level_to_knots(h)
+        assert len(knots(h)) == (1 if h == 1 else 2 ** (h - 1) + 1)
 
 
 class TestMultiIndexSet:
@@ -82,6 +95,14 @@ class TestMultiIndexSet:
         else:
             assert multi_index_set(rule, level, dim) == expected
 
+    def test_prunes_inadmissible_prefixes(self):
+        # brute force would walk 13^12 tuples; only the all-ones index and
+        # one 2 per axis are admissible
+        spec = GridSpec(dim=12, rule="sum", level=13)
+        assert len(spec.indices) == 13
+        grid = build_sparse_grid(spec, Box.cube((0,) * 12, 2))
+        assert grid.n_points == 1 + 2 * 12
+
 
 class TestBuildSparseGrid:
     def test_2d_reference_cardinality(self, grid2d):
@@ -95,15 +116,22 @@ class TestBuildSparseGrid:
         assert g.n_points == 1
         np.testing.assert_array_equal(g.coords(), [[0.0, 0.0]])
 
+    def test_lattice_is_a_read_only_int64_array(self, grid4d):
+        lat = grid4d.lattice
+        assert lat.shape == (401, 4) and lat.dtype == np.int64
+        with pytest.raises(ValueError):
+            lat[0, 0] = 1
+
     def test_no_duplicate_lattice_points(self, grid2d):
-        assert len(set(grid2d.lattice)) == grid2d.n_points
+        assert len(np.unique(grid2d.lattice, axis=0)) == grid2d.n_points
 
     def test_points_inside_box(self, grid4d):
-        lat = grid4d.lattice_array()
+        lat = grid4d.lattice
         assert lat.min() >= 0 and lat.max() <= grid4d.resolution
 
     def test_lexicographic_ordering(self, grid2d):
-        assert list(grid2d.lattice) == sorted(grid2d.lattice)
+        rows = grid2d.lattice.tolist()
+        assert rows == sorted(rows)
 
     def test_union_of_tensor_grids(self):
         # independent reconstruction: union over multi-indices of knot products
@@ -111,10 +139,11 @@ class TestBuildSparseGrid:
         grid = build_sparse_grid(spec, Box.cube((0, 0), 2))
         expected = set()
         for h in multi_index_set("sum", 4, 2):
-            axes = [univariate_knots(h_i) for h_i in h]
+            axes = [knots(h_i) for h_i in h]
             expected.update(itertools.product(*axes))
         got = {
-            tuple(Fraction(k, grid.resolution) for k in point) for point in grid.lattice
+            tuple(Fraction(k, grid.resolution) for k in point)
+            for point in grid.lattice.tolist()
         }
         assert got == expected
 
@@ -143,7 +172,7 @@ class TestSimilarGrid:
 
     def test_ordering_preserved(self, grid2d):
         g = similar_grid(grid2d, (0.5, 0.5), 0.5)
-        assert g.lattice == grid2d.lattice
+        assert g.lattice is grid2d.lattice
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -167,7 +196,7 @@ class TestSimilarGrid:
     def test_similarity_is_transitive_on_lattice(self, grid2d):
         g1 = similar_grid(grid2d, (0.5, 0.5), 0.5)
         g2 = similar_grid(g1, (-0.25, 0.75), 0.125)
-        assert g2.lattice == grid2d.lattice
+        assert g2.lattice is grid2d.lattice
 
     def test_affine_map_of_all_points(self, grid2d):
         # point i of the placed grid = a * point i of the reference + b
@@ -181,5 +210,30 @@ class TestGridRecord:
     def test_record_holds_lattice_and_box(self, grid2d):
         rec = grid_record(grid2d)
         assert rec["n_points"] == 65
-        assert [tuple(k) for k in rec["lattice"]] == list(grid2d.lattice)
+        assert rec["lattice"] == grid2d.lattice.tolist()
         assert Box(tuple(Fraction(c) for c in rec["center"]), Fraction(rec["edge"])) == grid2d.box
+
+
+class TestPlace:
+    """``place`` is ``center + unit_offset * edge`` to the bit, signed zeros
+    included, whether each box has its own edge or all share one."""
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_center_plus_scaled_offset(self, grid4d, shared):
+        rng = np.random.default_rng(3)
+        centers = rng.uniform(-1, 1, size=(5, 4))
+        centers[0, 0] = -0.0
+        edges = np.full(5, 1 / 3)
+        m = grid4d.resolution
+        offsets = (grid4d.lattice - m / 2.0) / m
+        expected = centers[:, None, :] + offsets[None] * edges[:, None, None]
+        got = grid4d.place(centers, 1 / 3 if shared else edges)
+        assert got.shape == (5, 401, 4)
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_coords_place_the_box(self):
+        spec = GridSpec(dim=2, rule="sum", level=6)
+        box = Box.cube((Fraction(1, 3), Fraction(-1, 3)), Fraction(3, 4))
+        grid = build_sparse_grid(spec, box)
+        placed = grid.place([[1 / 3, -1 / 3]], 0.75)[0]
+        np.testing.assert_array_equal(grid.coords().view(np.int64), placed.view(np.int64))
