@@ -266,6 +266,7 @@ def cmd_detect(args) -> int:
                  initial=initial, config=config)
     print(f"troubled points: {len(run.troubled)}")
     print(f"visited points: {run.visited_points}")
+    print(f"NaN evaluations: {run.nan_evaluations}")
     print(f"generations: {len(run.generation_sizes)} {run.generation_sizes}")
     if args.out:
         engine_mod.write_run_report(run, args.out, extra={

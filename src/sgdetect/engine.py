@@ -6,12 +6,12 @@ the detector, and for each point at or above the threshold either enqueue a
 new box (edge = length of the longest graph edge at that point) or, when
 that length drops below the minimum, record the point as a final troubled
 point.  :func:`run_basic` hands ``detect_batch`` one grid per call and
-:func:`run_batched` a whole generation (fewer grids when an evaluation
-budget is set); both run the same loop, so they visit the same grids in the
-same order and find the same troubled set.  The loop visits a chunk of G
-grids at once: one ``(G, N, n)`` placement, one pass over the evaluation
-cache and, when the detector or a visit hook needs g, one call to g on the
-chunk's distinct new points.  g is evaluated nowhere else.  The float
+:func:`run_batched` a whole generation (fewer grids when it passes the
+chunk cap or an evaluation budget is set); both run the same loop, so
+they visit the same grids in the same order and find the same troubled
+set.  The loop visits a chunk of G grids at once: one ``(G, N, n)``
+placement, one pass over the evaluation cache and, when the detector or a
+visit hook needs g, one call to g on the chunk's distinct new points.  g is evaluated nowhere else.  The float
 coordinates come from :meth:`~sgdetect.sparse_grid.SparseGrid.place` on
 each box's correctly rounded center and edge, so a sample's ``coords`` are
 its placed grid's ``coords()`` to the bit.
@@ -23,12 +23,18 @@ initial edge allows before dropping below ``lambda_min``, ``unit`` is the
 rational gcd of every initial ``edge / (M 2^J)`` and of every initial
 center's offset from the first one, which keeps off-lattice initial boxes
 and non-dyadic domains exact.  Grid points, the visited set, the evaluation
-cache and the troubled set use the int64 numerators ``k`` as keys (the
-visited set and the cache as the packed bytes of ``k``, which a chunk
-builds in one call), and the domain test is one integer comparison per
-chunk.  Exact ``Fraction`` values
-are built only for the :class:`BoxTask` of an enqueued box; a
-:class:`TroubledPoint` builds its own when they are first read.
+cache and the troubled set key a point by its int64 numerators ``k``,
+packed into one int64 when the run's lattice fits in 63 bits and kept as
+their ``8 n`` bytes otherwise; both kinds of key go through the same
+sorts and searches.  The visited set and the cache are one sorted key
+array with a parallel float64 value array, the troubled set another
+sorted key array, each updated once per chunk (see :class:`_SortedKeys`).
+A chunk takes at most ``SAMPLE_BUDGET // N`` grids, so its arrays stay
+bounded, and the domain test is one integer comparison per chunk.  Exact
+``Fraction`` values are built only for the :class:`BoxTask` of an
+enqueued box.  A run keeps its troubled points as arrays and builds its
+:class:`TroubledPoint` objects when ``troubled`` is first read; each of
+those builds its exact values when they are first read.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from sgdetect.detectors import Detector, GridSample, OUT_OF_DOMAIN
+from sgdetect.detectors import Detector, GridSample, OUT_OF_DOMAIN, SAMPLE_BUDGET
 from sgdetect.errors import DegenerateGraphError, DimensionMismatchError, EngineError
 from sgdetect.grid_graph import GridGraph
 from sgdetect.sparse_grid import Box, SparseGrid, similar_grid, _as_fraction
@@ -56,6 +62,8 @@ LAMBDA_RULES = ("incident", "global")
 
 #: lattice numerators must stay below 2^62 so int64 products cannot overflow
 _LATTICE_LIMIT = 1 << 62
+#: a point's numerators are packed into one int64 key when they fit in this many bits
+_KEY_BITS = 63
 
 logger = logging.getLogger(__name__)
 
@@ -106,10 +114,15 @@ class _Lattice:
         return tuple(Fraction(o + k * self.unit_num, self.den)
                      for o, k in zip(self.origin_num, key))
 
-    def coords(self, key: tuple[int, ...]) -> tuple[float, ...]:
-        # int true division rounds correctly, like float(Fraction)
-        return tuple((o + k * self.unit_num) / self.den
-                     for o, k in zip(self.origin_num, key))
+    def floats(self, keys: np.ndarray) -> np.ndarray:
+        """The points of an ``(F, n)`` numerator array, correctly rounded like
+        ``float(Fraction)``: one float64 division while every numerator and
+        ``den`` stay below 2^53 (exact doubles), Python's int division above."""
+        top = max(map(abs, self.origin_num)) + int(np.abs(keys).max(initial=0)) * self.unit_num
+        if max(top, self.unit_num, self.den) < 1 << 53:
+            return (np.array(self.origin_num) + keys * self.unit_num) / self.den
+        return np.array([[(o + k * self.unit_num) / self.den for o, k in zip(self.origin_num, row)]
+                         for row in keys.tolist()], dtype=np.float64).reshape(keys.shape)
 
     def length(self, steps: int) -> Fraction:
         return Fraction(steps * self.unit_num, self.den)
@@ -139,7 +152,6 @@ class TroubledPoint:
 class DetectionRun:
     """Result of one engine execution: troubled set plus bookkeeping."""
 
-    troubled: list[TroubledPoint]
     generation_sizes: list[int]
     visited_points: int
     evaluations: int
@@ -148,11 +160,24 @@ class DetectionRun:
     grids_visited: int
     truncated: bool
     config: EngineConfig
+    #: evaluations for which g returned NaN (cached, and so read by every later visit)
+    nan_evaluations: int
+    #: the troubled points as columns, one row each in visit order: lattice
+    #: numerators, trigger lengths in lattice units, boundary flags and
+    #: read-only float coordinates
+    _columns: tuple = field(repr=False, compare=False)
+    _lattice: _Lattice = field(repr=False, compare=False)
+
+    @cached_property
+    def troubled(self) -> list[TroubledPoint]:
+        """The final troubled points in visit order, built on first read."""
+        keys, lam, stopped, coords = self._columns
+        return [TroubledPoint(x, k, l, self._lattice, b) for x, k, l, b in zip(
+            map(tuple, coords.tolist()), map(tuple, keys.tolist()), lam.tolist(),
+            stopped.tolist())]
 
     def troubled_coords(self) -> np.ndarray:
-        if not self.troubled:
-            return np.zeros((0, 0))
-        return np.array([t.coords for t in self.troubled], dtype=np.float64)
+        return self._columns[3]
 
 
 def _require_refined(lat: np.ndarray) -> None:
@@ -170,13 +195,71 @@ def _require_refined(lat: np.ndarray) -> None:
         )
 
 
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct ``keys`` in sorted order, the index of each one's first
+    occurrence, and the index into the distinct keys of every entry: one
+    sort and a neighbour mask (``np.unique`` is far slower on int64)."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    head = np.ones(len(keys), dtype=bool)
+    head[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(head)
+    where = np.empty(len(keys), dtype=np.intp)
+    where[order] = np.cumsum(head) - 1
+    return ordered[starts], np.minimum.reduceat(order, starts), where
+
+
+class _SortedKeys:
+    """A set of distinct keys, each with a float64 value when ``valued``.
+
+    The keys are held in two sorted levels, each with its values: a chunk's
+    new keys are merged into the recent level, and the recent level into
+    the main one once it holds more than an eighth of it, so a chunk of one
+    grid costs about the recent level's size, not the whole set's.
+    """
+
+    def __init__(self, dtype: np.dtype, valued: bool):
+        self.empty = (np.empty(0, dtype), np.empty(0) if valued else None)
+        self.main = self.recent = self.empty
+
+    def __len__(self) -> int:
+        return len(self.main[0]) + len(self.recent[0])
+
+    def find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Which of ``keys`` are in the set, and their values where they are."""
+        found = np.zeros(len(keys), dtype=bool)
+        values = np.empty(len(keys))
+        for level, level_values in (self.main, self.recent):
+            if len(level):
+                at = np.minimum(np.searchsorted(level, keys), len(level) - 1)
+                hit = level[at] == keys
+                found |= hit
+                if level_values is not None:
+                    values[hit] = level_values[at[hit]]
+        return found, values
+
+    def add(self, keys: np.ndarray, values: np.ndarray | None = None) -> None:
+        """Insert sorted keys, none of them in the set yet."""
+        self.recent = _merge(self.recent, (keys, values))
+        if len(self.recent[0]) > len(self.main[0]) // 8:
+            self.main, self.recent = _merge(self.main, self.recent), self.empty
+
+
+def _merge(level: tuple, new: tuple) -> tuple:
+    at = np.searchsorted(level[0], new[0])
+    return tuple(None if old is None else np.insert(old, at, add)
+                 for old, add in zip(level, new))
+
+
 class _EngineState:
     """Point lattice, queue, visited set, cache, and counters for one run.
 
     Queue entries are ``(task, center, edge)`` with ``center`` and ``edge``
-    the task's lattice numerators.  The queue, ``seen`` and the troubled set
-    key points by numerator tuples, the visited set and the cache by the
-    bytes of the int64 numerators.
+    the task's lattice numerators.  The queue and ``seen`` key points by
+    numerator tuples; the visited set with the cache (``points``) and the
+    troubled set (``recorded``) are :class:`_SortedKeys` of the keys that
+    :meth:`keys` packs.  The troubled points themselves are kept per chunk
+    as arrays until :meth:`result`.
     """
 
     def __init__(self, grid: SparseGrid, graph: GridGraph, detector: Detector,
@@ -205,11 +288,13 @@ class _EngineState:
         self._set_lattice(tasks)
         self.pending: deque = deque()
         self.seen: set = set()
-        self.troubled: dict = {}
-        self.cache: dict = {}
-        self.visited: set = set()
+        # the visited points, with g's value at each when the run evaluates it
+        self.points = _SortedKeys(self.key_dtype, valued=evaluates)
+        self.recorded = _SortedKeys(self.key_dtype, valued=False)
+        self.troubled: list = []  # per chunk: (numerators, lam, boundary stopped, coords)
         self.depth_sizes: Counter = Counter()
         self.evaluations = 0
+        self.nan_evaluations = 0
         self.cache_hits = 0
         self.detector_calls = 0
         self.truncated = False
@@ -232,13 +317,17 @@ class _EngineState:
         self.lattice = _Lattice(tuple(int(o * den) for o in self.origin),
                                 int(self.unit * den), den)
         # a box's points stay within 1.5 initial edges of its initial center
-        reach = max(max(map(abs, self.numerators(t.center))) + 2 * t.edge / self.unit
-                    for t in tasks)
+        reach = self.reach = math.ceil(max(
+            max(map(abs, self.numerators(t.center))) + 2 * t.edge / self.unit for t in tasks))
         if reach >= _LATTICE_LIMIT:
             raise EngineError(
                 f"lambda_min={lam_min} needs a point lattice wider than 62 bits "
                 "for these initial boxes"
             )
+        n, bits = len(self.origin), (2 * reach + 1).bit_length()
+        self.key_weights = 1 << np.arange(n) * bits if n * bits <= _KEY_BITS else None
+        self.key_dtype = np.dtype(np.int64 if self.key_weights is not None
+                                  else (np.void, 8 * n))
         self.min_edge = math.ceil(lam_min / self.unit)
         # domain bounds, clamped to the limit that no point reaches
         lo, hi = [-_LATTICE_LIMIT] * len(self.origin), [_LATTICE_LIMIT] * len(self.origin)
@@ -253,6 +342,15 @@ class _EngineState:
     def numerators(self, point: Sequence[Fraction]) -> tuple[int, ...]:
         return tuple(int((x - o) / self.unit) for x, o in zip(point, self.origin))
 
+    def keys(self, pts: np.ndarray) -> np.ndarray:
+        """One key per row of an ``(..., n)`` numerator array: each axis's
+        ``k + reach`` in its own bits of one int64 when the lattice fits,
+        the row's ``8 n`` bytes otherwise."""
+        if self.key_weights is not None:
+            return ((pts + self.reach) @ self.key_weights).ravel()
+        n = pts.shape[-1]
+        return np.ascontiguousarray(pts).reshape(-1, n).view(self.key_dtype).ravel()
+
     # -- per-chunk work --------------------------------------------------------
 
     def enqueue(self, center: tuple[int, ...], edge: int, depth: int) -> None:
@@ -264,24 +362,28 @@ class _EngineState:
 
     def visit(self, chunk: list) -> tuple[list[GridSample], np.ndarray, np.ndarray]:
         """Place the chunk's G grids as one ``(G, N, n)`` numerator array,
-        evaluate g on them when needed, and return their samples, the
-        numerators and the ``(G, N)`` domain mask."""
+        add its points to the visited set, evaluate g on them when needed,
+        and return their samples, the numerators and the ``(G, N)`` domain
+        mask."""
         lat = self.lattice
         centers = np.array([center for _, center, _ in chunk], dtype=np.int64)
         steps = np.array([edge // self.m for _, _, edge in chunk], dtype=np.int64)
         pts = centers[:, None, :] + self.offsets * steps[:, None, None]
-        # each point's numerators as one bytes key of the visited set and the cache
-        n = pts.shape[2]
-        keys = pts.reshape(-1, n).view(np.dtype((np.void, 8 * n))).ravel().tolist()
         in_domain = np.all((pts >= self.lo) & (pts <= self.hi), axis=2)
         # both correctly rounded, like float(Fraction) of the exact center and
         # edge, so each grid gets the floats of its placed grid's coords()
-        coords = self.grid.place([lat.coords(center) for _, center, _ in chunk],
+        coords = self.grid.place(lat.floats(centers),
                                  [(edge * lat.unit_num) / lat.den for _, _, edge in chunk])
-        self.visited.update(keys)
-        values = None
+        keys, first, where = _distinct(self.keys(pts))
+        found, values = self.points.find(keys)
+        new = np.flatnonzero(~found)
         if self.evaluates:
-            values = self.evaluate(keys, in_domain, coords).reshape(in_domain.shape)
+            values[new] = self.evaluate(first[new], in_domain.ravel(), coords)
+            self.points.add(keys[new], values[new])
+            values = values[where].reshape(in_domain.shape)
+        else:
+            self.points.add(keys[new])
+            values = None
         samples = []
         for j, (task, _, _) in enumerate(chunk):
             placed = similar_grid(self.grid, task.center, task.edge)
@@ -291,33 +393,27 @@ class _EngineState:
             self.depth_sizes[task.depth] += 1
         return samples, pts, in_domain
 
-    def evaluate(self, keys: list[bytes], in_domain: np.ndarray,
+    def evaluate(self, first: np.ndarray, in_domain: np.ndarray,
                  coords: np.ndarray) -> np.ndarray:
-        """g at every in-domain point of the chunk, out-of-domain sentinel
-        elsewhere: one cache pass, then one g call on the distinct misses in
-        first-seen order.  A point seen again in the chunk counts as a hit."""
-        slots = np.flatnonzero(in_domain)
-        in_keys = [keys[i] for i in slots.tolist()]  # shares key objects with visited
-        found = list(map(self.cache.get, in_keys))
-        missed = [j for j, v in enumerate(found) if v is None]
-        first: dict = {}  # each missed key's first slot, in first-seen order
-        for j in missed:
-            first.setdefault(in_keys[j], j)
-        if first:
-            points = coords.reshape(-1, coords.shape[-1])[slots[list(first.values())]]
-            got = np.asarray(self.g(points), dtype=np.float64)
-            if got.shape != (len(first),):
+        """The values of the chunk's new points, given each one's first slot:
+        g at the in-domain ones, in one call in first-seen order, and the
+        out-of-domain sentinel at the others.  Every other in-domain slot of
+        the chunk counts as a cache hit."""
+        inside = np.flatnonzero(in_domain[first])
+        inside = inside[np.argsort(first[inside])]  # first-seen order
+        values = np.full(len(first), OUT_OF_DOMAIN, dtype=np.float64)
+        if len(inside):
+            got = np.asarray(self.g(coords.reshape(-1, coords.shape[-1])[first[inside]]),
+                             dtype=np.float64)
+            if got.shape != (len(inside),):
                 raise EngineError(
-                    f"g returned shape {got.shape} for {len(first)} points; "
-                    f"expected ({len(first)},)"
+                    f"g returned shape {got.shape} for {len(inside)} points; "
+                    f"expected ({len(inside)},)"
                 )
-            self.cache.update(zip(first, got.tolist()))
-            for j in missed:
-                found[j] = self.cache[in_keys[j]]
-        self.evaluations += len(first)
-        self.cache_hits += len(in_keys) - len(first)
-        values = np.full(len(keys), OUT_OF_DOMAIN, dtype=np.float64)
-        values[slots] = found
+            values[inside] = got
+            self.nan_evaluations += int(np.count_nonzero(np.isnan(got)))
+        self.evaluations += len(inside)
+        self.cache_hits += int(np.count_nonzero(in_domain)) - len(inside)
         return values
 
     # -- the refinement rule ---------------------------------------------------
@@ -337,29 +433,41 @@ class _EngineState:
         if self.config.boundary_policy == "clip-stop":
             final |= ~inside
         flagged = pts[grid_i, point_i]
-        for key, lam_i, stopped in zip(map(tuple, flagged[final].tolist()), lam[final].tolist(),
-                                       (~inside[final]).tolist()):
-            self.record(key, lam_i, boundary_stopped=stopped)
+        if final.any():
+            self.record(flagged[final], lam[final], ~inside[final])
         for key, lam_i, g in zip(map(tuple, flagged[refine].tolist()), lam[refine].tolist(),
                                  grid_i[refine].tolist()):
             self.enqueue(key, lam_i, chunk[g][0].depth + 1)
 
-    def record(self, key: tuple[int, ...], lam: int, boundary_stopped: bool = False) -> None:
-        if key not in self.troubled:
-            self.troubled[key] = TroubledPoint(self.lattice.coords(key), key, lam,
-                                               self.lattice, boundary_stopped)
+    def record(self, points: np.ndarray, lam: np.ndarray, boundary_stopped: np.ndarray) -> None:
+        """Record final troubled points, given as ``(F, n)`` numerators in
+        visit order: the first occurrence of each point not recorded yet."""
+        keys, first, _ = _distinct(self.keys(points))
+        new = ~self.recorded.find(keys)[0]
+        self.recorded.add(keys[new])
+        rows = np.sort(first[new])
+        points = points[rows]
+        self.troubled.append((points, lam[rows], boundary_stopped[rows],
+                              self.lattice.floats(points)))
 
     def result(self) -> DetectionRun:
+        n = len(self.origin)
+        parts = [(np.empty((0, n), np.int64), np.empty(0, np.int64), np.empty(0, bool),
+                  np.empty((0, n)))] + self.troubled
+        columns = tuple(np.concatenate(part) for part in zip(*parts))
+        columns[3].flags.writeable = False
         return DetectionRun(
-            troubled=list(self.troubled.values()),
             generation_sizes=[self.depth_sizes[d] for d in sorted(self.depth_sizes)],
-            visited_points=len(self.visited),
+            visited_points=len(self.points),
             evaluations=self.evaluations,
             cache_hits=self.cache_hits,
             detector_calls=self.detector_calls,
             grids_visited=sum(self.depth_sizes.values()),
             truncated=self.truncated,
             config=self.config,
+            nan_evaluations=self.nan_evaluations,
+            _columns=columns,
+            _lattice=self.lattice,
         )
 
 
@@ -406,19 +514,21 @@ def _warn_off_lattice(tasks: list[BoxTask], m: int) -> None:
 def _run(g: Callable, grid: SparseGrid, graph: GridGraph, detector: Detector,
          initial: Sequence, config: EngineConfig, visit_hook: Callable | None,
          batched: bool) -> DetectionRun:
-    """The engine loop: one queued task, or the whole generation, per chunk.
+    """The engine loop: one queued task, or the whole queue up to the cap, per chunk.
 
-    Under ``max_evaluations`` a chunk takes at most ``(budget - evaluations)
-    // N`` grids, and at least one, so a batched run overshoots its budget by
-    fewer than N evaluations, as a basic run does.  Each chunk logs one
-    DEBUG record: the depth of its first grid, its grid count, and the
-    evaluations, cache hits and troubled points so far.
+    A batched chunk takes at most ``SAMPLE_BUDGET // N`` grids, and under
+    ``max_evaluations`` at most ``(budget - evaluations) // N``; always at
+    least one.  So a chunk's ``(G, N, n)`` arrays stay bounded, and a
+    batched run overshoots its budget by fewer than N evaluations, as a
+    basic run does.  Each chunk logs one DEBUG record: the depth of its
+    first grid, its grid count, and the evaluations (of them NaN), cache
+    hits and troubled points so far.
     """
     evaluates = detector.requires_evaluations or visit_hook is not None
     state = _EngineState(grid, graph, detector, g, config, initial, evaluates)
     budget = config.max_evaluations
     while state.pending:
-        size = len(state.pending) if batched else 1
+        size = min(len(state.pending), max(1, SAMPLE_BUDGET // grid.n_points)) if batched else 1
         if budget is not None:
             if state.evaluations >= budget:
                 state.truncated = True
@@ -432,9 +542,9 @@ def _run(g: Callable, grid: SparseGrid, graph: GridGraph, detector: Detector,
             for (task, _, _), sample, p in zip(chunk, samples, ps):
                 visit_hook(task, sample, p)
         state.process(chunk, pts, in_domain, ps)
-        logger.debug("chunk at depth %d: %d grids; %d evaluations, %d cache hits, "
+        logger.debug("chunk at depth %d: %d grids; %d evaluations (%d NaN), %d cache hits, "
                      "%d troubled so far", chunk[0][0].depth, len(chunk), state.evaluations,
-                     state.cache_hits, len(state.troubled))
+                     state.nan_evaluations, state.cache_hits, len(state.recorded))
     return state.result()
 
 
@@ -450,7 +560,7 @@ def run_batched(g: Callable, grid: SparseGrid, graph: GridGraph, detector: Detec
                 initial: Sequence, config: EngineConfig,
                 visit_hook: Callable | None = None) -> DetectionRun:
     """Batched engine: every pending grid of a generation in one detector call
-    and one g call (a budget caps the chunk, see :func:`_run`).
+    and one g call (the chunk cap and a budget bound the chunk, see :func:`_run`).
 
     Semantics, ``visit_hook`` included, are identical to :func:`run_basic`
     for deterministic detectors; only the number of detector and g calls differs.

@@ -131,6 +131,7 @@ class TestTrainDetectEval:
         assert code == 0
         out = capsys.readouterr().out
         assert "visited points" in out
+        assert "NaN evaluations: 0" in out
 
 
 def _truncated_dataset(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sgdetect import engine
 from sgdetect.cli import resolve_target
 from sgdetect.detectors import (
     Detector,
@@ -134,7 +135,8 @@ class TestBasicRun:
         run = run_batched(g=constant_g, grid=grid2d, graph=graph2d,
                           detector=ExactOracleDetector(SphericalCut((0.2, 0.1), 0.65)),
                           initial=[((0, 0), 2)], config=config)
-        assert run.troubled
+        assert "troubled" not in vars(run)  # the points are arrays until read
+        assert run.troubled and vars(run)["troubled"] is run.troubled
         for t in run.troubled:
             assert "exact" not in vars(t) and "trigger_lambda" not in vars(t)
             assert t.coords == tuple(float(c) for c in t.exact)
@@ -527,10 +529,10 @@ class TestProgressLog:
         records = [r for r in caplog.records if r.name == "sgdetect.engine"]
         assert len(records) == run.detector_calls > 1
         assert all(r.levelno == logging.DEBUG for r in records)
-        depths, grids, evaluations, hits, troubled = zip(*(r.args for r in records))
+        depths, grids, evaluations, nans, hits, troubled = zip(*(r.args for r in records))
         assert sum(grids) == run.grids_visited
-        assert (evaluations[-1], hits[-1], troubled[-1]) == (
-            run.evaluations, run.cache_hits, len(run.troubled))
+        assert (evaluations[-1], nans[-1], hits[-1], troubled[-1]) == (
+            run.evaluations, run.nan_evaluations, run.cache_hits, len(run.troubled))
         assert list(evaluations) == sorted(evaluations) and list(troubled) == sorted(troubled)
         if runner is run_batched:
             assert list(grids) == run.generation_sizes
@@ -660,6 +662,85 @@ class TestEngineProperties:
         assert capped.truncated == (capped.grids_visited < full.grids_visited)
 
 
+def _outcome(run):
+    """Everything a run reports that must not depend on its keys or chunking."""
+    return ([(t.key, [x.hex() for x in t.coords], t.lam, t.boundary_stopped)
+             for t in run.troubled],
+            run.visited_points, run.evaluations, run.cache_hits, run.nan_evaluations,
+            run.generation_sizes, run.grids_visited, run.truncated)
+
+
+class TestKeysAndChunks:
+    @pytest.mark.parametrize("case", ["exact", "hooked", "ginn2d"])
+    def test_bytes_keys_match_packed_keys(self, grid2d, graph2d, monkeypatch, case):
+        # the same run with one int64 per point and with each point's 8n bytes
+        from sgdetect.evaluation import builtin_test_functions
+
+        target = builtin_test_functions()["circle"]
+        grid, graph, detector = grid2d, graph2d, ExactOracleDetector(target.cut)
+        hook = (lambda task, sample, p: None) if case == "hooked" else None
+        if case == "ginn2d":
+            detector = NeuralDetector(load_model(FIXTURES / "ginn2d.json"))
+        config = EngineConfig(lambda_min=Fraction(1, 64), domain=target.domain)
+        initial = [(target.domain.center, target.domain.edge)]
+
+        def run():
+            key_dtype = _EngineState(grid, graph, detector, target.fn, config, initial,
+                                     evaluates=False).key_dtype
+            return key_dtype, run_batched(g=target.fn, grid=grid, graph=graph,
+                                          detector=detector, initial=initial,
+                                          config=config, visit_hook=hook)
+
+        packed_dtype, packed = run()
+        monkeypatch.setattr(engine, "_KEY_BITS", 0)
+        bytes_dtype, wide = run()
+        assert packed_dtype == np.int64 and bytes_dtype == np.dtype((np.void, 16))
+        assert packed.troubled and (packed.evaluations > 0) == (case != "exact")
+        assert _outcome(packed) == _outcome(wide)
+
+    def test_chunk_cap(self, grid2d, graph2d, monkeypatch):
+        # a cap of three grids per chunk splits every generation past the first
+        cut = SphericalCut((0.2, 0.1), 0.65)
+        sizes = []
+
+        class Sizes(EvalOracle):
+            def detect_batch(self, samples):
+                sizes.append(len(samples))
+                return super().detect_batch(samples)
+
+        config = EngineConfig(lambda_min=Fraction(1, 64), domain=SQUARE)
+
+        def run():
+            sizes.clear()
+            return run_batched(g=lambda x: np.where(cut(x) >= 0, 2.0, -1.0), grid=grid2d,
+                               graph=graph2d, detector=Sizes(cut), initial=[((0, 0), 2)],
+                               config=config), list(sizes)
+
+        full, full_sizes = run()
+        monkeypatch.setattr(engine, "SAMPLE_BUDGET", 3 * grid2d.n_points + 1)
+        capped, capped_sizes = run()
+        assert max(full_sizes) > 3 and max(capped_sizes) == 3
+        assert capped.detector_calls == len(capped_sizes) > full.detector_calls
+        assert _outcome(capped) == _outcome(full)
+
+    def test_nan_from_g_is_counted(self, grid2d, graph2d):
+        # g is NaN on the half-plane x < 0; the oracle reads the cut, not g
+        cut = SphericalCut((0.2, 0.1), 0.65)
+        left = []
+
+        def g(x):
+            left.append(int(np.count_nonzero(x[:, 0] < 0)))
+            return np.where(x[:, 0] < 0, np.nan, 1.0)
+
+        config = EngineConfig(lambda_min=Fraction(1, 32), domain=SQUARE)
+        runs = [run_batched(g=fn, grid=grid2d, graph=graph2d, detector=EvalOracle(cut),
+                            initial=[((0, 0), 2)], config=config)
+                for fn in (g, constant_g)]
+        assert runs[0].nan_evaluations == sum(left) > 0
+        assert runs[1].nan_evaluations == 0
+        assert _outcome(runs[0])[0] == _outcome(runs[1])[0]
+
+
 class TestWarningsAndReports:
     def test_off_lattice_warning(self, grid2d, graph2d):
         # the circle crosses both boxes; their point lattices never meet
@@ -687,21 +768,33 @@ class TestWarningsAndReports:
         # a center whose denominator the lattice unit does not share
         ([((Fraction(1, 3), Fraction(-2, 7)), 1)], Box.cube((0, 0), 4)),
     ])
-    def test_exact_points_match_fraction_formula(self, grid2d, graph2d, initial, domain):
+    def test_exact_points_match_fraction_formula(self, grid2d, graph2d, initial, domain,
+                                                 monkeypatch):
+        # bytes keys, so that numerators far outside the run's reach are keys too
+        monkeypatch.setattr(engine, "_KEY_BITS", 0)
         config = EngineConfig(lambda_min=Fraction(1, 8), domain=domain)
         state = _EngineState(grid2d, graph2d, ExactOracleDetector(SphericalCut((0, 0), 1)),
                              constant_g, config, initial, evaluates=False)
         rng = np.random.default_rng(7)
-        keys = rng.integers(-2 ** 40, 2 ** 40, size=(2000, 2)).tolist()
-        keys += rng.integers(-3, 4, size=(50, 2)).tolist()
-        for key in map(tuple, keys):
-            exact = tuple(o + k * state.unit for o, k in zip(state.origin, key))
-            assert state.lattice.point(key) == exact
-            state.record(key, 3)
-            point = state.troubled[key]
+        # one chunk below 2^53 (float64 division), one above (Python division),
+        # and one of repeats, some of them recorded by the earlier chunks
+        chunks = [rng.integers(-2 ** 40, 2 ** 40, size=(2000, 2)),
+                  rng.integers(-2 ** 60, 2 ** 60, size=(200, 2)),
+                  rng.integers(-3, 4, size=(50, 2))]
+        chunks[2][:5] = chunks[0][:5]
+        for keys in chunks:
+            state.record(keys, np.full(len(keys), 3), np.zeros(len(keys), dtype=bool))
+        run = state.result()
+        first_seen = list(dict.fromkeys(map(tuple, np.concatenate(chunks).tolist())))
+        assert [point.key for point in run.troubled] == first_seen
+        for point in run.troubled:
+            exact = tuple(o + k * state.unit for o, k in zip(state.origin, point.key))
+            assert state.lattice.point(point.key) == exact
             assert point.exact == exact
             assert [x.hex() for x in point.coords] == [float(x).hex() for x in exact]
             assert point.trigger_lambda == 3 * state.unit
+        assert run.troubled_coords().tobytes() == np.array(
+            [point.coords for point in run.troubled]).tobytes()
 
     def test_lattice_wider_than_62_bits_is_rejected(self, grid2d, graph2d):
         config = EngineConfig(lambda_min=Fraction(1, 2 ** 70), domain=SQUARE)

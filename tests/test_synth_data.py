@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -147,10 +147,12 @@ class TestGamma:
 
     @given(
         arrays(np.float64, st.integers(1, 30),
-               elements=st.floats(-1e3, 1e3, allow_nan=False)),
+               elements=st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)),
         st.floats(1e-3, 1e3, allow_nan=False),
     )
     def test_positive_scale_invariance(self, g, c):
+        # an entry that underflows to 0 can turn a row all-zero, which gamma maps to 0
+        assume(not np.any((c * g == 0) & (g != 0)))
         np.testing.assert_allclose(gamma(c * g), gamma(g),
                                    atol=1e-12)
 
