@@ -234,15 +234,21 @@ def cmd_train(args) -> int:
 
 
 def _detector_for(args, cut, dim) -> tuple[Detector, object, object]:
-    """Build (detector, grid, graph) for a detect run; a model brings its own grid."""
+    """Build (detector, grid, graph) for a detect run; a model brings its own
+    grid, which must match the grid hash stored with the model."""
     detector = make_detector(args.detector, cut=cut)
     if not isinstance(detector, NeuralDetector):
         return detector, *_build_reference(args.rule, args.level, dim)
-    spec = GridSpec.from_key(detector.model.grid_key)
+    model = detector.model
+    spec = GridSpec.from_key(model.grid_key)
     if spec.dim != dim:
         raise DimensionMismatchError(
             f"model is {spec.dim}-dimensional, target is {dim}-dimensional")
-    return detector, *_build_reference(spec.rule, spec.level, spec.dim)
+    grid, graph = _build_reference(spec.rule, spec.level, spec.dim)
+    if model.grid_hash and model.grid_hash != grid_fingerprint(graph):
+        raise DimensionMismatchError(
+            f"model grid hash {model.grid_hash} does not match the rebuilt grid")
+    return detector, grid, graph
 
 
 def cmd_detect(args) -> int:
@@ -264,7 +270,7 @@ def cmd_detect(args) -> int:
     initial = [(domain.center, domain.edge)]
     run = engine_mod.run_batched(g=target, grid=grid, graph=graph, detector=detector,
                  initial=initial, config=config)
-    print(f"troubled points: {len(run.troubled)}")
+    print(f"troubled points: {len(run.troubled_coords())}")
     print(f"visited points: {run.visited_points}")
     print(f"NaN evaluations: {run.nan_evaluations}")
     print(f"generations: {len(run.generation_sizes)} {run.generation_sizes}")

@@ -1,10 +1,13 @@
 """Discontinuity detectors and the cut functions they classify against.
 
 A detector maps G placed grids of N points to troubled likelihoods p in
-[0,1]^(G,N) in one ``detect_batch`` call.  A grid point is troubled when
-some incident edge crosses the interface on the point's half of the
-segment (intersection nearest to the point no farther from it than from
-the other endpoint).
+[0,1]^(G,N) in one ``detect_batch(graph, coords, evaluations)`` call.  The
+grids are all similar to the one reference grid of ``graph``, so the
+detector needs only that graph, their stacked ``(G, N, n)`` coordinates
+and, when it reads g, their ``(G, N)`` evaluations.  A grid point is
+troubled when some incident edge crosses the interface on the point's
+half of the segment (intersection nearest to the point no farther from
+it than from the other endpoint).
 
 Deterministic detectors provided here:
 
@@ -33,14 +36,12 @@ sentinel in its evaluation slot and its output likelihood is forced to 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from sgdetect.errors import DetectorError
 from sgdetect.grid_graph import GridGraph
-from sgdetect.sparse_grid import SparseGrid
 
 #: sentinel marking an out-of-domain evaluation slot
 OUT_OF_DOMAIN = np.inf
@@ -339,34 +340,22 @@ def exact_troubled_oracle(f: CutFunction, graph: GridGraph,
 # detector objects consumed by the engine
 
 
-@dataclass
-class GridSample:
-    """One placed grid as seen by a detector and by an engine visit hook.
-
-    ``evaluations`` holds g at the grid points with the out-of-domain
-    sentinel (inf) at masked slots, taken from the engine's evaluation
-    cache; it is None when neither the detector nor a visit hook needs
-    them.  ``in_domain`` marks points inside the target domain.
-    """
-
-    grid: SparseGrid
-    graph: GridGraph
-    coords: np.ndarray
-    in_domain: np.ndarray
-    evaluations: np.ndarray | None = None
-
-
 class Detector:
     """Contract: ``detect_batch`` maps G grids to likelihoods in [0,1]^(G,N).
 
-    ``requires_evaluations`` tells the engine whether to evaluate the
-    target on the grids before calling the detector.
+    ``coords`` stacks the grids' points as ``(G, N, n)``, each grid similar
+    to the reference grid of ``graph``.  ``evaluations`` is ``(G, N)``: g
+    at the points with the out-of-domain sentinel (inf) at masked slots,
+    or None when the run does not evaluate g.  ``requires_evaluations``
+    tells the engine whether to evaluate the target before calling the
+    detector.
     """
 
     requires_evaluations = False
     name = "detector"
 
-    def detect_batch(self, samples: list[GridSample]) -> np.ndarray:
+    def detect_batch(self, graph: GridGraph, coords: np.ndarray,
+                     evaluations: np.ndarray | None) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -380,9 +369,8 @@ class ZLevelDetector(Detector):
         self.t = t
         self.name = f"zlevel:{t}"
 
-    def detect_batch(self, samples: list[GridSample]) -> np.ndarray:
-        return z_detector(self.cut, samples[0].graph, self.t,
-                          np.stack([s.coords for s in samples]))
+    def detect_batch(self, graph, coords, evaluations):
+        return z_detector(self.cut, graph, self.t, coords)
 
 
 class ExactOracleDetector(Detector):
@@ -392,9 +380,8 @@ class ExactOracleDetector(Detector):
         self.cut = cut
         self.name = "exact"
 
-    def detect_batch(self, samples: list[GridSample]) -> np.ndarray:
-        return exact_troubled_oracle(self.cut, samples[0].graph,
-                                     np.stack([s.coords for s in samples]))
+    def detect_batch(self, graph, coords, evaluations):
+        return exact_troubled_oracle(self.cut, graph, coords)
 
 
 class NeuralDetector(Detector):
@@ -411,19 +398,17 @@ class NeuralDetector(Detector):
         self.model = model
         self.name = f"nn:{model.config.kind}"
 
-    def detect_batch(self, samples: list[GridSample]) -> np.ndarray:
+    def detect_batch(self, graph, coords, evaluations):
         from sgdetect.synth_data import preprocess_gamma_batch
 
-        raw = np.stack([s.evaluations for s in samples])
-        if raw.shape[1] != self.model.n_points:
-            raise DetectorError(
-                f"model expects {self.model.n_points} grid points, got {raw.shape[1]}"
-            )
-        finite = np.isfinite(raw)
-        p = np.zeros(raw.shape, dtype=np.float64)
+        if evaluations.shape[1] != self.model.n_points:
+            raise DetectorError(f"model expects {self.model.n_points} grid points, "
+                                f"got {evaluations.shape[1]}")
+        finite = np.isfinite(evaluations)
+        p = np.zeros(evaluations.shape, dtype=np.float64)
         live = np.where(finite.any(axis=1))[0]
         if live.size:
-            x = preprocess_gamma_batch(raw[live])
+            x = preprocess_gamma_batch(evaluations[live])
             p[live] = self.model.predict(x)
         p[~finite] = 0.0
         return p

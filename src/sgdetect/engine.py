@@ -1,8 +1,8 @@
 """Recursive sparse-grid detection engine.
 
-The engine processes a FIFO queue of box tasks (center, edge length):
-place a similar grid on the box, obtain per-point troubled likelihoods from
-the detector, and for each point at or above the threshold either enqueue a
+The engine processes a FIFO queue of boxes (center, edge length): place a
+similar grid on the box, obtain per-point troubled likelihoods from the
+detector, and for each point at or above the threshold either enqueue a
 new box (edge = length of the longest graph edge at that point) or, when
 that length drops below the minimum, record the point as a final troubled
 point.  :func:`run_basic` hands ``detect_batch`` one grid per call and
@@ -11,10 +11,12 @@ chunk cap or an evaluation budget is set); both run the same loop, so
 they visit the same grids in the same order and find the same troubled
 set.  The loop visits a chunk of G grids at once: one ``(G, N, n)``
 placement, one pass over the evaluation cache and, when the detector or a
-visit hook needs g, one call to g on the chunk's distinct new points.  g is evaluated nowhere else.  The float
-coordinates come from :meth:`~sgdetect.sparse_grid.SparseGrid.place` on
-each box's correctly rounded center and edge, so a sample's ``coords`` are
-its placed grid's ``coords()`` to the bit.
+visit hook needs g, one call to g on the chunk's distinct new points.  g
+is evaluated nowhere else.  The detector sees the shared graph, the
+chunk's ``(G, N, n)`` coordinates and its ``(G, N)`` evaluations.  The
+float coordinates come from :meth:`~sgdetect.sparse_grid.SparseGrid.place`
+on each box's correctly rounded center and edge, so a grid's ``coords``
+are its placed grid's ``coords()`` to the bit.
 
 Every point the engine can reach lies on one lattice ``origin + k * unit``
 with integer ``k``: a new box is centered on a grid point and its edge is
@@ -31,10 +33,11 @@ array with a parallel float64 value array, the troubled set another
 sorted key array, each updated once per chunk (see :class:`_SortedKeys`).
 A chunk takes at most ``SAMPLE_BUDGET // N`` grids, so its arrays stay
 bounded, and the domain test is one integer comparison per chunk.  Exact
-``Fraction`` values are built only for the :class:`BoxTask` of an
-enqueued box.  A run keeps its troubled points as arrays and builds its
-:class:`TroubledPoint` objects when ``troubled`` is first read; each of
-those builds its exact values when they are first read.
+``Fraction`` values are built only for a visit hook: each grid's
+:class:`BoxTask` and the placed grid of its :class:`GridSample`.  A run
+keeps its troubled points as arrays and builds its :class:`TroubledPoint`
+objects when ``troubled`` is first read; each of those builds its exact
+values when they are first read.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from sgdetect.detectors import Detector, GridSample, OUT_OF_DOMAIN, SAMPLE_BUDGET
+from sgdetect.detectors import Detector, OUT_OF_DOMAIN, SAMPLE_BUDGET
 from sgdetect.errors import DegenerateGraphError, DimensionMismatchError, EngineError
 from sgdetect.grid_graph import GridGraph
 from sgdetect.sparse_grid import Box, SparseGrid, similar_grid, _as_fraction
@@ -75,6 +78,17 @@ class BoxTask:
     center: tuple[Fraction, ...]
     edge: Fraction
     depth: int = field(default=0, compare=False)
+
+
+@dataclass
+class GridSample:
+    """One visited grid as a visit hook sees it; ``evaluations`` holds g at
+    its points with the out-of-domain sentinel (inf) at masked slots."""
+
+    grid: SparseGrid
+    coords: np.ndarray
+    in_domain: np.ndarray
+    evaluations: np.ndarray
 
 
 @dataclass
@@ -254,8 +268,8 @@ def _merge(level: tuple, new: tuple) -> tuple:
 class _EngineState:
     """Point lattice, queue, visited set, cache, and counters for one run.
 
-    Queue entries are ``(task, center, edge)`` with ``center`` and ``edge``
-    the task's lattice numerators.  The queue and ``seen`` key points by
+    Queue entries are ``(center, edge, depth)``: the box's lattice
+    numerators and its generation.  The queue and ``seen`` key points by
     numerator tuples; the visited set with the cache (``points``) and the
     troubled set (``recorded``) are :class:`_SortedKeys` of the keys that
     :meth:`keys` packs.  The troubled points themselves are kept per chunk
@@ -272,7 +286,6 @@ class _EngineState:
             )
         self.evaluates = evaluates
         self.grid = grid
-        self.graph = graph
         self.g = g
         self.config = config
         m = self.m = grid.resolution
@@ -284,8 +297,8 @@ class _EngineState:
         if config.lambda_rule == "global":
             spans[:] = graph.edges[:, 3].max(initial=0)
         self.spans = spans
-        tasks = _initial_tasks(initial, config, grid)
-        self._set_lattice(tasks)
+        boxes = _initial_boxes(initial, config, grid)
+        self._set_lattice(boxes)
         self.pending: deque = deque()
         self.seen: set = set()
         # the visited points, with g's value at each when the run evaluates it
@@ -298,19 +311,19 @@ class _EngineState:
         self.cache_hits = 0
         self.detector_calls = 0
         self.truncated = False
-        for t in tasks:
-            self.enqueue(self.numerators(t.center), int(t.edge / self.unit), depth=0)
+        for center, edge in boxes:
+            self.enqueue(self.numerators(center), int(edge / self.unit), depth=0)
 
     # -- the lattice -----------------------------------------------------------
 
-    def _set_lattice(self, tasks: list[BoxTask]) -> None:
+    def _set_lattice(self, boxes: list) -> None:
         lam_min = self.config.lambda_min
-        self.origin = tasks[0].center
+        self.origin = boxes[0][0]
         steps = []
-        for t in tasks:
-            halvings = max(int(t.edge / lam_min).bit_length() - 1, 0)
-            steps.append(t.edge / (self.m << halvings))
-            steps.extend(c - o for c, o in zip(t.center, self.origin))
+        for center, edge in boxes:
+            halvings = max(int(edge / lam_min).bit_length() - 1, 0)
+            steps.append(edge / (self.m << halvings))
+            steps.extend(c - o for c, o in zip(center, self.origin))
         self.unit = Fraction(math.gcd(*(s.numerator for s in steps)),
                              math.lcm(*(s.denominator for s in steps)))
         den = math.lcm(self.unit.denominator, *(o.denominator for o in self.origin))
@@ -318,7 +331,7 @@ class _EngineState:
                                 int(self.unit * den), den)
         # a box's points stay within 1.5 initial edges of its initial center
         reach = self.reach = math.ceil(max(
-            max(map(abs, self.numerators(t.center))) + 2 * t.edge / self.unit for t in tasks))
+            max(map(abs, self.numerators(c))) + 2 * e / self.unit for c, e in boxes))
         if reach >= _LATTICE_LIMIT:
             raise EngineError(
                 f"lambda_min={lam_min} needs a point lattice wider than 62 bits "
@@ -357,23 +370,23 @@ class _EngineState:
         if (center, edge) in self.seen:
             return
         self.seen.add((center, edge))
-        task = BoxTask(center=self.lattice.point(center), edge=edge * self.unit, depth=depth)
-        self.pending.append((task, center, edge))
+        self.pending.append((center, edge, depth))
 
-    def visit(self, chunk: list) -> tuple[list[GridSample], np.ndarray, np.ndarray]:
+    def visit(self, chunk: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
         """Place the chunk's G grids as one ``(G, N, n)`` numerator array,
         add its points to the visited set, evaluate g on them when needed,
-        and return their samples, the numerators and the ``(G, N)`` domain
-        mask."""
+        and return the numerators, the ``(G, N, n)`` float coordinates, the
+        ``(G, N)`` domain mask and the ``(G, N)`` values (None when the run
+        does not evaluate g)."""
         lat = self.lattice
-        centers = np.array([center for _, center, _ in chunk], dtype=np.int64)
-        steps = np.array([edge // self.m for _, _, edge in chunk], dtype=np.int64)
+        centers = np.array([center for center, _, _ in chunk], dtype=np.int64)
+        steps = np.array([edge // self.m for _, edge, _ in chunk], dtype=np.int64)
         pts = centers[:, None, :] + self.offsets * steps[:, None, None]
         in_domain = np.all((pts >= self.lo) & (pts <= self.hi), axis=2)
         # both correctly rounded, like float(Fraction) of the exact center and
         # edge, so each grid gets the floats of its placed grid's coords()
         coords = self.grid.place(lat.floats(centers),
-                                 [(edge * lat.unit_num) / lat.den for _, _, edge in chunk])
+                                 [(edge * lat.unit_num) / lat.den for _, edge, _ in chunk])
         keys, first, where = _distinct(self.keys(pts))
         found, values = self.points.find(keys)
         new = np.flatnonzero(~found)
@@ -384,14 +397,8 @@ class _EngineState:
         else:
             self.points.add(keys[new])
             values = None
-        samples = []
-        for j, (task, _, _) in enumerate(chunk):
-            placed = similar_grid(self.grid, task.center, task.edge)
-            samples.append(GridSample(grid=placed, graph=self.graph, coords=coords[j],
-                                      in_domain=in_domain[j],
-                                      evaluations=None if values is None else values[j]))
-            self.depth_sizes[task.depth] += 1
-        return samples, pts, in_domain
+        self.depth_sizes.update(depth for _, _, depth in chunk)
+        return pts, coords, in_domain, values
 
     def evaluate(self, first: np.ndarray, in_domain: np.ndarray,
                  coords: np.ndarray) -> np.ndarray:
@@ -424,7 +431,7 @@ class _EngineState:
         point order.  ``lam = edge * span // M`` is split as below so int64
         cannot overflow: ``span <= M`` and ``edge < 2^62``."""
         grid_i, point_i = np.nonzero(p >= self.config.tau)
-        edges = np.array([edge for _, _, edge in chunk], dtype=np.int64)
+        edges = np.array([edge for _, edge, _ in chunk], dtype=np.int64)
         spans = self.spans[point_i]
         lam = (edges // self.m)[grid_i] * spans + (edges % self.m)[grid_i] * spans // self.m
         inside = in_domain[grid_i, point_i]
@@ -437,7 +444,7 @@ class _EngineState:
             self.record(flagged[final], lam[final], ~inside[final])
         for key, lam_i, g in zip(map(tuple, flagged[refine].tolist()), lam[refine].tolist(),
                                  grid_i[refine].tolist()):
-            self.enqueue(key, lam_i, chunk[g][0].depth + 1)
+            self.enqueue(key, lam_i, chunk[g][2] + 1)
 
     def record(self, points: np.ndarray, lam: np.ndarray, boundary_stopped: np.ndarray) -> None:
         """Record final troubled points, given as ``(F, n)`` numerators in
@@ -471,37 +478,38 @@ class _EngineState:
         )
 
 
-def _initial_tasks(initial: Sequence, config: EngineConfig, grid: SparseGrid) -> list[BoxTask]:
-    tasks = [BoxTask(center=tuple(_as_fraction(c) for c in center), edge=_as_fraction(edge))
+def _initial_boxes(initial: Sequence, config: EngineConfig, grid: SparseGrid) -> list:
+    """The initial ``(center, edge)`` boxes as exact ``Fraction`` values."""
+    boxes = [(tuple(_as_fraction(c) for c in center), _as_fraction(edge))
              for center, edge in initial]
-    if not tasks:
+    if not boxes:
         raise EngineError("need at least one initial box")
-    for t in tasks:
-        if len(t.center) != grid.dim:
+    for center, edge in boxes:
+        if len(center) != grid.dim:
             raise DimensionMismatchError(
-                f"initial center has dim {len(t.center)}, grid has dim {grid.dim}"
+                f"initial center has dim {len(center)}, grid has dim {grid.dim}"
             )
         if config.domain is not None:
-            box = Box(t.center, t.edge)
+            box = Box(center, edge)
             if not (config.domain.contains(box.lower) and config.domain.contains(box.upper)):
                 raise EngineError(
-                    f"initial box centered at {tuple(map(float, t.center))} with edge "
-                    f"{float(t.edge)} is not inside the domain"
+                    f"initial box centered at {tuple(map(float, center))} with edge "
+                    f"{float(edge)} is not inside the domain"
                 )
-    _warn_off_lattice(tasks, grid.resolution)
-    return tasks
+    _warn_off_lattice(boxes, grid.resolution)
+    return boxes
 
 
-def _warn_off_lattice(tasks: list[BoxTask], m: int) -> None:
+def _warn_off_lattice(boxes: list, m: int) -> None:
     """Initial grids placed off each other's lattice lose point sharing."""
-    if len(tasks) < 2:
+    if len(boxes) < 2:
         return
-    ref = tasks[0]
-    step = ref.edge / m
-    for t in tasks[1:]:
-        if t.edge != ref.edge:
+    ref_center, ref_edge = boxes[0]
+    step = ref_edge / m
+    for center, edge in boxes[1:]:
+        if edge != ref_edge:
             continue
-        for a, b in zip(t.center, ref.center):
+        for a, b in zip(center, ref_center):
             if (a - b) % step != 0:
                 warnings.warn(
                     "initial grid centers are off-lattice relative to each other; "
@@ -514,7 +522,7 @@ def _warn_off_lattice(tasks: list[BoxTask], m: int) -> None:
 def _run(g: Callable, grid: SparseGrid, graph: GridGraph, detector: Detector,
          initial: Sequence, config: EngineConfig, visit_hook: Callable | None,
          batched: bool) -> DetectionRun:
-    """The engine loop: one queued task, or the whole queue up to the cap, per chunk.
+    """The engine loop: one queued box, or the whole queue up to the cap, per chunk.
 
     A batched chunk takes at most ``SAMPLE_BUDGET // N`` grids, and under
     ``max_evaluations`` at most ``(budget - evaluations) // N``; always at
@@ -535,15 +543,17 @@ def _run(g: Callable, grid: SparseGrid, graph: GridGraph, detector: Detector,
                 break
             size = min(size, max(1, (budget - state.evaluations) // grid.n_points))
         chunk = [state.pending.popleft() for _ in range(size)]
-        samples, pts, in_domain = state.visit(chunk)
-        ps = detector.detect_batch(samples)
+        pts, coords, in_domain, values = state.visit(chunk)
+        ps = detector.detect_batch(graph, coords, values)
         state.detector_calls += 1
         if visit_hook is not None:
-            for (task, _, _), sample, p in zip(chunk, samples, ps):
-                visit_hook(task, sample, p)
+            for j, (center, edge, depth) in enumerate(chunk):
+                task = BoxTask(state.lattice.point(center), state.lattice.length(edge), depth)
+                visit_hook(task, GridSample(similar_grid(grid, task.center, task.edge),
+                                            coords[j], in_domain[j], values[j]), ps[j])
         state.process(chunk, pts, in_domain, ps)
         logger.debug("chunk at depth %d: %d grids; %d evaluations (%d NaN), %d cache hits, "
-                     "%d troubled so far", chunk[0][0].depth, len(chunk), state.evaluations,
+                     "%d troubled so far", chunk[0][2], len(chunk), state.evaluations,
                      state.nan_evaluations, state.cache_hits, len(state.recorded))
     return state.result()
 
@@ -552,7 +562,8 @@ def run_basic(g: Callable, grid: SparseGrid, graph: GridGraph, detector: Detecto
               initial: Sequence, config: EngineConfig,
               visit_hook: Callable | None = None) -> DetectionRun:
     """Sequential engine: one grid classified per detector call (FIFO queue);
-    ``visit_hook(task, sample, p)`` sees each grid with g evaluated on it."""
+    ``visit_hook(task, sample, p)`` sees each grid's :class:`BoxTask`, its
+    :class:`GridSample` (g evaluated on it) and its likelihoods."""
     return _run(g, grid, graph, detector, initial, config, visit_hook, batched=False)
 
 
@@ -620,10 +631,12 @@ def write_run_report(run: DetectionRun, path, extra: dict | None = None) -> None
 
 
 def write_troubled_csv(run: DetectionRun, path) -> None:
-    dim = len(run.troubled[0].coords) if run.troubled else 0
+    """One row per troubled point from the run's columns; the trigger length
+    is divided in Python ints, so it is ``float`` of the exact ``Fraction``."""
+    _, lam, stopped, coords = run._columns
+    lat = run._lattice
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"x{d}" for d in range(dim)] + ["lambda", "boundary_stopped"])
-        for t in run.troubled:
-            writer.writerow([repr(float(x)) for x in t.coords]
-                            + [float(t.trigger_lambda), int(t.boundary_stopped)])
+        writer.writerow([f"x{d}" for d in range(coords.shape[1])] + ["lambda", "boundary_stopped"])
+        writer.writerows([*map(repr, x), steps * lat.unit_num / lat.den, int(b)]
+                         for x, steps, b in zip(coords.tolist(), lam.tolist(), stopped.tolist()))

@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from sgdetect.cli import main
+
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 
 
 def run_cli(args):
@@ -403,6 +406,28 @@ class TestExitCodes:
         # 2D model against the 4D torus target
         assert run_cli(["detect", "--target", "builtin:torus4d",
                         "--detector", f"nn:{model}"]) == 3
+
+    def test_model_grid_hash_mismatch(self, tiny_model, tmp_path, capsys):
+        # the model's grid key rebuilds a grid whose hash is not the stored one
+        doc = json.loads(tiny_model.read_text())
+        doc["grid_hash"] = "0" * 16
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(doc))
+        assert run_cli(["detect", "--target", "builtin:circle", "--lambda-min", "1/8",
+                        "--detector", f"nn:{tampered}"]) == 3
+        assert "grid hash 0000000000000000 does not match" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fixture,expected", [("ginn2d.json", "5ee38c614a28f0ae"),
+                                                  ("ginn4d.json", "21a01a586ef30458")])
+    def test_fixture_grid_hashes_match(self, fixture, expected):
+        from sgdetect.cli import _build_reference
+        from sgdetect.neural.model import grid_fingerprint
+        from sgdetect.sparse_grid import GridSpec
+
+        doc = json.loads((FIXTURES / fixture).read_text())
+        spec = GridSpec.from_key(doc["grid_key"])
+        _, graph = _build_reference(spec.rule, spec.level, spec.dim)
+        assert doc["grid_hash"] == grid_fingerprint(graph) == expected
 
     def test_degenerate_dataset(self, tmp_path, capsys):
         # a cut-free region: every label vector is all-zero -> exit 4

@@ -11,7 +11,6 @@ from sgdetect.detectors import (
     CallableCut,
     CutFunction,
     ExactOracleDetector,
-    GridSample,
     LinearCut,
     NeuralDetector,
     PolynomialCut,
@@ -215,9 +214,8 @@ class TestSegmentRoots:
             assert singles.shape == p.shape
             np.testing.assert_array_equal(p, singles)
             assert p[0].sum() > 0
-            samples = [GridSample(grid=reference, graph=graph, coords=c,
-                                  in_domain=np.ones(len(c), dtype=bool)) for c in stack]
-            np.testing.assert_array_equal(ExactOracleDetector(cut).detect_batch(samples), p)
+            np.testing.assert_array_equal(
+                ExactOracleDetector(cut).detect_batch(graph, stack, None), p)
 
 
 class TestZDetector:
@@ -398,9 +396,7 @@ class TestStackedZDetector:
             return z_detector(*args)
 
         monkeypatch.setattr(detectors, "z_detector", counted)
-        samples = [GridSample(grid=graph.grid, graph=graph, coords=c,
-                              in_domain=np.ones(len(c), dtype=bool)) for c in stack]
-        p = ZLevelDetector(cut, 9).detect_batch(samples)
+        p = ZLevelDetector(cut, 9).detect_batch(graph, stack, None)
         assert calls == [stack.shape]
         np.testing.assert_array_equal(p, z_detector_per_grid(cut, graph, 9, stack))
 
@@ -457,11 +453,9 @@ class TestSampleBudget:
         assert budget < len(graph.edges)
         cut, anchor = cut_through("sphere", dim, rng)
         stack = placed_stack(graph, anchor, 6, rng)
-        samples = [GridSample(grid=graph.grid, graph=graph, coords=c,
-                              in_domain=np.ones(len(c), dtype=bool)) for c in stack]
         z = {t: z_detector(cut, graph, t, stack) for t in (2, 9, 49)}
         oracle = exact_troubled_oracle(cut, graph, stack)
-        batch = ExactOracleDetector(cut).detect_batch(samples)
+        batch = ExactOracleDetector(cut).detect_batch(graph, stack, None)
         assert oracle.sum() > 0
 
         monkeypatch.setattr(detectors, "SAMPLE_BUDGET", budget)
@@ -469,8 +463,8 @@ class TestSampleBudget:
         for t, p in z.items():
             np.testing.assert_array_equal(z_detector(counting, graph, t, stack), p)
         np.testing.assert_array_equal(exact_troubled_oracle(counting, graph, stack), oracle)
-        np.testing.assert_array_equal(ExactOracleDetector(counting).detect_batch(samples),
-                                      batch)
+        np.testing.assert_array_equal(
+            ExactOracleDetector(counting).detect_batch(graph, stack, None), batch)
         assert max(counting.points) <= budget
         assert max(counting.segments) <= budget
         # the blocks split grids: more calls than grids
@@ -562,17 +556,16 @@ class _ConstantModel:
 
 
 class TestNeuralAdapter:
-    def _sample(self, grid2d, graph2d, evaluations, in_domain=None):
-        n = grid2d.n_points
-        if in_domain is None:
-            in_domain = np.isfinite(evaluations)
-        return GridSample(grid=grid2d, graph=graph2d, coords=grid2d.coords(),
-                          in_domain=in_domain, evaluations=evaluations)
+    @staticmethod
+    def _detect(det, graph, evaluations):
+        """One grid's likelihoods: the detector reads only the evaluations."""
+        coords = graph.grid.coords()[None]
+        return det.detect_batch(graph, coords, evaluations[None])[0]
 
     def test_all_sentinel_skips_model(self, grid2d, graph2d):
         model = _ConstantModel(grid2d.n_points)
         det = NeuralDetector(model)
-        p = det.detect_batch([self._sample(grid2d, graph2d, np.full(65, np.inf))])[0]
+        p = self._detect(det, graph2d, np.full(65, np.inf))
         assert np.all(p == 0.0)
         assert model.calls == 0
 
@@ -581,14 +574,14 @@ class TestNeuralAdapter:
         det = NeuralDetector(model)
         g = np.arange(65, dtype=float)
         g[[3, 10]] = np.inf
-        p = det.detect_batch([self._sample(grid2d, graph2d, g)])[0]
+        p = self._detect(det, graph2d, g)
         assert p[3] == 0.0 and p[10] == 0.0
         assert np.all(p[np.isfinite(g)] == 0.7)
 
     def test_output_in_unit_interval_for_constant_input(self, grid2d, graph2d):
         model = _ConstantModel(grid2d.n_points, value=0.3)
         det = NeuralDetector(model)
-        p = det.detect_batch([self._sample(grid2d, graph2d, np.full(65, 5.0))])[0]
+        p = self._detect(det, graph2d, np.full(65, 5.0))
         assert np.all((0.0 <= p) & (p <= 1.0))
 
     def test_batch_matches_single_rows(self, grid2d, graph2d, tiny_graph):
@@ -600,20 +593,16 @@ class TestNeuralAdapter:
         rng = np.random.default_rng(5)
         rows = rng.normal(size=(4, tiny.n_points))
         rows[2, 1] = np.inf
-        samples = [
-            GridSample(grid=tiny, graph=tiny_graph, coords=tiny.coords(),
-                       in_domain=np.isfinite(r), evaluations=r)
-            for r in rows
-        ]
-        batch = det.detect_batch(samples)
-        singles = np.stack([det.detect_batch([s])[0] for s in samples])
+        coords = np.broadcast_to(tiny.coords(), (len(rows), *tiny.coords().shape))
+        batch = det.detect_batch(tiny_graph, coords, rows)
+        singles = np.stack([self._detect(det, tiny_graph, r) for r in rows])
         np.testing.assert_array_equal(batch, singles)
 
     def test_length_mismatch_raises(self, grid2d, graph2d):
         model = _ConstantModel(n_points=10)
         det = NeuralDetector(model)
         with pytest.raises(DetectorError):
-            det.detect_batch([self._sample(grid2d, graph2d, np.zeros(65))])
+            self._detect(det, graph2d, np.zeros(65))
 
 
 class TestMakeDetector:
@@ -624,9 +613,8 @@ class TestMakeDetector:
     def test_exact_with_explicit_cut_spec(self, grid2d, graph2d):
         det = make_detector("exact:sphere:0.2,0.1:0.65")
         expected = exact_troubled_oracle(SphericalCut((0.2, 0.1), 0.65), graph2d)
-        sample = GridSample(grid=grid2d, graph=graph2d, coords=grid2d.coords(),
-                            in_domain=np.ones(65, dtype=bool))
-        np.testing.assert_array_equal(det.detect_batch([sample])[0], expected)
+        np.testing.assert_array_equal(
+            det.detect_batch(graph2d, grid2d.coords()[None], None)[0], expected)
         linear = make_detector("exact:linear:1,0:-0.25")
         assert np.isclose(linear.cut.b, -0.25)
 

@@ -1,5 +1,7 @@
+import csv
 import logging
 import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -46,17 +48,13 @@ def exact_points(run) -> set:
     return {t.exact for t in run.troubled}
 
 
-class CountingDetector(Detector):
-    """Wrap a detector and record every grid it classifies."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.requires_evaluations = inner.requires_evaluations
-        self.seen_keys = []
-
-    def detect_batch(self, samples):
-        self.seen_keys.extend((s.grid.box.center, s.grid.box.edge) for s in samples)
-        return self.inner.detect_batch(samples)
+def box_keys(runner, **kwargs):
+    """Run with a visit hook; returns the run and the exact (center, edge) of
+    every grid it visited, in visit order."""
+    keys = []
+    run = runner(visit_hook=lambda task, sample, p: keys.append((task.center, task.edge)),
+                 **kwargs)
+    return run, keys
 
 
 class EvalOracle(ExactOracleDetector):
@@ -79,13 +77,13 @@ class TestConfig:
 class TestBasicRun:
     def test_continuous_function_one_call_per_initial_task(self, grid2d, graph2d):
         cut = SphericalCut((50.0, 50.0), 0.5)  # never intersects the domain
-        det = CountingDetector(ExactOracleDetector(cut))
         config = EngineConfig(lambda_min=Fraction(1, 8), domain=SQUARE)
         initial = [((-0.5, -0.5), 1), ((0.5, 0.5), 1)]
-        run = run_basic(g=constant_g, grid=grid2d, graph=graph2d, detector=det,
-                        initial=initial, config=config)
+        run, keys = box_keys(run_basic, g=constant_g, grid=grid2d, graph=graph2d,
+                             detector=ExactOracleDetector(cut), initial=initial,
+                             config=config)
         assert run.troubled == []
-        assert len(det.seen_keys) == len(initial)
+        assert len(keys) == run.detector_calls == len(initial)
         assert run.generation_sizes == [2]
 
     def test_circle_troubled_points_near_interface(self, grid2d, graph2d):
@@ -111,11 +109,11 @@ class TestBasicRun:
 
     def test_no_task_processed_twice(self, grid2d, graph2d):
         cut = SphericalCut((0.0, 0.0), 0.5)
-        det = CountingDetector(ExactOracleDetector(cut))
         config = EngineConfig(lambda_min=Fraction(1, 16), domain=SQUARE)
-        run_basic(g=constant_g, grid=grid2d, graph=graph2d, detector=det,
-                  initial=[((0, 0), 2)], config=config)
-        assert len(det.seen_keys) == len(set(det.seen_keys))
+        run, keys = box_keys(run_basic, g=constant_g, grid=grid2d, graph=graph2d,
+                             detector=ExactOracleDetector(cut), initial=[((0, 0), 2)],
+                             config=config)
+        assert len(keys) == len(set(keys)) == run.grids_visited
 
     def test_exact_dyadic_task_keys(self, grid2d, graph2d):
         # centers accumulate denominators but stay exact fractions
@@ -152,36 +150,34 @@ class TestBasicRun:
         assert spans[corner] < global_span
 
         class CornerOnly(Detector):
-            def detect_batch(self, samples):
-                p = np.zeros((len(samples), samples[0].grid.n_points))
+            def detect_batch(self, graph, coords, evaluations):
+                p = np.zeros(coords.shape[:-1])
                 p[:, corner] = 1.0
                 return p
 
-        det = CountingDetector(CornerOnly())
         config = EngineConfig(lambda_min=Fraction(1, 8), domain=SQUARE,
                               boundary_policy="ignore")
-        run_basic(g=constant_g, grid=grid2d, graph=graph2d, detector=det,
-                  initial=[((0, 0), 2)], config=config)
+        _, keys = box_keys(run_basic, g=constant_g, grid=grid2d, graph=graph2d,
+                           detector=CornerOnly(), initial=[((0, 0), 2)], config=config)
         m = grid2d.resolution
-        first_child_edge = det.seen_keys[1][1]
+        first_child_edge = keys[1][1]
         assert first_child_edge == Fraction(2) * Fraction(int(spans[corner]), m)
         # the literal-global reading is available behind the config flag
         config_global = EngineConfig(lambda_min=Fraction(1, 8), domain=SQUARE,
                                      boundary_policy="ignore", lambda_rule="global")
-        det2 = CountingDetector(CornerOnly())
-        run_basic(g=constant_g, grid=grid2d, graph=graph2d, detector=det2,
-                  initial=[((0, 0), 2)], config=config_global)
-        assert det2.seen_keys[1][1] == Fraction(2) * Fraction(global_span, m)
+        _, keys = box_keys(run_basic, g=constant_g, grid=grid2d, graph=graph2d,
+                           detector=CornerOnly(), initial=[((0, 0), 2)], config=config_global)
+        assert keys[1][1] == Fraction(2) * Fraction(global_span, m)
 
     def test_lambda_ge_min_refines_lambda_lt_min_finalizes(self, grid2d, graph2d):
         # lambda == lambda_min exactly must refine (rule is >=)
         cut = LinearCut([1.0, 0.0], -0.015625)
         lam_min = Fraction(1, 4)  # spans 4 -> first children get lambda = 1/2 >= 1/4
         config = EngineConfig(lambda_min=lam_min, domain=SQUARE, boundary_policy="ignore")
-        det = CountingDetector(ExactOracleDetector(cut))
-        run = run_basic(g=constant_g, grid=grid2d, graph=graph2d, detector=det,
-                        initial=[((0, 0), 2)], config=config)
-        child_edges = {edge for _, edge in det.seen_keys[1:]}
+        run, keys = box_keys(run_basic, g=constant_g, grid=grid2d, graph=graph2d,
+                             detector=ExactOracleDetector(cut), initial=[((0, 0), 2)],
+                             config=config)
+        child_edges = {edge for _, edge in keys[1:]}
         assert Fraction(1, 4) in child_edges  # a lambda == lambda_min box was processed
         assert all(t.trigger_lambda < lam_min for t in run.troubled)
 
@@ -271,33 +267,31 @@ class TestDomainHandling:
         assert all(SQUARE.contains(t.exact) for t in run.troubled)
 
     def test_sentinel_mask_matches_domain(self, grid2d, graph2d):
-        # grid straddling the boundary: sentinel exactly where a coordinate
-        # leaves the domain
-        seen = {}
+        # a corner point spawns a grid straddling the domain boundary: the
+        # detector's evaluations carry the sentinel exactly where the hook's
+        # mask leaves the domain
+        corner = grid2d.lattice.tolist().index([grid2d.resolution] * 2)
+        detected, masks = [], []
 
         class Probe(Detector):
             requires_evaluations = True
 
-            def detect_batch(self, samples):
-                sample, = samples
-                seen["evals"] = sample.evaluations.copy()
-                seen["mask"] = sample.in_domain.copy()
-                seen["coords"] = sample.coords.copy()
-                return np.zeros((1, sample.grid.n_points))
+            def detect_batch(self, graph, coords, evaluations):
+                detected.append((coords.copy(), evaluations.copy()))
+                p = np.zeros(coords.shape[:-1])
+                p[:, corner] = 1.0
+                return p
 
-        config = EngineConfig(lambda_min=Fraction(1, 8),
-                              domain=Box.cube((0, 0), 2), boundary_policy="ignore")
+        config = EngineConfig(lambda_min=Fraction(1, 8), domain=Box.cube((0, 0), 1),
+                              boundary_policy="ignore")
         run_basic(g=constant_g, grid=grid2d, graph=graph2d, detector=Probe(),
-                  initial=[((0, 0), 2)], config=config)
-        # place a grid straddling the right edge manually via a second run
-        config2 = EngineConfig(lambda_min=Fraction(1, 8), domain=Box.cube((0, 0), 1),
-                               boundary_policy="ignore")
-        run_basic(g=constant_g, grid=grid2d, graph=graph2d, detector=Probe(),
-                  initial=[((0, 0), 1)], config=config2)
-        inside = np.all(np.abs(seen["coords"]) <= 0.5 + 1e-15, axis=1)
-        np.testing.assert_array_equal(seen["mask"], inside)
-        assert np.all(np.isinf(seen["evals"][~seen["mask"]]))
-        assert np.all(np.isfinite(seen["evals"][seen["mask"]]))
+                  initial=[((0, 0), 1)], config=config,
+                  visit_hook=lambda task, sample, p: masks.append(sample.in_domain.copy()))
+        assert len(detected) == len(masks) > 1
+        for ((coords,), (evals,)), mask in zip(detected, masks):
+            np.testing.assert_array_equal(mask, np.all(np.abs(coords) <= 0.5, axis=1))
+            assert np.all(np.isinf(evals[~mask])) and np.all(np.isfinite(evals[mask]))
+        assert masks[0].all() and not masks[1].all()
 
 
 class TestCache:
@@ -438,6 +432,36 @@ class TestPlacement:
                     detector=ExactOracleDetector(target.cut), initial=initial,
                     config=config, visit_hook=hook)
         assert len(same) == 16 and all(same)
+
+    @pytest.mark.parametrize("runner", [run_basic, run_batched])
+    def test_exact_boxes_and_placed_grids_only_for_a_hook(self, grid2d, graph2d,
+                                                          monkeypatch, runner):
+        # without a hook a run builds no Fraction task and no placed grid;
+        # with one it builds one of each per visited grid
+        from sgdetect.evaluation import builtin_test_functions
+
+        made = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                made[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(engine, "similar_grid", counted("similar_grid", engine.similar_grid))
+        monkeypatch.setattr(engine, "BoxTask", counted("BoxTask", engine.BoxTask))
+        target = builtin_test_functions()["circle"]
+        config = EngineConfig(lambda_min=Fraction(1, 32), domain=target.domain)
+        initial = [(target.domain.center, target.domain.edge)]
+        plain = runner(g=target.fn, grid=grid2d, graph=graph2d,
+                       detector=ExactOracleDetector(target.cut), initial=initial, config=config)
+        assert made == Counter()
+        hooked = runner(g=target.fn, grid=grid2d, graph=graph2d,
+                        detector=ExactOracleDetector(target.cut), initial=initial,
+                        config=config, visit_hook=lambda task, sample, p: None)
+        assert made == {"similar_grid": hooked.grids_visited, "BoxTask": hooked.grids_visited}
+        assert plain.troubled and _outcome(plain)[0] == _outcome(hooked)[0]
+        assert plain.generation_sizes == hooked.generation_sizes
 
 
 class TestBatchedEquivalence:
@@ -704,9 +728,9 @@ class TestKeysAndChunks:
         sizes = []
 
         class Sizes(EvalOracle):
-            def detect_batch(self, samples):
-                sizes.append(len(samples))
-                return super().detect_batch(samples)
+            def detect_batch(self, graph, coords, evaluations):
+                sizes.append(len(coords))
+                return super().detect_batch(graph, coords, evaluations)
 
         config = EngineConfig(lambda_min=Fraction(1, 64), domain=SQUARE)
 
@@ -816,3 +840,31 @@ class TestWarningsAndReports:
         write_troubled_csv(run, tmp_path / "t.csv")
         lines = (tmp_path / "t.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + len(run.troubled)
+
+    def test_csv_rows_are_the_troubled_points(self, grid2d, graph2d, tmp_path):
+        # the 512-pixel phantom's box: a non-dyadic lattice, so that each
+        # trigger length is a rounded division
+        domain = Box.cube((Fraction(511, 2),) * 2, 511)
+        config = EngineConfig(lambda_min=Fraction(4), domain=domain)
+        run = run_batched(g=constant_g, grid=grid2d, graph=graph2d,
+                          detector=ExactOracleDetector(SphericalCut((200.0, 300.0), 120.0)),
+                          initial=[(domain.center, domain.edge)], config=config)
+        write_troubled_csv(run, tmp_path / "t.csv")
+        with open(tmp_path / "t.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["x0", "x1", "lambda", "boundary_stopped"]
+        assert run.troubled and rows == [
+            [repr(x) for x in t.coords] + [repr(float(t.trigger_lambda)),
+                                           str(int(t.boundary_stopped))]
+            for t in run.troubled]
+        assert any(t.trigger_lambda.denominator > 1 for t in run.troubled)
+
+    def test_csv_of_a_run_without_troubled_points(self, grid4d, graph4d, tmp_path):
+        # the header still names every coordinate
+        config = EngineConfig(lambda_min=Fraction(1, 2), domain=Box.cube((0,) * 4, 2))
+        run = run_batched(g=constant_g, grid=grid4d, graph=graph4d,
+                          detector=ExactOracleDetector(SphericalCut((50.0,) * 4, 0.5)),
+                          initial=[((0,) * 4, 2)], config=config)
+        write_troubled_csv(run, tmp_path / "t.csv")
+        assert not run.troubled
+        assert (tmp_path / "t.csv").read_bytes() == b"x0,x1,x2,x3,lambda,boundary_stopped\r\n"
