@@ -52,10 +52,7 @@ def main():
           f"diameter {graph.diameter()}")
 
     t0 = time.perf_counter()
-    kinds = [synth_data.CUT_KINDS[i % 3] for i in range(args.functions)]
-    child_seeds = np.random.SeedSequence(args.seed).spawn(args.functions)
-    functions = [synth_data.sample_piecewise_function(k, 2, np.random.default_rng(s))
-                 for k, s in zip(kinds, child_seeds)]
+    functions = synth_data.sample_functions(args.functions, 2, args.seed)
     samples, stats = synth_data.generate_dataset(
         grid, graph, args.detector_t, functions, lambda_min, domain=domain,
         n_jobs=args.jobs)

@@ -48,10 +48,7 @@ def main():
     print(f"reference grid: {grid.n_points} points, diameter {graph.diameter()}")
 
     t0 = time.perf_counter()
-    kinds = [synth_data.CUT_KINDS[i % 3] for i in range(args.functions)]
-    child_seeds = np.random.SeedSequence(args.seed).spawn(args.functions)
-    functions = [synth_data.sample_piecewise_function(k, 4, np.random.default_rng(s))
-                 for k, s in zip(kinds, child_seeds)]
+    functions = synth_data.sample_functions(args.functions, 4, args.seed)
     samples, stats = synth_data.generate_dataset(
         grid, graph, 2, functions, lambda_min, domain=domain, n_jobs=args.jobs)
     balanced = synth_data.balance_dataset(samples, np.random.default_rng(args.seed + 1))

@@ -160,6 +160,8 @@ def cmd_grid(args) -> int:
 
 
 def cmd_dataset(args) -> int:
+    if args.count < 1:
+        raise ConfigError(f"--count must be >= 1, got {args.count}")
     grid, graph = _build_reference(args.rule, args.level, args.dim)
     domain = _reference_box(args.dim)
     lam_min = _parse_lambda_min(args.lambda_min, domain, grid.spec.h_max)
@@ -171,20 +173,15 @@ def cmd_dataset(args) -> int:
     })
     # "N(0, 10)" read as variance by default; the stddev reading is the flip
     coeff_std = np.sqrt(10.0) if args.coeff_convention == "variance" else 10.0
-    seeds = np.random.SeedSequence(args.seed).spawn(args.count)
-    kinds = [synth_data.CUT_KINDS[i % 3] for i in range(args.count)]
-    functions = [
-        synth_data.sample_piecewise_function(kind, args.dim, np.random.default_rng(s),
-                                             coeff_std=coeff_std)
-        for kind, s in zip(kinds, seeds)
-    ]
+    functions = synth_data.sample_functions(args.count, args.dim, args.seed, coeff_std=coeff_std)
     samples, stats = synth_data.generate_dataset(
         grid, graph, args.detector_t, functions, lam_min, tau=args.tau,
         domain=domain, n_jobs=args.jobs)
     balance_rng = np.random.default_rng(np.random.SeedSequence(args.seed).spawn(args.count + 1)[-1])
     balanced = synth_data.balance_dataset(samples, balance_rng)
     stats["balanced_samples"] = len(balanced)
-    stats["cut_kinds"] = {k: kinds.count(k) for k in synth_data.CUT_KINDS}
+    stats["cut_kinds"] = {k: len(range(i, args.count, 3))
+                          for i, k in enumerate(synth_data.CUT_KINDS)}
     stats["grid_hash"] = grid_fingerprint(graph)
     ds = synth_data.Dataset.from_samples(
         balanced, grid_key=grid.spec.key(), detector=f"zlevel:{args.detector_t}",
@@ -220,7 +217,8 @@ def cmd_train(args) -> int:
         "epochs": args.epochs, "seed": args.seed, "batch_size": args.batch_size,
         "learning_rate": args.learning_rate, "out": args.out,
     })
-    split = synth_data.split_dataset(ds.to_samples(), np.random.default_rng(args.seed))
+    split = synth_data.split_dataset(synth_data.Samples(ds.inputs, ds.labels),
+                                     np.random.default_rng(args.seed))
     model = build_archetype(model_cfg, graph, seed=args.seed)
     print(f"model: {args.kind}, {count_parameters(model)} trainable parameters "
           f"({model.n_blocks} residual blocks)")
@@ -323,7 +321,8 @@ def cmd_eval(args) -> int:
         eval_mod.write_tpr_report(result, args.out)
         print(f"wrote {args.out}")
     if args.csv:
-        eval_mod.write_verdicts_csv(result, points, args.csv)
+        # tpr refused points of another dimension; an empty set gets (0, dim)
+        eval_mod.write_verdicts_csv(result, points.reshape(-1, dim), args.csv)
         print(f"wrote {args.csv}")
     return 0
 

@@ -34,7 +34,7 @@ from sgdetect.detectors import (
     TorusCut,
     sample_signs,
 )
-from sgdetect.errors import MalformedFileError, SgdetectError
+from sgdetect.errors import DimensionMismatchError, MalformedFileError, SgdetectError
 from sgdetect.grid_graph import GridGraph
 from sgdetect.sparse_grid import Box
 from sgdetect.synth_data import LegendrePiece, PiecewiseFunction
@@ -151,7 +151,8 @@ def tpr(points: np.ndarray, cut: CutFunction, lambda_min, check_graph: GridGraph
     (:meth:`~sgdetect.sparse_grid.SparseGrid.place`) on the box centered
     there with edge ``lambda_min``; the point is a true troubled point
     iff the cut's zero-level set intersects at least one graph edge.  A
-    check graph without edges (a one-point grid) raises :class:`SgdetectError`.
+    check graph without edges (a one-point grid) raises :class:`SgdetectError`,
+    points of another dimension :class:`DimensionMismatchError`.
     Intersections use the cut's closed form when available (one
     ``segment_roots`` call over every edge of a chunk of points), otherwise
     sign sampling with ``subdivisions`` intervals per edge, in three steps
@@ -192,8 +193,8 @@ def tpr(points: np.ndarray, cut: CutFunction, lambda_min, check_graph: GridGraph
                          detail={"reason": "empty troubled set"})
     grid = check_graph.grid
     if points.shape[1] != grid.dim:
-        raise SgdetectError(f"{points.shape[1]}D points cannot be scored with a "
-                            f"{grid.dim}D check grid")
+        raise DimensionMismatchError(f"{points.shape[1]}D points cannot be scored with a "
+                                     f"{grid.dim}D check grid")
     lam = float(lambda_min)
     knots = np.linspace(0.0, 1.0, subdivisions + 1)
     ei, ej = check_graph.edge_ends
@@ -270,13 +271,13 @@ def write_tpr_report(report: TprReport, path) -> None:
 
 
 def write_verdicts_csv(report: TprReport, points: np.ndarray, path) -> None:
-    points = np.atleast_2d(points)
+    """One ``x0..x{n-1},true_troubled`` row per point; ``points`` is ``(K, n)``,
+    so an empty troubled set still names its n coordinate columns."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        dim = points.shape[1] if points.size else 0
-        writer.writerow([f"x{d}" for d in range(dim)] + ["true_troubled"])
-        for row, verdict in zip(points, report.verdicts):
-            writer.writerow([repr(float(v)) for v in row] + [int(verdict)])
+        writer.writerow([f"x{d}" for d in range(points.shape[1])] + ["true_troubled"])
+        writer.writerows([*row, int(verdict)]
+                         for row, verdict in zip(points.tolist(), report.verdicts))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 from sgdetect.detectors import SAMPLE_BUDGET
 from sgdetect.errors import TrainingDivergedError
 from sgdetect.neural.model import ArchetypeModel
-from sgdetect.synth_data import DatasetSplit, preprocess_gamma_batch
+from sgdetect.synth_data import DatasetSplit, Samples, preprocess_gamma_batch
 
 CLIP = 1e-7
 
@@ -208,10 +208,9 @@ class TrainHistory:
         }
 
 
-def _prepare(samples) -> tuple[np.ndarray, np.ndarray]:
-    x = np.stack([s.inputs for s in samples])
-    y = np.stack([s.labels for s in samples]).astype(np.float64)
-    return preprocess_gamma_batch(x), y
+def _prepare(samples: Samples) -> tuple[np.ndarray, np.ndarray]:
+    # the labels stay uint8: weighted_bce reads them as float64 one batch at a time
+    return preprocess_gamma_batch(samples.inputs), samples.labels
 
 
 def train(model: ArchetypeModel, dataset: DatasetSplit, config: TrainConfig) -> TrainHistory:
@@ -281,7 +280,7 @@ def evaluate_loss(model: ArchetypeModel, x: np.ndarray, y: np.ndarray) -> float:
     return weighted_bce(p_hat, y, MU0, MU1)
 
 
-def evaluate_metrics(model: ArchetypeModel, samples) -> dict:
+def evaluate_metrics(model: ArchetypeModel, samples: Samples) -> dict:
     x, y = _prepare(samples)
     p_hat = model.predict(x)
     return {

@@ -13,6 +13,10 @@ convention is recorded in the dataset header and can be flipped to
 engine with the deterministic z-detector and recording every grid visit;
 the heavily imbalanced all-zero samples are then thinned, and the abs-max
 preprocessing maps evaluation vectors into [-1, 1]^N for the models.
+
+The samples travel as one :class:`Samples`: row-aligned (S, N) ``inputs``
+(float64, inf at out-of-domain slots) and ``labels`` (uint8), whose rows
+balancing and splitting select and whose arrays the trainer reads as they are.
 """
 
 from __future__ import annotations
@@ -207,36 +211,50 @@ def preprocess_gamma_batch(g: np.ndarray) -> np.ndarray:
 # samples, datasets, splits
 
 
-@dataclass
-class Sample:
-    """One engine visit: raw evaluations (pre-gamma) and binary labels."""
+@dataclass(frozen=True)
+class Samples:
+    """Labelled grid visits as row-aligned arrays: row i of ``inputs`` holds
+    one visit's raw g evaluations, row i of ``labels`` its binary labels.
+    ``samples[rows]`` selects rows (an index array copies them)."""
 
-    inputs: np.ndarray  # (N,) float64, inf sentinel at out-of-domain slots
-    labels: np.ndarray  # (N,) uint8
+    inputs: np.ndarray  # (S, N) float64, inf sentinel at out-of-domain slots
+    labels: np.ndarray  # (S, N) uint8
 
-    @property
-    def n_troubled(self) -> int:
-        return int(self.labels.sum())
+    def __len__(self) -> int:
+        return len(self.inputs)
+
+    def __getitem__(self, rows) -> "Samples":
+        return Samples(self.inputs[rows], self.labels[rows])
 
 
 @dataclass
 class DatasetSplit:
-    train: list[Sample]
-    validation: list[Sample]
-    test: list[Sample]
+    train: Samples
+    validation: Samples
+    test: Samples
+
+
+def sample_functions(count: int, dim: int, seed: int,
+                     coeff_std: float = COEFF_STD_VARIANCE) -> list[PiecewiseFunction]:
+    """The training functions: cut kinds round-robin over :data:`CUT_KINDS`,
+    function i drawn from the i-th child of ``SeedSequence(seed)``."""
+    seeds = np.random.SeedSequence(seed).spawn(count)
+    return [sample_piecewise_function(CUT_KINDS[i % 3], dim, np.random.default_rng(s),
+                                      coeff_std=coeff_std)
+            for i, s in enumerate(seeds)]
 
 
 def generate_dataset(grid: SparseGrid, graph: GridGraph, detector_t: int,
                      functions: Sequence[PiecewiseFunction],
                      lambda_min, tau: float = 0.5,
                      domain: Box | None = None,
-                     n_jobs: int = 1) -> tuple[list[Sample], dict]:
+                     n_jobs: int = 1) -> tuple[Samples, dict]:
     """Run the engine on each function and record every grid visit.
 
     Labels come from the z-detector on the function's own cut; inputs are
     the engine's g evaluations on the same grid instance (sentinels at
     out-of-domain slots, each point evaluated once).  Returns the samples
-    plus generation stats.  Samples are ordered by function index, then
+    plus generation stats.  Rows are ordered by function index, then
     visit order, so the result is deterministic regardless of ``n_jobs``.
     Each function logs one INFO record with its sample count and skipped
     NaN visits.
@@ -249,29 +267,28 @@ def generate_dataset(grid: SparseGrid, graph: GridGraph, detector_t: int,
             results = list(pool.map(_generate_for_function, args))
     else:
         results = [_generate_for_function(a) for a in args]
-    samples: list[Sample] = []
-    skipped = 0
     for i, (fn_samples, fn_skipped) in enumerate(results, start=1):
         logger.info("function %d/%d: %d samples, %d skipped NaN visits", i, len(functions),
                     len(fn_samples), fn_skipped)
-        samples.extend(fn_samples)
-        skipped += fn_skipped
+    samples = Samples(np.concatenate([s.inputs for s, _ in results]),
+                      np.concatenate([s.labels for s, _ in results]))
     stats = {
         "functions": len(functions),
         "samples": len(samples),
-        "skipped_nan_visits": skipped,
+        "skipped_nan_visits": sum(skipped for _, skipped in results),
     }
     return samples, stats
 
 
-def _generate_for_function(args) -> tuple[list[Sample], int]:
+def _generate_for_function(args) -> tuple[Samples, int]:
     from sgdetect.engine import EngineConfig, run_batched
 
     grid, graph, detector_t, fn, lambda_min, tau, domain = args
     detector = ZLevelDetector(fn.cut, detector_t)
     config = EngineConfig(lambda_min=lambda_min, tau=tau, domain=domain,
                           boundary_policy="clip-stop")
-    samples: list[Sample] = []
+    inputs: list[np.ndarray] = []
+    labels: list[np.ndarray] = []
     skipped = 0
 
     def record(task, sample, p_raw):
@@ -279,48 +296,49 @@ def _generate_for_function(args) -> tuple[list[Sample], int]:
         if np.isnan(sample.evaluations).any():
             skipped += 1
             return
-        labels = ((p_raw >= tau) & sample.in_domain).astype(np.uint8)
-        samples.append(Sample(inputs=sample.evaluations, labels=labels))
+        inputs.append(sample.evaluations)
+        labels.append((p_raw >= tau) & sample.in_domain)
 
     run_batched(g=fn, grid=grid, graph=graph, detector=detector,
                 initial=[(domain.center, domain.edge)], config=config,
                 visit_hook=record)
-    return samples, skipped
+    shape = (len(inputs), grid.n_points)
+    return Samples(np.array(inputs, dtype=np.float64).reshape(shape),
+                   np.array(labels, dtype=np.uint8).reshape(shape)), skipped
 
 
-def balance_dataset(samples: list[Sample], rng: np.random.Generator) -> list[Sample]:
-    """Thin the all-zero samples down to D0' = max_i #{samples with i troubled}.
+def balance_dataset(samples: Samples, rng: np.random.Generator) -> Samples:
+    """Thin the all-zero rows down to D0' = max_i #{rows with i troubled}.
 
-    Samples with at least one nonzero label are always kept.  Raises
-    :class:`DegenerateDatasetError` when no sample has a nonzero label.
+    Keeps every row with a nonzero label, in order, then the kept all-zero
+    rows in order; when that is every row as it stands (common in 4D), the
+    input itself, uncopied.  Raises :class:`DegenerateDatasetError` when no
+    row has a nonzero label.
     """
-    nonzero = [s for s in samples if s.n_troubled > 0]
-    zeros = [s for s in samples if s.n_troubled == 0]
-    if not nonzero:
+    n_troubled = samples.labels.sum(axis=1, dtype=np.int64)
+    nonzero = np.flatnonzero(n_troubled)
+    zeros = np.flatnonzero(n_troubled == 0)
+    if not nonzero.size:
         raise DegenerateDatasetError("every sample has an all-zero label vector")
-    counts: dict[int, int] = {}
-    for s in nonzero:
-        counts[s.n_troubled] = counts.get(s.n_troubled, 0) + 1
-    keep_zero = max(counts.values())
+    keep_zero = int(np.bincount(n_troubled[nonzero]).max())
     if keep_zero < len(zeros):
-        chosen = rng.choice(len(zeros), size=keep_zero, replace=False)
-        zeros = [zeros[i] for i in sorted(chosen)]
-    return nonzero + zeros
+        zeros = zeros[np.sort(rng.choice(len(zeros), size=keep_zero, replace=False))]
+    keep = np.concatenate([nonzero, zeros])
+    return samples if np.array_equal(keep, np.arange(len(samples))) else samples[keep]
 
 
-def split_dataset(samples: list[Sample], rng: np.random.Generator) -> DatasetSplit:
+def split_dataset(samples: Samples, rng: np.random.Generator) -> DatasetSplit:
     """Shuffle, then carve off floor(30%) test and floor(80% of rest) train."""
     if len(samples) < 10:
         raise DegenerateDatasetError(f"need at least 10 samples to split, got {len(samples)}")
     order = rng.permutation(len(samples))
-    shuffled = [samples[i] for i in order]
     n_test = int(0.3 * len(samples))
     rest = len(samples) - n_test
     n_train = int(0.8 * rest)
     return DatasetSplit(
-        test=shuffled[:n_test],
-        train=shuffled[n_test : n_test + n_train],
-        validation=shuffled[n_test + n_train :],
+        test=samples[order[:n_test]],
+        train=samples[order[n_test : n_test + n_train]],
+        validation=samples[order[n_test + n_train :]],
     )
 
 
@@ -348,23 +366,13 @@ class Dataset:
     def n_points(self) -> int:
         return self.inputs.shape[1]
 
-    def to_samples(self) -> list[Sample]:
-        return [Sample(inputs=self.inputs[i].copy(), labels=self.labels[i].copy())
-                for i in range(self.n_samples)]
-
     @staticmethod
-    def from_samples(samples: list[Sample], grid_key: str, detector: str, seed: int,
+    def from_samples(samples: Samples, grid_key: str, detector: str, seed: int,
                      coeff_convention: str = "normal(0, variance=10)",
                      meta: dict | None = None) -> "Dataset":
-        return Dataset(
-            grid_key=grid_key,
-            detector=detector,
-            seed=seed,
-            coeff_convention=coeff_convention,
-            inputs=np.stack([s.inputs for s in samples]).astype(np.float64),
-            labels=np.stack([s.labels for s in samples]).astype(np.uint8),
-            meta=meta or {},
-        )
+        return Dataset(grid_key=grid_key, detector=detector, seed=seed,
+                       coeff_convention=coeff_convention, inputs=samples.inputs,
+                       labels=samples.labels, meta=meta or {})
 
 
 def dataset_paths(path) -> tuple[Path, Path]:
@@ -433,5 +441,4 @@ def export_dataset_csv(ds: Dataset, path) -> None:
         writer = csv.writer(fh)
         writer.writerow([f"g{i}" for i in range(ds.n_points)]
                         + [f"p{i}" for i in range(ds.n_points)])
-        for row_x, row_y in zip(ds.inputs, ds.labels):
-            writer.writerow([repr(float(v)) for v in row_x] + [int(v) for v in row_y])
+        writer.writerows(x + y for x, y in zip(ds.inputs.tolist(), ds.labels.tolist()))

@@ -253,10 +253,7 @@ DESK_EPOCH_CAP = 60  # early stopping and the plateau schedule stay active
 
 @pytest.fixture(scope="module")
 def desk_split(grid2d, graph2d):
-    kinds = [synth_data.CUT_KINDS[i % 3] for i in range(60)]
-    seqs = np.random.SeedSequence(0).spawn(60)
-    fns = [synth_data.sample_piecewise_function(k, 2, np.random.default_rng(s))
-           for k, s in zip(kinds, seqs)]
+    fns = synth_data.sample_functions(60, 2, 0)
     samples, _ = synth_data.generate_dataset(grid2d, graph2d, 49, fns,
                                              LAMBDA_MIN_2D, tau=0.5)
     balanced = synth_data.balance_dataset(samples, np.random.default_rng(1))

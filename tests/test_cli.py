@@ -70,6 +70,13 @@ class TestDatasetCommand:
         assert "resolved-config" in out
         assert "lambda_min" in out
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_count_below_one_is_config_error(self, count, tmp_path, capsys):
+        assert run_cli(["dataset", "--level", "3", "--count", count,
+                        "--out", str(tmp_path / "d.bin")]) == 2
+        assert f"config error: --count must be >= 1, got {count}" in capsys.readouterr().err
+        assert not (tmp_path / "d.bin").exists()
+
 
 @pytest.fixture(scope="module")
 def tiny_model(tmp_path_factory):
@@ -112,6 +119,21 @@ class TestTrainDetectEval:
         doc = json.loads((tmp_path / "tpr.json").read_text())
         assert doc["tpr"] == 1.0
         assert csv_path.exists()
+
+    def test_eval_csv_of_an_empty_report_names_the_target_columns(self, tmp_path, capsys):
+        args = _report_with(tmp_path, "1/8", [])
+        csv_path = tmp_path / "verdicts.csv"
+        assert run_cli([*args, "--csv", str(csv_path)]) == 0
+        assert "tpr: undefined" in capsys.readouterr().out
+        assert csv_path.read_text().splitlines() == ["x0,x1,true_troubled"]
+
+    def test_eval_csv_rows(self, tmp_path, capsys):
+        args = _report_with(tmp_path, "1/8", [[0.0, 0.5], [0.1, 0.2]])
+        csv_path = tmp_path / "verdicts.csv"
+        assert run_cli([*args, "--csv", str(csv_path)]) == 0
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == "x0,x1,true_troubled"
+        assert [line.rsplit(",", 1)[0] for line in lines[1:]] == ["0.0,0.5", "0.1,0.2"]
 
     def test_detect_zlevel(self, tmp_path, capsys):
         code = run_cli(["detect", "--target", "builtin:circle",
@@ -334,7 +356,7 @@ class TestExitCodes:
         report = tmp_path / "run.json"
         assert run_cli(["detect", "--target", "builtin:circle", "--detector", "exact",
                         "--lambda-min", "1/8", "--out", str(report)]) == 0
-        assert run_cli(["eval", "--report", str(report), "--target", "builtin:torus4d"]) == 2
+        assert run_cli(["eval", "--report", str(report), "--target", "builtin:torus4d"]) == 3
         assert "cannot be scored with a 4D check grid" in capsys.readouterr().err
 
     def test_eval_with_a_one_point_check_grid(self, tmp_path, capsys):

@@ -39,7 +39,7 @@ from sgdetect.neural.training import (
     train,
     weighted_bce,
 )
-from sgdetect.synth_data import DatasetSplit, Sample
+from sgdetect.synth_data import DatasetSplit, Samples
 
 
 def central_difference(fn, arr, idx, h=1e-6):
@@ -737,7 +737,7 @@ class TestPredict:
         # the validation loss reads predict, and the plateau schedule and early
         # stopping read the validation loss; 35 validation rows span two GINN blocks
         split = _toy_split(graph2d.n_points, np.random.default_rng(8), size=60)
-        split = DatasetSplit(train=split.train, validation=split.test, test=[])
+        split = DatasetSplit(train=split.train, validation=split.test, test=split.test[:0])
         config = TrainConfig(max_epochs=3, batch_size=8, seed=2)
         runs = []
         for predict in (ArchetypeModel.predict, reference_predict):
@@ -751,11 +751,8 @@ class TestPredict:
 
 
 def _toy_split(n_points, rng, size=30):
-    samples = []
-    for _ in range(size):
-        x = rng.normal(size=n_points)
-        labels = (x > 0.5).astype(np.uint8)
-        samples.append(Sample(inputs=x, labels=labels))
+    x = rng.normal(size=(size, n_points))
+    samples = Samples(x, (x > 0.5).astype(np.uint8))
     return DatasetSplit(train=samples[:20], validation=samples[20:25],
                         test=samples[25:])
 
@@ -846,8 +843,7 @@ class TestTraining:
         # run stops early, after its best epoch
         model = build_archetype(ModelConfig(kind="mlp"), tiny_graph, seed=1)
         split = _toy_split(model.n_points, rng)
-        for sample in split.validation:
-            sample.labels = 1 - sample.labels
+        split.validation = Samples(split.validation.inputs, 1 - split.validation.labels)
         config = TrainConfig(max_epochs=200, early_stop_patience=5, seed=1)
         history = train(model, split, config)
         assert history.stopped_early

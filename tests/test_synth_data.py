@@ -16,7 +16,7 @@ from sgdetect.sparse_grid import Box
 from sgdetect.synth_data import (
     Dataset,
     LegendrePiece,
-    Sample,
+    Samples,
     balance_dataset,
     generate_dataset,
     legendre_value,
@@ -168,64 +168,134 @@ class TestGamma:
             np.testing.assert_array_equal(batch[i], gamma(g[i]))
 
 
-def _mk(labels):
-    labels = np.asarray(labels, dtype=np.uint8)
-    return Sample(inputs=np.arange(labels.size, dtype=float), labels=labels)
+def _mk(label_rows):
+    """Samples with the given label rows; every input entry is distinct, so a
+    row can be told by its inputs."""
+    labels = np.asarray(label_rows, dtype=np.uint8)
+    return Samples(np.arange(labels.size, dtype=float).reshape(labels.shape), labels)
+
+
+def _troubled(samples):
+    return samples.labels.sum(axis=1)
 
 
 class TestBalance:
     def test_keeps_max_count_of_zeros(self, rng):
-        ones = [_mk([1] * i + [0] * (5 - i)) for i in (1, 1, 1, 2, 2, 3)]
+        ones = [[1] * i + [0] * (5 - i) for i in (1, 1, 1, 2, 2, 3)]
         # D_1 counts: {1: 3, 2: 2, 3: 1} -> D_0' = 3
-        zeros = [_mk([0] * 5) for _ in range(50)]
-        out = balance_dataset(ones + zeros, rng)
-        kept_zero = sum(1 for s in out if s.n_troubled == 0)
-        assert kept_zero == 3
-        assert sum(1 for s in out if s.n_troubled > 0) == 6
+        zeros = [[0] * 5] * 50
+        out = balance_dataset(_mk(ones + zeros), rng)
+        assert np.count_nonzero(_troubled(out) == 0) == 3
+        assert np.count_nonzero(_troubled(out) > 0) == 6
 
     def test_no_zero_samples_identity(self, rng):
-        ones = [_mk([1, 0]), _mk([1, 1])]
-        assert balance_dataset(ones, rng) == ones
+        ones = _mk([[1, 0], [1, 1]])
+        out = balance_dataset(ones, rng)
+        np.testing.assert_array_equal(out.inputs, ones.inputs)
+        np.testing.assert_array_equal(out.labels, ones.labels)
 
     def test_all_zero_degenerate(self, rng):
         with pytest.raises(DegenerateDatasetError):
-            balance_dataset([_mk([0, 0])] * 4, rng)
+            balance_dataset(_mk([[0, 0]] * 4), rng)
 
     def test_never_drops_labeled_samples(self, rng):
-        samples = [_mk([1, 0])] * 7 + [_mk([0, 0])] * 100
-        out = balance_dataset(samples, rng)
-        assert sum(1 for s in out if s.n_troubled > 0) == 7
+        out = balance_dataset(_mk([[1, 0]] * 7 + [[0, 0]] * 100), rng)
+        assert np.count_nonzero(_troubled(out) > 0) == 7
 
 
 class TestSplit:
     def test_counts_100(self, rng):
-        split = split_dataset([_mk([1, 0]) for _ in range(100)], rng)
+        split = split_dataset(_mk([[1, 0]] * 100), rng)
         assert (len(split.test), len(split.train), len(split.validation)) == (30, 56, 14)
 
     def test_counts_10(self, rng):
-        split = split_dataset([_mk([1, 0]) for _ in range(10)], rng)
+        split = split_dataset(_mk([[1, 0]] * 10), rng)
         assert (len(split.test), len(split.train), len(split.validation)) == (3, 5, 2)
 
     def test_too_few_samples(self, rng):
         with pytest.raises(DegenerateDatasetError):
-            split_dataset([_mk([1, 0])] * 9, rng)
+            split_dataset(_mk([[1, 0]] * 9), rng)
 
     def test_deterministic_given_seed(self):
-        samples = [_mk([i % 2, 0]) for i in range(40)]
+        samples = _mk([[i % 2, 0] for i in range(40)])
         a = split_dataset(samples, np.random.default_rng(9))
         b = split_dataset(samples, np.random.default_rng(9))
         for part in ("train", "validation", "test"):
-            assert len(getattr(a, part)) == len(getattr(b, part))
-            for sa, sb in zip(getattr(a, part), getattr(b, part)):
-                np.testing.assert_array_equal(sa.inputs, sb.inputs)
-                np.testing.assert_array_equal(sa.labels, sb.labels)
+            np.testing.assert_array_equal(getattr(a, part).inputs, getattr(b, part).inputs)
+            np.testing.assert_array_equal(getattr(a, part).labels, getattr(b, part).labels)
 
     def test_parts_disjoint_and_complete(self, rng):
-        samples = [_mk([i % 2, 1]) for i in range(25)]
+        samples = _mk([[i % 2, 1] for i in range(25)])
         split = split_dataset(samples, rng)
-        seen = [s.inputs[0] for part in (split.test, split.train, split.validation)
-                for s in part]
-        assert len(seen) == 25
+        seen = np.concatenate([part.inputs[:, 0]
+                               for part in (split.test, split.train, split.validation)])
+        np.testing.assert_array_equal(np.sort(seen), samples.inputs[:, 0])
+
+
+def _balance_reference(rows, rng):
+    """The per-sample algorithm: ``rows`` is a list of (inputs, labels) pairs."""
+    nonzero = [r for r in rows if r[1].sum() > 0]
+    zeros = [r for r in rows if r[1].sum() == 0]
+    counts: dict[int, int] = {}
+    for r in nonzero:
+        counts[int(r[1].sum())] = counts.get(int(r[1].sum()), 0) + 1
+    keep_zero = max(counts.values())
+    if keep_zero < len(zeros):
+        chosen = rng.choice(len(zeros), size=keep_zero, replace=False)
+        zeros = [zeros[i] for i in sorted(chosen)]
+    return nonzero + zeros
+
+
+def _split_reference(rows, rng):
+    order = rng.permutation(len(rows))
+    shuffled = [rows[i] for i in order]
+    n_test = int(0.3 * len(rows))
+    n_train = int(0.8 * (len(rows) - n_test))
+    return (shuffled[:n_test], shuffled[n_test : n_test + n_train],
+            shuffled[n_test + n_train :])
+
+
+class TestAgainstPerSampleReference:
+    @pytest.mark.parametrize("seed,rates,dropped", [
+        (0, (0.0, 0.1, 0.3), True),
+        (1, (0.0, 0.1, 0.3), True),
+        (2, (0.0, 0.1, 0.3), True),
+        # few all-zero rows: all kept, moved behind the troubled ones
+        (3, (0.3, 0.6, 0.9), False),
+    ])
+    def test_balance_then_split_rows_and_draws(self, seed, rates, dropped):
+        # rows with 0..6 troubled labels in a shuffled order
+        rng = np.random.default_rng(seed)
+        labels = rng.random((300, 6)) < rng.choice(rates, size=(300, 1))
+        samples = Samples(rng.normal(size=(300, 6)), labels.astype(np.uint8))
+        rows = [(samples.inputs[i], samples.labels[i]) for i in range(len(samples))]
+        rng_ours, rng_ref = np.random.default_rng(seed + 10), np.random.default_rng(seed + 10)
+
+        balanced = balance_dataset(samples, rng_ours)
+        reference = _balance_reference(rows, rng_ref)
+        assert (len(balanced) < len(samples)) == dropped
+        np.testing.assert_array_equal(balanced.inputs, np.array([r[0] for r in reference]))
+        np.testing.assert_array_equal(balanced.labels, np.array([r[1] for r in reference]))
+
+        split = split_dataset(balanced, rng_ours)
+        parts = _split_reference(reference, rng_ref)
+        for ours, ref in zip((split.test, split.train, split.validation), parts):
+            np.testing.assert_array_equal(ours.inputs, np.array([r[0] for r in ref]))
+            np.testing.assert_array_equal(ours.labels, np.array([r[1] for r in ref]))
+        # both consumed the same draws
+        assert rng_ours.random() == rng_ref.random()
+
+
+class TestSampleFunctions:
+    def test_round_robin_kinds_and_child_seeds(self):
+        fns = synth_data.sample_functions(4, 2, 5)
+        seeds = np.random.SeedSequence(5).spawn(4)
+        for i, (fn, s) in enumerate(zip(fns, seeds)):
+            want = sample_piecewise_function(synth_data.CUT_KINDS[i % 3], 2,
+                                             np.random.default_rng(s))
+            x = np.random.default_rng(i).uniform(-1, 1, size=(50, 2))
+            assert type(fn.cut) is type(want.cut)
+            assert fn(x).tobytes() == want(x).tobytes()
 
 
 class TestGenerateDataset:
@@ -236,14 +306,15 @@ class TestGenerateDataset:
             cut=synth_data.SphericalCut((10.0, 10.0), 0.1))
         samples, stats = generate_dataset(grid2d, graph2d, 9, [fn], Fraction(1, 8))
         assert len(samples) == 1  # only the initial grid is ever visited
-        assert samples[0].n_troubled == 0
+        assert samples.labels.sum() == 0
 
     def test_samples_per_visit(self, grid2d, graph2d, rng):
         fn = sample_piecewise_function("linear", 2, np.random.default_rng(11))
         samples, stats = generate_dataset(grid2d, graph2d, 9, [fn], Fraction(1, 4))
         assert len(samples) > 1
         assert stats["samples"] == len(samples)
-        assert all(s.inputs.shape == (65,) for s in samples)
+        assert samples.inputs.shape == samples.labels.shape == (len(samples), 65)
+        assert (samples.inputs.dtype, samples.labels.dtype) == (np.float64, np.uint8)
 
     def test_parallel_generation_deterministic(self, grid2d, graph2d):
         fns = [sample_piecewise_function("spherical", 2, np.random.default_rng(s))
@@ -251,9 +322,8 @@ class TestGenerateDataset:
         seq, _ = generate_dataset(grid2d, graph2d, 4, fns, Fraction(1, 4), n_jobs=1)
         par, _ = generate_dataset(grid2d, graph2d, 4, fns, Fraction(1, 4), n_jobs=2)
         assert len(seq) == len(par)
-        for a, b in zip(seq, par):
-            np.testing.assert_array_equal(a.inputs, b.inputs)
-            np.testing.assert_array_equal(a.labels, b.labels)
+        assert seq.inputs.tobytes() == par.inputs.tobytes()
+        assert seq.labels.tobytes() == par.labels.tobytes()
 
 
 class NanBeyond:
@@ -307,7 +377,7 @@ class TestEngineEvaluations:
         def hook(task, sample, p):
             inputs = np.where(sample.in_domain, fn(sample.coords), np.inf)
             labels = ((p >= 0.5) & sample.in_domain).astype(np.uint8)
-            reference.append(Sample(inputs=inputs, labels=labels))
+            reference.append((inputs, labels))
 
         run_basic(g=fn, grid=grid2d, graph=graph2d, detector=ZLevelDetector(fn.cut, 9),
                   initial=[(domain.center, domain.edge)],
@@ -315,10 +385,9 @@ class TestEngineEvaluations:
                   visit_hook=hook)
         samples, _ = generate_dataset(grid2d, graph2d, 9, [fn], Fraction(1, 8))
         assert len(samples) == len(reference) > 1
-        assert any(np.isinf(s.inputs).any() for s in samples)
-        for a, b in zip(samples, reference):
-            assert a.inputs.tobytes() == b.inputs.tobytes()
-            np.testing.assert_array_equal(a.labels, b.labels)
+        assert np.isinf(samples.inputs).any()
+        assert samples.inputs.tobytes() == np.array([x for x, _ in reference]).tobytes()
+        np.testing.assert_array_equal(samples.labels, [y for _, y in reference])
 
     @pytest.mark.parametrize("kind", ["linear", "spherical", "polynomial"])
     def test_batched_labelling_matches_a_basic_reference(self, grid2d, graph2d, kind):
@@ -329,7 +398,7 @@ class TestEngineEvaluations:
 
         def hook(task, sample, p):
             labels = ((p >= 0.5) & sample.in_domain).astype(np.uint8)
-            reference.append(Sample(inputs=sample.evaluations.copy(), labels=labels))
+            reference.append((sample.evaluations.copy(), labels))
 
         run_basic(g=fn, grid=grid2d, graph=graph2d, detector=ZLevelDetector(fn.cut, 9),
                   initial=[(domain.center, domain.edge)],
@@ -338,10 +407,8 @@ class TestEngineEvaluations:
         samples, stats = generate_dataset(grid2d, graph2d, 9, [fn], Fraction(1, 16))
         assert stats["skipped_nan_visits"] == 0
         assert len(samples) == len(reference) > 10
-        got = Dataset.from_samples(samples, "g", "zlevel:9", 0)
-        want = Dataset.from_samples(reference, "g", "zlevel:9", 0)
-        assert got.inputs.tobytes() == want.inputs.tobytes()
-        assert got.labels.tobytes() == want.labels.tobytes()
+        assert samples.inputs.tobytes() == np.array([x for x, _ in reference]).tobytes()
+        assert samples.labels.tobytes() == np.array([y for _, y in reference]).tobytes()
 
     def test_g_sees_each_point_once(self, grid2d, graph2d):
         fns = [CountingFunction(sample_piecewise_function(kind, 2, np.random.default_rng(4)))
@@ -351,17 +418,16 @@ class TestEngineEvaluations:
             assert len(fn.points) == len(set(fn.points))
             assert np.all(np.abs(fn.points) <= 1.0)
         # neighbouring grids share points, so g sees fewer than the grids hold
-        finite = sum(int(np.isfinite(s.inputs).sum()) for s in samples)
+        finite = int(np.isfinite(samples.inputs).sum())
         assert sum(len(fn.points) for fn in fns) < finite
 
 
 class TestDatasetFiles:
     def _dataset(self, seed=0):
         rng = np.random.default_rng(seed)
-        samples = [Sample(inputs=rng.normal(size=5),
-                          labels=(rng.random(5) < 0.4).astype(np.uint8))
-                   for _ in range(12)]
-        samples[3].inputs[2] = np.inf
+        samples = Samples(rng.normal(size=(12, 5)),
+                          (rng.random((12, 5)) < 0.4).astype(np.uint8))
+        samples.inputs[3, 2] = np.inf
         return Dataset.from_samples(samples, grid_key="sum:3:d2",
                                     detector="zlevel:9", seed=seed)
 
