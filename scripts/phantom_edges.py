@@ -1,53 +1,44 @@
 #!/usr/bin/env python3
-"""Edge detection on the analytic head phantom at several resolutions.
+"""Edge detection on the analytic head phantom through ``sgdetect detect``.
 
-Runs a trained 2D detector on the phantom image function and reports the
-visited-point counts, which stay nearly constant as the resolution grows
-(the engine samples the image adaptively instead of scanning pixels).
+Runs a trained 2D detector on ``phantom:<r>`` at Λ_min = (r − 1) / 2^depth for
+each r.  The visited-point count stays nearly constant as r grows: the engine
+samples the image adaptively instead of scanning pixels.
 
     python scripts/phantom_edges.py --model runs/2d/ginn.json --resolutions 512 1024
 """
 
 import argparse
-import time
+import json
+import sys
+from fractions import Fraction
 from pathlib import Path
 
-from sgdetect.detectors import NeuralDetector
-from sgdetect.engine import EngineConfig, run_batched, write_troubled_csv
-from sgdetect.evaluation import ImageFunction, shepp_logan
-from sgdetect.grid_graph import build_grid_graph
-from sgdetect.neural.model import load_model
-from sgdetect.sparse_grid import Box, GridSpec, build_sparse_grid
+from sgdetect.cli import main as sgdetect_main
+
+
+def sgdetect(*argv) -> None:
+    print("$ sgdetect", *argv, flush=True)
+    if code := sgdetect_main([str(a) for a in argv]):
+        sys.exit(code)
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--model", required=True)
     ap.add_argument("--resolutions", type=int, nargs="+", default=[512, 1024])
-    ap.add_argument("--depth", type=int, default=9,
-                    help="lambda_min = image edge / 2^depth")
+    ap.add_argument("--depth", type=int, default=9, help="lambda_min = image edge / 2^depth")
     ap.add_argument("--out", default="runs/phantom")
     args = ap.parse_args()
-
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    model = load_model(args.model)
-    detector = NeuralDetector(model)
-    grid = build_sparse_grid(GridSpec(dim=2, rule="sum", level=6), Box.cube((0, 0), 2))
-    graph = build_grid_graph(grid)
 
     for r in args.resolutions:
-        img = ImageFunction(shepp_logan(r))
-        domain = img.domain()
-        config = EngineConfig(lambda_min=domain.edge / 2**args.depth, tau=0.5,
-                              domain=domain, boundary_policy="clip-stop")
-        t0 = time.perf_counter()
-        run = run_batched(g=img, grid=grid, graph=graph, detector=detector,
-                          initial=[(domain.center, domain.edge)], config=config)
-        write_troubled_csv(run, out / f"troubled-{r}.csv")
-        print(f"r={r}: troubled={len(run.troubled)} visited={run.visited_points} "
-              f"({run.visited_points / r**2:.2%} of pixels), "
-              f"{time.perf_counter() - t0:.1f}s")
+        sgdetect("detect", "--target", f"phantom:{r}", "--detector", f"nn:{args.model}",
+                 "--lambda-min", Fraction(r - 1, 2**args.depth),
+                 "--out", out / f"run-{r}.json", "--csv", out / f"troubled-{r}.csv")
+        visited = json.loads((out / f"run-{r}.json").read_text())["counters"]["visited_points"]
+        print(f"r={r}: visited={visited} ({visited / r**2:.2%} of pixels)")
 
 
 if __name__ == "__main__":

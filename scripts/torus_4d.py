@@ -1,84 +1,48 @@
 #!/usr/bin/env python3
-"""4D detection on the growing-torus target with the 401-point grid.
+"""4D detection of the growing-torus interface through ``sgdetect``.
 
-Trains a 4D GINN on a reduced corpus (the full-scale recipe uses 750
-functions with Z^(3); hours of labeling even with parallel generation),
-then localizes the torus interface.  Budget-limited by default so a first
-run finishes quickly; raise --budget and --functions for better coverage.
+Labels a reduced corpus with Z^(3) on the 401-point grid (full scale: 750
+functions, hours), trains a GINN, detects the torus under an evaluation budget
+and scores the run on 401-point check grids.  The dataset it writes takes tens
+of MB even for a few functions.
 
     python scripts/torus_4d.py --out runs/4d --functions 30 --budget 2000000
 """
 
 import argparse
-import time
-from fractions import Fraction
+import sys
 from pathlib import Path
 
-import numpy as np
+from sgdetect.cli import main as sgdetect_main
 
-from sgdetect import synth_data
-from sgdetect.detectors import NeuralDetector
-from sgdetect.engine import EngineConfig, run_batched, write_run_report, write_troubled_csv
-from sgdetect.evaluation import builtin_test_functions, tpr
-from sgdetect.grid_graph import build_grid_graph
-from sgdetect.neural.model import ModelConfig, build_archetype, count_parameters, save_model
-from sgdetect.neural.training import TrainConfig, evaluate_metrics, train
-from sgdetect.sparse_grid import Box, GridSpec, build_sparse_grid
+
+def sgdetect(*argv) -> None:
+    print("$ sgdetect", *argv, flush=True)
+    if code := sgdetect_main([str(a) for a in argv]):
+        sys.exit(code)
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="runs/4d")
-    ap.add_argument("--functions", type=int, default=30,
-                    help="random training functions (full scale: 750)")
+    ap.add_argument("--functions", type=int, default=30, help="random training functions")
     ap.add_argument("--epochs", type=int, default=40)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--jobs", type=int, default=1)
-    ap.add_argument("--budget", type=int, default=2_000_000,
-                    help="cap on function evaluations in the final detection run")
+    ap.add_argument("--budget", type=int, default=2_000_000, help="detect's evaluation cap")
     args = ap.parse_args()
+    out, lam = Path(args.out), "1/16"  # Λ_min = 2 / 2^h_max, h_max = 5
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    domain = Box.cube((0, 0, 0, 0), 2)
-    lambda_min = Fraction(1, 16)  # 2 / 2^h_max with h_max = 5
-
-    grid = build_sparse_grid(GridSpec(dim=4, rule="sum", level=8), domain)
-    graph = build_grid_graph(grid)
-    print(f"reference grid: {grid.n_points} points, diameter {graph.diameter()}")
-
-    t0 = time.perf_counter()
-    functions = synth_data.sample_functions(args.functions, 4, args.seed)
-    samples, stats = synth_data.generate_dataset(
-        grid, graph, 2, functions, lambda_min, domain=domain, n_jobs=args.jobs)
-    balanced = synth_data.balance_dataset(samples, np.random.default_rng(args.seed + 1))
-    split = synth_data.split_dataset(balanced, np.random.default_rng(args.seed + 2))
-    print(f"dataset: {stats['samples']} samples -> {len(balanced)} balanced "
-          f"({time.perf_counter() - t0:.0f}s)")
-
-    t0 = time.perf_counter()
-    model = build_archetype(ModelConfig(kind="ginn", features=15), graph, seed=args.seed)
-    history = train(model, split, TrainConfig(max_epochs=args.epochs, seed=args.seed))
-    metrics = evaluate_metrics(model, split.test)
-    save_model(model, out / "ginn4d.json")
-    print(f"ginn4d: {count_parameters(model)} params, {history.epochs} epochs, "
-          f"test loss {metrics['loss']:.4f}, MAE {metrics['mae']:.4f} "
-          f"({time.perf_counter() - t0:.0f}s)")
-
-    tf = builtin_test_functions()["torus4d"]
-    config = EngineConfig(lambda_min=lambda_min, tau=0.5, domain=tf.domain,
-                          boundary_policy="clip-stop", max_evaluations=args.budget)
-    t0 = time.perf_counter()
-    run = run_batched(g=tf, grid=grid, graph=graph, detector=NeuralDetector(model),
-                      initial=[(tf.domain.center, tf.domain.edge)], config=config)
-    print(f"torus: troubled={len(run.troubled)} visited={run.visited_points} "
-          f"truncated={run.truncated} ({time.perf_counter() - t0:.0f}s)")
-    write_run_report(run, out / "torus-run.json", extra={"target": "torus4d"})
-    write_troubled_csv(run, out / "torus-troubled.csv")
-    if run.troubled:
-        score = tpr(run.troubled_coords(), tf.cut, lambda_min, graph,
-                    subdivisions=200)
-        print(f"TPR={score.tpr:.4f} ({score.true_count}/{score.troubled_count})")
+    sgdetect("dataset", "--dim", 4, "--level", 8, "--count", args.functions,
+             "--detector-t", 2, "--lambda-min", lam, "--seed", args.seed,
+             "--jobs", args.jobs, "--out", out / "dataset.bin")
+    sgdetect("train", "--dataset", out / "dataset.bin", "--epochs", args.epochs,
+             "--seed", args.seed, "--out", out / "ginn4d.json")
+    sgdetect("detect", "--target", "builtin:torus4d", "--detector", f"nn:{out}/ginn4d.json",
+             "--lambda-min", lam, "--budget", args.budget,
+             "--out", out / "torus-run.json", "--csv", out / "torus-troubled.csv")
+    sgdetect("eval", "--report", out / "torus-run.json", "--target", "builtin:torus4d",
+             "--check-level", 8, "--subdivisions", 200, "--out", out / "torus-tpr.json")
 
 
 if __name__ == "__main__":

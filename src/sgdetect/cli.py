@@ -212,6 +212,10 @@ def cmd_train(args) -> int:
     if ds_hash and ds_hash != grid_fingerprint(graph):
         raise DimensionMismatchError(
             f"dataset grid hash {ds_hash} does not match the rebuilt grid")
+    if ds.n_points != grid.n_points:
+        raise DimensionMismatchError(
+            f"dataset has {ds.n_points} points per sample; its grid {ds.grid_key} has "
+            f"{grid.n_points}")
     _echo_config("train", {
         "dataset": args.dataset, "kind": args.kind, "features": args.features,
         "epochs": args.epochs, "seed": args.seed, "batch_size": args.batch_size,
@@ -297,6 +301,8 @@ def cmd_eval(args) -> int:
         lam_min = Fraction(lam_min)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise MalformedFileError(f"{args.report}: lambda_min {lam_min!r} is not a number") from exc
+    if lam_min <= 0:
+        raise MalformedFileError(f"{args.report}: lambda_min {str(lam_min)!r} is not positive")
     if type(visited) is not int or visited < 0:
         raise MalformedFileError(f"{args.report}: visited_points {visited!r} is not a "
                                  "non-negative integer")

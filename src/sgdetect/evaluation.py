@@ -151,8 +151,9 @@ def tpr(points: np.ndarray, cut: CutFunction, lambda_min, check_graph: GridGraph
     (:meth:`~sgdetect.sparse_grid.SparseGrid.place`) on the box centered
     there with edge ``lambda_min``; the point is a true troubled point
     iff the cut's zero-level set intersects at least one graph edge.  A
-    check graph without edges (a one-point grid) raises :class:`SgdetectError`,
-    points of another dimension :class:`DimensionMismatchError`.
+    check graph without edges (a one-point grid) or a ``lambda_min`` that is not
+    positive raises :class:`SgdetectError`, points of another dimension
+    :class:`DimensionMismatchError`.
     Intersections use the cut's closed form when available (one
     ``segment_roots`` call over every edge of a chunk of points), otherwise
     sign sampling with ``subdivisions`` intervals per edge, in three steps
@@ -183,6 +184,8 @@ def tpr(points: np.ndarray, cut: CutFunction, lambda_min, check_graph: GridGraph
     """
     if subdivisions < 1:
         raise SgdetectError(f"subdivisions must be >= 1, got {subdivisions}")
+    if not lambda_min > 0:
+        raise SgdetectError(f"lambda_min must be > 0, got {lambda_min}")
     if not len(check_graph.edges):
         raise SgdetectError(f"check grid {check_graph.grid.spec.key()} is a single point: "
                             "it has no edge for the interface to cross")

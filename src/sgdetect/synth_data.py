@@ -197,13 +197,12 @@ def preprocess_gamma_batch(g: np.ndarray) -> np.ndarray:
     """
     g = np.asarray(g, dtype=np.float64)
     finite = np.isfinite(g)
-    masked = np.where(finite, g, 0.0)
-    hi = np.where(finite.any(axis=1), np.max(np.where(finite, g, -np.inf), axis=1), 0.0)
-    lo = np.where(finite.any(axis=1), np.min(np.where(finite, g, np.inf), axis=1), 0.0)
-    scale = np.maximum(np.abs(hi), np.abs(lo))
-    safe = np.where(scale > 0.0, scale, 1.0)
-    out = masked / safe[:, None]
+    # one full-size buffer: |g| with sentinels at 0 gives the scale, then the result
+    out = np.abs(g)
     out[~finite] = 0.0
+    scale = out.max(axis=1, initial=0.0)
+    scale[scale == 0.0] = 1.0
+    np.divide(g, scale[:, None], out=out, where=finite)
     return out
 
 

@@ -218,6 +218,15 @@ def _report_with_text_lambda_min(tmp_path):
     return _report_with(tmp_path, "tiny", [[0.0, 0.5]])
 
 
+def _report_with_zero_lambda_min(tmp_path):
+    # points on the circle: scored anyway, they read 0.0 here and 1.0 at -1/16
+    return _report_with(tmp_path, "0", [[0.85, 0.1], [0.2, 0.75]])
+
+
+def _report_with_negative_lambda_min(tmp_path):
+    return _report_with(tmp_path, "-1/16", [[0.85, 0.1], [0.2, 0.75]])
+
+
 def _report_with_ragged_coords(tmp_path):
     return _report_with(tmp_path, "1/8", [[0.0, 0.5], [0.25]])
 
@@ -327,6 +336,8 @@ class TestExitCodes:
         (_pgm_with_bad_header, "malformed PGM header"),
         (_report_without_troubled_points, "has no 'troubled_points' entry"),
         (_report_with_text_lambda_min, "lambda_min 'tiny' is not a number"),
+        (_report_with_zero_lambda_min, "lambda_min '0' is not positive"),
+        (_report_with_negative_lambda_min, "lambda_min '-1/16' is not positive"),
         (_report_with_ragged_coords, "coords are not equal-length lists of numbers"),
         (_report_with_text_visited_count, "visited_points 'many' is not a non-negative integer"),
         (_model_without_config, "has no 'config' entry"),
@@ -428,6 +439,24 @@ class TestExitCodes:
         # 2D model against the 4D torus target
         assert run_cli(["detect", "--target", "builtin:torus4d",
                         "--detector", f"nn:{model}"]) == 3
+
+    def test_dataset_points_differ_from_its_grid(self, tmp_path, capsys):
+        # a 41-point dataset under the 65-point grid's key and without a grid
+        # hash, as datasets written through the library are
+        import numpy as np
+
+        from sgdetect.synth_data import Dataset, Samples, save_dataset
+
+        labels = np.zeros((4, 41), dtype=np.uint8)
+        labels[:, 0] = 1
+        ds = Dataset.from_samples(Samples(np.ones((4, 41)), labels), grid_key="sum:6:d2",
+                                  detector="zlevel:9", seed=0)
+        data, _ = save_dataset(ds, tmp_path / "data.bin")
+        model = tmp_path / "model.json"
+        assert run_cli(["train", "--dataset", str(data), "--out", str(model)]) == 3
+        assert ("dataset has 41 points per sample; its grid sum:6:d2 has 65"
+                in capsys.readouterr().err)
+        assert not model.exists()
 
     def test_model_grid_hash_mismatch(self, tiny_model, tmp_path, capsys):
         # the model's grid key rebuilds a grid whose hash is not the stored one

@@ -243,6 +243,17 @@ class TestTprMatchesEdgeWalk:
         with pytest.raises(SgdetectError, match="is a single point"):
             tpr(pts, cut, Fraction(1, 4), graph, subdivisions=50)
 
+    @pytest.mark.parametrize("lam", [0, Fraction(-1, 16), -0.0, float("nan")])
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_non_positive_lambda_min(self, lam, sampled):
+        # a check grid of edge 0 has no edge to cross and one of a negative
+        # edge is the mirrored grid: neither scores a point
+        circle = SphericalCut((0.2, 0.1), 0.65)
+        cut = CallableCut(circle, dim=2) if sampled else circle
+        for pts in (np.array([[0.85, 0.1]]), np.empty((0, 2))):
+            with pytest.raises(SgdetectError, match="lambda_min must be > 0"):
+                tpr(pts, cut, lam, check_graph(2), subdivisions=50)
+
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_last_knot_differs_from_its_node(self, dim, rng):
         # a centre coordinate p near 0 makes each edge from x0 < 0 into the

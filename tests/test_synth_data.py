@@ -167,6 +167,35 @@ class TestGamma:
         for i in range(6):
             np.testing.assert_array_equal(batch[i], gamma(g[i]))
 
+    @staticmethod
+    def reference(g):
+        """The earlier formula: a masked copy, the row max and min over the
+        finite entries, and the larger magnitude of the two as the scale."""
+        finite = np.isfinite(g)
+        masked = np.where(finite, g, 0.0)
+        hi = np.where(finite.any(axis=1), np.max(np.where(finite, g, -np.inf), axis=1), 0.0)
+        lo = np.where(finite.any(axis=1), np.min(np.where(finite, g, np.inf), axis=1), 0.0)
+        scale = np.maximum(np.abs(hi), np.abs(lo))
+        out = masked / np.where(scale > 0.0, scale, 1.0)[:, None]
+        out[~finite] = 0.0
+        return out
+
+    def test_bits_match_reference_on_special_values(self, rng):
+        g = rng.normal(size=(9, 11)) * 10.0 ** rng.integers(-300, 300, size=(9, 1))
+        g[0] = np.inf  # all sentinel
+        g[1] = [np.nan, -np.inf] * 5 + [np.inf]
+        g[2] = [0.0, -0.0] * 5 + [np.inf]
+        g[3, ::2] = -np.inf
+        g[4, 1::3] = np.nan
+        g[5] = -0.0
+        g[6, :4] = [5e-324, -5e-324, np.inf, 0.0]  # subnormals
+        out = preprocess_gamma_batch(g)
+        assert out.tobytes() == self.reference(g).tobytes()
+
+    @given(arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 12))))
+    def test_bits_match_reference(self, g):
+        assert preprocess_gamma_batch(g).tobytes() == self.reference(g).tobytes()
+
 
 def _mk(label_rows):
     """Samples with the given label rows; every input entry is distinct, so a
