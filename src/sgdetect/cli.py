@@ -91,6 +91,12 @@ def _build_reference(rule: str, level: int, dim: int):
     return grid, build_grid_graph(grid)
 
 
+def _make_parents(*paths) -> None:
+    """Create output directories up front: an unwritable path exits 2 before any work."""
+    for path in filter(None, paths):
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+
+
 def _parse_lambda_min(text: str, domain: Box, h_max: int) -> Fraction:
     if text == "auto":
         return domain.edge / 2 ** (h_max + 1)
@@ -269,6 +275,7 @@ def cmd_detect(args) -> int:
         "lambda_rule": args.lambda_rule, "budget": args.budget,
         "out": args.out, "csv": args.csv,
     })
+    _make_parents(args.out, args.csv)
     initial = [(domain.center, domain.edge)]
     run = engine_mod.run_batched(g=target, grid=grid, graph=graph, detector=detector,
                  initial=initial, config=config)
@@ -317,6 +324,7 @@ def cmd_eval(args) -> int:
         "check_level": args.check_level, "subdivisions": args.subdivisions,
         "out": args.out,
     })
+    _make_parents(args.out, args.csv)
     result = eval_mod.tpr(points, cut, lam_min, graph, subdivisions=args.subdivisions,
                           visited_count=visited)
     if result.undefined:

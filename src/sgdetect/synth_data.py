@@ -12,7 +12,10 @@ convention is recorded in the dataset header and can be flipped to
 "stddev").  Labeled (g', p) samples are produced by running the detection
 engine with the deterministic z-detector and recording every grid visit;
 the heavily imbalanced all-zero samples are then thinned, and the abs-max
-preprocessing maps evaluation vectors into [-1, 1]^N for the models.
+preprocessing maps evaluation vectors into [-1, 1]^N for the models.  A call
+evaluates P_0 ... P_top per axis once into a :func:`legendre_table`, which g1
+and g2 share; the sums keep one fixed operation order, so a value has the same
+bits whichever table depth it is expanded from.
 
 The samples travel as one :class:`Samples`: row-aligned (S, N) ``inputs``
 (float64, inf at out-of-domain slots) and ``labels`` (uint8), whose rows
@@ -53,19 +56,19 @@ PIECE_DEGREE = 4
 logger = logging.getLogger(__name__)
 
 
-def legendre_value(degree: int, u: np.ndarray) -> np.ndarray:
-    """Legendre polynomial P_degree(u) by the three-term recurrence."""
-    u = np.asarray(u, dtype=np.float64)
-    if degree == 0:
-        return np.ones_like(u)
-    if degree == 1:
-        return u.copy()
-    p_prev = np.ones_like(u)
-    p_cur = u.copy()
-    for k in range(1, degree):
-        p_next = ((2 * k + 1) * u * p_cur - k * p_prev) / (k + 1)
-        p_prev, p_cur = p_cur, p_next
-    return p_cur
+def legendre_table(x: np.ndarray, top: int) -> list[np.ndarray]:
+    """P_0 ... P_top of u = (x + 1) / 2 by the three-term recurrence, run once.
+
+    table[d] is axis-major, (n, ...) for x of shape (..., n), so table[d][i] is
+    P_d(u_i) in one contiguous block.  Rows are separate arrays of x's size: one
+    (top + 1)-row block raised glibc's mmap threshold and slowed later training."""
+    x = np.asarray(x, dtype=np.float64)
+    u = np.add(np.moveaxis(x, -1, 0), 1.0, out=np.empty((x.shape[-1], *x.shape[:-1])))
+    u /= 2.0
+    table = [np.ones_like(u), u]
+    for k in range(1, top):
+        table.append(((2 * k + 1) * u * table[k] - k * table[k - 1]) / (k + 1))
+    return table
 
 
 @dataclass(frozen=True)
@@ -74,26 +77,27 @@ class LegendrePiece:
 
     Evaluation uses the mapped argument (x + 1) / 2, so the pieces are
     polynomials on [-1, 1]^n with coefficients attached to multi-indices
-    h in N_+^n, sum(h) <= 4.
+    h in N_+^n, sum(h) <= 4.  :meth:`expand` reads a :func:`legendre_table`
+    of any depth >= the top degree and adds c * P_{h_1}(u_1) * P_{h_2}(u_2) ...
+    to zeros in index order, so the values do not depend on the depth, to the bit.
     """
 
     dim: int
     indices: tuple[tuple[int, ...], ...]
     coeffs: tuple[float, ...]
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        u = (x + 1.0) / 2.0
-        degrees = sorted({h_i for h in self.indices for h_i in h})
-        # per-axis table of P_d(u_i) for every needed degree
-        table = {d: legendre_value(d, u) for d in degrees}
-        out = np.zeros(u.shape[:-1], dtype=np.float64)
+    def expand(self, table: list[np.ndarray]) -> np.ndarray:
+        out = np.zeros(table[0].shape[1:])
+        term = np.empty_like(out)
         for h, c in zip(self.indices, self.coeffs):
-            term = np.full(u.shape[:-1], c, dtype=np.float64)
-            for i, d in enumerate(h):
-                term = term * table[d][..., i]
+            np.multiply(table[h[0]][0], c, out=term)
+            for i in range(1, len(h)):
+                term *= table[h[i]][i]
             out += term
         return out
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self.expand(legendre_table(x, max(map(max, self.indices))))
 
 
 def sample_legendre_piece(n: int, rng: np.random.Generator,
@@ -118,7 +122,9 @@ class PiecewiseFunction:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        return np.where(self.cut(x) >= 0.0, self.g1(x), self.g2(x))
+        # one table, to the larger top degree, feeds both pieces
+        table = legendre_table(x, max(map(max, self.g1.indices + self.g2.indices)))
+        return np.where(self.cut(x) >= 0.0, self.g1.expand(table), self.g2.expand(table))
 
 
 CUT_KINDS = ("linear", "spherical", "polynomial")

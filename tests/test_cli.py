@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from sgdetect import engine as engine_mod
+from sgdetect import evaluation as eval_mod
 from sgdetect.cli import main
 
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
@@ -134,6 +136,20 @@ class TestTrainDetectEval:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "x0,x1,true_troubled"
         assert [line.rsplit(",", 1)[0] for line in lines[1:]] == ["0.0,0.5", "0.1,0.2"]
+
+    def test_detect_and_eval_create_missing_output_directories(self, tmp_path, capsys):
+        new = tmp_path / "new"
+        assert run_cli(["detect", "--target", "builtin:circle", "--detector", "exact",
+                        "--lambda-min", "1/8", "--out", str(new / "a" / "run.json"),
+                        "--csv", str(new / "b" / "c" / "troubled.csv")]) == 0
+        assert run_cli(["eval", "--report", str(new / "a" / "run.json"),
+                        "--target", "builtin:circle", "--out", str(new / "d" / "tpr.json"),
+                        "--csv", str(new / "e" / "f" / "verdicts.csv")]) == 0
+        troubled = json.loads((new / "a" / "run.json").read_text())["troubled_points"]
+        assert len(troubled) > 0
+        assert len((new / "b" / "c" / "troubled.csv").read_text().splitlines()) == 1 + len(troubled)
+        assert json.loads((new / "d" / "tpr.json").read_text())["tpr"] == 1.0
+        assert len((new / "e" / "f" / "verdicts.csv").read_text().splitlines()) == 1 + len(troubled)
 
     def test_detect_zlevel(self, tmp_path, capsys):
         code = run_cli(["detect", "--target", "builtin:circle",
@@ -348,6 +364,24 @@ class TestExitCodes:
     def test_malformed_input_file(self, make_args, message, tmp_path, capsys):
         assert run_cli(make_args(tmp_path)) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    @pytest.mark.parametrize("command", ["detect", "eval"])
+    def test_output_under_a_regular_file_fails_before_the_work(self, command, flag, tmp_path,
+                                                               monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the run started before its output path was checked")
+
+        monkeypatch.setattr(engine_mod, "run_batched", unreachable)
+        monkeypatch.setattr(eval_mod, "tpr", unreachable)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        args = (["detect", "--target", "builtin:circle", "--detector", "exact",
+                 "--lambda-min", "1/8"] if command == "detect"
+                else _report_with(tmp_path, "1/8", [[0.0, 0.5]]))
+        assert run_cli([*args, flag, str(blocker / "sub" / "x.out")]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert blocker.read_text() == ""
 
     @pytest.mark.parametrize("subdivisions", ["0", "-1"])
     def test_subdivisions_below_one(self, subdivisions, tmp_path, capsys):

@@ -9,17 +9,20 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sgdetect import synth_data
-from sgdetect.detectors import PolynomialCut, ZLevelDetector
+from sgdetect.detectors import PolynomialCut, SphericalCut, ZLevelDetector
 from sgdetect.engine import EngineConfig, run_basic
+from sgdetect.evaluation import builtin_test_functions
 from sgdetect.errors import DegenerateDatasetError
 from sgdetect.sparse_grid import Box
 from sgdetect.synth_data import (
     Dataset,
     LegendrePiece,
+    PiecewiseFunction,
     Samples,
     balance_dataset,
+    estimate_max_abs,
     generate_dataset,
-    legendre_value,
+    legendre_table,
     preprocess_gamma_batch,
     sample_cut,
     sample_legendre_piece,
@@ -28,12 +31,116 @@ from sgdetect.synth_data import (
 )
 
 
+def reference_legendre_value(degree: int, u: np.ndarray) -> np.ndarray:
+    """P_degree(u), the recurrence rerun from P_0 for each degree."""
+    if degree == 0:
+        return np.ones_like(u)
+    if degree == 1:
+        return u.copy()
+    p_prev = np.ones_like(u)
+    p_cur = u.copy()
+    for k in range(1, degree):
+        p_next = ((2 * k + 1) * u * p_cur - k * p_prev) / (k + 1)
+        p_prev, p_cur = p_cur, p_next
+    return p_cur
+
+
+def reference_piece(piece: LegendrePiece, x: np.ndarray) -> np.ndarray:
+    """A piece evaluated one degree at a time from strided columns of (x + 1) / 2."""
+    u = (np.asarray(x, dtype=np.float64) + 1.0) / 2.0
+    table = {d: reference_legendre_value(d, u) for d in {d for h in piece.indices for d in h}}
+    out = np.zeros(u.shape[:-1], dtype=np.float64)
+    for h, c in zip(piece.indices, piece.coeffs):
+        term = np.full(u.shape[:-1], c, dtype=np.float64)
+        for i, d in enumerate(h):
+            term = term * table[d][..., i]
+        out += term
+    return out
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype == np.float64
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def legval_oracle(piece: LegendrePiece, x: np.ndarray) -> np.ndarray:
+    """sum of c_h * prod_i P_{h_i}(u_i) with each factor from numpy's legval."""
+    u = (x + 1.0) / 2.0
+    total = np.zeros(len(x))
+    for h, c in zip(piece.indices, piece.coeffs):
+        term = np.full(len(x), c)
+        for i, d in enumerate(h):
+            term *= np.polynomial.legendre.legval(u[:, i], np.eye(d + 1)[d])
+        total += term
+    return total
+
+
 class TestLegendre:
-    @given(st.integers(0, 6), st.floats(-1, 1, allow_nan=False))
-    def test_against_scipy(self, degree, u):
-        ours = legendre_value(degree, np.array([u]))[0]
-        theirs = scipy.special.eval_legendre(degree, u)
-        assert ours == pytest.approx(theirs, rel=1e-12, abs=1e-12)
+    # x in [-3, 1] puts u = (x + 1) / 2 anywhere in [-1, 1]
+    @given(st.integers(0, 6), st.floats(-3, 1, allow_nan=False))
+    def test_against_scipy(self, top, x):
+        table = legendre_table(np.array([[x]]), top)
+        u = (x + 1.0) / 2.0
+        for degree in range(top + 1):
+            theirs = scipy.special.eval_legendre(degree, u)
+            assert table[degree][0, 0] == pytest.approx(theirs, rel=1e-12, abs=1e-12)
+
+    def test_table_is_axis_major(self, rng):
+        x = rng.uniform(-1, 1, size=(4, 5, 3))
+        table = legendre_table(x, 3)
+        assert len(table) == 4
+        assert all(row.shape == (3, 4, 5) and row.flags.c_contiguous for row in table)
+        assert_same_bits(table[0], np.ones((3, 4, 5)))
+        assert_same_bits(table[1], np.moveaxis((x + 1.0) / 2.0, -1, 0))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("shape", [(37,), (5, 11), ()])
+    def test_bits_match_reference(self, n, shape):
+        rng = np.random.default_rng(100 * n + len(shape))
+        for _ in range(5):
+            piece = sample_legendre_piece(n, rng)
+            x = rng.uniform(-1, 1, size=(*shape, n))
+            assert_same_bits(piece(x), reference_piece(piece, x))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_polynomial_cut_bits_match_reference(self, n):
+        rng = np.random.default_rng(n)
+        cut = sample_cut("polynomial", n, rng)
+        reference = PolynomialCut(poly=lambda xi: reference_piece(cut.poly, xi),
+                                  scale=cut.scale, axis=cut.axis, max_abs=cut.max_abs, dim=n)
+        for shape in [(200, n), (6, 13, n)]:
+            x = rng.uniform(-1, 1, size=shape)
+            assert_same_bits(cut(x), reference(x))
+
+    def test_piecewise_bits_match_reference_with_unequal_top_degrees(self, rng):
+        g1 = LegendrePiece(dim=2, indices=((1, 1), (1, 3), (2, 1)), coeffs=(2.0, -0.7, 0.4))
+        g2 = LegendrePiece(dim=2, indices=((1, 1), (1, 2)), coeffs=(-1.5, 0.9))
+        # top degrees 3 and 2: the shared table is one row deeper than g2 needs
+        for first, second in [(g1, g2), (g2, g1)]:
+            fn = PiecewiseFunction(first, second, SphericalCut(center=(0.1, -0.2), radius=0.6))
+            for shape in [(300, 2), (7, 9, 2)]:
+                x = rng.uniform(-1, 1, size=shape)
+                expected = np.where(fn.cut(x) >= 0.0, reference_piece(first, x),
+                                    reference_piece(second, x))
+                assert_same_bits(fn(x), expected)
+                assert_same_bits(first(x), reference_piece(first, x))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_whole_expansion_against_legval(self, n):
+        rng = np.random.default_rng(20 + n)
+        piece = sample_legendre_piece(n, rng)
+        x = rng.uniform(-1, 1, size=(300, n))
+        np.testing.assert_allclose(piece(x), legval_oracle(piece, x), rtol=1e-12, atol=1e-12)
+
+    def test_degree_zero_index_against_legval(self, rng):
+        piece = LegendrePiece(dim=3, indices=((0, 0, 0), (0, 2, 1), (3, 0, 0), (1, 1, 2)),
+                              coeffs=(1.5, -0.8, 2.2, 0.6))
+        x = rng.uniform(-1, 1, size=(300, 3))
+        np.testing.assert_allclose(piece(x), legval_oracle(piece, x), rtol=1e-12, atol=1e-12)
+        constant = LegendrePiece(dim=2, indices=((0, 0),), coeffs=(-2.5,))
+        assert_same_bits(constant(x[:, :2]), np.full(300, -2.5))
 
     def test_zero_coefficients_zero_function(self, rng):
         piece = sample_legendre_piece(2, rng)
@@ -96,6 +203,28 @@ class TestSampleCut:
             cut = sample_cut("polynomial", 2, np.random.default_rng(seed))
             assert 0.75 <= cut.scale <= 1.15
             assert cut.max_abs > 0
+
+    def test_builtin_poly_max_abs(self):
+        assert builtin_test_functions()["poly"].cut.max_abs == 1.1
+
+    @pytest.mark.parametrize("n,expected", [
+        (2, 8.256855706176822), (3, 5.1479303122669435), (4, 8.256855706176822)])
+    def test_polynomial_max_abs_pinned(self, n, expected):
+        # no BLAS in these values: the same bits on every platform
+        assert sample_cut("polynomial", n, np.random.default_rng(7)).max_abs == expected
+
+    @pytest.mark.parametrize("n_free", [1, 2, 3])
+    def test_estimate_max_abs_covers_the_corner_tensor(self, n_free):
+        poly = sample_legendre_piece(n_free, np.random.default_rng(n_free))
+        best = estimate_max_abs(poly, n_free, np.random.default_rng(0))
+        corners = np.array(list(np.ndindex(*(3,) * n_free)), dtype=np.float64) - 1.0
+        assert len(corners) == 3 ** n_free
+        assert np.all(best >= np.abs(poly(corners)))
+
+    def test_estimate_max_abs_repeats_for_a_seed(self):
+        poly = sample_legendre_piece(2, np.random.default_rng(5))
+        first = estimate_max_abs(poly, 2, np.random.default_rng(11))
+        assert estimate_max_abs(poly, 2, np.random.default_rng(11)) == first
 
     def test_polynomial_needs_two_dims(self):
         with pytest.raises(ValueError):
