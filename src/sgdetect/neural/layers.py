@@ -1,8 +1,9 @@
 """Affine layers with hand-written backward passes (double precision).
 
-Layers compute the affine part only; activations are applied by the model
-so the residual sum can tap pre-activation streams.  Every backward pass
-is verified against central finite differences in the test suite.
+Layers compute the affine part only; activations are applied by the model,
+in place on a layer's output, so the residual sum can add into it.  Every
+backward pass is verified against central finite differences in the test
+suite.
 
 The graph-instructed (GI) layer is a dense layer constrained by a fixed
 matrix A_hat = A + I (weighted adjacency plus unit self-loops): the output
@@ -85,7 +86,9 @@ class GILayer:
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         batch = dout.shape[0]
-        np.sum(dout, axis=0, out=self.db)
+        # bit-equal to np.sum(dout, axis=0) in either layout, and about 3x
+        # faster on the node-major one the model hands back
+        np.einsum("bnf->nf", dout, out=self.db)
         dz = dout.transpose(1, 0, 2).reshape(self.n, batch * self.f)
         dt = (self.a_hat @ dz).reshape(self.n, batch, self.f)
         # dw[j, k, f] = sum_b x[b, j, k] dt[j, b, f]
@@ -160,7 +163,9 @@ class BatchNorm:
     :meth:`forward` is the training pass: it normalizes with biased batch
     statistics over all leading axes and updates the running estimates.
     :meth:`infer` uses the running statistics, making prediction
-    row-independent, and keeps no state.
+    row-independent, and keeps no state.  :meth:`backward` returns its
+    gradient in the memory of the forward cache and drops the cache, so
+    each forward allows one backward.
     """
 
     def __init__(self, n_features: int, momentum: float = 0.99, eps: float = 1e-3):
@@ -203,13 +208,15 @@ class BatchNorm:
         if self._cache is None:
             raise RuntimeError("BatchNorm.backward needs a training-mode forward first")
         x_hat, inv_std = self._cache
+        self._cache = None
         m = x_hat.size // x_hat.shape[-1]
         self.dgamma[...] = _feature_sum(dout, x_hat)
         self.dbeta[...] = _feature_sum(dout)
         # with dx_hat = gamma * dout, sum(dx_hat) = gamma * dbeta and
         # sum(dx_hat * x_hat) = gamma * dgamma, so
-        # dx = gamma * inv_std * (dout - (dbeta + x_hat * dgamma) / m)
-        dx = x_hat * (self.dgamma / m)
+        # dx = gamma * inv_std * (dout - (dbeta + x_hat * dgamma) / m),
+        # formed in the cached x_hat, which nothing reads after this
+        dx = np.multiply(x_hat, self.dgamma / m, out=x_hat)
         dx += self.dbeta / m
         np.subtract(dout, dx, out=dx)
         dx *= self.gamma * inv_std
@@ -237,6 +244,12 @@ def leaky_relu(x: np.ndarray, slope: float, out: np.ndarray | None = None) -> np
 def leaky_relu_grad(x: np.ndarray, slope: float) -> np.ndarray:
     """1 where x > 0, else slope, in one new array: equals
     ``where(x > 0, 1.0, slope)`` for 0 <= slope < 1, signed zeros and NaN
-    included (sign gives -1, +0, 1 or NaN; fmax ignores the NaN)."""
+    included (sign gives -1, +0, 1 or NaN; fmax ignores the NaN).
+
+    It gives the same array for ``leaky_relu(x, slope)`` as for ``x``: the
+    activation keeps every x > 0 positive and maps every other x to a value
+    that is not positive (-0 included) or to NaN, all of which give
+    ``slope``.  The one exception is +inf at slope 0, which the activation
+    turns into NaN (0 * inf)."""
     grad = np.sign(x)
     return np.fmax(grad, slope, out=grad)

@@ -169,12 +169,6 @@ class ArchetypeModel:
 
     # -- forward / backward ---------------------------------------------------
 
-    def _act(self, x):
-        return leaky_relu(x, self.config.leaky_slope)
-
-    def _act_grad(self, x):
-        return leaky_relu_grad(x, self.config.leaky_slope)
-
     def _input(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.n_points:
@@ -184,49 +178,61 @@ class ArchetypeModel:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Training pass: input (B, N) of preprocessed evaluations ->
         likelihoods (B, N), normalized on batch statistics, which it folds
-        into the running ones; keeps what :meth:`backward` reads."""
+        into the running ones; keeps what :meth:`backward` reads.
+
+        Each activation, the residual sum and the sigmoid run in place on
+        the fresh output of the layer before them.  The cache holds the
+        activated ``a1``, ``u`` and ``s``, not their pre-activations:
+        :func:`leaky_relu_grad` gives the same array for both, except at a
+        pre-activation of +inf with slope 0.  That one cannot reach
+        :meth:`backward` in training, because its NaN makes the loss
+        non-finite and ``train`` raises ``TrainingDivergedError`` first.
+        """
         x = self._input(x)
+        slope = self.config.leaky_slope
         ginn = self.config.kind == "ginn"
-        h = x[:, :, None] if ginn else x
-        a1_pre = self.l1.forward(h)
-        s = self._act(a1_pre)
+        a1 = self.l1.forward(x[:, :, None] if ginn else x)
+        s = leaky_relu(a1, slope, out=a1)
         z = self.bn1.forward(s)
         block_cache = []
         for lp, bnp, lpp, bnpp in self.blocks:
-            u_pre = lp.forward(z)
-            u = self._act(u_pre)
-            v = bnp.forward(u)
-            w = lpp.forward(v)
-            s_pre = w + s
-            s = self._act(s_pre)
+            u = lp.forward(z)
+            leaky_relu(u, slope, out=u)
+            w = lpp.forward(bnp.forward(u))
+            w += s
+            s = leaky_relu(w, slope, out=w)
             z = bnpp.forward(s)
-            block_cache.append((u_pre, s_pre))
-        fin_pre = self.l_fin.forward(z)
-        q = expit(fin_pre)
+            block_cache.append((u, s))
+        q = self.l_fin.forward(z)
+        expit(q, out=q)
         p = q.mean(axis=2) if ginn else q
-        self._cache = (a1_pre, block_cache, q)
+        self._cache = (a1, block_cache, q)
         return p
 
     def backward(self, dp: np.ndarray) -> np.ndarray:
-        """Gradient of a scalar loss wrt the forward input; fills layer grads."""
-        a1_pre, block_cache, q = self._cache
+        """Gradient of a scalar loss wrt the forward input; fills layer grads.
+        Each gradient product runs in place on the fresh array of the step
+        before it."""
+        a1, block_cache, q = self._cache
+        slope = self.config.leaky_slope
         ginn = self.config.kind == "ginn"
-        if ginn:
-            dq = np.repeat(dp[:, :, None], self.config.features, axis=2) / self.config.features
-        else:
-            dq = dp
-        dz = self.l_fin.backward(dq * q * (1.0 - q))
+        # dq = dp / F on every feature of a node (GINN), then the sigmoid's q (1 - q)
+        dfin = (dp / self.config.features)[:, :, None] * q if ginn else dp * q
+        dfin *= 1.0 - q
+        dz = self.l_fin.backward(dfin)
         dskip = 0.0
-        for (lp, bnp, lpp, bnpp), (u_pre, s_pre) in zip(reversed(self.blocks),
-                                                        reversed(block_cache)):
-            ds = bnpp.backward(dz) + dskip
-            ds_pre = ds * self._act_grad(s_pre)
-            dskip = ds_pre
-            dv = lpp.backward(ds_pre)
-            du = bnp.backward(dv)
-            dz = lp.backward(du * self._act_grad(u_pre))
-        da1 = self.bn1.backward(dz) + dskip
-        dh = self.l1.backward(da1 * self._act_grad(a1_pre))
+        for (lp, bnp, lpp, bnpp), (u, s) in zip(reversed(self.blocks), reversed(block_cache)):
+            ds = bnpp.backward(dz)
+            ds += dskip
+            ds *= leaky_relu_grad(s, slope)
+            dskip = ds
+            du = bnp.backward(lpp.backward(ds))
+            du *= leaky_relu_grad(u, slope)
+            dz = lp.backward(du)
+        da1 = self.bn1.backward(dz)
+        da1 += dskip
+        da1 *= leaky_relu_grad(a1, slope)
+        dh = self.l1.backward(da1)
         return dh[:, :, 0] if ginn else dh
 
     def predict(self, x: np.ndarray) -> np.ndarray:

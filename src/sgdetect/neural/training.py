@@ -268,7 +268,8 @@ def train(model: ArchetypeModel, dataset: DatasetSplit, config: TrainConfig) -> 
         if stopper.update(val_loss, storage.state):
             history.stopped_early = True
             break
-    if stopper.best_params is not None:
+    # when the last epoch was the best, the state already equals its snapshot
+    if stopper.best_params is not None and stopper.wait > 0:
         for current, best in zip(storage.state, stopper.best_params):
             current[...] = best
     model.history = history.as_dict()

@@ -251,6 +251,24 @@ class TestLayerArithmetic:
             assert got.shape == want.shape and got.dtype == want.dtype
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    @pytest.mark.parametrize("slope", [0.0, 1e-3, 0.3, 0.999])
+    def test_leaky_relu_grad_of_the_activation(self, rng, slope):
+        # the gradient read at the activated value is the gradient read at the
+        # pre-activation: the training pass caches only the activated values
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                            2.2e-308, -2.2e-308, 1e308, -1e308, 1.0, -1.0])
+        base = np.concatenate([special, rng.normal(size=50), special])
+        for x in [base, base.reshape(2, 39)[:, ::-1], *(base[:n] for n in range(1, 30))]:
+            with np.errstate(invalid="ignore"):  # 0 * inf at slope 0
+                got = leaky_relu_grad(leaky_relu(x, slope), slope)
+            want = leaky_relu_grad(x, slope)
+            same = got.view(np.uint64) == want.view(np.uint64)
+            if slope == 0.0:
+                # the documented exception: +inf activates to NaN, whose gradient is 0
+                assert (got[x == np.inf] == 0.0).all() and (want[x == np.inf] == 1.0).all()
+                same |= x == np.inf
+            assert same.all(), f"slope {slope}: {x[~same]}"
+
 
 class TestLayerGradients:
     """Central-difference verification for every layer type."""
@@ -326,6 +344,15 @@ class TestLayerGradients:
         bn.forward(x)
         bn.infer(x)  # inference keeps no state: the training cache stays
         np.testing.assert_array_equal(bn.backward(x), expected)
+
+    def test_batchnorm_backward_once_per_forward(self, rng):
+        # backward returns its gradient in the forward cache and drops it
+        bn = BatchNorm(3)
+        x = rng.normal(size=(6, 4, 3))
+        bn.forward(x)
+        bn.backward(x)
+        with pytest.raises(RuntimeError, match="training-mode forward"):
+            bn.backward(x)
 
     def test_loss_gradient(self, rng):
         p_hat = rng.uniform(0.05, 0.95, size=(6, 8))
@@ -853,6 +880,21 @@ class TestTraining:
         x_val, y_val = _prepare(split.validation)
         assert evaluate_loss(model, x_val, y_val) == min(history.val_loss)
 
+    def test_last_epoch_best_skips_the_restore(self, tiny_graph, rng, monkeypatch):
+        # a one-epoch run's only epoch is its best: a restore would copy the
+        # poisoned snapshot back into the model
+        class Poisoned(EarlyStopping):
+            def update(self, value, params):
+                stop = super().update(value, params)
+                for best in self.best_params:
+                    best.fill(np.nan)
+                return stop
+
+        monkeypatch.setattr(training, "EarlyStopping", Poisoned)
+        model = build_archetype(ModelConfig(kind="mlp"), tiny_graph, seed=1)
+        train(model, _toy_split(model.n_points, rng), TrainConfig(max_epochs=1, seed=1))
+        assert all(np.isfinite(a).all() for a in model.state())
+
     def test_divergence_raises_with_diagnostics(self, tiny_graph, rng):
         model = build_archetype(ModelConfig(kind="mlp"), tiny_graph, seed=0)
         # poison a weight so the first forward pass overflows
@@ -1065,6 +1107,22 @@ class TestGradientBuffers:
         np.testing.assert_array_equal(dw, np.matmul(x.transpose(1, 2, 0), dt))
         np.testing.assert_array_equal(db, dout.sum(axis=0))
 
+    @pytest.mark.parametrize("node_major", [False, True])
+    @pytest.mark.parametrize("batch", [1, 3, 64])
+    @pytest.mark.parametrize("graph", ["graph2d", "graph4d"])
+    def test_gi_bias_gradient_bit_equal_to_the_batch_sum(self, request, rng, graph, batch,
+                                                          node_major):
+        graph = request.getfixturevalue(graph)
+        n = graph.n_points
+        layer = GILayer(graph.adjacency_matrix() + sp.eye_array(n), k=2, f=15, rng=rng)
+        layer.forward(rng.normal(size=(batch, n, 2)))
+        dout = rng.normal(size=(batch, n, 15))
+        if node_major:  # the layout the model hands back from a GI layer
+            dout = np.ascontiguousarray(dout.transpose(1, 0, 2)).transpose(1, 0, 2)
+        layer.backward(dout)
+        np.testing.assert_array_equal(layer.db.view(np.uint64),
+                                      np.sum(dout, axis=0).view(np.uint64))
+
     @pytest.mark.parametrize("kind", ["dense", "gi"])
     def test_backward_allocates_no_gradient_sized_buffer(self, graph4d, rng, kind):
         if kind == "dense":
@@ -1081,3 +1139,135 @@ class TestGradientBuffers:
         finally:
             tracemalloc.stop()
         assert peak < layer.dw.nbytes / 2
+
+
+def reference_layer_backward(layer, dout):
+    """A layer's backward pass as it was before it wrote into its forward
+    cache: a fresh array at every step, bias sums by ``np.sum``."""
+    if isinstance(layer, BatchNorm):
+        x_hat, inv_std = layer._cache
+        m = x_hat.size // x_hat.shape[-1]
+        layer.dgamma[...] = layers_mod._feature_sum(dout, x_hat)
+        layer.dbeta[...] = layers_mod._feature_sum(dout)
+        dx = x_hat * (layer.dgamma / m)
+        dx += layer.dbeta / m
+        np.subtract(dout, dx, out=dx)
+        dx *= layer.gamma * inv_std
+        return dx
+    if isinstance(layer, DenseLayer):
+        np.matmul(layer._x.T, dout, out=layer.dw)
+        np.sum(dout, axis=0, out=layer.db)
+        return dout @ layer.w.T
+    batch = dout.shape[0]
+    np.sum(dout, axis=0, out=layer.db)
+    dz = dout.transpose(1, 0, 2).reshape(layer.n, batch * layer.f)
+    dt = (layer.a_hat @ dz).reshape(layer.n, batch, layer.f)
+    np.matmul(layer._x.transpose(1, 2, 0), dt, out=layer.dw)
+    return np.matmul(dt, layer.w.transpose(0, 2, 1)).transpose(1, 0, 2)
+
+
+def reference_forward(model, x):
+    """The training forward before it ran in place: it caches the
+    pre-activations and makes a fresh array at every step."""
+    slope = model.config.leaky_slope
+    ginn = model.config.kind == "ginn"
+    x = np.asarray(x, dtype=np.float64)
+    a1_pre = model.l1.forward(x[:, :, None] if ginn else x)
+    s = leaky_relu(a1_pre, slope)
+    z = model.bn1.forward(s)
+    block_cache = []
+    for lp, bnp, lpp, bnpp in model.blocks:
+        u_pre = lp.forward(z)
+        v = bnp.forward(leaky_relu(u_pre, slope))
+        s_pre = lpp.forward(v) + s
+        s = leaky_relu(s_pre, slope)
+        z = bnpp.forward(s)
+        block_cache.append((u_pre, s_pre))
+    q = expit(model.l_fin.forward(z))
+    model._cache = (a1_pre, block_cache, q)
+    return q.mean(axis=2) if ginn else q
+
+
+def reference_backward(model, dp):
+    """The backward pass that matches :func:`reference_forward`."""
+    a1_pre, block_cache, q = model._cache
+    slope = model.config.leaky_slope
+    ginn = model.config.kind == "ginn"
+    if ginn:
+        f = model.config.features
+        dq = np.repeat(dp[:, :, None], f, axis=2) / f
+    else:
+        dq = dp
+    dz = reference_layer_backward(model.l_fin, dq * q * (1.0 - q))
+    dskip = 0.0
+    for (lp, bnp, lpp, bnpp), (u_pre, s_pre) in zip(reversed(model.blocks),
+                                                    reversed(block_cache)):
+        ds = reference_layer_backward(bnpp, dz) + dskip
+        ds_pre = ds * leaky_relu_grad(s_pre, slope)
+        dskip = ds_pre
+        du = reference_layer_backward(bnp, reference_layer_backward(lpp, ds_pre))
+        dz = reference_layer_backward(lp, du * leaky_relu_grad(u_pre, slope))
+    da1 = reference_layer_backward(model.bn1, dz) + dskip
+    dh = reference_layer_backward(model.l1, da1 * leaky_relu_grad(a1_pre, slope))
+    return dh[:, :, 0] if ginn else dh
+
+
+def assert_bit_equal(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def pass_model(name, slope, graph2d, graph4d):
+    """A randomized model by name; the 401-point GINN has two blocks."""
+    kind, n = name.split()
+    config = ModelConfig(kind=kind, leaky_slope=slope)
+    if n == "65":
+        return randomized(build_archetype(config, graph2d, seed=21), 21)
+    a_hat = build_archetype(ModelConfig(), graph4d).a_hat if kind == "ginn" else None
+    return randomized(ArchetypeModel(config, graph4d.n_points, 2, a_hat,
+                                     np.random.default_rng(22)), 22)
+
+
+class TestTrainingPass:
+    """The in-place training pass against the pass that made a fresh array
+    at every step and cached pre-activations, bit for bit."""
+
+    @pytest.mark.parametrize("slope", [0.3, 0.0])
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    @pytest.mark.parametrize("name", ["ginn 65", "mlp 65", "ginn 401", "mlp 401"])
+    def test_forward_and_backward_bit_equal(self, graph2d, graph4d, name, rows, slope):
+        rng = np.random.default_rng(rows)
+        runs = []
+        for forward, backward in ((ArchetypeModel.forward, ArchetypeModel.backward),
+                                  (reference_forward, reference_backward)):
+            model = pass_model(name, slope, graph2d, graph4d)
+            x = 3.0 * rng.normal(size=(rows, model.n_points))
+            dp = rng.normal(size=x.shape)
+            p = forward(model, x.copy())
+            dx = backward(model, dp.copy())
+            runs.append([p.copy(), dx, *model.gradients(), *model.state()])
+            rng = np.random.default_rng(rows)
+        for got, want in zip(*runs, strict=True):
+            assert_bit_equal(got, want)
+
+    @pytest.mark.parametrize("slope", [0.3, 0.0])
+    @pytest.mark.parametrize("kind", ["ginn", "mlp"])
+    def test_fixed_seed_training_unchanged(self, graph2d, kind, slope, monkeypatch):
+        # 17 training rows in batches of 8 end on a one-row batch
+        split = _toy_split(graph2d.n_points, np.random.default_rng(12), size=27)
+        split = DatasetSplit(train=split.train[:17], validation=split.validation,
+                             test=split.test)
+        config = TrainConfig(max_epochs=3, batch_size=8, seed=4)
+        runs = []
+        for forward, backward in ((ArchetypeModel.forward, ArchetypeModel.backward),
+                                  (reference_forward, reference_backward)):
+            monkeypatch.setattr(ArchetypeModel, "forward", forward)
+            monkeypatch.setattr(ArchetypeModel, "backward", backward)
+            model = build_archetype(ModelConfig(kind=kind, leaky_slope=slope), graph2d,
+                                    seed=10)
+            history = train(model, split, config)
+            runs.append((history.train_loss, history.val_loss,
+                         [t.copy() for t in model.state()]))
+        assert runs[0][:2] == runs[1][:2]
+        for got, want in zip(runs[0][2], runs[1][2], strict=True):
+            assert_bit_equal(got, want)
