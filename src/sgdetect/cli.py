@@ -1,8 +1,11 @@
 """Command-line pipeline: grid, dataset, train, detect, eval.
 
-Every subcommand prints a resolved-configuration echo (YAML) so a run can
-be reproduced exactly from its output.  Options may come from a config
-file (``--config run.yaml``) with command-line flags taking precedence.
+:func:`build_parser` is the one list of each subcommand's options.  Every
+subcommand echoes the options it ran with (YAML, resolved values written
+back), so the echo's ``options`` mapping is a config file that reproduces
+the run.  ``--config run.yaml`` (or ``--config=run.yaml``) supplies option
+defaults, each read as if its text were typed after its flag, ``null`` only
+where the default is None; flags take precedence.
 
 Exit codes: 0 success, 2 configuration error or unreadable input file,
 3 dimension or grid mismatch, 4 degenerate dataset, 5 non-finite loss.
@@ -34,6 +37,7 @@ from sgdetect.errors import (
 )
 from sgdetect.grid_graph import build_grid_graph, write_graph_record
 from sgdetect.neural.model import (
+    MODEL_KINDS,
     ModelConfig,
     build_archetype,
     count_parameters,
@@ -41,7 +45,7 @@ from sgdetect.neural.model import (
     save_model,
 )
 from sgdetect.neural.training import TrainConfig, evaluate_metrics, train
-from sgdetect.sparse_grid import Box, GridSpec, build_sparse_grid, write_grid_record
+from sgdetect.sparse_grid import RULES, Box, GridSpec, build_sparse_grid, write_grid_record
 
 EXIT_CONFIG = 2
 EXIT_DIMENSION = 3
@@ -55,7 +59,7 @@ def _worker_count(value, source: str) -> int:
     except ValueError:
         jobs = 0
     if jobs < 1:
-        raise ConfigError(f"{source} must be an integer >= 1, got {value!r}")
+        raise ConfigError(f"{source} must be an integer >= 1, got {value}")
     return jobs
 
 
@@ -68,17 +72,13 @@ def _resolve_jobs(args) -> None:
         args.jobs = default if args.jobs is None else _worker_count(args.jobs, "--jobs")
 
 
-def _echo_config(command: str, options: dict) -> None:
-    doc = {"command": command, "options": {k: _plain(v) for k, v in sorted(options.items())}}
+def _echo_config(args) -> None:
+    """Print the options the run used; each command first writes back the
+    values it resolved, so the ``options`` mapping is a config file."""
+    options = {k: v for k, v in sorted(vars(args).items())
+               if k not in ("command", "config", "func")}
+    doc = {"command": args.command, "options": options}
     sys.stdout.write(yaml.safe_dump({"resolved-config": doc}, sort_keys=False))
-
-
-def _plain(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, Path):
-        return str(v)
-    return v
 
 
 def _reference_box(dim: int) -> Box:
@@ -97,13 +97,25 @@ def _make_parents(*paths) -> None:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
 
 
-def _parse_lambda_min(text: str, domain: Box, h_max: int) -> Fraction:
-    if text == "auto":
-        return domain.edge / 2 ** (h_max + 1)
+def _stored_grid(spec: GridSpec, stored_hash: str | None, owner: str):
+    """Rebuild the grid a dataset or model was made on; a stored grid hash must match it."""
+    grid, graph = _build_reference(spec.rule, spec.level, spec.dim)
+    if stored_hash and stored_hash != grid_fingerprint(graph):
+        raise DimensionMismatchError(
+            f"{owner} grid hash {stored_hash} does not match the rebuilt grid")
+    return grid, graph
+
+
+def _resolve_lambda_min(args, domain: Box, h_max: int) -> Fraction:
+    """``--lambda-min`` as a fraction, ``auto`` being domain edge / 2^(h_max+1);
+    the value is written back to ``args`` for the echo."""
     try:
-        return Fraction(text)
+        lam_min = (domain.edge / 2 ** (h_max + 1) if args.lambda_min == "auto"
+                   else Fraction(args.lambda_min))
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"malformed --lambda-min {text!r}: {exc}") from exc
+        raise ConfigError(f"malformed --lambda-min {args.lambda_min!r}: {exc}") from exc
+    args.lambda_min = str(lam_min)
+    return lam_min
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +162,7 @@ def resolve_target(spec: str):
 
 def cmd_grid(args) -> int:
     grid, graph = _build_reference(args.rule, args.level, args.dim)
-    _echo_config("grid", {"rule": args.rule, "level": args.level, "dim": args.dim,
-                          "out": args.out})
+    _echo_config(args)
     print(f"points: {grid.n_points}")
     print(f"edges: {len(graph.edges)}")
     print(f"diameter: {graph.diameter()}")
@@ -170,16 +181,10 @@ def cmd_dataset(args) -> int:
         raise ConfigError(f"--count must be >= 1, got {args.count}")
     grid, graph = _build_reference(args.rule, args.level, args.dim)
     domain = _reference_box(args.dim)
-    lam_min = _parse_lambda_min(args.lambda_min, domain, grid.spec.h_max)
-    _echo_config("dataset", {
-        "rule": args.rule, "level": args.level, "dim": args.dim, "count": args.count,
-        "detector_t": args.detector_t, "lambda_min": lam_min, "tau": args.tau,
-        "seed": args.seed, "jobs": args.jobs, "out": args.out,
-        "coeff_convention": args.coeff_convention,
-    })
-    # "N(0, 10)" read as variance by default; the stddev reading is the flip
-    coeff_std = np.sqrt(10.0) if args.coeff_convention == "variance" else 10.0
-    functions = synth_data.sample_functions(args.count, args.dim, args.seed, coeff_std=coeff_std)
+    lam_min = _resolve_lambda_min(args, domain, grid.spec.h_max)
+    _echo_config(args)
+    functions = synth_data.sample_functions(
+        args.count, args.dim, args.seed, coeff_std=synth_data.COEFF_STD[args.coeff_convention])
     samples, stats = synth_data.generate_dataset(
         grid, graph, args.detector_t, functions, lam_min, tau=args.tau,
         domain=domain, n_jobs=args.jobs)
@@ -212,21 +217,13 @@ def cmd_train(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     ds = synth_data.load_dataset(args.dataset)
-    spec = GridSpec.from_key(ds.grid_key)
-    grid, graph = _build_reference(spec.rule, spec.level, spec.dim)
-    ds_hash = ds.meta.get("grid_hash")
-    if ds_hash and ds_hash != grid_fingerprint(graph):
-        raise DimensionMismatchError(
-            f"dataset grid hash {ds_hash} does not match the rebuilt grid")
+    grid, graph = _stored_grid(GridSpec.from_key(ds.grid_key), ds.meta.get("grid_hash"),
+                               "dataset")
     if ds.n_points != grid.n_points:
         raise DimensionMismatchError(
             f"dataset has {ds.n_points} points per sample; its grid {ds.grid_key} has "
             f"{grid.n_points}")
-    _echo_config("train", {
-        "dataset": args.dataset, "kind": args.kind, "features": args.features,
-        "epochs": args.epochs, "seed": args.seed, "batch_size": args.batch_size,
-        "learning_rate": args.learning_rate, "out": args.out,
-    })
+    _echo_config(args)
     split = synth_data.split_dataset(synth_data.Samples(ds.inputs, ds.labels),
                                      np.random.default_rng(args.seed))
     model = build_archetype(model_cfg, graph, seed=args.seed)
@@ -252,29 +249,21 @@ def _detector_for(args, cut, dim) -> tuple[Detector, object, object]:
     if spec.dim != dim:
         raise DimensionMismatchError(
             f"model is {spec.dim}-dimensional, target is {dim}-dimensional")
-    grid, graph = _build_reference(spec.rule, spec.level, spec.dim)
-    if model.grid_hash and model.grid_hash != grid_fingerprint(graph):
-        raise DimensionMismatchError(
-            f"model grid hash {model.grid_hash} does not match the rebuilt grid")
-    return detector, grid, graph
+    return detector, *_stored_grid(spec, model.grid_hash, "model")
 
 
 def cmd_detect(args) -> int:
     target, cut, domain, dim = resolve_target(args.target)
     detector, grid, graph = _detector_for(args, cut, dim)
-    lam_min = _parse_lambda_min(args.lambda_min, domain, grid.spec.h_max)
+    args.rule, args.level = grid.spec.rule, grid.spec.level
+    lam_min = _resolve_lambda_min(args, domain, grid.spec.h_max)
     config = engine_mod.EngineConfig(
         lambda_min=lam_min, tau=args.tau, domain=domain,
         boundary_policy=args.boundary_policy,
         lambda_rule=args.lambda_rule,
         max_evaluations=args.budget,
     )
-    _echo_config("detect", {
-        "target": args.target, "detector": args.detector, "lambda_min": lam_min,
-        "tau": args.tau, "boundary_policy": args.boundary_policy,
-        "lambda_rule": args.lambda_rule, "budget": args.budget,
-        "out": args.out, "csv": args.csv,
-    })
+    _echo_config(args)
     _make_parents(args.out, args.csv)
     initial = [(domain.center, domain.edge)]
     run = engine_mod.run_batched(g=target, grid=grid, graph=graph, detector=detector,
@@ -319,11 +308,7 @@ def cmd_eval(args) -> int:
         raise MalformedFileError(f"{args.report}: troubled point coords are not "
                                  "equal-length lists of numbers") from exc
     grid, graph = _build_reference(args.check_rule, args.check_level, dim)
-    _echo_config("eval", {
-        "report": args.report, "target": args.target, "check_rule": args.check_rule,
-        "check_level": args.check_level, "subdivisions": args.subdivisions,
-        "out": args.out,
-    })
+    _echo_config(args)
     _make_parents(args.out, args.csv)
     result = eval_mod.tpr(points, cut, lam_min, graph, subdivisions=args.subdivisions,
                           visited_count=visited)
@@ -345,35 +330,48 @@ def cmd_eval(args) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sgdetect",
-        description="sparse-grid discontinuity detection pipeline")
-    parser.add_argument("--config", help="YAML config file; flags override its values")
-    sub = parser.add_subparsers(dest="command", required=True)
-    parser.subcommand_parsers = {}
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that lists its options' dests, its parents' included."""
 
-    p = sub.add_parser("grid", help="build and export a reference grid and its graph")
-    p.add_argument("--rule", default="sum", choices=["prod", "sum", "max"])
-    p.add_argument("--level", type=int, default=6)
+    def __init__(self, *args, parents=(), **kwargs):
+        self.dests = set().union(*(parent.dests for parent in parents))
+        super().__init__(*args, parents=parents, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.dests.add(action.dest)
+        return action
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="sgdetect", description="sparse-grid discontinuity detection pipeline")
+    parser.add_argument("--config", help="YAML option defaults, such as an echo's options")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    grid_options = _Parser(add_help=False)
+    grid_options.add_argument("--rule", default="sum", choices=RULES,
+                              help="reference grid rule (detect: an nn: model brings its own)")
+    grid_options.add_argument("--level", type=int, default=6)
+    engine_options = _Parser(add_help=False)
+    engine_options.add_argument("--lambda-min", default="auto",
+                                help="fraction, or auto = domain edge / 2^(h_max+1)")
+    engine_options.add_argument("--tau", type=float, default=0.5)
+
+    p = sub.add_parser("grid", parents=[grid_options],
+                       help="build and export a reference grid and its graph")
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--out")
     p.set_defaults(func=cmd_grid)
 
-    p = sub.add_parser("dataset", help="generate a labeled synthetic dataset")
-    p.add_argument("--rule", default="sum", choices=["prod", "sum", "max"])
-    p.add_argument("--level", type=int, default=6)
+    p = sub.add_parser("dataset", parents=[grid_options, engine_options],
+                       help="generate a labeled synthetic dataset")
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--count", type=int, default=600, help="number of random functions")
     p.add_argument("--detector-t", type=int, default=149,
                    help="t of the z-detector used for labeling (149 -> Z^(150))")
-    p.add_argument("--lambda-min", default="auto",
-                   help="fraction, or auto = domain edge / 2^(h_max+1)")
-    p.add_argument("--tau", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", help="worker processes (default: SGDETECT_THREADS, else 1)")
-    p.add_argument("--coeff-convention", default="variance",
-                   choices=["variance", "stddev"],
+    p.add_argument("--coeff-convention", default="variance", choices=synth_data.COEFF_STD,
                    help="reading of the normal(0, 10) coefficient distribution")
     p.add_argument("--out", required=True)
     p.add_argument("--csv")
@@ -381,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a detector model on a dataset")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--kind", default="ginn", choices=["ginn", "mlp"])
+    p.add_argument("--kind", default="ginn", choices=MODEL_KINDS)
     p.add_argument("--features", type=int, default=15)
     p.add_argument("--leaky-slope", type=float, default=0.3)
     p.add_argument("--epochs", type=int, default=500)
@@ -391,19 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("detect", help="run the detection engine on a target")
+    p = sub.add_parser("detect", parents=[grid_options, engine_options],
+                       help="run the detection engine on a target")
     p.add_argument("--target", required=True)
     p.add_argument("--detector", default="exact",
                    help="exact | exact:<cut-spec> | zlevel:<t> | nn:<model-file>")
-    p.add_argument("--rule", default="sum", choices=["prod", "sum", "max"],
-                   help="reference grid rule for non-NN detectors")
-    p.add_argument("--level", type=int, default=6)
-    p.add_argument("--lambda-min", default="auto",
-                   help="fraction, or auto = domain edge / 2^(h_max+1)")
-    p.add_argument("--tau", type=float, default=0.5)
     p.add_argument("--boundary-policy", default="clip-stop",
-                   choices=["clip-stop", "ignore"])
-    p.add_argument("--lambda-rule", default="incident", choices=["incident", "global"])
+                   choices=engine_mod.BOUNDARY_POLICIES)
+    p.add_argument("--lambda-rule", default="incident", choices=engine_mod.LAMBDA_RULES)
     p.add_argument("--budget", type=int, default=None,
                    help="optional cap on function evaluations; the run stops at the "
                         "first grid that reaches it, so it ends fewer than one grid's "
@@ -415,27 +408,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a detection run against an analytic cut")
     p.add_argument("--report", required=True, help="detection run report (JSON)")
     p.add_argument("--target", required=True)
-    p.add_argument("--check-rule", default="sum", choices=["prod", "sum", "max"])
+    p.add_argument("--check-rule", default="sum", choices=RULES)
     p.add_argument("--check-level", type=int, default=6)
     p.add_argument("--subdivisions", type=int, default=1000)
     p.add_argument("--out")
     p.add_argument("--csv")
     p.set_defaults(func=cmd_eval)
 
-    for action in parser._subparsers._group_actions:
-        parser.subcommand_parsers.update(action.choices)
+    parser.subcommand_parsers = sub.choices
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Pull defaults from --config <file> before the real parse."""
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    try:
-        path = argv[idx + 1]
-    except IndexError:
-        raise ConfigError("--config needs a file path")
+def _apply_config_file(parser: argparse.ArgumentParser, args, argv: list[str]) -> None:
+    """Make the values in ``args.config`` the defaults of the subcommand that
+    runs, each read by its flag as if its text followed ``argv``."""
+    path = args.config
     with open(path) as fh:
         try:
             values = yaml.safe_load(fh) or {}
@@ -443,23 +430,30 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
             raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
     if not isinstance(values, dict):
         raise ConfigError(f"config file {path} must hold a mapping")
-    defaults = {str(k).replace("-", "_"): v for k, v in values.items()}
-    known = {sub: {a.dest for a in sub._actions}
-             for sub in (parser, *parser.subcommand_parsers.values())}
-    unknown = sorted(set(defaults).difference(*known.values()))
+    values = {str(k).replace("-", "_"): v for k, v in values.items()}
+    unknown = sorted(set(values).difference(
+        *(p.dests for p in (parser, *parser.subcommand_parsers.values()))))
     if unknown:
         raise ConfigError(f"config file {path} has unknown keys: {', '.join(unknown)}")
-    for sub, dests in known.items():
-        sub.set_defaults(**{k: v for k, v in defaults.items() if k in dests})
-    return argv
+    chosen = parser.subcommand_parsers[args.command]
+    nulls = [k for k, v in values.items() if v is None and chosen.get_default(k) is not None]
+    if nulls:
+        raise ConfigError(f"config file {path}: {', '.join(nulls)} cannot be null")
+    given = {k: v for k, v in values.items() if k in chosen.dests and v is not None}
+    # a value its flag rejects exits 2 here, with argparse's message
+    checked = parser.parse_args([*argv, *(f"--{k.replace('_', '-')}={v}"
+                                          for k, v in given.items())])
+    chosen.set_defaults(**{k: getattr(checked, k) for k in given})
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
+        if args.config:
+            _apply_config_file(parser, args, argv)
+            args = parser.parse_args(argv)
         _resolve_jobs(args)
         return args.func(args)
     except ConfigError as exc:

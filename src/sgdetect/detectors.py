@@ -307,6 +307,12 @@ def z_detector(f: CutFunction, graph: GridGraph, t: int,
     return p
 
 
+def has_closed_form(cut: CutFunction, dim: int) -> bool:
+    """Whether ``cut.segment_roots`` has a closed form: it answers a probe of no segments."""
+    no_segments = np.empty((0, dim))
+    return cut.segment_roots(no_segments, no_segments) is not None
+
+
 def exact_troubled_oracle(f: CutFunction, graph: GridGraph,
                           coords: np.ndarray | None = None) -> np.ndarray:
     """Exact troubled-point indicator from closed-form edge intersections.
@@ -321,8 +327,7 @@ def exact_troubled_oracle(f: CutFunction, graph: GridGraph,
     """
     if coords is None:
         coords = graph.grid.coords()
-    no_segments = np.empty((0, coords.shape[-1]))
-    if f.segment_roots(no_segments, no_segments) is None:
+    if not has_closed_form(f, coords.shape[-1]):
         raise DetectorError(
             f"cut {type(f).__name__} has no closed-form segment intersection; "
             "use the z-detector instead"

@@ -32,6 +32,7 @@ from sgdetect.detectors import (
     SphericalCut,
     PolynomialCut,
     TorusCut,
+    has_closed_form,
     sample_signs,
 )
 from sgdetect.errors import DimensionMismatchError, MalformedFileError, SgdetectError
@@ -201,8 +202,7 @@ def tpr(points: np.ndarray, cut: CutFunction, lambda_min, check_graph: GridGraph
     lam = float(lambda_min)
     knots = np.linspace(0.0, 1.0, subdivisions + 1)
     ei, ej = check_graph.edge_ends
-    no_segments = np.empty((0, grid.dim))
-    closed_form = cut.segment_roots(no_segments, no_segments) is not None
+    closed_form = has_closed_form(cut, grid.dim)
     chunk = max(1, SAMPLE_BUDGET // max(grid.n_points, len(ei)))
     hit = np.zeros(len(points), dtype=bool)
     for start in range(0, len(points), chunk):

@@ -47,17 +47,19 @@ from sgdetect.neural.layers import BatchNorm, DenseLayer, GILayer, leaky_relu, l
 
 MODEL_FILE_VERSION = 1
 
+MODEL_KINDS = ("ginn", "mlp")
+
 
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture knobs for the detector models."""
 
-    kind: str = "ginn"  # "ginn" | "mlp"
+    kind: str = "ginn"  # one of MODEL_KINDS
     features: int = 15  # F, per-node features of GI hidden layers
     leaky_slope: float = 0.3
 
     def __post_init__(self):
-        if self.kind not in ("ginn", "mlp"):
+        if self.kind not in MODEL_KINDS:
             raise ValueError(f"model kind must be 'ginn' or 'mlp', got {self.kind!r}")
         if self.features < 1:
             raise ValueError("features must be >= 1")
@@ -307,27 +309,27 @@ def build_archetype(config: ModelConfig, graph: GridGraph, seed: int = 0) -> Arc
     diam = graph.diameter()
     n_blocks = diam // 2
     n = graph.n_points
-    a_hat = _with_self_loops(graph.adjacency_matrix()) if config.kind == "ginn" else None
-    rng = np.random.default_rng(seed)
-    model = ArchetypeModel(
+    adjacency = [[i, j, w] for (i, j), w in zip(graph.edges[:, :2].tolist(),
+                                                graph.weights.tolist())]
+    return ArchetypeModel(
         config=config,
         n_points=n,
         n_blocks=n_blocks,
-        a_hat=a_hat,
-        rng=rng,
+        a_hat=_a_hat(adjacency, n) if config.kind == "ginn" else None,
+        rng=np.random.default_rng(seed),
         grid_key=graph.grid.spec.key(),
         grid_hash=grid_fingerprint(graph),
-        adjacency=[[i, j, w] for (i, j), w in zip(graph.edges[:, :2].tolist(),
-                                                  graph.weights.tolist())],
+        adjacency=adjacency,
         diameter=diam,
     )
-    return model
 
 
-def _with_self_loops(adjacency) -> sp.csr_array:
-    """A_hat = A + I in canonical CSR form (sorted indices, no duplicates), so
-    the matrix built from a graph and from its stored triples sum alike."""
-    a_hat = sp.csr_array(adjacency + sp.eye_array(adjacency.shape[0]))
+def _a_hat(adjacency: list, n: int) -> sp.csr_array:
+    """A_hat = A + I from a model's stored ``(i, j, w)`` edge triples, in canonical CSR
+    form; ``coo_matrix`` picks int32 indices where they fit, as the graph's matrix does."""
+    i, j, w = np.array(adjacency, dtype=np.float64).reshape(-1, 3).T
+    upper = sp.coo_matrix((w, (i.astype(np.int64), j.astype(np.int64))), shape=(n, n))
+    a_hat = sp.csr_array(upper + upper.T + sp.eye_array(n))
     a_hat.sum_duplicates()
     return a_hat
 
@@ -421,16 +423,11 @@ def _model_from_document(doc: dict) -> ArchetypeModel:
     # files written before the unused ``init`` field was removed still load
     config = ModelConfig(**{k: v for k, v in doc["config"].items() if k != "init"})
     n = doc["n_points"]
-    a_hat = None
-    if config.kind == "ginn":
-        i, j, w = np.array(doc["adjacency"], dtype=np.float64).reshape(-1, 3).T
-        upper = sp.coo_array((w, (i.astype(np.int64), j.astype(np.int64))), shape=(n, n))
-        a_hat = _with_self_loops(upper + upper.T)
     model = ArchetypeModel(
         config=config,
         n_points=n,
         n_blocks=doc["n_blocks"],
-        a_hat=a_hat,
+        a_hat=_a_hat(doc["adjacency"], n) if config.kind == "ginn" else None,
         rng=None,
         grid_key=doc.get("grid_key", ""),
         grid_hash=doc.get("grid_hash", ""),
@@ -453,6 +450,7 @@ def _model_from_document(doc: dict) -> ArchetypeModel:
 
 
 __all__ = [
+    "MODEL_KINDS",
     "ArchetypeModel",
     "ModelConfig",
     "Storage",

@@ -47,8 +47,9 @@ from sgdetect.errors import DegenerateDatasetError, MalformedFileError, read_doc
 from sgdetect.grid_graph import GridGraph
 from sgdetect.sparse_grid import Box, SparseGrid, multi_index_set
 
-#: default coefficient scale: N(0, 10) read as variance 10
+#: coefficient std under each reading of the paper's N(0, 10); the default reads variance 10
 COEFF_STD_VARIANCE = float(np.sqrt(10.0))
+COEFF_STD = {"variance": COEFF_STD_VARIANCE, "stddev": 10.0}
 
 #: total degree of the random Legendre expansions (multi-index sum cap)
 PIECE_DEGREE = 4

@@ -1,7 +1,9 @@
+import itertools
 import json
 from pathlib import Path
 
 import pytest
+import yaml
 
 from sgdetect import engine as engine_mod
 from sgdetect import evaluation as eval_mod
@@ -541,3 +543,141 @@ class TestExitCodes:
         cfg = tmp_path / "run.yaml"
         cfg.write_text("level: 4\nbudget: 10\n")
         assert run_cli(["--config", str(cfg), "grid"]) == 0
+
+
+def exit_code(args):
+    """main's return value, or the status argparse exits with."""
+    try:
+        return run_cli(args)
+    except SystemExit as exc:
+        return exc.code
+
+
+def echoed_options(out: str) -> dict:
+    """The ``options`` mapping of the resolved-config echo in ``out``."""
+    lines = out.splitlines()
+    start = lines.index("resolved-config:")
+    block = itertools.takewhile(lambda line: line.startswith(" "), lines[start + 1:])
+    return yaml.safe_load("\n".join([lines[start], *block]))["resolved-config"]["options"]
+
+
+class TestConfigReplay:
+    """An echo's options, passed back as --config with only the required flags,
+    run the same command again: same output bytes, same echo."""
+
+    def replay(self, tmp_path, capsys, argv, required, outputs):
+        assert run_cli(argv) == 0
+        options = echoed_options(capsys.readouterr().out)
+        written = {path: path.read_bytes() for path in outputs}
+        for path in outputs:
+            path.unlink()
+        cfg = tmp_path / "echo.yaml"
+        cfg.write_text(yaml.safe_dump(options))
+        assert run_cli(["--config", str(cfg), argv[0], *required]) == 0
+        assert echoed_options(capsys.readouterr().out) == options
+        assert {path: path.read_bytes() for path in outputs} == written
+
+    def test_grid(self, tmp_path, capsys):
+        out = tmp_path / "grid"
+        self.replay(tmp_path, capsys,
+                    ["grid", "--rule", "prod", "--level", "5", "--dim", "3", "--out", str(out)],
+                    [], [out / "grid.json", out / "graph.json"])
+
+    def test_dataset_with_csv(self, tmp_path, capsys):
+        data, table = tmp_path / "d.bin", tmp_path / "d.csv"
+        self.replay(tmp_path, capsys,
+                    ["dataset", "--level", "3", "--count", "6", "--detector-t", "9",
+                     "--lambda-min", "1/4", "--seed", "1", "--coeff-convention", "stddev",
+                     "--out", str(data), "--csv", str(table)],
+                    ["--out", str(data)], [data, data.with_suffix(".json"), table])
+
+    def test_train_with_leaky_slope(self, tmp_path, capsys):
+        data = make_tiny_dataset(tmp_path, seed=2, count=8)
+        model = tmp_path / "model.json"
+        capsys.readouterr()
+        self.replay(tmp_path, capsys,
+                    ["train", "--dataset", str(data), "--kind", "mlp", "--features", "4",
+                     "--epochs", "2", "--batch-size", "16", "--leaky-slope", "0.2",
+                     "--out", str(model)],
+                    ["--dataset", str(data), "--out", str(model)], [model])
+
+    def test_detect_at_another_level_with_csv(self, tmp_path, capsys):
+        report, table = tmp_path / "run.json", tmp_path / "run.csv"
+        self.replay(tmp_path, capsys,
+                    ["detect", "--target", "builtin:bows", "--detector", "zlevel:9",
+                     "--level", "5", "--lambda-min", "1/16", "--out", str(report),
+                     "--csv", str(table)],
+                    ["--target", "builtin:bows"], [report, table])
+
+    def test_eval_with_csv(self, tmp_path, capsys):
+        report = tmp_path / "run.json"
+        assert run_cli(["detect", "--target", "builtin:circle", "--detector", "exact",
+                        "--lambda-min", "1/8", "--out", str(report)]) == 0
+        capsys.readouterr()
+        scores, table = tmp_path / "tpr.json", tmp_path / "tpr.csv"
+        self.replay(tmp_path, capsys,
+                    ["eval", "--report", str(report), "--target", "builtin:circle",
+                     "--check-level", "5", "--subdivisions", "50", "--out", str(scores),
+                     "--csv", str(table)],
+                    ["--report", str(report), "--target", "builtin:circle"], [scores, table])
+
+    def test_nn_detect_echoes_the_model_grid(self, tiny_model, capsys):
+        # an nn: detector runs on its model's grid, whatever --level says
+        capsys.readouterr()
+        assert run_cli(["detect", "--target", "builtin:circle", "--lambda-min", "1/8",
+                        "--detector", f"nn:{tiny_model}", "--level", "9"]) == 0
+        options = echoed_options(capsys.readouterr().out)
+        model_grid = json.loads(tiny_model.read_text())["grid_key"]
+        assert f"{options['rule']}:{options['level']}:d2" == model_grid
+
+
+class TestConfigValues:
+    def config(self, tmp_path, text):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(text)
+        return str(cfg)
+
+    def test_equals_form_of_the_flag(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, "dim: 4\nlevel: 8\n")
+        assert run_cli([f"--config={cfg}", "grid"]) == 0
+        joined = capsys.readouterr().out
+        assert run_cli(["--config", cfg, "grid"]) == 0
+        assert joined == capsys.readouterr().out
+        assert "points: 401" in joined
+
+    @pytest.mark.parametrize("text,argv,option", [
+        ("level: 8.5", ["grid"], "level"),
+        ("count: 2.0", ["dataset", "--out", "{tmp}/d.bin"], "count"),
+        ("subdivisions: 2.5", ["eval", "--report", "{tmp}/r.json", "--target", "builtin:circle"],
+         "subdivisions"),
+        ("rule: foo", ["grid"], "rule"),
+        ("level: null", ["grid"], "level"),
+        ("tau: null", ["detect", "--target", "builtin:circle"], "tau"),
+    ])
+    def test_a_value_the_flag_rejects_exits_2(self, text, argv, option, tmp_path, capsys):
+        cfg = self.config(tmp_path, text)
+        assert exit_code(["--config", cfg, *(a.format(tmp=tmp_path) for a in argv)]) == 2
+        assert option in capsys.readouterr().err
+        assert not (tmp_path / "d.bin").exists()
+
+    @pytest.mark.parametrize("flag,value", [("--lambda-min", "0.1"), ("--tau", "0.25")])
+    def test_a_value_reads_as_its_flag(self, flag, value, tmp_path, capsys):
+        argv = ["detect", "--target", "builtin:circle", "--detector", "zlevel:9", "--level", "4"]
+        assert run_cli([*argv, flag, value]) == 0
+        by_flag = echoed_options(capsys.readouterr().out)
+        cfg = self.config(tmp_path, f"{flag[2:].replace('-', '_')}: {value}\n")
+        assert run_cli(["--config", cfg, *argv]) == 0
+        assert echoed_options(capsys.readouterr().out) == by_flag
+        assert str(by_flag[flag[2:].replace("-", "_")]) == {"0.1": "1/10"}.get(value, value)
+
+    def test_flags_override_the_file(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, "level: 8\ndim: 4\n")
+        assert run_cli(["--config", cfg, "grid", "--level", "6"]) == 0
+        assert echoed_options(capsys.readouterr().out)["level"] == 6
+
+    def test_null_where_the_default_is_null(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, "budget: null\ncsv: null\nout: null\n")
+        assert run_cli(["--config", cfg, "detect", "--target", "builtin:circle",
+                        "--detector", "zlevel:9", "--lambda-min", "1/8"]) == 0
+        options = echoed_options(capsys.readouterr().out)
+        assert options["budget"] is options["csv"] is options["out"] is None

@@ -20,6 +20,7 @@ from sgdetect.detectors import (
     TorusCut,
     ZLevelDetector,
     exact_troubled_oracle,
+    has_closed_form,
     make_detector,
     sample_signs,
     z_detector,
@@ -503,6 +504,14 @@ class TestExactOracle:
             p_oracle = exact_troubled_oracle(cut, graph2d)
             p_z = z_detector(cut, graph2d, 10_000)
             np.testing.assert_array_equal(p_oracle, p_z)
+
+    @pytest.mark.parametrize("cut,closed", [
+        (LinearCut([1.0, 0.0], 0.0), True),
+        (SphericalCut((0.0, 0.0), 0.5), True),
+        (TorusCut(), False),
+    ])
+    def test_has_closed_form(self, cut, closed):
+        assert has_closed_form(cut, cut.dim) is closed
 
     def test_unsupported_cut_family(self, grid2d, graph2d):
         from sgdetect.detectors import TorusCut

@@ -474,6 +474,17 @@ class TestArchetype:
                                           getattr(model.a_hat, attr))
         np.testing.assert_array_equal(back.predict(x), model.predict(x))
 
+    @pytest.mark.parametrize("graph", ["tiny_graph", "graph2d", "graph4d"])
+    def test_a_hat_is_the_graph_matrix_plus_identity(self, graph, request):
+        # built from the model's stored triples, as a loaded model builds it
+        graph = request.getfixturevalue(graph)
+        a_hat = build_archetype(ModelConfig(kind="ginn", features=2), graph).a_hat
+        want = sp.csr_array(graph.adjacency_matrix() + sp.eye_array(graph.n_points))
+        want.sum_duplicates()
+        assert a_hat.has_canonical_format
+        for attr in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(a_hat, attr), getattr(want, attr))
+
     def test_predict_row_independence(self, tiny_graph, rng):
         model = build_archetype(ModelConfig(kind="mlp"), tiny_graph, seed=2)
         x = rng.normal(size=(6, model.n_points))
