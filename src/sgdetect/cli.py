@@ -286,7 +286,7 @@ def cmd_eval(args) -> int:
     target, cut, domain, dim = resolve_target(args.target)
     if cut is None:
         raise ConfigError(f"target {args.target} has no analytic cut to evaluate against")
-    report = read_document(args.report, "detection-run")
+    report = read_document(args.report, "detection-run", engine_mod.RUN_REPORT_VERSION)
     try:
         coords = [t["coords"] for t in report["troubled_points"]]
         lam_min = report["config"]["lambda_min"]

@@ -62,6 +62,7 @@ from sgdetect.sparse_grid import Box, SparseGrid, similar_grid, _as_fraction
 
 BOUNDARY_POLICIES = ("clip-stop", "ignore")
 LAMBDA_RULES = ("incident", "global")
+RUN_REPORT_VERSION = 1
 
 #: lattice numerators must stay below 2^62 so int64 products cannot overflow
 _LATTICE_LIMIT = 1 << 62
@@ -587,7 +588,7 @@ def run_report(run: DetectionRun, extra: dict | None = None) -> dict:
     cfg = run.config
     doc = {
         "kind": "detection-run",
-        "version": 1,
+        "version": RUN_REPORT_VERSION,
         "config": {
             "lambda_min": str(cfg.lambda_min),
             "tau": cfg.tau,

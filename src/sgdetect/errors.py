@@ -51,8 +51,9 @@ class MalformedFileError(SgdetectError):
     """An input file (dataset, model, run report, image) cannot be parsed."""
 
 
-def read_document(path, kind: str) -> dict:
-    """Load a JSON document and check that it is a ``kind`` document."""
+def read_document(path, kind: str, version: int) -> dict:
+    """Load a JSON document and check that it is a ``kind`` document of
+    ``version``, the one version its reader reads."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -60,4 +61,7 @@ def read_document(path, kind: str) -> dict:
             raise MalformedFileError(f"{path} is not JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("kind") != kind:
         raise MalformedFileError(f"{path} is not a {kind} file")
+    if doc.get("version") != version:
+        raise MalformedFileError(f"{path} is a {kind} file of version {doc.get('version')!r}; "
+                                 f"only version {version} is read")
     return doc

@@ -42,7 +42,28 @@ def glorot_normal(rng: np.random.Generator | None, shape: tuple[int, ...],
     return rng.normal(0.0, std, size=shape)
 
 
-class GILayer:
+class Layer:
+    """A layer names the arrays it owns once, in two class tuples that
+    everything else reads: ``PARAMS`` are trained, each with its gradient
+    in the attribute ``"d" + name``; ``STATS`` are not trained but are read
+    by inference, so a model stores and restores them with the parameters.
+    """
+
+    PARAMS: tuple[str, ...] = ("w", "b")
+    STATS: tuple[str, ...] = ()
+
+    def params(self) -> list[np.ndarray]:
+        return [getattr(self, name) for name in self.PARAMS]
+
+    def grads(self) -> list[np.ndarray]:
+        return [getattr(self, "d" + name) for name in self.PARAMS]
+
+    @property
+    def n_params(self) -> int:
+        return sum(p.size for p in self.params())
+
+
+class GILayer(Layer):
     """Graph-instructed affine map R^(B,N,K) -> R^(B,N,F) over fixed A_hat."""
 
     def __init__(self, a_hat: sp.csr_array | np.ndarray, k: int, f: int,
@@ -101,18 +122,8 @@ class GILayer:
         w_hat = np.einsum("jkf,ji->jkif", self.w, self.a_hat.toarray())
         return w_hat.reshape(self.n * self.k, self.n * self.f)
 
-    def params(self):
-        return [self.w, self.b]
 
-    def grads(self):
-        return [self.dw, self.db]
-
-    @property
-    def n_params(self) -> int:
-        return self.w.size + self.b.size
-
-
-class DenseLayer:
+class DenseLayer(Layer):
     """Fully connected affine map R^(B,in) -> R^(B,out)."""
 
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator | None):
@@ -137,16 +148,6 @@ class DenseLayer:
         np.sum(dout, axis=0, out=self.db)
         return dout @ self.w.T
 
-    def params(self):
-        return [self.w, self.b]
-
-    def grads(self):
-        return [self.dw, self.db]
-
-    @property
-    def n_params(self) -> int:
-        return self.w.size + self.b.size
-
 
 def _feature_sum(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """Sum of ``a`` (or of ``a * b``) over every axis but the last, in one pass
@@ -157,7 +158,7 @@ def _feature_sum(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     return np.einsum(a, axes, b, axes, axes[-1:])
 
 
-class BatchNorm:
+class BatchNorm(Layer):
     """Batch normalization over the last axis (momentum 0.99, eps 1e-3).
 
     :meth:`forward` is the training pass: it normalizes with biased batch
@@ -167,6 +168,9 @@ class BatchNorm:
     gradient in the memory of the forward cache and drops the cache, so
     each forward allows one backward.
     """
+
+    PARAMS = ("gamma", "beta")
+    STATS = ("running_mean", "running_var")
 
     def __init__(self, n_features: int, momentum: float = 0.99, eps: float = 1e-3):
         self.gamma = np.ones(n_features, dtype=np.float64)
@@ -221,16 +225,6 @@ class BatchNorm:
         np.subtract(dout, dx, out=dx)
         dx *= self.gamma * inv_std
         return dx
-
-    def params(self):
-        return [self.gamma, self.beta]
-
-    def grads(self):
-        return [self.dgamma, self.dbeta]
-
-    @property
-    def n_params(self) -> int:
-        return self.gamma.size + self.beta.size
 
 
 def leaky_relu(x: np.ndarray, slope: float, out: np.ndarray | None = None) -> np.ndarray:

@@ -18,10 +18,10 @@ graph or from the stored triples, and shares it across its GI layers.
 Storage.  Once its layers are built, a model moves every array of fewer
 than ``SAMPLE_BUDGET`` elements into one of two buffers and rebinds the
 layer attribute to a view of it.  The state buffer holds those parameters
-in :meth:`~ArchetypeModel.parameters` order, then every batch norm's
-running mean and variance; the gradient buffer holds the matching
-gradients in the same order.  Arrays of ``SAMPLE_BUDGET`` elements or
-more (the 401-point grid's weight matrices) keep their own allocation.
+in :meth:`~ArchetypeModel.parameters` order, then every layer's running
+statistics (the arrays its ``STATS`` names); the gradient buffer holds the
+matching gradients in the same order.  Arrays of ``SAMPLE_BUDGET`` elements
+or more (the 401-point grid's weight matrices) keep their own allocation.
 :attr:`ArchetypeModel.storage` lists what training steps and snapshots:
 the packed buffer, then each large array.  On the 65-point grid that makes
 an Adam step two or six blocks instead of 46 arrays, and a best-epoch
@@ -127,10 +127,10 @@ class ArchetypeModel:
         """Copy each small array into its view of the state or gradient
         buffer and rebind the layer attribute to that view."""
         layers = list(self._layers())
-        params = [(layer, name) for layer in layers for name in _param_names(layer)]
+        params = [(layer, name) for layer in layers for name in layer.PARAMS]
         small = [(layer, name) for layer, name in params
                  if getattr(layer, name).size < SAMPLE_BUDGET]
-        stats = [(layer, name) for layer in layers for name in _stat_names(layer)]
+        stats = [(layer, name) for layer in layers for name in layer.STATS]
         n_small = sum(getattr(layer, name).size for layer, name in small)
         state = np.empty(n_small + sum(getattr(layer, name).size for layer, name in stats))
         grads = np.empty(n_small)
@@ -149,25 +149,16 @@ class ArchetypeModel:
                        state=[state, *arrays])
 
     def parameters(self) -> list[np.ndarray]:
-        out = []
-        for layer in self._layers():
-            out.extend(layer.params())
-        return out
+        return [p for layer in self._layers() for p in layer.params()]
 
     def gradients(self) -> list[np.ndarray]:
-        out = []
-        for layer in self._layers():
-            out.extend(layer.grads())
-        return out
+        return [g for layer in self._layers() for g in layer.grads()]
 
     def state(self) -> list[np.ndarray]:
-        """The parameters, then every batch norm's running statistics: all
-        that inference reads, so a copy of it restores the model."""
-        out = self.parameters()
-        for layer in self._layers():
-            if isinstance(layer, BatchNorm):
-                out.extend((layer.running_mean, layer.running_var))
-        return out
+        """The parameters, then every layer's running statistics: all that
+        inference reads, so a copy of it restores the model."""
+        return self.parameters() + [getattr(layer, name) for layer in self._layers()
+                                    for name in layer.STATS]
 
     # -- forward / backward ---------------------------------------------------
 
@@ -287,16 +278,6 @@ class ArchetypeModel:
         return q.mean(axis=2) if ginn else q
 
 
-def _param_names(layer) -> tuple[str, ...]:
-    """A layer's parameter attributes; each one's gradient is ``"d" + name``."""
-    return ("gamma", "beta") if isinstance(layer, BatchNorm) else ("w", "b")
-
-
-def _stat_names(layer) -> tuple[str, ...]:
-    """A layer's running statistics: only a batch norm has them."""
-    return ("running_mean", "running_var") if isinstance(layer, BatchNorm) else ()
-
-
 def _rebind(layer, name: str, flat: np.ndarray) -> None:
     """Point ``layer.name`` at ``flat`` shaped like it, holding its values."""
     view = flat.reshape(getattr(layer, name).shape)
@@ -351,20 +332,15 @@ def count_parameters(model: ArchetypeModel, batchnorm: str = "trainable") -> int
     """Trainable parameter count.
 
     ``batchnorm="trainable"`` counts batch-norm scale/shift (running
-    statistics are never counted); ``batchnorm="none"`` skips batch-norm
-    layers entirely.  Both conventions are exposed because published
-    counts rarely say which one they use.
+    statistics are never counted); ``batchnorm="none"`` skips the layers
+    that keep running statistics, the batch norms, entirely.  Both
+    conventions are exposed because published counts rarely say which one
+    they use.
     """
-    total = 0
-    for layer in model._layers():
-        if isinstance(layer, BatchNorm):
-            if batchnorm == "trainable":
-                total += layer.n_params
-            elif batchnorm != "none":
-                raise ValueError(f"unknown batchnorm convention {batchnorm!r}")
-        else:
-            total += layer.n_params
-    return total
+    if batchnorm not in ("trainable", "none"):
+        raise ValueError(f"unknown batchnorm convention {batchnorm!r}")
+    return sum(layer.n_params for layer in model._layers()
+               if batchnorm == "trainable" or not layer.STATS)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +349,7 @@ def count_parameters(model: ArchetypeModel, batchnorm: str = "trainable") -> int
 
 def _tensors(layer) -> dict[str, np.ndarray]:
     """A layer's stored tensors, by their key in the model file."""
-    return {name: getattr(layer, name) for name in _param_names(layer) + _stat_names(layer)}
+    return {name: getattr(layer, name) for name in layer.PARAMS + layer.STATS}
 
 
 def save_model(model: ArchetypeModel, path) -> Path:
@@ -406,11 +382,10 @@ def save_model(model: ArchetypeModel, path) -> Path:
 
 
 def load_model(path) -> ArchetypeModel:
-    """Rebuild a saved model; a missing entry, a layer count or tensor shape
-    other than its config implies, or a bad config raises MalformedFileError."""
-    doc = read_document(path, "detector-model")
-    if doc.get("version") != MODEL_FILE_VERSION:
-        raise MalformedFileError(f"unsupported model file version {doc.get('version')}")
+    """Rebuild a saved model; another file version, a missing entry, a layer
+    count or tensor shape other than its config implies, or a bad config
+    raises MalformedFileError."""
+    doc = read_document(path, "detector-model", MODEL_FILE_VERSION)
     try:
         return _model_from_document(doc)
     except KeyError as exc:

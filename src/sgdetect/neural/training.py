@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from time import perf_counter
 
 import numpy as np
@@ -198,15 +198,6 @@ class TrainHistory:
     epochs: int = 0
     stopped_early: bool = False
 
-    def as_dict(self) -> dict:
-        return {
-            "train_loss": self.train_loss,
-            "val_loss": self.val_loss,
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "stopped_early": self.stopped_early,
-        }
-
 
 def _prepare(samples: Samples) -> tuple[np.ndarray, np.ndarray]:
     # the labels stay uint8: weighted_bce reads them as float64 one batch at a time
@@ -272,7 +263,7 @@ def train(model: ArchetypeModel, dataset: DatasetSplit, config: TrainConfig) -> 
     if stopper.best_params is not None and stopper.wait > 0:
         for current, best in zip(storage.state, stopper.best_params):
             current[...] = best
-    model.history = history.as_dict()
+    model.history = asdict(history)
     return history
 
 

@@ -47,6 +47,8 @@ from sgdetect.errors import DegenerateDatasetError, MalformedFileError, read_doc
 from sgdetect.grid_graph import GridGraph
 from sgdetect.sparse_grid import Box, SparseGrid, multi_index_set
 
+DATASET_FILE_VERSION = 1
+
 #: coefficient std under each reading of the paper's N(0, 10); the default reads variance 10
 COEFF_STD_VARIANCE = float(np.sqrt(10.0))
 COEFF_STD = {"variance": COEFF_STD_VARIANCE, "stddev": 10.0}
@@ -396,7 +398,7 @@ def save_dataset(ds: Dataset, path) -> tuple[Path, Path]:
     bin_path.parent.mkdir(parents=True, exist_ok=True)
     header = {
         "kind": "detector-dataset",
-        "version": 1,
+        "version": DATASET_FILE_VERSION,
         "grid": ds.grid_key,
         "detector": ds.detector,
         "seed": ds.seed,
@@ -407,8 +409,8 @@ def save_dataset(ds: Dataset, path) -> tuple[Path, Path]:
         "meta": ds.meta,
     }
     with open(bin_path, "wb") as fh:
-        fh.write(np.ascontiguousarray(ds.inputs, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(ds.labels, dtype=np.uint8).tobytes())
+        np.ascontiguousarray(ds.inputs, dtype="<f8").tofile(fh)
+        np.ascontiguousarray(ds.labels, dtype=np.uint8).tofile(fh)
     with open(hdr_path, "w") as fh:
         json.dump(header, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -417,7 +419,7 @@ def save_dataset(ds: Dataset, path) -> tuple[Path, Path]:
 
 def load_dataset(path) -> Dataset:
     bin_path, hdr_path = dataset_paths(path)
-    header = read_document(hdr_path, "detector-dataset")
+    header = read_document(hdr_path, "detector-dataset", DATASET_FILE_VERSION)
     for key in ("grid", "detector", "seed", "coefficients", "n_samples", "n_points"):
         if key not in header:
             raise MalformedFileError(f"{hdr_path} has no {key!r} entry")
@@ -425,12 +427,12 @@ def load_dataset(path) -> Dataset:
     for key, value in (("n_samples", s), ("n_points", n)):
         if type(value) is not int or value < 0:
             raise MalformedFileError(f"{hdr_path}: {key} {value!r} is not a non-negative integer")
-    raw = Path(bin_path).read_bytes()
-    if len(raw) != s * n * 9:
-        raise MalformedFileError(
-            f"{bin_path} holds {len(raw)} bytes; its header needs {s * n * 9}")
-    inputs = np.frombuffer(raw, dtype="<f8", count=s * n).reshape(s, n).copy()
-    labels = np.frombuffer(raw, dtype=np.uint8, offset=s * n * 8, count=s * n).reshape(s, n).copy()
+    size = Path(bin_path).stat().st_size
+    if size != s * n * 9:
+        raise MalformedFileError(f"{bin_path} holds {size} bytes; its header needs {s * n * 9}")
+    with open(bin_path, "rb") as fh:
+        inputs = np.fromfile(fh, dtype="<f8", count=s * n).reshape(s, n)
+        labels = np.fromfile(fh, dtype=np.uint8, count=s * n).reshape(s, n)
     return Dataset(
         grid_key=header["grid"],
         detector=header["detector"],

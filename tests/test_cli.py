@@ -204,6 +204,10 @@ def _dataset_with_text_sample_count(tmp_path):
     return _dataset_header_with(tmp_path, lambda doc: doc.update(n_samples="12"))
 
 
+def _dataset_of_version_2(tmp_path):
+    return _dataset_header_with(tmp_path, lambda doc: doc.update(version=2))
+
+
 def _model_that_is_a_report(tmp_path):
     path = tmp_path / "model.json"
     path.write_text('{"kind": "detection-run", "version": 1}')
@@ -253,6 +257,13 @@ def _report_with_text_visited_count(tmp_path):
     return _report_with(tmp_path, "1/8", [[0.0, 0.5]], visited="many")
 
 
+def _report_of_version_2(tmp_path):
+    args = _report_with(tmp_path, "1/8", [[0.0, 0.5]])
+    path = tmp_path / "run.json"
+    path.write_text(path.read_text().replace('"version": 1', '"version": 2'))
+    return args
+
+
 def _config_with_bad_yaml(tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text("level: [8\n")
@@ -297,6 +308,12 @@ def _model_missing_its_last_layer(tmp_path):
 
 def _model_with_a_short_bias(tmp_path):
     return _saved_model_with(tmp_path, lambda layers: layers[-1].update(b=layers[-1]["b"][1:]))
+
+
+def _model_of_version_2(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text('{"kind": "detector-model", "version": 2}')
+    return ["detect", "--target", "builtin:circle", "--detector", f"nn:{path}"]
 
 
 class TestExitCodes:
@@ -362,6 +379,9 @@ class TestExitCodes:
         (_model_of_unknown_kind, "model kind must be 'ginn' or 'mlp', got 'cnn'"),
         (_model_missing_its_last_layer, "layers, its config builds"),
         (_model_with_a_short_bias, "'b' has shape"),
+        (_dataset_of_version_2, "detector-dataset file of version 2"),
+        (_model_of_version_2, "detector-model file of version 2"),
+        (_report_of_version_2, "detection-run file of version 2"),
     ])
     def test_malformed_input_file(self, make_args, message, tmp_path, capsys):
         assert run_cli(make_args(tmp_path)) == 2

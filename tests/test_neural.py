@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import tracemalloc
@@ -406,10 +407,21 @@ class TestArchetype:
         ginn = build_archetype(ModelConfig(kind="ginn", features=15), graph2d, seed=0)
         assert count_parameters(mlp) == 52_910
         assert count_parameters(ginn) == 173_880
+        assert count_parameters(mlp, batchnorm="none") == 51_480
+        assert count_parameters(ginn, batchnorm="none") == 173_550
 
     def test_parameter_count_4d(self, graph4d):
         ginn = build_archetype(ModelConfig(kind="ginn", features=15), graph4d, seed=0)
+        mlp = build_archetype(ModelConfig(kind="mlp"), graph4d, seed=0)
         assert count_parameters(ginn) == 1_263_540
+        assert count_parameters(mlp) == 2_267_254
+        assert count_parameters(ginn, batchnorm="none") == 1_263_150
+        assert count_parameters(mlp, batchnorm="none") == 2_256_828
+
+    def test_unknown_parameter_count_convention(self, tiny_graph):
+        model = build_archetype(ModelConfig(kind="mlp"), tiny_graph, seed=0)
+        with pytest.raises(ValueError, match="unknown batchnorm convention 'all'"):
+            count_parameters(model, batchnorm="all")
 
     def test_blocks_follow_diameter(self, graph2d, tiny_graph):
         assert build_archetype(ModelConfig(kind="mlp"), graph2d, seed=0).n_blocks == 5
@@ -443,9 +455,19 @@ class TestArchetype:
         x = rng.normal(size=(4, model.n_points))
         np.testing.assert_array_equal(load_model(path).predict(x), model.predict(x))
 
+    @pytest.mark.parametrize("name,digest", [
+        ("ginn2d", "cde305c2837556919354f49590d4b45b3821d4f39a8a99a70d93bb01d8b734f2"),
+        ("ginn4d", "f47c2a8df5cdb88376c6a63a653e9d2e5748bbdf2af8e342a4186246d674bf94"),
+    ])
+    def test_resaving_a_fixture_writes_pinned_bytes(self, tmp_path, name, digest):
+        # the committed files differ from these bytes only by the removed init field
+        path = save_model(load_model(FIXTURES / f"{name}.json"), tmp_path / "model.json")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("kind", ["ginn", "mlp"])
     @pytest.mark.parametrize("damage,message", [
         (lambda doc: doc.pop("config"), "has no 'config' entry"),
+        (lambda doc: doc.update(version=2), "detector-model file of version 2"),
         (lambda doc: doc["layers"][-1].pop("w"), "has no 'w' entry"),
         (lambda doc: doc["config"].update(kind="cnn"), "model kind must be"),
         (lambda doc: doc["layers"].pop(), "holds 6 layers, its config builds 7"),
@@ -513,6 +535,26 @@ def layer_arrays(model):
             stats.extend((layer.running_mean, layer.running_var))
         grads.extend(layer.grads())
     return params, stats, grads
+
+
+class TestLayerArrays:
+    """Each layer class names the arrays it owns once, in PARAMS and STATS."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: GILayer(np.eye(3), k=2, f=4, rng=np.random.default_rng(0)),
+        lambda: DenseLayer(3, 4, np.random.default_rng(0)),
+        lambda: BatchNorm(4),
+    ], ids=["gi", "dense", "batchnorm"])
+    def test_declared_names_are_the_arrays_the_layer_holds(self, make):
+        layer = make()
+        assert all(a is getattr(layer, name)
+                   for a, name in zip(layer.params(), layer.PARAMS, strict=True))
+        assert all(g is getattr(layer, "d" + name)
+                   for g, name in zip(layer.grads(), layer.PARAMS, strict=True))
+        assert layer.n_params == sum(getattr(layer, name).size for name in layer.PARAMS)
+        # between passes a layer holds no array that its declaration leaves out
+        held = {name for name, value in vars(layer).items() if isinstance(value, np.ndarray)}
+        assert held == {*layer.PARAMS, *layer.STATS, *("d" + name for name in layer.PARAMS)}
 
 
 @pytest.fixture(scope="module")
@@ -584,6 +626,20 @@ class TestStorage:
         assert sum(a.size for a in storage.params) == count_parameters(model)
         assert [a.shape for a in storage.grads] == [a.shape for a in storage.params]
         assert sum(a.size for a in storage.state) == count_parameters(model) + stats
+
+    @pytest.mark.parametrize("name", STORAGE_MODELS)
+    def test_storage_holds_exactly_the_declared_arrays(self, storage_models, name):
+        # each declared array lies in one storage array, no two overlap, and
+        # their sizes add up to the storage's: they tile it
+        model = storage_models[name]
+        layers = list(model._layers())
+        state = [getattr(layer, n) for layer in layers for n in layer.PARAMS + layer.STATS]
+        grads = [getattr(layer, "d" + n) for layer in layers for n in layer.PARAMS]
+        for arrays, storage in ((state, model.storage.state), (grads, model.storage.grads)):
+            assert sum(a.size for a in arrays) == sum(a.size for a in storage)
+            for i, a in enumerate(arrays):
+                assert sum(np.shares_memory(a, home) for home in storage) == 1
+                assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
 
     @pytest.mark.parametrize("kind", ["ginn", "mlp"])
     def test_backward_writes_into_the_gradient_buffer(self, graph2d, rng, kind):

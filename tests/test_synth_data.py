@@ -1,3 +1,4 @@
+import json
 import logging
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from sgdetect import synth_data
 from sgdetect.detectors import PolynomialCut, SphericalCut, ZLevelDetector
 from sgdetect.engine import EngineConfig, run_basic
 from sgdetect.evaluation import builtin_test_functions
-from sgdetect.errors import DegenerateDatasetError
+from sgdetect.errors import DegenerateDatasetError, MalformedFileError
 from sgdetect.sparse_grid import Box
 from sgdetect.synth_data import (
     Dataset,
@@ -597,6 +598,22 @@ class TestDatasetFiles:
         np.testing.assert_array_equal(back.labels, ds.labels)
         assert back.grid_key == ds.grid_key
         assert back.detector == ds.detector
+
+    @pytest.mark.parametrize("resize", [lambda raw: raw[:-1], lambda raw: raw + b"\0"],
+                             ids=["one byte short", "one byte long"])
+    def test_refuses_a_bin_of_another_size(self, tmp_path, resize):
+        bin_path, _ = synth_data.save_dataset(self._dataset(), tmp_path / "data.bin")
+        bin_path.write_bytes(resize(bin_path.read_bytes()))
+        with pytest.raises(MalformedFileError, match="its header needs 540"):
+            synth_data.load_dataset(bin_path)
+
+    def test_refuses_another_version(self, tmp_path):
+        _, hdr_path = synth_data.save_dataset(self._dataset(), tmp_path / "data.bin")
+        header = json.loads(hdr_path.read_text())
+        header["version"] = 2
+        hdr_path.write_text(json.dumps(header))
+        with pytest.raises(MalformedFileError, match="detector-dataset file of version 2"):
+            synth_data.load_dataset(tmp_path / "data.bin")
 
     def test_same_seed_byte_identical(self, tmp_path):
         for name in ("a", "b"):
