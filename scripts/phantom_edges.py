@@ -9,12 +9,12 @@ samples the image adaptively instead of scanning pixels.
 """
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from sgdetect.cli import main as sgdetect_main
+from sgdetect.engine import read_run_report
 
 
 def sgdetect(*argv) -> None:
@@ -37,7 +37,7 @@ def main():
         sgdetect("detect", "--target", f"phantom:{r}", "--detector", f"nn:{args.model}",
                  "--lambda-min", Fraction(r - 1, 2**args.depth),
                  "--out", out / f"run-{r}.json", "--csv", out / f"troubled-{r}.csv")
-        visited = json.loads((out / f"run-{r}.json").read_text())["counters"]["visited_points"]
+        _, _, visited = read_run_report(out / f"run-{r}.json")
         print(f"r={r}: visited={visited} ({visited / r**2:.2%} of pixels)")
 
 

@@ -10,14 +10,13 @@ Full scale (hours): ``--functions 600 --detector-t 149 --epochs 500``.
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from sgdetect.cli import main as sgdetect_main
-from sgdetect.evaluation import builtin_test_functions
+from sgdetect.detectors import has_closed_form
+from sgdetect.errors import read_document, write_document
+from sgdetect.evaluation import TPR_REPORT_VERSION, builtin_test_functions
 
 
 def sgdetect(*argv) -> None:
@@ -47,7 +46,7 @@ def main():
     targets = {name: tf for name, tf in builtin_test_functions().items() if tf.dim == 2}
     for name, tf in targets.items():
         runs = {kind: f"nn:{out / kind}.json" for kind in ("ginn", "mlp")}
-        if tf.cut is not None and tf.cut.segment_roots(np.zeros(2), np.ones(2)) is not None:
+        if tf.cut is not None and has_closed_form(tf.cut, 2):
             runs["oracle"] = "exact"
         for kind, detector in runs.items():
             run, score = out / f"run-{kind}-{name}.json", out / f"tpr-{kind}-{name}.json"
@@ -55,10 +54,10 @@ def main():
                      "--lambda-min", lam, "--out", run,
                      "--csv", out / f"troubled-{kind}-{name}.csv")
             sgdetect("eval", "--report", run, "--target", f"builtin:{name}", "--out", score)
-            doc = json.loads(score.read_text())
+            doc = read_document(score, "tpr-report", TPR_REPORT_VERSION)
             summary[f"{kind}-{name}"] = {"tpr": doc["tpr"], "troubled": doc["troubled_count"],
                                          "visited": doc["visited_count"]}
-    (out / "summary.json").write_text(json.dumps(summary, indent=1))
+    write_document(out / "summary.json", summary)
     print(f"wrote {out / 'summary.json'}")
 
 

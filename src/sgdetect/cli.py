@@ -30,12 +30,11 @@ from sgdetect.errors import (
     ConfigError,
     DegenerateDatasetError,
     DimensionMismatchError,
-    MalformedFileError,
     SgdetectError,
     TrainingDivergedError,
-    read_document,
+    write_document,
 )
-from sgdetect.grid_graph import build_grid_graph, write_graph_record
+from sgdetect.grid_graph import build_grid_graph, graph_record
 from sgdetect.neural.model import (
     MODEL_KINDS,
     ModelConfig,
@@ -45,7 +44,7 @@ from sgdetect.neural.model import (
     save_model,
 )
 from sgdetect.neural.training import TrainConfig, evaluate_metrics, train
-from sgdetect.sparse_grid import RULES, Box, GridSpec, build_sparse_grid, write_grid_record
+from sgdetect.sparse_grid import RULES, Box, GridSpec, build_sparse_grid, grid_record
 
 EXIT_CONFIG = 2
 EXIT_DIMENSION = 3
@@ -170,8 +169,8 @@ def cmd_grid(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        write_grid_record(grid, out / "grid.json")
-        write_graph_record(graph, out / "graph.json")
+        write_document(out / "grid.json", grid_record(grid))
+        write_document(out / "graph.json", graph_record(graph))
         print(f"wrote {out / 'grid.json'} and {out / 'graph.json'}")
     return 0
 
@@ -179,6 +178,7 @@ def cmd_grid(args) -> int:
 def cmd_dataset(args) -> int:
     if args.count < 1:
         raise ConfigError(f"--count must be >= 1, got {args.count}")
+    _make_parents(args.out, args.csv)
     grid, graph = _build_reference(args.rule, args.level, args.dim)
     domain = _reference_box(args.dim)
     lam_min = _resolve_lambda_min(args, domain, grid.spec.h_max)
@@ -216,6 +216,7 @@ def cmd_train(args) -> int:
                                 learning_rate=args.learning_rate)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    _make_parents(args.out)
     ds = synth_data.load_dataset(args.dataset)
     grid, graph = _stored_grid(GridSpec.from_key(ds.grid_key), ds.meta.get("grid_hash"),
                                "dataset")
@@ -273,8 +274,8 @@ def cmd_detect(args) -> int:
     print(f"NaN evaluations: {run.nan_evaluations}")
     print(f"generations: {len(run.generation_sizes)} {run.generation_sizes}")
     if args.out:
-        engine_mod.write_run_report(run, args.out, extra={
-            "target": args.target, "detector": detector.name})
+        write_document(args.out, engine_mod.run_report(run, extra={
+            "target": args.target, "detector": detector.name}))
         print(f"wrote {args.out}")
     if args.csv:
         engine_mod.write_troubled_csv(run, args.csv)
@@ -286,27 +287,7 @@ def cmd_eval(args) -> int:
     target, cut, domain, dim = resolve_target(args.target)
     if cut is None:
         raise ConfigError(f"target {args.target} has no analytic cut to evaluate against")
-    report = read_document(args.report, "detection-run", engine_mod.RUN_REPORT_VERSION)
-    try:
-        coords = [t["coords"] for t in report["troubled_points"]]
-        lam_min = report["config"]["lambda_min"]
-        visited = report["counters"]["visited_points"]
-    except KeyError as exc:
-        raise MalformedFileError(f"{args.report} has no {exc.args[0]!r} entry") from exc
-    try:
-        lam_min = Fraction(lam_min)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise MalformedFileError(f"{args.report}: lambda_min {lam_min!r} is not a number") from exc
-    if lam_min <= 0:
-        raise MalformedFileError(f"{args.report}: lambda_min {str(lam_min)!r} is not positive")
-    if type(visited) is not int or visited < 0:
-        raise MalformedFileError(f"{args.report}: visited_points {visited!r} is not a "
-                                 "non-negative integer")
-    try:
-        points = np.array(coords, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise MalformedFileError(f"{args.report}: troubled point coords are not "
-                                 "equal-length lists of numbers") from exc
+    points, lam_min, visited = engine_mod.read_run_report(args.report)
     grid, graph = _build_reference(args.check_rule, args.check_level, dim)
     _echo_config(args)
     _make_parents(args.out, args.csv)
@@ -317,7 +298,7 @@ def cmd_eval(args) -> int:
     else:
         print(f"tpr: {result.tpr:.4f} ({result.true_count}/{result.troubled_count})")
     if args.out:
-        eval_mod.write_tpr_report(result, args.out)
+        write_document(args.out, eval_mod.tpr_report_doc(result))
         print(f"wrote {args.out}")
     if args.csv:
         # tpr refused points of another dimension; an empty set gets (0, dim)

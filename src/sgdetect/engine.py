@@ -43,7 +43,6 @@ values when they are first read.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import math
 import warnings
@@ -56,7 +55,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from sgdetect.detectors import Detector, OUT_OF_DOMAIN, SAMPLE_BUDGET
-from sgdetect.errors import DegenerateGraphError, DimensionMismatchError, EngineError
+from sgdetect.errors import (
+    DegenerateGraphError,
+    DimensionMismatchError,
+    EngineError,
+    MalformedFileError,
+    read_document,
+)
 from sgdetect.grid_graph import GridGraph
 from sgdetect.sparse_grid import Box, SparseGrid, similar_grid, _as_fraction
 
@@ -429,12 +434,12 @@ class _EngineState:
     def process(self, chunk: list, pts: np.ndarray, in_domain: np.ndarray,
                 p: np.ndarray) -> None:
         """Refine or record every flagged point of the chunk, in grid then
-        point order.  ``lam = edge * span // M`` is split as below so int64
-        cannot overflow: ``span <= M`` and ``edge < 2^62``."""
+        point order.  Each queued edge is ``M 2^j c`` units (:meth:`_set_lattice`
+        starts at j = J, and ``lam >= min_edge`` allows at most J halvings), so
+        ``lam = (edge // M) * span`` is exact and at most ``edge``."""
         grid_i, point_i = np.nonzero(p >= self.config.tau)
         edges = np.array([edge for _, edge, _ in chunk], dtype=np.int64)
-        spans = self.spans[point_i]
-        lam = (edges // self.m)[grid_i] * spans + (edges % self.m)[grid_i] * spans // self.m
+        lam = (edges // self.m)[grid_i] * self.spans[point_i]
         inside = in_domain[grid_i, point_i]
         refine = inside & (lam >= self.min_edge)
         final = inside & ~refine
@@ -625,10 +630,32 @@ def run_report(run: DetectionRun, extra: dict | None = None) -> dict:
     return doc
 
 
-def write_run_report(run: DetectionRun, path, extra: dict | None = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(run_report(run, extra), fh, indent=1)
-        fh.write("\n")
+def read_run_report(path) -> tuple[np.ndarray, Fraction, int]:
+    """A run report's troubled-point coordinates (an array of their rows), its
+    positive ``lambda_min`` and its visited-point count; a missing entry or a
+    value of another type raises MalformedFileError."""
+    report = read_document(path, "detection-run", RUN_REPORT_VERSION)
+    try:
+        coords = [t["coords"] for t in report["troubled_points"]]
+        lam_min = report["config"]["lambda_min"]
+        visited = report["counters"]["visited_points"]
+    except KeyError as exc:
+        raise MalformedFileError(f"{path} has no {exc.args[0]!r} entry") from exc
+    try:
+        lam_min = Fraction(lam_min)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise MalformedFileError(f"{path}: lambda_min {lam_min!r} is not a number") from exc
+    if lam_min <= 0:
+        raise MalformedFileError(f"{path}: lambda_min {str(lam_min)!r} is not positive")
+    if type(visited) is not int or visited < 0:
+        raise MalformedFileError(f"{path}: visited_points {visited!r} is not a "
+                                 "non-negative integer")
+    try:
+        points = np.array(coords, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise MalformedFileError(f"{path}: troubled point coords are not "
+                                 "equal-length lists of numbers") from exc
+    return points, lam_min, visited
 
 
 def write_troubled_csv(run: DetectionRun, path) -> None:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and a checked JSON reader."""
+"""Exception types shared across the package, and its JSON writer and checked reader."""
 
 import json
 
@@ -49,6 +49,14 @@ class ConfigError(SgdetectError):
 
 class MalformedFileError(SgdetectError):
     """An input file (dataset, model, run report, image) cannot be parsed."""
+
+
+def write_document(path, doc: dict, indent: int | None = 1, sort_keys: bool = False) -> None:
+    """Write ``doc`` as JSON and a newline: ``indent=None`` puts it on one line
+    (model files), ``sort_keys`` orders every mapping (dataset headers)."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=indent, sort_keys=sort_keys)
+        fh.write("\n")
 
 
 def read_document(path, kind: str, version: int) -> dict:

@@ -15,7 +15,6 @@ ellipse at 1.0 so values stay in [0, 1]).
 from __future__ import annotations
 
 import csv
-import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,6 +38,8 @@ from sgdetect.errors import DimensionMismatchError, MalformedFileError, Sgdetect
 from sgdetect.grid_graph import GridGraph
 from sgdetect.sparse_grid import Box
 from sgdetect.synth_data import LegendrePiece, PiecewiseFunction
+
+TPR_REPORT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -257,7 +258,7 @@ def _sampled_hits(cut: CutFunction, x: np.ndarray, ei: np.ndarray, ej: np.ndarra
 def tpr_report_doc(report: TprReport) -> dict:
     return {
         "kind": "tpr-report",
-        "version": 1,
+        "version": TPR_REPORT_VERSION,
         "tpr": report.tpr,
         "true_count": report.true_count,
         "troubled_count": report.troubled_count,
@@ -265,12 +266,6 @@ def tpr_report_doc(report: TprReport) -> dict:
         "undefined": report.undefined,
         "detail": report.detail,
     }
-
-
-def write_tpr_report(report: TprReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(tpr_report_doc(report), fh, indent=1)
-        fh.write("\n")
 
 
 def write_verdicts_csv(report: TprReport, points: np.ndarray, path) -> None:

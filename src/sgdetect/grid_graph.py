@@ -14,7 +14,6 @@ ell = edge/M.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -216,8 +215,3 @@ def graph_record(graph: GridGraph) -> dict:
         "adjacency": [[int(i), int(j), float(w)] for i, j, w in zip(adj.row, adj.col, adj.data)],
     }
 
-
-def write_graph_record(graph: GridGraph, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(graph_record(graph), fh, indent=1)
-        fh.write("\n")

@@ -41,7 +41,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from sgdetect.detectors import SAMPLE_BUDGET
-from sgdetect.errors import MalformedFileError, read_document
+from sgdetect.errors import MalformedFileError, read_document, write_document
 from sgdetect.grid_graph import GridGraph
 from sgdetect.neural.layers import BatchNorm, DenseLayer, GILayer, leaky_relu, leaky_relu_grad
 
@@ -171,36 +171,8 @@ class ArchetypeModel:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Training pass: input (B, N) of preprocessed evaluations ->
         likelihoods (B, N), normalized on batch statistics, which it folds
-        into the running ones; keeps what :meth:`backward` reads.
-
-        Each activation, the residual sum and the sigmoid run in place on
-        the fresh output of the layer before them.  The cache holds the
-        activated ``a1``, ``u`` and ``s``, not their pre-activations:
-        :func:`leaky_relu_grad` gives the same array for both, except at a
-        pre-activation of +inf with slope 0.  That one cannot reach
-        :meth:`backward` in training, because its NaN makes the loss
-        non-finite and ``train`` raises ``TrainingDivergedError`` first.
-        """
-        x = self._input(x)
-        slope = self.config.leaky_slope
-        ginn = self.config.kind == "ginn"
-        a1 = self.l1.forward(x[:, :, None] if ginn else x)
-        s = leaky_relu(a1, slope, out=a1)
-        z = self.bn1.forward(s)
-        block_cache = []
-        for lp, bnp, lpp, bnpp in self.blocks:
-            u = lp.forward(z)
-            leaky_relu(u, slope, out=u)
-            w = lpp.forward(bnp.forward(u))
-            w += s
-            s = leaky_relu(w, slope, out=w)
-            z = bnpp.forward(s)
-            block_cache.append((u, s))
-        q = self.l_fin.forward(z)
-        expit(q, out=q)
-        p = q.mean(axis=2) if ginn else q
-        self._cache = (a1, block_cache, q)
-        return p
+        into the running ones; keeps what :meth:`backward` reads."""
+        return self._pass(self._input(x), training=True)
 
     def backward(self, dp: np.ndarray) -> np.ndarray:
         """Gradient of a scalar loss wrt the forward input; fills layer grads.
@@ -252,29 +224,41 @@ class ArchetypeModel:
             parts = -(-size // rows)
             cuts = [lo + size * i // parts for i in range(parts + 1)]
             for a, b in zip(cuts, cuts[1:]):
-                p[a:b] = self._infer(x[a:b])
+                p[a:b] = self._pass(x[a:b], training=False)
         return p
 
-    def _infer(self, x: np.ndarray) -> np.ndarray:
-        """:meth:`forward`'s operations in its order, on running statistics,
-        each on the fresh array of the step before it where that array is
-        not read again."""
+    def _pass(self, x: np.ndarray, training: bool) -> np.ndarray:
+        """The archetype on a (B, N) input: each layer's ``forward`` when
+        training, its ``infer`` otherwise.  Each activation, the residual sum
+        and the sigmoid run in place on the fresh output of the layer before
+        them.  Training caches the activated ``a1``, ``u`` and ``s``:
+        :func:`leaky_relu_grad` gives the same array for them as for their
+        pre-activations, except at +inf with slope 0, whose NaN makes the
+        loss non-finite, so ``train`` raises ``TrainingDivergedError`` first.
+        Inference caches nothing, so a block's first batch norm writes into ``u``."""
         slope = self.config.leaky_slope
-
-        def act(h):
-            return leaky_relu(h, slope, out=h)
-
         ginn = self.config.kind == "ginn"
-        s = act(self.l1.infer(x[:, :, None] if ginn else x))
-        z = self.bn1.infer(s)  # s is the residual stream: normalize into a new array
+
+        def step(layer, h):
+            return layer.forward(h) if training else layer.infer(h)
+
+        a1 = step(self.l1, x[:, :, None] if ginn else x)
+        s = leaky_relu(a1, slope, out=a1)
+        z = step(self.bn1, s)  # s is the residual stream: normalize into a new array
+        block_cache = []
         for lp, bnp, lpp, bnpp in self.blocks:
-            u = act(lp.infer(z))
-            w = lpp.infer(bnp.infer(u, out=u))
+            u = step(lp, z)
+            leaky_relu(u, slope, out=u)
+            w = step(lpp, bnp.forward(u) if training else bnp.infer(u, out=u))
             w += s
-            s = act(w)
-            z = bnpp.infer(s)
-        q = self.l_fin.infer(z)
+            s = leaky_relu(w, slope, out=w)
+            z = step(bnpp, s)
+            if training:
+                block_cache.append((u, s))
+        q = step(self.l_fin, z)
         expit(q, out=q)
+        if training:
+            self._cache = (a1, block_cache, q)
         return q.mean(axis=2) if ginn else q
 
 
@@ -375,9 +359,7 @@ def save_model(model: ArchetypeModel, path) -> Path:
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    write_document(path, doc, indent=None)
     return path
 
 

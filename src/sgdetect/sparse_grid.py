@@ -19,7 +19,6 @@ call it, so the same box always gives the same coordinates.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -305,8 +304,3 @@ def grid_record(grid: SparseGrid) -> dict:
         "coords": [[float(x) for x in row] for row in grid.coords()],
     }
 
-
-def write_grid_record(grid: SparseGrid, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(grid_record(grid), fh, indent=1)
-        fh.write("\n")

@@ -27,7 +27,6 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import itertools
-import json
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -43,7 +42,12 @@ from sgdetect.detectors import (
     SphericalCut,
     ZLevelDetector,
 )
-from sgdetect.errors import DegenerateDatasetError, MalformedFileError, read_document
+from sgdetect.errors import (
+    DegenerateDatasetError,
+    MalformedFileError,
+    read_document,
+    write_document,
+)
 from sgdetect.grid_graph import GridGraph
 from sgdetect.sparse_grid import Box, SparseGrid, multi_index_set
 
@@ -411,9 +415,7 @@ def save_dataset(ds: Dataset, path) -> tuple[Path, Path]:
     with open(bin_path, "wb") as fh:
         np.ascontiguousarray(ds.inputs, dtype="<f8").tofile(fh)
         np.ascontiguousarray(ds.labels, dtype=np.uint8).tofile(fh)
-    with open(hdr_path, "w") as fh:
-        json.dump(header, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_document(hdr_path, header, sort_keys=True)
     return bin_path, hdr_path
 
 

@@ -5,8 +5,10 @@ from pathlib import Path
 import pytest
 import yaml
 
+from sgdetect import cli
 from sgdetect import engine as engine_mod
 from sgdetect import evaluation as eval_mod
+from sgdetect import synth_data
 from sgdetect.cli import main
 
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
@@ -147,6 +149,10 @@ class TestTrainDetectEval:
         assert run_cli(["eval", "--report", str(new / "a" / "run.json"),
                         "--target", "builtin:circle", "--out", str(new / "d" / "tpr.json"),
                         "--csv", str(new / "e" / "f" / "verdicts.csv")]) == 0
+        assert run_cli(["dataset", "--level", "3", "--count", "6", "--detector-t", "9",
+                        "--lambda-min", "1/4", "--out", str(new / "g" / "data"),
+                        "--csv", str(new / "h" / "i" / "data.csv")]) == 0
+        assert (new / "h" / "i" / "data.csv").read_text().startswith("g0,")
         troubled = json.loads((new / "a" / "run.json").read_text())["troubled_points"]
         assert len(troubled) > 0
         assert len((new / "b" / "c" / "troubled.csv").read_text().splitlines()) == 1 + len(troubled)
@@ -387,20 +393,32 @@ class TestExitCodes:
         assert run_cli(make_args(tmp_path)) == 2
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--out", "--csv"])
-    @pytest.mark.parametrize("command", ["detect", "eval"])
+    @pytest.mark.parametrize("command,flag", [
+        ("detect", "--out"), ("detect", "--csv"), ("eval", "--out"), ("eval", "--csv"),
+        ("dataset", "--out"), ("dataset", "--csv"), ("train", "--out"),
+    ])
     def test_output_under_a_regular_file_fails_before_the_work(self, command, flag, tmp_path,
                                                                monkeypatch, capsys):
         def unreachable(*args, **kwargs):
             raise AssertionError("the run started before its output path was checked")
 
+        if command == "detect":
+            args = ["detect", "--target", "builtin:circle", "--detector", "exact",
+                    "--lambda-min", "1/8"]
+        elif command == "eval":
+            args = _report_with(tmp_path, "1/8", [[0.0, 0.5]])
+        elif command == "dataset":
+            args = ["dataset", "--count", "1"]
+            if flag == "--csv":
+                args += ["--out", str(tmp_path / "data.bin")]
+        else:
+            args = ["train", "--dataset", str(make_tiny_dataset(tmp_path))]
         monkeypatch.setattr(engine_mod, "run_batched", unreachable)
         monkeypatch.setattr(eval_mod, "tpr", unreachable)
+        monkeypatch.setattr(synth_data, "generate_dataset", unreachable)
+        monkeypatch.setattr(cli, "train", unreachable)
         blocker = tmp_path / "file"
         blocker.write_text("")
-        args = (["detect", "--target", "builtin:circle", "--detector", "exact",
-                 "--lambda-min", "1/8"] if command == "detect"
-                else _report_with(tmp_path, "1/8", [[0.0, 0.5]]))
         assert run_cli([*args, flag, str(blocker / "sub" / "x.out")]) == 2
         assert "error:" in capsys.readouterr().err
         assert blocker.read_text() == ""

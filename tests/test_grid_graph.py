@@ -9,13 +9,16 @@ import scipy.sparse.csgraph as csgraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgdetect.errors import DegenerateGraphError
+from sgdetect import engine
+from sgdetect.detectors import make_detector
+from sgdetect.errors import DegenerateGraphError, write_document
+from sgdetect.evaluation import builtin_test_functions, tpr, tpr_report_doc
 from sgdetect.grid_graph import (
     GridGraph,
     build_grid_graph,
     build_raw_edges,
+    graph_record,
     prune_edges,
-    write_graph_record,
 )
 from sgdetect.neural.model import ModelConfig, build_archetype, save_model
 from sgdetect.sparse_grid import Box, GridSpec, build_sparse_grid, similar_grid
@@ -124,8 +127,24 @@ class TestPinnedGraph:
     def test_graph_record_bytes(self, dim, level, digest, tmp_path):
         # pinned bytes: the graph file and model files below must not change
         grid = build_sparse_grid(GridSpec(dim=dim, rule="sum", level=level), Box.cube((0,) * dim, 2))
-        write_graph_record(build_grid_graph(grid), tmp_path / "graph.json")
+        write_document(tmp_path / "graph.json", graph_record(build_grid_graph(grid)))
         assert hashlib.sha256((tmp_path / "graph.json").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("target,detector,digest", [
+        ("circle", "exact", "de9057c627615ad43293816097eb06ad3bb54685f0e84049f038d84dc36e6b47"),
+        ("bows", "zlevel:9", "9e91053f2fb216d0de290268d7b4f1411b83630611dc9fa71bf7aba201449ba4"),
+    ], ids=["closed-form", "sampled"])
+    def test_tpr_report_bytes(self, graph2d, target, detector, digest, tmp_path):
+        # the report `sgdetect eval` writes for `detect --lambda-min 1/64` of the target
+        tf = builtin_test_functions()[target]
+        lam = Fraction(1, 64)
+        run = engine.run_batched(g=tf, grid=graph2d.grid, graph=graph2d,
+                                 detector=make_detector(detector, cut=tf.cut),
+                                 initial=[(tf.domain.center, tf.domain.edge)],
+                                 config=engine.EngineConfig(lambda_min=lam, domain=tf.domain))
+        report = tpr(run.troubled_coords(), tf.cut, lam, graph2d, visited_count=run.visited_points)
+        write_document(tmp_path / "tpr.json", tpr_report_doc(report))
+        assert hashlib.sha256((tmp_path / "tpr.json").read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("kind,digest", [
         ("ginn", "082322c5469264e8d68ffdbafbd54e26d2edab1efd9116f06d8cbcbdf7fafbb0"),
