@@ -641,6 +641,8 @@ def read_run_report(path) -> tuple[np.ndarray, Fraction, int]:
         visited = report["counters"]["visited_points"]
     except KeyError as exc:
         raise MalformedFileError(f"{path} has no {exc.args[0]!r} entry") from exc
+    except TypeError as exc:
+        raise MalformedFileError(f"{path} is not a valid run report: {exc}") from exc
     try:
         lam_min = Fraction(lam_min)
     except (TypeError, ValueError, ZeroDivisionError) as exc:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,7 +36,7 @@ from sgdetect.detectors import (
 )
 from sgdetect.errors import DimensionMismatchError, MalformedFileError, SgdetectError
 from sgdetect.grid_graph import GridGraph
-from sgdetect.sparse_grid import Box
+from sgdetect.sparse_grid import Box, SparseGrid
 from sgdetect.synth_data import LegendrePiece, PiecewiseFunction
 
 TPR_REPORT_VERSION = 1
@@ -156,33 +156,33 @@ def tpr(points: np.ndarray, cut: CutFunction, lambda_min, check_graph: GridGraph
     check graph without edges (a one-point grid) or a ``lambda_min`` that is not
     positive raises :class:`SgdetectError`, points of another dimension
     :class:`DimensionMismatchError`.
-    Intersections use the cut's closed form when available (one
-    ``segment_roots`` call over every edge of a chunk of points), otherwise
-    sign sampling with ``subdivisions`` intervals per edge, in three steps
-    per chunk:
+    An edge is tested with the cut's closed form when available
+    (``segment_roots``), otherwise by sign sampling with ``subdivisions``
+    intervals, in two passes:
 
-    1. *Node signs.*  The cut is evaluated once at every node of every
-       check grid; a point's candidate edge is its first edge whose first
-       node's sign is zero or whose two node signs differ.
-    2. *Confirmation.*  The candidate edge is sampled at the walk's first
-       and last knot only.  Those are the same floats as the full walk's
-       (the last one is ``a + (b - a)``, which may differ from the node
-       ``b`` in the last bit), so a zero or a sign change there is a
-       crossing the full walk would also report.
-    3. *Full walk.*  Points the confirmation does not decide (no candidate,
-       or a candidate edge whose sampled ends agree) have every edge walked
-       at all knots, stacked over (point, edge) pairs.
+    1. *Axis cross.*  Only the check grid's axis cross is placed: the
+       nodes whose lattice row differs from the centre ``M/2`` on at most
+       one axis, and the edges joining two of them (:func:`_axis_cross`).
+       Its rows are the whole placement's rows to the bit.  A closed-form
+       cut has every cross edge solved; a sampled one goes through
+       :func:`_confirmed` on the cross alone, without a walk.  A crossing
+       found here is one the whole grid's test finds on the same floats.
+    2. *Whole grid.*  Only the points the cross leaves open are placed on
+       the whole check grid: every edge solved, or :func:`_confirmed` over
+       every edge and then :func:`_walked` over every edge of the points
+       still open.
 
-    The node signs only choose which edge to confirm, so the verdicts are
-    those of walking every edge, provided the cut returns the same value
-    for a point whatever batch it is evaluated in, as every cut in this
-    package does.  Points are scored in chunks whose node and edge arrays
-    stay within :data:`~sgdetect.detectors.SAMPLE_BUDGET` entries, and the
-    full walk goes in blocks of ``SAMPLE_BUDGET // (subdivisions + 1)``
-    (point, edge) pairs, so no cut call evaluates more than that many
-    points (nor ``segment_roots`` call solves more segments).  The budget
-    is sized to one core's L2 cache; by the property above, no chunk or
-    block size changes a verdict.
+    In :func:`_confirmed` the node signs only choose which edge to confirm,
+    so the verdicts are those of walking every edge, provided the cut
+    returns the same value for a point whatever batch it is evaluated in,
+    as every cut in this package does.  Each pass scores its points in
+    chunks whose node and edge arrays stay within
+    :data:`~sgdetect.detectors.SAMPLE_BUDGET` entries, and the walk goes in
+    blocks of ``SAMPLE_BUDGET // (subdivisions + 1)`` (point, edge) pairs,
+    so no cut call evaluates more than that many points (nor
+    ``segment_roots`` call solves more segments).  The budget is sized to
+    one core's L2 cache; by the property above, no chunk or block size
+    changes a verdict.
     """
     if subdivisions < 1:
         raise SgdetectError(f"subdivisions must be >= 1, got {subdivisions}")
@@ -202,18 +202,12 @@ def tpr(points: np.ndarray, cut: CutFunction, lambda_min, check_graph: GridGraph
                                      f"{grid.dim}D check grid")
     lam = float(lambda_min)
     knots = np.linspace(0.0, 1.0, subdivisions + 1)
-    ei, ej = check_graph.edge_ends
     closed_form = has_closed_form(cut, grid.dim)
-    chunk = max(1, SAMPLE_BUDGET // max(grid.n_points, len(ei)))
-    hit = np.zeros(len(points), dtype=bool)
-    for start in range(0, len(points), chunk):
-        x = grid.place(points[start : start + chunk], lam)
-        if closed_form:
-            # np.take, not x[:, ei]: several times faster on this layout
-            lo, _ = cut.segment_roots(np.take(x, ei, axis=1), np.take(x, ej, axis=1))
-            hit[start : start + len(x)] = np.any(~np.isnan(lo), axis=1)
-        else:
-            hit[start : start + len(x)] = _sampled_hits(cut, x, ei, ej, knots)
+    cross, ci, cj = _axis_cross(check_graph)
+    hit = _crossed(cut, cross, ci, cj, points, lam, closed_form, knots)
+    left = np.flatnonzero(~hit)
+    ei, ej = check_graph.edge_ends
+    hit[left] = _crossed(cut, grid, ei, ej, points[left], lam, closed_form, knots, walk=True)
     verdicts = hit.tolist()
     true_count = int(hit.sum())
     return TprReport(
@@ -227,12 +221,60 @@ def tpr(points: np.ndarray, cut: CutFunction, lambda_min, check_graph: GridGraph
     )
 
 
-def _sampled_hits(cut: CutFunction, x: np.ndarray, ei: np.ndarray, ej: np.ndarray,
-                  knots: np.ndarray) -> np.ndarray:
-    """Whether sign sampling finds a crossing on some edge of each placed grid.
+def _axis_cross(graph: GridGraph) -> tuple[SparseGrid, np.ndarray, np.ndarray]:
+    """The check grid's axis cross: its nodes as a grid of the same spec and
+    box, whose :meth:`~sgdetect.sparse_grid.SparseGrid.place` gives the
+    whole grid's rows of those nodes to the bit, and the end indices into
+    those nodes of each edge joining two of them, in graph order.
 
-    ``x`` stacks P placed check grids as ``(P, N, n)``; ``tpr`` documents
-    the three steps.
+    Every rule's multi-index set is downward closed, so the finest knots of
+    each axis lie on the axis line through the centre: the centre's edges
+    to its nearest neighbours are never pruned, and the cross of a grid
+    with edges has edges."""
+    grid = graph.grid
+    on = np.count_nonzero(grid.lattice != grid.resolution // 2, axis=1) <= 1
+    at = np.cumsum(on) - 1
+    ei, ej = graph.edge_ends
+    both = on[ei] & on[ej]
+    lattice = grid.lattice[on]
+    lattice.flags.writeable = False
+    return replace(grid, lattice=lattice), at[ei[both]], at[ej[both]]
+
+
+def _crossed(cut: CutFunction, grid: SparseGrid, ei: np.ndarray, ej: np.ndarray,
+             points: np.ndarray, lam: float, closed_form: bool, knots: np.ndarray,
+             walk: bool = False) -> np.ndarray:
+    """Whether the interface crosses an edge ``(ei, ej)`` of ``grid`` placed
+    at each point with edge ``lam``: the closed form, else the sampled
+    confirmation, and with ``walk`` the full walk of what it leaves open.
+    Points go in chunks whose node and edge arrays stay within
+    :data:`~sgdetect.detectors.SAMPLE_BUDGET` entries."""
+    hit = np.zeros(len(points), dtype=bool)
+    chunk = max(1, SAMPLE_BUDGET // max(grid.n_points, len(ei)))
+    for start in range(0, len(points), chunk):
+        x = grid.place(points[start : start + chunk], lam)
+        if closed_form:
+            # np.take, not x[:, ei]: several times faster on this layout
+            lo, _ = cut.segment_roots(np.take(x, ei, axis=1), np.take(x, ej, axis=1))
+            found = np.any(~np.isnan(lo), axis=1)
+        else:
+            found = _confirmed(cut, x, ei, ej, knots)
+            if walk:
+                _walked(cut, x, ei, ej, knots, found)
+        hit[start : start + len(x)] = found
+    return hit
+
+
+def _confirmed(cut: CutFunction, x: np.ndarray, ei: np.ndarray, ej: np.ndarray,
+               knots: np.ndarray) -> np.ndarray:
+    """Sampled crossings that one edge per placed grid confirms.
+
+    The cut is evaluated once at every node; a grid's candidate edge is its
+    first edge whose first node's sign is zero or whose two node signs
+    differ.  The candidate is sampled at the walk's first and last knot
+    only.  Those are the same floats as the full walk's (the last one is
+    ``a + (b - a)``, which may differ from the node ``b`` in the last bit),
+    so a zero or a sign change there is a crossing the walk also reports.
     """
     hit = np.zeros(len(x), dtype=bool)
     v = cut(x.reshape(-1, x.shape[-1])).reshape(x.shape[:-1])
@@ -243,6 +285,13 @@ def _sampled_hits(cut: CutFunction, x: np.ndarray, ei: np.ndarray, ej: np.ndarra
     first = candidate[rows].argmax(axis=1)
     ends = sample_signs(cut, x[rows, ei[first]], x[rows, ej[first]], knots[[0, -1]])
     hit[rows] = np.any(ends == 0, axis=1) | (ends[:, 0] != ends[:, 1])
+    return hit
+
+
+def _walked(cut: CutFunction, x: np.ndarray, ei: np.ndarray, ej: np.ndarray,
+            knots: np.ndarray, hit: np.ndarray) -> None:
+    """Walk every edge of the grids ``hit`` leaves False at all knots,
+    stacked over (point, edge) pairs, and set ``hit`` where one crosses."""
     rest = np.flatnonzero(~hit)
     n_edges = len(ei)
     pairs = max(1, SAMPLE_BUDGET // len(knots))
@@ -252,7 +301,6 @@ def _sampled_hits(cut: CutFunction, x: np.ndarray, ei: np.ndarray, ej: np.ndarra
         s = sample_signs(cut, x[p, ei[e]], x[p, ej[e]], knots)
         crosses = np.any(s == 0, axis=1) | np.any(s[:, :-1] != s[:, 1:], axis=1)
         hit[p[crosses]] = True
-    return hit
 
 
 def tpr_report_doc(report: TprReport) -> dict:
@@ -384,11 +432,3 @@ def read_pgm(path) -> np.ndarray:
         raise MalformedFileError(f"{path} holds a pixel above its maxval {maxval}")
     return pixels.reshape(height, width).astype(np.float64) / maxval
 
-
-def write_pgm(matrix: np.ndarray, path, maxval: int = 255) -> None:
-    """Write a raw (P5) graymap from a [0, 1] matrix."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    scaled = np.rint(np.clip(matrix, 0.0, 1.0) * maxval).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{matrix.shape[1]} {matrix.shape[0]}\n{maxval}\n".encode())
-        fh.write(scaled.tobytes())

@@ -39,3 +39,18 @@ def tiny_graph(tiny_grid):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def write_pgm():
+    """A writer of raw (P5) graymaps from [0, 1] matrices, for ``read_pgm``
+    round trips and ``image:`` targets."""
+
+    def write(matrix, path, maxval=255):
+        matrix = np.asarray(matrix, dtype=np.float64)
+        scaled = np.rint(np.clip(matrix, 0.0, 1.0) * maxval).astype(np.uint8)
+        with open(path, "wb") as fh:
+            fh.write(f"P5\n{matrix.shape[1]} {matrix.shape[0]}\n{maxval}\n".encode())
+            fh.write(scaled.tobytes())
+
+    return write

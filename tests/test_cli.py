@@ -170,8 +170,8 @@ class TestTrainDetectEval:
         # zlevel needs a cut; phantom has none -> config error
         assert code == 2
 
-    def test_image_alias(self, tmp_path, tiny_model, capsys):
-        from sgdetect.evaluation import shepp_logan, write_pgm
+    def test_image_alias(self, tmp_path, tiny_model, write_pgm, capsys):
+        from sgdetect.evaluation import shepp_logan
 
         img = tmp_path / "phantom.pgm"
         write_pgm(shepp_logan(33), img)
@@ -261,6 +261,25 @@ def _report_with_ragged_coords(tmp_path):
 
 def _report_with_text_visited_count(tmp_path):
     return _report_with(tmp_path, "1/8", [[0.0, 0.5]], visited="many")
+
+
+def _report_with_entries(tmp_path, **entries):
+    args = _report_with(tmp_path, "1/8", [[0.0, 0.5]])
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), **entries}))
+    return args
+
+
+def _report_with_a_number_of_troubled_points(tmp_path):
+    return _report_with_entries(tmp_path, troubled_points=5)
+
+
+def _report_with_a_number_as_troubled_point(tmp_path):
+    return _report_with_entries(tmp_path, troubled_points=[5])
+
+
+def _report_with_a_list_config(tmp_path):
+    return _report_with_entries(tmp_path, config=["1/8"])
 
 
 def _report_of_version_2(tmp_path):
@@ -381,6 +400,9 @@ class TestExitCodes:
         (_report_with_negative_lambda_min, "lambda_min '-1/16' is not positive"),
         (_report_with_ragged_coords, "coords are not equal-length lists of numbers"),
         (_report_with_text_visited_count, "visited_points 'many' is not a non-negative integer"),
+        (_report_with_a_number_of_troubled_points, "is not a valid run report"),
+        (_report_with_a_number_as_troubled_point, "is not a valid run report"),
+        (_report_with_a_list_config, "is not a valid run report"),
         (_model_without_config, "has no 'config' entry"),
         (_model_of_unknown_kind, "model kind must be 'ginn' or 'mlp', got 'cnn'"),
         (_model_missing_its_last_layer, "layers, its config builds"),

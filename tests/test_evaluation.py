@@ -17,13 +17,13 @@ from sgdetect.grid_graph import build_grid_graph
 from sgdetect.evaluation import (
     SHEPP_LOGAN_ELLIPSES,
     ImageFunction,
+    _axis_cross,
     builtin_test_functions,
     read_pgm,
     shepp_logan,
     tpr,
-    write_pgm,
 )
-from sgdetect.sparse_grid import Box, GridSpec, build_sparse_grid
+from sgdetect.sparse_grid import Box, GridSpec, SparseGrid, build_sparse_grid
 
 
 class TestBuiltins:
@@ -162,10 +162,47 @@ def edge_walk_verdicts(points, cut, lambda_min, graph, subdivisions):
 
 
 @functools.cache
-def check_graph(dim):
-    """The level-6 sum-rule check graph: 65, 69 or 41 points in 2D, 3D or 4D."""
-    grid = build_sparse_grid(GridSpec(dim=dim, rule="sum", level=6), Box.cube((0,) * dim, 2))
+def check_graph(dim, rule="sum", level=6):
+    """A check graph; by default the level-6 sum-rule one: 65, 69 or 41
+    points in 2D, 3D or 4D."""
+    grid = build_sparse_grid(GridSpec(dim=dim, rule=rule, level=level), Box.cube((0,) * dim, 2))
     return build_grid_graph(grid)
+
+
+def cross_nodes(graph):
+    """Nodes on the axis cross: lattice rows off the centre M/2 on at most one axis."""
+    grid = graph.grid
+    return np.count_nonzero(grid.lattice != grid.resolution // 2, axis=1) <= 1
+
+
+def cross_edges(graph):
+    """Edges whose two ends are both on the axis cross."""
+    on = cross_nodes(graph)
+    ei, ej = graph.edge_ends
+    return on[ei] & on[ej]
+
+
+def crossed_edges(sphere, centre, lambda_min, graph):
+    """Indices of the check-grid edges at ``centre`` ``(1, n)`` that the
+    sphere's closed form crosses."""
+    nodes = placed_nodes(centre, lambda_min, graph)[0]
+    ei, ej = graph.edge_ends
+    return np.flatnonzero(~np.isnan(sphere.segment_roots(nodes[ei], nodes[ej])[0]))
+
+
+@pytest.fixture()
+def placed_sizes(monkeypatch):
+    """The node count of every grid placed from here on: ``tpr`` places the
+    axis cross for pass 1 and the whole check grid for pass 2."""
+    sizes = []
+    place = SparseGrid.place
+
+    def spy(self, centers, edge):
+        sizes.append(self.n_points)
+        return place(self, centers, edge)
+
+    monkeypatch.setattr(SparseGrid, "place", spy)
+    return sizes
 
 
 CUTS = {
@@ -215,8 +252,10 @@ class TestTprMatchesEdgeWalk:
 
     @pytest.mark.parametrize("sampled", [False, True])
     @pytest.mark.parametrize("dim", [2, 3, 4])
-    def test_edge_crossed_twice(self, dim, sampled):
-        # a small sphere around the middle of one edge: every node lies outside it
+    def test_edge_crossed_twice(self, dim, sampled, placed_sizes):
+        # a small sphere around the middle of one edge: every node lies
+        # outside it, and no other edge meets it.  The edge is off the axis
+        # cross, so only pass 2 can find it
         graph = check_graph(dim)
         lam = Fraction(1, 3)
         centre = np.full((1, dim), 0.05)
@@ -225,10 +264,97 @@ class TestTprMatchesEdgeWalk:
         length = np.linalg.norm(nodes[j] - nodes[i])
         sphere = SphericalCut((nodes[i] + nodes[j]) / 2, 0.3 * length)
         assert np.all(sphere(nodes) > 0.0)
+        assert not cross_edges(graph)[0]
+        assert crossed_edges(sphere, centre, lam, graph).tolist() == [0]
         cut = CallableCut(sphere, dim=dim) if sampled else sphere
         expected = edge_walk_verdicts(centre, cut, lam, graph, 50)
         assert expected == [True]
         assert tpr(centre, cut, lam, graph, subdivisions=50).verdicts == expected
+        assert placed_sizes == [cross_nodes(graph).sum(), graph.n_points]
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_crossing_on_the_cross_alone(self, dim, sampled, placed_sizes):
+        # a small sphere around the centre node crosses the cross edges at
+        # the centre and no other edge: pass 1 decides, the whole check
+        # grid is never placed
+        graph = check_graph(dim)
+        lam = Fraction(1, 3)
+        centre = np.full((1, dim), 0.05)
+        nodes = placed_nodes(centre, lam, graph)[0]
+        on = cross_nodes(graph)
+        middle = np.flatnonzero(np.all(graph.grid.lattice == graph.grid.resolution // 2, axis=1))
+        gaps = np.linalg.norm(nodes[on] - nodes[middle], axis=1)
+        sphere = SphericalCut(nodes[middle[0]], 0.3 * gaps[gaps > 0].min())
+        crossed = crossed_edges(sphere, centre, lam, graph)
+        assert len(crossed) and np.all(cross_edges(graph)[crossed])
+        cut = CallableCut(sphere, dim=dim) if sampled else sphere
+        expected = edge_walk_verdicts(centre, cut, lam, graph, 50)
+        assert expected == [True]
+        assert tpr(centre, cut, lam, graph, subdivisions=50).verdicts == expected
+        assert placed_sizes == [on.sum()]
+
+    @pytest.mark.parametrize("rule,level", [("prod", 6), ("max", 3)])
+    @pytest.mark.parametrize("sampled", [False, True])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_other_rules(self, dim, sampled, rule, level, rng):
+        graph = check_graph(dim, rule, level)
+        sphere = SphericalCut(np.full(dim, -0.1), 0.55)
+        cut = CallableCut(sphere, dim=dim) if sampled else sphere
+        pts = rng.uniform(-0.8, 0.8, size=(60, dim))
+        expected = edge_walk_verdicts(pts, cut, Fraction(1, 3), graph, 50)
+        assert tpr(pts, cut, Fraction(1, 3), graph, subdivisions=50).verdicts == expected
+        assert 0 < sum(expected) < len(expected)
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_cross_is_the_whole_grid(self, dim, sampled, rng):
+        # the level-3 product-rule grid is the centre and its axis lines
+        # alone: pass 2 repeats pass 1 on the same grid
+        graph = check_graph(dim, "prod", 3)
+        assert np.all(cross_edges(graph)) and np.all(cross_nodes(graph))
+        sphere = SphericalCut(np.full(dim, 0.1), 0.5)
+        cut = CallableCut(sphere, dim=dim) if sampled else sphere
+        pts = rng.uniform(-0.8, 0.8, size=(60, dim))
+        expected = edge_walk_verdicts(pts, cut, Fraction(1, 4), graph, 50)
+        assert tpr(pts, cut, Fraction(1, 4), graph, subdivisions=50).verdicts == expected
+        assert 0 < sum(expected) < len(expected)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_nan_on_the_cross(self, dim, rng):
+        # the cut is NaN on the axis cross of the first 30 check grids (all
+        # but one coordinate equal to the centre's) and a sphere elsewhere;
+        # a NaN sample counts as a sign change in the walk
+        graph = check_graph(dim)
+        pts = rng.uniform(-0.8, 0.8, size=(60, dim))
+        sphere = SphericalCut(np.full(dim, -0.1), 0.55)
+
+        def cut(x):
+            matches = sum(np.isin(x[..., d], pts[:30, d]) for d in range(dim))
+            return np.where(matches >= dim - 1, np.nan, sphere(x))
+
+        nodes = placed_nodes(pts, Fraction(1, 3), graph)
+        assert np.all(np.isnan(cut(nodes[:30, cross_nodes(graph)])))
+        assert not np.any(np.isnan(cut(nodes[30:])))
+        sampled = CallableCut(cut, dim=dim)
+        expected = edge_walk_verdicts(pts, sampled, Fraction(1, 3), graph, 50)
+        assert tpr(pts, sampled, Fraction(1, 3), graph, subdivisions=50).verdicts == expected
+        assert all(expected[:30]) and 0 < sum(expected[30:]) < 30
+
+    @pytest.mark.parametrize("rule,level", [("sum", 6), ("prod", 6), ("max", 3)])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_axis_cross_rows(self, dim, rule, level, rng):
+        # the cross's placed rows are the whole placement's rows to the bit
+        graph = check_graph(dim, rule, level)
+        cross, ci, cj = _axis_cross(graph)
+        on = np.flatnonzero(cross_nodes(graph))
+        ei, ej = graph.edge_ends
+        both = cross_edges(graph)
+        assert on[ci].tolist() == ei[both].tolist() and on[cj].tolist() == ej[both].tolist()
+        pts = rng.uniform(-0.8, 0.8, size=(7, dim))
+        for lam in (1 / 3, 0.1, 2.0):
+            whole = graph.grid.place(pts, lam)[:, on]
+            assert cross.place(pts, lam).tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("sampled", [False, True])
     def test_one_point_check_grid(self, sampled):
@@ -344,7 +470,7 @@ class TestImageFunction:
 
 
 class TestPgm:
-    def test_raw_round_trip(self, tmp_path):
+    def test_raw_round_trip(self, tmp_path, write_pgm):
         rng = np.random.default_rng(0)
         mat = rng.random((9, 13))
         write_pgm(mat, tmp_path / "img.pgm")
