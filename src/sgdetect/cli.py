@@ -7,6 +7,10 @@ the run.  ``--config run.yaml`` (or ``--config=run.yaml``) supplies option
 defaults, each read as if its text were typed after its flag, ``null`` only
 where the default is None; flags take precedence.
 
+The package's INFO records go to stderr, one ``logger: message`` line each:
+``dataset`` logs one per training function, ``train`` one per epoch.
+Stdout and the output files do not carry them.
+
 Exit codes: 0 success, 2 configuration error or unreadable input file,
 3 dimension or grid mismatch, 4 degenerate dataset, 5 non-finite loss.
 """
@@ -14,6 +18,7 @@ Exit codes: 0 success, 2 configuration error or unreadable input file,
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
 from fractions import Fraction
@@ -429,6 +434,20 @@ def _apply_config_file(parser: argparse.ArgumentParser, args, argv: list[str]) -
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    log = logging.getLogger("sgdetect")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
+    try:
+        return _run(argv)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+
+
+def _run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

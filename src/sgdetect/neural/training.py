@@ -8,8 +8,8 @@ and early stopping; training ends by restoring the best-validation epoch's
 weights and batch-norm running statistics.  All state is seeded,
 so a fixed seed reproduces bit-identical trained parameters on the same
 platform and thread count.  Each epoch logs its losses, learning rate and
-duration at INFO level through this module's logger; nothing prints
-unless the caller configures a handler.
+duration at INFO level through this module's logger; the CLI prints
+these records on stderr, a library caller only with a handler of its own.
 """
 
 from __future__ import annotations

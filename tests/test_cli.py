@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -75,6 +77,30 @@ class TestDatasetCommand:
         out = capsys.readouterr().out
         assert "resolved-config" in out
         assert "lambda_min" in out
+
+    def test_paper_t_dataset_bytes(self, tmp_path, capsys):
+        # labelled at the default Z^(150), so the z-detector certifies segments;
+        # two linear, spherical and polynomial cuts each (CI pins the same bytes)
+        out = tmp_path / "data6t"
+        assert run_cli(["dataset", "--count", "6", "--lambda-min", "1/16", "--seed", "3",
+                        "--out", str(out)]) == 0
+        digests = {
+            ".bin": "83920b67de3f8c128021374b404260c704a00abe3cc261a8fa90bc55aad637a2",
+            ".json": "50db6556e1cc91235ae52757802e3ea063c064090682e8ca6c9fd207ffec8802",
+        }
+        for suffix, digest in digests.items():
+            data = out.with_suffix(suffix).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, suffix
+
+    def test_logs_one_record_per_function(self, tmp_path, capsys):
+        make_tiny_dataset(tmp_path, count=5)
+        captured = capsys.readouterr()
+        records = [line for line in captured.err.splitlines()
+                   if line.startswith("sgdetect.synth_data: function ")]
+        assert [line.split()[2] for line in records] == [f"{i}/5:" for i in range(1, 6)]
+        assert "sgdetect.synth_data" not in captured.out
+        # the handler lives only as long as the command
+        assert not logging.getLogger("sgdetect").handlers
 
     @pytest.mark.parametrize("count", ["0", "-2"])
     def test_count_below_one_is_config_error(self, count, tmp_path, capsys):
@@ -453,6 +479,19 @@ class TestExitCodes:
         assert run_cli(["eval", "--report", str(report), "--target", "builtin:sine",
                         "--subdivisions", subdivisions]) == 2
         assert "subdivisions must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec,message", [
+        ("linear:inf,0:0", "finite normal vector and offset"),
+        ("linear:1,0:nan", "finite normal vector and offset"),
+        ("sphere:nan,0:0.5", "finite center and radius"),
+        ("sphere:0,0:inf", "finite center and radius"),
+        ("sphere:0,0:-1", "radius >= 0"),
+    ])
+    def test_cut_spec_out_of_range(self, spec, message, capsys):
+        assert run_cli(["detect", "--target", "builtin:circle", "--detector", f"exact:{spec}",
+                        "--lambda-min", "1/4"]) == 2
+        err = capsys.readouterr().err
+        assert "malformed cut spec" in err and message in err
 
     def test_budget_with_exact_detector(self, capsys):
         # the exact oracle never evaluates g: a budget could not bind

@@ -1,5 +1,6 @@
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from sgdetect.detectors import (
 from sgdetect.errors import DetectorError
 from sgdetect.grid_graph import build_grid_graph
 from sgdetect.sparse_grid import Box, GridSpec, build_sparse_grid, similar_grid
+from sgdetect.synth_data import LegendrePiece, sample_cut
 
 
 def random_cut(rng, kind=None):
@@ -303,6 +305,12 @@ def cut_through(kind, dim, rng):
         anchor[-1] = 0.0
         anchor[-1] = cut(anchor)
         return cut, anchor
+    if kind == "legendre":
+        # a training cut: a Legendre expansion, so it has a slope bound
+        cut = sample_cut("polynomial", dim, rng)
+        anchor[cut.axis] = 0.0
+        anchor[cut.axis] = cut(anchor)
+        return cut, anchor
     if kind == "sinusoidal":
         cut = SinusoidalCut(amplitude=0.4, freq=2.0)
         anchor[1] = 0.4 * np.sin(2.0 * np.pi * anchor[0])
@@ -335,7 +343,7 @@ def placed_stack(graph, anchor, grids, rng):
 
 
 STACKED_CUTS = [(kind, dim) for dim in (2, 3, 4)
-                for kind in ("linear", "sphere", "polynomial", "product")]
+                for kind in ("linear", "sphere", "polynomial", "legendre", "product")]
 STACKED_CUTS += [("sinusoidal", 2), ("torus", 4)]
 
 
@@ -402,6 +410,178 @@ class TestStackedZDetector:
         np.testing.assert_array_equal(p, z_detector_per_grid(cut, graph, 9, stack))
 
 
+class TestCutParameters:
+    """Cut parameters the certificate and the closed forms rely on."""
+
+    @pytest.mark.parametrize("w,b", [((np.inf, 0.0), 0.0), ((np.nan, 1.0), 0.0),
+                                     ((1.0, 0.0), np.nan), ((1.0, 0.0), -np.inf),
+                                     ((1e200, 1e200), 0.0)])
+    def test_linear_rejects_non_finite(self, w, b):
+        with pytest.raises(ValueError):
+            LinearCut(w, b)
+
+    @pytest.mark.parametrize("center,radius", [((np.nan, 0.0), 0.5), ((0.0, np.inf), 0.5),
+                                               ((0.0, 0.0), np.inf), ((0.0, 0.0), np.nan),
+                                               ((0.0, 0.0), -1.0)])
+    def test_sphere_rejects_non_finite_or_negative(self, center, radius):
+        with pytest.raises(ValueError):
+            SphericalCut(center, radius)
+
+    @pytest.mark.parametrize("spec", ["linear:inf,0:0", "linear:1,0:nan", "sphere:nan,0:0.5",
+                                      "sphere:0,0:inf", "sphere:0,0:-1"])
+    def test_parse_cut_spec_rejects(self, spec):
+        with pytest.raises(DetectorError, match="malformed cut spec"):
+            detectors.parse_cut_spec(spec)
+
+    def test_zero_radius_is_a_point(self):
+        cut = SphericalCut((0.0, 0.0), 0.0)
+        assert cut(np.zeros(2)) == 0.0
+
+
+class TestSlopeBound:
+    BOXES = (np.array([[-1.0, -1.0], [0.0, 0.5]]), np.array([[1.0, 1.0], [0.25, 0.75]]))
+
+    @pytest.mark.parametrize("cut", [LinearCut([3.0, -4.0], 0.2), SphericalCut((0.1, 0.2), 0.3)])
+    def test_unit_slope(self, cut):
+        np.testing.assert_array_equal(cut.slope_bound(*self.BOXES), [1.0, 1.0])
+
+    @pytest.mark.parametrize("cut", [
+        TorusCut(), SinusoidalCut(0.4, 2.0), CallableCut(lambda x: x[..., 0], 2),
+        ProductCut([LinearCut([1.0, 0.0], 0.0)]),
+        PolynomialCut(lambda xi: xi[..., 0] ** 2, scale=1.0, axis=1, max_abs=1.0, dim=2),
+        SphericalCut((0.0, 0.0), 2.0**17),
+    ])
+    def test_no_bound(self, cut):
+        lo, hi = (np.zeros((1, cut.dim)), np.ones((1, cut.dim)))
+        assert cut.slope_bound(lo, hi) is None
+
+    def test_legendre_bound_formula(self):
+        # g = 2 * 1*2/4 + 1 * 3*4/4 = 4, L = 0.5 / 2 * 4 + 1 = 2
+        piece = LegendrePiece(dim=1, indices=((1,), (3,)), coeffs=(2.0, -1.0))
+        cut = PolynomialCut(piece, scale=0.5, axis=0, max_abs=2.0, dim=2)
+        lo = np.array([[-5.0, -1.0], [0.0, -1.0], [0.0, -1.0 - 2.0**-52]])
+        hi = np.array([[5.0, 1.0], [0.0, 1.0 + 2.0**-52], [0.0, 0.0]])
+        # the axis coordinate may leave [-1, 1]; a free one may not
+        np.testing.assert_array_equal(cut.slope_bound(lo, hi), [2.0, np.inf, np.inf])
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_legendre_bound_holds(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(5):
+            cut = sample_cut("polynomial", dim, rng)
+            x = rng.uniform(-1.0, 1.0, (2000, dim))
+            step = rng.normal(size=(2000, dim))
+            step *= 1e-6 / np.linalg.norm(step, axis=1, keepdims=True)
+            ok = np.all(np.abs(x + step) <= 1.0, axis=1)
+            slope = np.abs(cut(x + step) - cut(x))[ok] / 1e-6
+            bound = cut.slope_bound(-np.ones((1, dim)), np.ones((1, dim)))[0]
+            assert np.isfinite(bound) and slope.max() <= bound
+
+
+def z_both_paths(cut, graph, t, stack):
+    """``z_detector`` with every segment certified first, and sampled alone."""
+    with mock.patch.object(detectors, "CERTIFY_MIN_T", 2):
+        certified = z_detector(cut, graph, t, stack)
+    with mock.patch.object(detectors, "CERTIFY_MIN_T", t + 1):
+        sampled = z_detector(cut, graph, t, stack)
+    return certified, sampled
+
+
+def dyadic_stack(graph, rng, grids):
+    """Grids on dyadic centres and edges: the first is the root box
+    [-1, 1]^n, the last the root box moved 2^-50 along one axis, so that
+    its points lie just outside [-1, 1]^n."""
+    dim = graph.grid.dim
+    nudged = np.zeros(dim)
+    nudged[rng.integers(dim)] = rng.choice([-1.0, 1.0]) * 2.0**-50
+    centers = np.vstack([np.zeros(dim), rng.integers(-8, 9, size=(grids - 2, dim)) / 16,
+                         nudged])
+    edges = np.concatenate([[2.0], 2.0 ** -rng.integers(0, 4, size=grids - 2), [2.0]])
+    return np.stack([similar_grid(graph.grid, tuple(c), float(e)).coords()
+                     for c, e in zip(centers, edges)])
+
+
+def adversarial_cut(kind, stack, graph, t, rng):
+    """A cut whose zero set sits on the stack's points, knots or edges."""
+    dim = stack.shape[-1]
+    taus = np.arange(t + 1, dtype=np.float64) / t
+    axis = np.eye(dim)[0]
+    point = stack[rng.integers(len(stack)), rng.integers(stack.shape[1])]
+    # a segment of the stack along axis 0 and one of its knots, built as
+    # sample_signs builds it
+    along = np.flatnonzero(graph.edges[:, 2] == 0)
+    i, j = graph.edge_ends[0][along], graph.edge_ends[1][along]
+    e, g = rng.integers(len(along)), rng.integers(len(stack))
+    a, b = stack[g, i[e]], stack[g, j[e]]
+    knot = taus[rng.integers(t + 1)] * (b - a) + a
+    if kind == "plane-ulp":
+        # endpoints one ulp either side of an axis plane
+        side = rng.choice([-np.inf, np.inf])
+        return LinearCut(axis, -np.nextafter(point[0], side))
+    if kind == "oblique-ulp":
+        w = rng.normal(size=dim)
+        b0 = -float(LinearCut(w, 0.0)(point))
+        return LinearCut(w, np.nextafter(b0, rng.choice([-np.inf, np.inf])))
+    if kind == "plane-point":
+        return LinearCut(axis, -point[0])
+    if kind == "plane-knot":
+        return LinearCut(axis, -knot[0])
+    if kind == "sphere-point":
+        return SphericalCut(point + 0.25 * axis, 0.25)
+    if kind == "sphere-tangent":
+        # tangent to the segment's line at the knot, from another axis
+        radius = float(2.0 ** -rng.integers(1, 6))
+        return SphericalCut(knot + radius * np.eye(dim)[1], radius)
+    assert kind == "legendre"
+    # a training cut, whose bound holds on the root box's faces xi = +-1
+    # and is infinite on the nudged grid
+    return sample_cut("polynomial", dim, rng)
+
+
+class TestCertifiedZDetector:
+    """The certified path gives the sampled path's result to the bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), t=st.integers(2, 149), dim=st.sampled_from([2, 4]),
+           kind=st.sampled_from(["plane-ulp", "oblique-ulp", "plane-point", "plane-knot",
+                                 "sphere-point", "sphere-tangent", "legendre"]))
+    def test_adversarial_segments(self, seed, t, dim, kind):
+        rng = np.random.default_rng(seed)
+        graph = reference_graph(dim)
+        stack = dyadic_stack(graph, rng, 5)
+        cut = adversarial_cut(kind, stack, graph, t, rng)
+        certified, sampled = z_both_paths(cut, graph, t, stack)
+        np.testing.assert_array_equal(certified, sampled)
+
+    @pytest.mark.parametrize("kind,dim", [("linear", 2), ("sphere", 3), ("legendre", 2),
+                                          ("legendre", 4)])
+    def test_clears_segments(self, kind, dim):
+        rng = np.random.default_rng(dim)
+        graph = reference_graph(dim)
+        cut, anchor = cut_through(kind, dim, rng)
+        stack = placed_stack(graph, anchor, 6, rng)
+        kept = detectors._uncertified_segments(cut, graph, stack)
+        assert 0 < len(kept) < len(stack) * len(graph.edges)
+        np.testing.assert_array_equal(*z_both_paths(cut, graph, 49, stack))
+
+    def test_cut_without_the_method_samples_every_segment(self):
+        rng = np.random.default_rng(5)
+        graph = reference_graph(2)
+        cut, anchor = cut_through("sphere", 2, rng)
+        stack = placed_stack(graph, anchor, 6, rng)
+
+        class Proxy:
+            """Forwards only the call, as a timing wrapper might."""
+
+            dim = 2
+
+            def __call__(self, x):
+                return cut(x)
+
+        assert detectors._uncertified_segments(Proxy(), graph, stack) is None
+        np.testing.assert_array_equal(z_detector(Proxy(), graph, 49, stack),
+                                      z_detector(cut, graph, 49, stack))
+
 class TestPointBuilders:
     """The knot-major ``sample_signs`` builds the segment-major walk's floats."""
 
@@ -442,6 +622,19 @@ class CountingCut(CutFunction):
         return self.cut.segment_roots(a, b)
 
 
+class BoundedCountingCut(CountingCut):
+    """``CountingCut`` that forwards the slope bound, so the z-detector
+    certifies segments through it."""
+
+    def __init__(self, cut):
+        super().__init__(cut)
+        self.bounds = 0
+
+    def slope_bound(self, lo, hi):
+        self.bounds += 1
+        return self.cut.slope_bound(lo, hi)
+
+
 class TestSampleBudget:
     """Blocks smaller than one grid change no result, and no cut call
     evaluates more than ``SAMPLE_BUDGET`` points or segments."""
@@ -471,6 +664,35 @@ class TestSampleBudget:
         # the blocks split grids: more calls than grids
         assert len(counting.points) > 3 * len(stack)
 
+    @pytest.mark.parametrize("budget", [50, 61])
+    @pytest.mark.parametrize("kind,dim", [("linear", 2), ("sphere", 4), ("legendre", 2),
+                                          ("legendre", 4)])
+    def test_certificate_keeps_the_budget(self, monkeypatch, kind, dim, budget):
+        rng = np.random.default_rng(10 * dim + budget)
+        graph = reference_graph(dim)
+        cut, anchor = cut_through(kind, dim, rng)
+        stack = placed_stack(graph, anchor, 6, rng)
+        monkeypatch.setattr(detectors, "SAMPLE_BUDGET", budget)
+        monkeypatch.setattr(detectors, "CERTIFY_MIN_T", 2)
+        # grids whose box leaves the Legendre bound's domain are not certified
+        bounded = np.isfinite(cut.slope_bound(stack.min(axis=1), stack.max(axis=1))).sum()
+        assert bounded > 0
+        points = bounded * stack.shape[1]
+        for t in (2, 9, 49):
+            counting = BoundedCountingCut(cut)
+            np.testing.assert_array_equal(z_detector(counting, graph, t, stack),
+                                          z_detector_per_grid(cut, graph, t, stack))
+            assert counting.bounds == 1
+            # the grid-point pass comes first and evaluates each certified point once
+            passes = np.cumsum(counting.points)
+            assert points in passes
+            grid_pass = counting.points[: int(np.searchsorted(passes, points)) + 1]
+            assert max(grid_pass) <= budget
+            sampled = counting.points[len(grid_pass):]
+            assert sampled and max(sampled) <= budget
+            # the certificate cleared segments: fewer samples than every knot
+            assert sum(sampled) < len(stack) * len(graph.edges) * (t + 1)
+
     def test_default_budget_binds_a_large_stack(self):
         rng = np.random.default_rng(3)
         graph = reference_graph(4)
@@ -483,6 +705,13 @@ class TestSampleBudget:
         assert max(counting.points) <= detectors.SAMPLE_BUDGET
         assert max(counting.segments) <= detectors.SAMPLE_BUDGET
         assert len(counting.points) > 1
+        # t = 49 takes the certified path when the bound is forwarded
+        bounded = BoundedCountingCut(cut)
+        np.testing.assert_array_equal(z_detector(bounded, graph, 49, stack),
+                                      z_detector_per_grid(cut, graph, 49, stack))
+        assert bounded.bounds == 1
+        assert max(bounded.points) <= detectors.SAMPLE_BUDGET
+        assert sum(bounded.points) < sum(counting.points)
 
 
 class TestExactOracle:
