@@ -25,7 +25,8 @@ Deterministic detectors provided here:
 
 Both edge-crossing tests (``CutFunction.segment_roots`` and
 ``sample_signs``) take stacked segments, so the TPR check in
-``sgdetect.evaluation`` uses the same two functions.  Both deterministic
+``sgdetect.evaluation`` uses the same two functions, and its walk skips
+the segments that the z-detector's certificate clears.  Both deterministic
 detectors walk the flattened (grid, edge) segments of their stack in
 blocks, and no cut call here or in the TPR check evaluates more than
 :data:`SAMPLE_BUDGET` points (``segment_roots`` sees at most that many
@@ -261,6 +262,19 @@ class TorusCut(CutFunction):
         ring = np.abs(x[..., 3]) - np.sqrt(x[..., 0] ** 2 + x[..., 1] ** 2)
         return ring**2 + x[..., 2] ** 2 - (np.abs(x[..., 3]) / 4.0) ** 2
 
+    def slope_bound(self, lo, hi):
+        """sqrt(4 Q^2 + 4 X3^2 + (2 Q + X4/8)^2) per box, with Xk = max |xk|,
+        rho = sqrt(x1^2 + x2^2) and Q = max(X4, max rho) over the box.
+
+        With r = |x4| - rho, |r| <= Q, the gradient is 2r x_{1,2}/rho (norm
+        2|r|) in the (x1, x2) plane, 2 x3 along x3 and 2r sign(x4) - x4/8
+        along x4.  f is Lipschitz across its kinks, the plane x4 = 0 and
+        the axis rho = 0, so the bound holds on every segment of the box.
+        """
+        top = np.maximum(np.abs(lo), np.abs(hi))
+        q = np.maximum(top[:, 3], np.hypot(top[:, 0], top[:, 1]))
+        return np.sqrt(4.0 * q**2 + 4.0 * top[:, 2] ** 2 + (2.0 * q + top[:, 3] / 8.0) ** 2)
+
 
 class SinusoidalCut(CutFunction):
     """x2 - amplitude * sin(freq * pi * x1), a 2D wavy interface."""
@@ -274,6 +288,10 @@ class SinusoidalCut(CutFunction):
     def __call__(self, x):
         x = np.asarray(x, dtype=np.float64)
         return x[..., 1] - self.amplitude * np.sin(self.freq * np.pi * x[..., 0])
+
+    def slope_bound(self, lo, hi):
+        # |grad f| = hypot(1, A f pi cos(f pi x1)) everywhere
+        return np.full(len(lo), math.hypot(1.0, self.amplitude * self.freq * math.pi))
 
 
 class ProductCut(CutFunction):
@@ -347,26 +365,36 @@ def _segment_blocks(graph: GridGraph, coords: np.ndarray, per_segment: int,
         yield ia, ja, flat[ia], flat[ja]
 
 
-def _uncertified_segments(f: CutFunction, graph: GridGraph,
-                          coords: np.ndarray) -> np.ndarray | None:
-    """Flat indices of the (grid, edge) segments that f's slope bound does
-    not prove one-signed, or None when f has no bound.
+def _uncertified_segments(f: CutFunction, ends: tuple[np.ndarray, np.ndarray],
+                          coords: np.ndarray, values: np.ndarray | None = None
+                          ) -> np.ndarray | None:
+    """Flat indices ``grid * E + edge`` of the (grid, edge) segments that f's
+    slope bound does not prove one-signed, or None when f has no bound.
 
-    f is evaluated once at every grid point of the stack, in blocks of
-    :data:`SAMPLE_BUDGET` points.  With L the bound over the segment's grid
-    box, a segment [a, b] with values va, vb of one nonzero sign has
+    ``ends`` are the E edges' end indices into each grid's N points, and
+    ``coords`` stacks the grids as ``(..., N, n)``.  f is evaluated once at
+    every grid point of the stack, in blocks of :data:`SAMPLE_BUDGET`
+    points, unless ``values`` (shaped like ``coords[..., 0]``) already
+    holds f there.  With L the bound over the segment's grid box, a
+    segment [a, b] with values va, vb of one nonzero sign has
     |f| >= (|va| + |vb| - L |b - a|) / 2 at every point between them, so
     it is cleared when ``|va| + |vb| > L |b - a| + 2 delta``: every knot
-    then carries va's sign, and ``z_detector`` would flag neither end.
+    of a walk from a to b then carries va's sign, so neither
+    ``z_detector`` nor the TPR walk finds a crossing on it.
     delta = CERTIFY_ROUNDING n (1 + X + V)(1 + L), with X and V the largest
     |coordinate| and |f| over the certified grids, covers the floating-point
     slack: the rounding of f at a grid point and at a computed knot
-    fl(a + tau (b - a)) (knot t need not be b to the bit), L times that
-    knot's offset from the exact point, and the rounding of |b - a| and of
-    a unit normal's length.  To first order these sum to under delta / 30
-    for every cut of this module (a sphere offers its bound only up to
-    radius 2^16, past which its rounding outgrows delta).  A NaN or inf
-    value or coordinate makes delta non-finite and clears nothing.
+    fl(a + tau (b - a)) for tau in [0, 1] (the last knot need not be b to
+    the bit), L times that knot's offset from the exact point, and the
+    rounding of |b - a|, of the bound and of a unit normal's length.  To
+    first order these sum to under delta / 30 for every cut of this module:
+    the torus rounds to within about 20 u (Q^2 + X3^2) <= 20 u X L, since
+    its L is at least 2 sqrt(2) Q and 2 X3 while X is at least Q / sqrt(2)
+    and X3, and the sine's argument f pi x1 rounds to within a few
+    u |f pi x1|, which moves f by at most a few u L X (a sphere offers its
+    bound only up to radius 2^16, past which its rounding outgrows delta).
+    A NaN or inf value or coordinate makes delta non-finite and clears
+    nothing.
     """
     bound = getattr(f, "slope_bound", None)
     if bound is None:
@@ -382,23 +410,30 @@ def _uncertified_segments(f: CutFunction, graph: GridGraph,
     bounded = np.flatnonzero(np.isfinite(lipschitz))
     if not bounded.size:
         return None
+    if values is not None:
+        values = values.reshape(grids.shape[:-1])
     if bounded.size < n_grids:
-        grids, lipschitz = grids[bounded], lipschitz[bounded]
-    flat = grids.reshape(-1, grids.shape[-1])
-    values = np.concatenate([f(flat[lo : lo + SAMPLE_BUDGET])
-                             for lo in range(0, len(flat), SAMPLE_BUDGET)])
-    values = values.reshape(grids.shape[:-1])
-    scale = 1.0 + np.abs(flat).max() + np.abs(values).max()
-    slack = 2.0 * CERTIFY_ROUNDING * flat.shape[-1] * scale * (1.0 + lipschitz)
-    ei, ej = graph.edge_ends
+        grids, axes, lipschitz = grids[bounded], axes[bounded], lipschitz[bounded]
+        values = None if values is None else values[bounded]
+    if values is None:
+        flat = grids.reshape(-1, grids.shape[-1])
+        values = np.concatenate([f(flat[lo : lo + SAMPLE_BUDGET])
+                                 for lo in range(0, len(flat), SAMPLE_BUDGET)])
+        values = values.reshape(grids.shape[:-1])
+    scale = 1.0 + np.abs(axes).max() + np.abs(values).max()
+    slack = 2.0 * CERTIFY_ROUNDING * axes.shape[1] * scale * (1.0 + lipschitz)
+    ei, ej = ends
     keep = np.ones((n_grids, len(ei)), dtype=bool)
-    # grid blocks whose (grids, E, n) edge vectors hold at most SAMPLE_BUDGET rows
+    # grid blocks whose (grids, E) segment arrays hold at most SAMPLE_BUDGET entries
     size = max(1, SAMPLE_BUDGET // max(len(ei), 1))
     for lo in range(0, len(grids), size):
         block = slice(lo, lo + size)
         va, vb = values[block, ei], values[block, ej]
-        d = grids[block, ej] - grids[block, ei]
-        reach = lipschitz[block, None] * np.sqrt(np.vecdot(d, d)) + slack[block, None]
+        # |b - a|^2 one axis at a time: np.take on the (grids, N) rows of
+        # the transposed copy is several times faster than gathering (E, n) rows
+        square = sum((np.take(x, ej, axis=1) - np.take(x, ei, axis=1)) ** 2
+                     for x in axes[block].transpose(1, 0, 2))
+        reach = lipschitz[block, None] * np.sqrt(square) + slack[block, None]
         keep[bounded[block]] = ~((va * vb > 0.0) & (np.abs(va) + np.abs(vb) > reach))
     return np.flatnonzero(keep)
 
@@ -431,7 +466,8 @@ def z_detector(f: CutFunction, graph: GridGraph, t: int,
     taus = np.arange(t + 1, dtype=np.float64) / t
     head_hi = math.ceil(t / 2)  # tau range {1..ceil(t/2)} for x_i
     tail_lo = math.floor(t / 2)  # tau range {floor(t/2)..t-1} for x_j
-    segments = _uncertified_segments(f, graph, coords) if t >= CERTIFY_MIN_T else None
+    segments = (_uncertified_segments(f, graph.edge_ends, coords) if t >= CERTIFY_MIN_T
+                else None)
     for ia, ja, a, b in _segment_blocks(graph, coords, t + 1, segments):
         s = sample_signs(f, a, b, taus)
         trb_i = (s[:, 0] == 0) | np.any(s[:, 1 : head_hi + 1] != s[:, :1], axis=1)

@@ -15,6 +15,7 @@ ellipse at 1.0 so values stay in [0, 1]).
 from __future__ import annotations
 
 import csv
+import functools
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -31,6 +32,7 @@ from sgdetect.detectors import (
     SphericalCut,
     PolynomialCut,
     TorusCut,
+    _uncertified_segments,
     has_closed_form,
     sample_signs,
 )
@@ -155,22 +157,29 @@ def tpr(points: np.ndarray, cut: CutFunction, lambda_min, check_graph: GridGraph
     iff the cut's zero-level set intersects at least one graph edge.  A
     check graph without edges (a one-point grid) or a ``lambda_min`` that is not
     positive raises :class:`SgdetectError`, points of another dimension
-    :class:`DimensionMismatchError`.
+    :class:`DimensionMismatchError`, and a point with a NaN or infinite
+    coordinate :class:`SgdetectError` naming its row.
     An edge is tested with the cut's closed form when available
     (``segment_roots``), otherwise by sign sampling with ``subdivisions``
-    intervals, in two passes:
+    intervals.  Each point is decided on nested parts of its check grid,
+    each pass taking only the points the one before leaves open:
 
-    1. *Axis cross.*  Only the check grid's axis cross is placed: the
-       nodes whose lattice row differs from the centre ``M/2`` on at most
-       one axis, and the edges joining two of them (:func:`_axis_cross`).
-       Its rows are the whole placement's rows to the bit.  A closed-form
-       cut has every cross edge solved; a sampled one goes through
-       :func:`_confirmed` on the cross alone, without a walk.  A crossing
-       found here is one the whole grid's test finds on the same floats.
-    2. *Whole grid.*  Only the points the cross leaves open are placed on
-       the whole check grid: every edge solved, or :func:`_confirmed` over
-       every edge and then :func:`_walked` over every edge of the points
-       still open.
+    1. *Star.*  The centre and its graph neighbours, one lattice step
+       away on each axis, with the edges joining them
+       (``_axis_cross(check_graph, reach=1)``: 9 nodes and 8 edges in 4D).
+    2. *Axis cross.*  The nodes whose lattice row differs from the centre
+       ``M/2`` on at most one axis, and the edges joining two of them
+       (:func:`_axis_cross`: 65 of the paper's 401 4D nodes).
+    3. *Whole grid.*  Every node and edge.
+
+    A sub-grid's placed rows are the whole placement's rows to the bit,
+    so a crossing found on it is one the whole grid's test finds on the
+    same floats.  A closed-form cut has every edge of the pass solved.  A
+    sampled one goes through :func:`_confirmed`; in the last pass,
+    :func:`_walked` then walks the edges of the points still open, except
+    those the cut's slope bound proves one-signed
+    (:func:`~sgdetect.detectors._uncertified_segments`, fed the node values
+    that :func:`_confirmed` computed), on which the walk finds no crossing.
 
     In :func:`_confirmed` the node signs only choose which edge to confirm,
     so the verdicts are those of walking every edge, provided the cut
@@ -200,14 +209,21 @@ def tpr(points: np.ndarray, cut: CutFunction, lambda_min, check_graph: GridGraph
     if points.shape[1] != grid.dim:
         raise DimensionMismatchError(f"{points.shape[1]}D points cannot be scored with a "
                                      f"{grid.dim}D check grid")
+    if not np.isfinite(points).all():
+        bad = np.flatnonzero(~np.all(np.isfinite(points), axis=1))[0]
+        raise SgdetectError(f"troubled point {bad} has a non-finite coordinate: "
+                            f"{points[bad].tolist()}")
     lam = float(lambda_min)
     knots = np.linspace(0.0, 1.0, subdivisions + 1)
     closed_form = has_closed_form(cut, grid.dim)
-    cross, ci, cj = _axis_cross(check_graph)
-    hit = _crossed(cut, cross, ci, cj, points, lam, closed_form, knots)
-    left = np.flatnonzero(~hit)
-    ei, ej = check_graph.edge_ends
-    hit[left] = _crossed(cut, grid, ei, ej, points[left], lam, closed_form, knots, walk=True)
+    passes = (_axis_cross(check_graph, reach=1), _axis_cross(check_graph),
+              (grid, *check_graph.edge_ends))
+    hit = np.zeros(len(points), dtype=bool)
+    left = np.arange(len(points))
+    for k, (sub, si, sj) in enumerate(passes, start=1):
+        hit[left] = _crossed(cut, sub, si, sj, points[left], lam, closed_form, knots,
+                             walk=k == len(passes))
+        left = left[~hit[left]]
     verdicts = hit.tolist()
     true_count = int(hit.sum())
     return TprReport(
@@ -221,24 +237,33 @@ def tpr(points: np.ndarray, cut: CutFunction, lambda_min, check_graph: GridGraph
     )
 
 
-def _axis_cross(graph: GridGraph) -> tuple[SparseGrid, np.ndarray, np.ndarray]:
-    """The check grid's axis cross: its nodes as a grid of the same spec and
-    box, whose :meth:`~sgdetect.sparse_grid.SparseGrid.place` gives the
-    whole grid's rows of those nodes to the bit, and the end indices into
-    those nodes of each edge joining two of them, in graph order.
+@functools.lru_cache(maxsize=8)
+def _axis_cross(graph: GridGraph, reach: int | None = None
+                ) -> tuple[SparseGrid, np.ndarray, np.ndarray]:
+    """The check grid's axis cross, or with ``reach`` its nodes at most
+    ``reach`` lattice steps from the centre: those nodes as a grid of the
+    same spec and box, whose :meth:`~sgdetect.sparse_grid.SparseGrid.place`
+    gives the whole grid's rows of them to the bit, and the end indices
+    into those nodes of each edge joining two of them, in graph order.
 
     Every rule's multi-index set is downward closed, so the finest knots of
-    each axis lie on the axis line through the centre: the centre's edges
-    to its nearest neighbours are never pruned, and the cross of a grid
-    with edges has edges."""
+    each axis lie on the axis line through the centre, one lattice step
+    apart: the centre's edges to its nearest neighbours are never pruned,
+    the cross of a grid with edges has edges, and ``reach=1`` gives the
+    centre and its graph neighbours.  Cached per graph and reach: ``tpr``
+    asks for two of them on every call."""
     grid = graph.grid
-    on = np.count_nonzero(grid.lattice != grid.resolution // 2, axis=1) <= 1
+    offset = np.abs(grid.lattice - grid.resolution // 2)
+    on = np.count_nonzero(offset, axis=1) <= 1
+    if reach is not None:
+        on &= offset.max(axis=1) <= reach
     at = np.cumsum(on) - 1
     ei, ej = graph.edge_ends
     both = on[ei] & on[ej]
-    lattice = grid.lattice[on]
-    lattice.flags.writeable = False
-    return replace(grid, lattice=lattice), at[ei[both]], at[ej[both]]
+    lattice, ci, cj = grid.lattice[on], at[ei[both]], at[ej[both]]
+    for cached in (lattice, ci, cj):
+        cached.flags.writeable = False
+    return replace(grid, lattice=lattice), ci, cj
 
 
 def _crossed(cut: CutFunction, grid: SparseGrid, ei: np.ndarray, ej: np.ndarray,
@@ -246,7 +271,7 @@ def _crossed(cut: CutFunction, grid: SparseGrid, ei: np.ndarray, ej: np.ndarray,
              walk: bool = False) -> np.ndarray:
     """Whether the interface crosses an edge ``(ei, ej)`` of ``grid`` placed
     at each point with edge ``lam``: the closed form, else the sampled
-    confirmation, and with ``walk`` the full walk of what it leaves open.
+    confirmation, and with ``walk`` the walk of what it leaves open.
     Points go in chunks whose node and edge arrays stay within
     :data:`~sgdetect.detectors.SAMPLE_BUDGET` entries."""
     hit = np.zeros(len(points), dtype=bool)
@@ -258,16 +283,17 @@ def _crossed(cut: CutFunction, grid: SparseGrid, ei: np.ndarray, ej: np.ndarray,
             lo, _ = cut.segment_roots(np.take(x, ei, axis=1), np.take(x, ej, axis=1))
             found = np.any(~np.isnan(lo), axis=1)
         else:
-            found = _confirmed(cut, x, ei, ej, knots)
+            found, values = _confirmed(cut, x, ei, ej, knots)
             if walk:
-                _walked(cut, x, ei, ej, knots, found)
+                _walked(cut, x, values, ei, ej, knots, found)
         hit[start : start + len(x)] = found
     return hit
 
 
 def _confirmed(cut: CutFunction, x: np.ndarray, ei: np.ndarray, ej: np.ndarray,
-               knots: np.ndarray) -> np.ndarray:
-    """Sampled crossings that one edge per placed grid confirms.
+               knots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sampled crossings that one edge per placed grid confirms, and the
+    cut's values at the grids' nodes.
 
     The cut is evaluated once at every node; a grid's candidate edge is its
     first edge whose first node's sign is zero or whose two node signs
@@ -285,18 +311,23 @@ def _confirmed(cut: CutFunction, x: np.ndarray, ei: np.ndarray, ej: np.ndarray,
     first = candidate[rows].argmax(axis=1)
     ends = sample_signs(cut, x[rows, ei[first]], x[rows, ej[first]], knots[[0, -1]])
     hit[rows] = np.any(ends == 0, axis=1) | (ends[:, 0] != ends[:, 1])
-    return hit
+    return hit, v
 
 
-def _walked(cut: CutFunction, x: np.ndarray, ei: np.ndarray, ej: np.ndarray,
-            knots: np.ndarray, hit: np.ndarray) -> None:
-    """Walk every edge of the grids ``hit`` leaves False at all knots,
-    stacked over (point, edge) pairs, and set ``hit`` where one crosses."""
+def _walked(cut: CutFunction, x: np.ndarray, values: np.ndarray, ei: np.ndarray,
+            ej: np.ndarray, knots: np.ndarray, hit: np.ndarray) -> None:
+    """Walk the edges of the grids ``hit`` leaves False at all knots, stacked
+    over (point, edge) pairs, and set ``hit`` where one crosses.  ``values``
+    holds the cut at the grids' nodes; the pairs the cut's slope bound
+    proves one-signed are skipped (``_uncertified_segments``)."""
     rest = np.flatnonzero(~hit)
     n_edges = len(ei)
+    kept = _uncertified_segments(cut, (ei, ej), x[rest], values[rest])
+    if kept is None:
+        kept = np.arange(len(rest) * n_edges)
     pairs = max(1, SAMPLE_BUDGET // len(knots))
-    for lo in range(0, len(rest) * n_edges, pairs):
-        k = np.arange(lo, min(lo + pairs, len(rest) * n_edges))
+    for lo in range(0, len(kept), pairs):
+        k = kept[lo : lo + pairs]
         p, e = rest[k // n_edges], k % n_edges
         s = sample_signs(cut, x[p, ei[e]], x[p, ej[e]], knots)
         crosses = np.any(s == 0, axis=1) | np.any(s[:, :-1] != s[:, 1:], axis=1)

@@ -285,6 +285,17 @@ def _report_with_ragged_coords(tmp_path):
     return _report_with(tmp_path, "1/8", [[0.0, 0.5], [0.25]])
 
 
+def _report_with_a_nan_coordinate(tmp_path):
+    # json writes NaN, and reads it back, without complaint
+    return _report_with(tmp_path, "1/8", [[0.0, 0.5], [float("nan"), 0.3]])
+
+
+def _report_with_an_infinite_coordinate(tmp_path):
+    # a sampled cut, on which an infinite point would score True
+    args = _report_with(tmp_path, "1/8", [[float("inf"), 0.0]])
+    return args[:-1] + ["builtin:sine"]
+
+
 def _report_with_text_visited_count(tmp_path):
     return _report_with(tmp_path, "1/8", [[0.0, 0.5]], visited="many")
 
@@ -425,6 +436,8 @@ class TestExitCodes:
         (_report_with_zero_lambda_min, "lambda_min '0' is not positive"),
         (_report_with_negative_lambda_min, "lambda_min '-1/16' is not positive"),
         (_report_with_ragged_coords, "coords are not equal-length lists of numbers"),
+        (_report_with_a_nan_coordinate, "troubled point 1 has a non-finite coordinate"),
+        (_report_with_an_infinite_coordinate, "troubled point 0 has a non-finite coordinate"),
         (_report_with_text_visited_count, "visited_points 'many' is not a non-negative integer"),
         (_report_with_a_number_of_troubled_points, "is not a valid run report"),
         (_report_with_a_number_as_troubled_point, "is not a valid run report"),

@@ -446,7 +446,8 @@ class TestSlopeBound:
         np.testing.assert_array_equal(cut.slope_bound(*self.BOXES), [1.0, 1.0])
 
     @pytest.mark.parametrize("cut", [
-        TorusCut(), SinusoidalCut(0.4, 2.0), CallableCut(lambda x: x[..., 0], 2),
+        ProductCut([TorusCut()]), CallableCut(SinusoidalCut(0.4, 2.0), 2),
+        CallableCut(lambda x: x[..., 0], 2),
         ProductCut([LinearCut([1.0, 0.0], 0.0)]),
         PolynomialCut(lambda xi: xi[..., 0] ** 2, scale=1.0, axis=1, max_abs=1.0, dim=2),
         SphericalCut((0.0, 0.0), 2.0**17),
@@ -476,6 +477,43 @@ class TestSlopeBound:
             slope = np.abs(cut(x + step) - cut(x))[ok] / 1e-6
             bound = cut.slope_bound(-np.ones((1, dim)), np.ones((1, dim)))[0]
             assert np.isfinite(bound) and slope.max() <= bound
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), name=st.sampled_from(["torus", "sine"]))
+    def test_torus_and_sine_bounds_hold(self, seed, name):
+        # random segments in random boxes, a third of the boxes straddling
+        # x4 = 0 and a third the axis rho = 0, where the torus has its kinks
+        rng = np.random.default_rng(seed)
+        if name == "torus":
+            cut = TorusCut()
+        else:
+            cut = SinusoidalCut(*rng.uniform(-3.0, 3.0, 2))
+        boxes, dim = 30, cut.dim
+        centre = rng.uniform(-1.5, 1.5, (boxes, dim))
+        half = 10.0 ** rng.uniform(-3.0, 0.0, (boxes, dim))
+        centre[:10, -1] = rng.uniform(-0.5, 0.5, 10) * half[:10, -1]
+        centre[10:20, :2] = rng.uniform(-0.5, 0.5, (10, 2)) * half[10:20, :2]
+        lo, hi = centre - half, centre + half
+        bound = cut.slope_bound(lo, hi)
+        assert bound.shape == (boxes,) and np.all(np.isfinite(bound))
+        a = rng.uniform(lo[:, None], hi[:, None], (boxes, 200, dim))
+        b = rng.uniform(lo[:, None], hi[:, None], (boxes, 200, dim))
+        # 1e-12 covers the rounding of f(a) - f(b), whose terms stay below 20
+        gap = np.abs(cut(a) - cut(b))
+        assert np.all(gap <= bound[:, None] * np.linalg.norm(a - b, axis=-1) + 1e-12)
+
+    def test_sine_bound_formula(self):
+        cut = SinusoidalCut(0.4, 2.0)
+        np.testing.assert_array_equal(cut.slope_bound(*self.BOXES),
+                                      [math.hypot(1.0, 0.8 * math.pi)] * 2)
+
+    def test_torus_bound_formula(self):
+        # Q = max(X4, max rho) = max(0.5, hypot(3, 4)) = 5, X3 = 2, X4 = 0.5
+        lo = np.array([[-3.0, 0.0, -2.0, -0.5]])
+        hi = np.array([[1.0, 4.0, 1.0, 0.25]])
+        want = math.sqrt(4 * 25 + 4 * 4 + (10 + 0.5 / 8) ** 2)
+        np.testing.assert_allclose(TorusCut().slope_bound(lo, hi), [want], rtol=1e-15)
 
 
 def z_both_paths(cut, graph, t, stack):
@@ -553,14 +591,34 @@ class TestCertifiedZDetector:
         certified, sampled = z_both_paths(cut, graph, t, stack)
         np.testing.assert_array_equal(certified, sampled)
 
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), t=st.integers(2, 149),
+           name=st.sampled_from(["torus", "sine"]), dyadic=st.booleans())
+    def test_torus_and_sine(self, seed, t, name, dyadic):
+        # grids on the interface, or dyadic grids whose nodes lie on the
+        # torus's kinks x4 = 0 and rho = 0 and on the sine's zeros
+        rng = np.random.default_rng(seed)
+        dim = 4 if name == "torus" else 2
+        cut, anchor = cut_through("torus" if name == "torus" else "sinusoidal", dim, rng)
+        if name == "torus":
+            anchor = (anchor, np.zeros(4), np.array([0.3, -0.2, 0.1, 0.0]),
+                      np.array([0.0, 0.0, 0.2, -0.4]))[rng.integers(4)]
+        graph = reference_graph(dim)
+        if dyadic:
+            stack = dyadic_stack(graph, rng, 5)
+        else:
+            stack = placed_stack(graph, anchor, 5, rng)
+        certified, sampled = z_both_paths(cut, graph, t, stack)
+        np.testing.assert_array_equal(certified, sampled)
+
     @pytest.mark.parametrize("kind,dim", [("linear", 2), ("sphere", 3), ("legendre", 2),
-                                          ("legendre", 4)])
+                                          ("legendre", 4), ("sinusoidal", 2), ("torus", 4)])
     def test_clears_segments(self, kind, dim):
         rng = np.random.default_rng(dim)
         graph = reference_graph(dim)
         cut, anchor = cut_through(kind, dim, rng)
         stack = placed_stack(graph, anchor, 6, rng)
-        kept = detectors._uncertified_segments(cut, graph, stack)
+        kept = detectors._uncertified_segments(cut, graph.edge_ends, stack)
         assert 0 < len(kept) < len(stack) * len(graph.edges)
         np.testing.assert_array_equal(*z_both_paths(cut, graph, 49, stack))
 
@@ -578,7 +636,7 @@ class TestCertifiedZDetector:
             def __call__(self, x):
                 return cut(x)
 
-        assert detectors._uncertified_segments(Proxy(), graph, stack) is None
+        assert detectors._uncertified_segments(Proxy(), graph.edge_ends, stack) is None
         np.testing.assert_array_equal(z_detector(Proxy(), graph, 49, stack),
                                       z_detector(cut, graph, 49, stack))
 

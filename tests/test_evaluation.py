@@ -8,6 +8,7 @@ from sgdetect.detectors import (
     CallableCut,
     LinearCut,
     ProductCut,
+    SinusoidalCut,
     SphericalCut,
     TorusCut,
     sample_signs,
@@ -169,17 +170,43 @@ def check_graph(dim, rule="sum", level=6):
     return build_grid_graph(grid)
 
 
-def cross_nodes(graph):
-    """Nodes on the axis cross: lattice rows off the centre M/2 on at most one axis."""
+def cross_nodes(graph, reach=None):
+    """Nodes on the axis cross: lattice rows off the centre M/2 on at most one
+    axis, and with ``reach`` at most that many lattice steps from it."""
     grid = graph.grid
-    return np.count_nonzero(grid.lattice != grid.resolution // 2, axis=1) <= 1
+    offset = np.abs(grid.lattice - grid.resolution // 2)
+    on = np.count_nonzero(offset, axis=1) <= 1
+    return on if reach is None else on & (offset.max(axis=1) <= reach)
 
 
-def cross_edges(graph):
-    """Edges whose two ends are both on the axis cross."""
-    on = cross_nodes(graph)
+def cross_edges(graph, reach=None):
+    """Edges whose two ends are both on the axis cross (within ``reach``)."""
+    on = cross_nodes(graph, reach)
     ei, ej = graph.edge_ends
     return on[ei] & on[ej]
+
+
+def star_nodes(graph):
+    """The centre and its graph neighbours."""
+    grid = graph.grid
+    middle = np.all(grid.lattice == grid.resolution // 2, axis=1)
+    ei, ej = graph.edge_ends
+    star = middle.copy()
+    star[ej[middle[ei]]] = star[ei[middle[ej]]] = True
+    return star
+
+
+def node_sphere(graph, node, centre, lambda_min):
+    """A sphere around check-grid node ``node`` at ``centre`` ``(1, n)``,
+    0.3 lattice steps in radius: it crosses the node's edges and no other."""
+    nodes = placed_nodes(centre, lambda_min, graph)[0]
+    step = float(lambda_min) / graph.grid.resolution
+    return SphericalCut(nodes[node], 0.3 * step)
+
+
+def incident_edges(graph, node):
+    ei, ej = graph.edge_ends
+    return np.flatnonzero((ei == node) | (ej == node))
 
 
 def crossed_edges(sphere, centre, lambda_min, graph):
@@ -203,6 +230,14 @@ def placed_sizes(monkeypatch):
 
     monkeypatch.setattr(SparseGrid, "place", spy)
     return sizes
+
+
+class SampledSphere(SphericalCut):
+    """A sphere without its closed form: ``tpr`` samples it, and its walk
+    skips the edges the sphere's slope bound certifies."""
+
+    def segment_roots(self, a, b):
+        return None
 
 
 CUTS = {
@@ -250,12 +285,13 @@ class TestTprMatchesEdgeWalk:
         assert tpr(pts, cut, Fraction(1, 4), graph, subdivisions=50).verdicts == expected
         assert 0 < sum(expected) < len(expected)
 
-    @pytest.mark.parametrize("sampled", [False, True])
+    @pytest.mark.parametrize("sampled", [False, True, "bounded"])
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_edge_crossed_twice(self, dim, sampled, placed_sizes):
         # a small sphere around the middle of one edge: every node lies
         # outside it, and no other edge meets it.  The edge is off the axis
-        # cross, so only pass 2 can find it
+        # cross, so only the whole grid's walk can find it; with the
+        # sphere's slope bound, its end values do not certify it
         graph = check_graph(dim)
         lam = Fraction(1, 3)
         centre = np.full((1, dim), 0.05)
@@ -266,33 +302,113 @@ class TestTprMatchesEdgeWalk:
         assert np.all(sphere(nodes) > 0.0)
         assert not cross_edges(graph)[0]
         assert crossed_edges(sphere, centre, lam, graph).tolist() == [0]
+        if sampled == "bounded":
+            cut = SampledSphere(sphere.center, sphere.radius)
+        else:
+            cut = CallableCut(sphere, dim=dim) if sampled else sphere
+        expected = edge_walk_verdicts(centre, cut, lam, graph, 50)
+        assert expected == [True]
+        assert tpr(centre, cut, lam, graph, subdivisions=50).verdicts == expected
+        assert placed_sizes == [star_nodes(graph).sum(), cross_nodes(graph).sum(),
+                                graph.n_points]
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_crossing_on_the_star_alone(self, dim, sampled, placed_sizes):
+        # a small sphere around the centre node crosses the centre's edges
+        # and no other: the star decides, no larger part is placed
+        graph = check_graph(dim)
+        lam = Fraction(1, 3)
+        centre = np.full((1, dim), 0.05)
+        middle = np.flatnonzero(np.all(graph.grid.lattice == graph.grid.resolution // 2, axis=1))
+        sphere = node_sphere(graph, middle[0], centre, lam)
+        crossed = crossed_edges(sphere, centre, lam, graph)
+        assert crossed.tolist() == incident_edges(graph, middle[0]).tolist()
+        assert np.all(cross_edges(graph, reach=1)[crossed])
+        assert cross_edges(graph, reach=1).sum() == 2 * dim
         cut = CallableCut(sphere, dim=dim) if sampled else sphere
         expected = edge_walk_verdicts(centre, cut, lam, graph, 50)
         assert expected == [True]
         assert tpr(centre, cut, lam, graph, subdivisions=50).verdicts == expected
-        assert placed_sizes == [cross_nodes(graph).sum(), graph.n_points]
+        assert placed_sizes == [star_nodes(graph).sum()] == [2 * dim + 1]
 
     @pytest.mark.parametrize("sampled", [False, True])
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_crossing_on_the_cross_alone(self, dim, sampled, placed_sizes):
-        # a small sphere around the centre node crosses the cross edges at
-        # the centre and no other edge: pass 1 decides, the whole check
-        # grid is never placed
-        graph = check_graph(dim)
+        # a small sphere around a cross node outside the star, all of whose
+        # edges lie on the cross (the level-6 4D grid has none such): the
+        # star misses it and the cross decides, the whole grid is never placed
+        graph = check_graph(dim, level=8)
         lam = Fraction(1, 3)
         centre = np.full((1, dim), 0.05)
-        nodes = placed_nodes(centre, lam, graph)[0]
-        on = cross_nodes(graph)
-        middle = np.flatnonzero(np.all(graph.grid.lattice == graph.grid.resolution // 2, axis=1))
-        gaps = np.linalg.norm(nodes[on] - nodes[middle], axis=1)
-        sphere = SphericalCut(nodes[middle[0]], 0.3 * gaps[gaps > 0].min())
+        on, star = cross_edges(graph), cross_edges(graph, reach=1)
+        node = next(k for k in np.flatnonzero(cross_nodes(graph) & ~star_nodes(graph))
+                    if np.all(on[incident_edges(graph, k)]))
+        sphere = node_sphere(graph, node, centre, lam)
         crossed = crossed_edges(sphere, centre, lam, graph)
-        assert len(crossed) and np.all(cross_edges(graph)[crossed])
+        assert crossed.tolist() == incident_edges(graph, node).tolist()
+        assert np.all(on[crossed]) and not np.any(star[crossed])
         cut = CallableCut(sphere, dim=dim) if sampled else sphere
         expected = edge_walk_verdicts(centre, cut, lam, graph, 50)
         assert expected == [True]
         assert tpr(centre, cut, lam, graph, subdivisions=50).verdicts == expected
-        assert placed_sizes == [on.sum()]
+        assert placed_sizes == [star_nodes(graph).sum(), cross_nodes(graph).sum()]
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_crossing_off_the_cross(self, dim, sampled, placed_sizes):
+        # a small sphere around a node off the cross: every crossed edge has
+        # an end off the cross, so only the whole grid finds it, by its node
+        # signs and without a walk for a sampled cut
+        graph = check_graph(dim)
+        lam = Fraction(1, 3)
+        centre = np.full((1, dim), 0.05)
+        node = np.flatnonzero(~cross_nodes(graph))[0]
+        sphere = node_sphere(graph, node, centre, lam)
+        crossed = crossed_edges(sphere, centre, lam, graph)
+        assert crossed.tolist() == incident_edges(graph, node).tolist()
+        assert not np.any(cross_edges(graph)[crossed])
+        cut = CallableCut(sphere, dim=dim) if sampled else sphere
+        expected = edge_walk_verdicts(centre, cut, lam, graph, 50)
+        assert expected == [True]
+        assert tpr(centre, cut, lam, graph, subdivisions=50).verdicts == expected
+        assert placed_sizes == [star_nodes(graph).sum(), cross_nodes(graph).sum(),
+                                graph.n_points]
+
+    @pytest.mark.parametrize("name,dim", [("torus", 4), ("sine", 2)])
+    def test_false_heavy_sampled_cuts(self, name, dim, monkeypatch):
+        # uniform points, most of whose check grids miss the interface: the
+        # walk samples only the edges the slope bound leaves uncertified
+        from sgdetect import evaluation
+
+        cut = TorusCut() if name == "torus" else SinusoidalCut(0.4, 2.0)
+        graph = check_graph(dim, level=8)
+        pts = np.random.default_rng(7).uniform(-1.0, 1.0, size=(150, dim))
+        walked = []
+
+        def spy(f, a, b, knots):
+            if len(knots) > 2:
+                walked.append(len(a))
+            return sample_signs(f, a, b, knots)
+
+        monkeypatch.setattr(evaluation, "sample_signs", spy)
+        got = tpr(pts, cut, Fraction(1, 8), graph, subdivisions=50).verdicts
+        expected = edge_walk_verdicts(pts, cut, Fraction(1, 8), graph, 50)
+        assert got == expected
+        assert 0 < sum(expected) < len(expected) / 4
+        false = len(expected) - sum(expected)
+        assert sum(walked) < false * len(graph.edges) / 10
+
+    @pytest.mark.parametrize("bad", [[np.nan, 0.3], [np.inf, 0.0], [0.1, -np.inf]])
+    @pytest.mark.parametrize("name", ["circle", "sine"])
+    def test_non_finite_points(self, name, bad):
+        # a NaN or inf coordinate is not a troubled point: it would score
+        # True on a sampled cut (a NaN sample counts as a crossing) and
+        # False on a closed-form one
+        cut = builtin_test_functions()[name].cut
+        pts = np.array([[0.2, 0.75], [0.0, 0.0], bad, [np.nan, np.nan]])
+        with pytest.raises(SgdetectError, match=r"troubled point 2 has a non-finite"):
+            tpr(pts, cut, Fraction(1, 8), check_graph(2), subdivisions=50)
 
     @pytest.mark.parametrize("rule,level", [("prod", 6), ("max", 3)])
     @pytest.mark.parametrize("sampled", [False, True])
