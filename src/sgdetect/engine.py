@@ -266,9 +266,23 @@ class _SortedKeys:
 
 
 def _merge(level: tuple, new: tuple) -> tuple:
+    """Both levels' entries in key order: the new sorted keys, none of them
+    in ``level``, go to positions ``at + arange(m)`` and the old entries
+    fill the rest, in order, as ``np.insert`` would place them."""
     at = np.searchsorted(level[0], new[0])
-    return tuple(None if old is None else np.insert(old, at, add)
-                 for old, add in zip(level, new))
+    at += np.arange(len(at))
+    old_slots = np.ones(len(level[0]) + len(at), dtype=bool)
+    old_slots[at] = False
+    merged = []
+    for old, add in zip(level, new):
+        if old is None:
+            merged.append(None)
+            continue
+        out = np.empty(len(old_slots), dtype=old.dtype)
+        out[at] = add
+        out[old_slots] = old
+        merged.append(out)
+    return tuple(merged)
 
 
 class _EngineState:

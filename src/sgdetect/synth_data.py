@@ -70,7 +70,8 @@ def legendre_table(x: np.ndarray, top: int) -> list[np.ndarray]:
     P_d(u_i) in one contiguous block.  Rows are separate arrays of x's size: one
     (top + 1)-row block raised glibc's mmap threshold and slowed later training."""
     x = np.asarray(x, dtype=np.float64)
-    u = np.add(np.moveaxis(x, -1, 0), 1.0, out=np.empty((x.shape[-1], *x.shape[:-1])))
+    u = np.add(x.transpose(-1, *range(x.ndim - 1)), 1.0,
+               out=np.empty((x.shape[-1], *x.shape[:-1])))
     u /= 2.0
     table = [np.ones_like(u), u]
     for k in range(1, top):

@@ -438,12 +438,46 @@ class TestCutParameters:
         assert cut(np.zeros(2)) == 0.0
 
 
+def legendre_scalar_bound(cut):
+    """The whole-gradient bound |C|/max|poly| |g| + 1 that a Legendre cut
+    offered before its bounds went per axis, valid on [-1, 1]^n."""
+    h = np.asarray(cut.poly.indices, dtype=np.float64)
+    g = np.abs(np.asarray(cut.poly.coeffs)) @ (h * (h + 1.0)) / 4.0
+    return abs(cut.scale) / cut.max_abs * float(np.linalg.norm(g)) + 1.0
+
+
+def torus_scalar_bound(lo, hi):
+    """The whole-gradient torus bound sqrt(4 Q^2 + 4 X3^2 + (2 Q + X4/8)^2)."""
+    top = np.maximum(np.abs(lo), np.abs(hi))
+    q = np.maximum(top[:, 3], np.hypot(top[:, 0], top[:, 1]))
+    return np.sqrt(4.0 * q**2 + 4.0 * top[:, 2] ** 2 + (2.0 * q + top[:, 3] / 8.0) ** 2)
+
+
+def axis_slopes(cut, x, step):
+    """Finite-difference |df/dx_k| at the rows of x, one column per axis,
+    over the step that x + step e_k actually takes."""
+    slopes = []
+    for k in range(x.shape[-1]):
+        y = x.copy()
+        y[..., k] += step
+        slopes.append(np.abs(cut(y) - cut(x)) / (y[..., k] - x[..., k]))
+    return np.stack(slopes, axis=-1)
+
+
 class TestSlopeBound:
+    """``slope_bound`` gives a (G, n) array of per-axis bounds, each no
+    larger than the whole-gradient bound the cut offered before."""
+
     BOXES = (np.array([[-1.0, -1.0], [0.0, 0.5]]), np.array([[1.0, 1.0], [0.25, 0.75]]))
 
     @pytest.mark.parametrize("cut", [LinearCut([3.0, -4.0], 0.2), SphericalCut((0.1, 0.2), 0.3)])
     def test_unit_slope(self, cut):
-        np.testing.assert_array_equal(cut.slope_bound(*self.BOXES), [1.0, 1.0])
+        # |w_k| for the unit normal w, 1 on every axis for the sphere; the
+        # whole-gradient bound was 1 for both
+        want = np.abs(cut.w) if isinstance(cut, LinearCut) else np.ones(2)
+        bound = cut.slope_bound(*self.BOXES)
+        np.testing.assert_array_equal(bound, [want, want])
+        assert np.all(bound <= 1.0)
 
     @pytest.mark.parametrize("cut", [
         ProductCut([TorusCut()]), CallableCut(SinusoidalCut(0.4, 2.0), 2),
@@ -457,27 +491,45 @@ class TestSlopeBound:
         assert cut.slope_bound(lo, hi) is None
 
     def test_legendre_bound_formula(self):
-        # g = 2 * 1*2/4 + 1 * 3*4/4 = 4, L = 0.5 / 2 * 4 + 1 = 2
+        # P_1 and P_3 at u = (x + 1)/2: g = 2 * 1*2/4 + 1 * 3*4/4 = 4 while
+        # |u| <= 1, and C/max|poly| g = 0.5 / 2 * 4 = 1 along the free axis 1;
+        # the whole-gradient bound was C/max|poly| g + 1 = 2.  At |u| = 2
+        # (x1 = 3 or x1 = -5), P_1'(2) = 1 and P_3'(2) = (15 * 4 - 3)/2 = 28.5,
+        # so g = 2 * 1/2 + 1 * 28.5/2 = 15.25 and the bound is 3.8125
         piece = LegendrePiece(dim=1, indices=((1,), (3,)), coeffs=(2.0, -1.0))
         cut = PolynomialCut(piece, scale=0.5, axis=0, max_abs=2.0, dim=2)
-        lo = np.array([[-5.0, -1.0], [0.0, -1.0], [0.0, -1.0 - 2.0**-52]])
-        hi = np.array([[5.0, 1.0], [0.0, 1.0 + 2.0**-52], [0.0, 0.0]])
-        # the axis coordinate may leave [-1, 1]; a free one may not
-        np.testing.assert_array_equal(cut.slope_bound(lo, hi), [2.0, np.inf, np.inf])
+        lo = np.array([[-5.0, -1.0], [0.0, -1.0], [0.0, -1.0 - 2.0**-52], [0.0, -3.0],
+                       [0.0, 2.0], [0.0, -5.0]])
+        hi = np.array([[5.0, 1.0], [0.0, 1.0 + 2.0**-52], [0.0, 0.0], [0.0, 1.0],
+                       [0.0, 3.0], [0.0, -4.0]])
+        # the axis coordinate is free to leave [-1, 1]; a free one raises the
+        # bound once |u| passes 1
+        np.testing.assert_array_equal(cut.slope_bound(lo, hi),
+                                      [[1.0, 1.0]] * 4 + [[1.0, 3.8125]] * 2)
+        assert legendre_scalar_bound(cut) == 2.0
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_legendre_bound_holds(self, dim):
+        # finite-difference slopes along each axis, inside the unit box and
+        # in boxes reaching past it, where P_k(|u|) and P_k'(|u|) grow
         rng = np.random.default_rng(dim)
         for _ in range(5):
             cut = sample_cut("polynomial", dim, rng)
-            x = rng.uniform(-1.0, 1.0, (2000, dim))
-            step = rng.normal(size=(2000, dim))
-            step *= 1e-6 / np.linalg.norm(step, axis=1, keepdims=True)
-            ok = np.all(np.abs(x + step) <= 1.0, axis=1)
-            slope = np.abs(cut(x + step) - cut(x))[ok] / 1e-6
-            bound = cut.slope_bound(-np.ones((1, dim)), np.ones((1, dim)))[0]
-            assert np.isfinite(bound) and slope.max() <= bound
-
+            unit = cut.slope_bound(-np.ones((1, dim)), np.ones((1, dim)))
+            assert unit.shape == (1, dim) and unit[0, cut.axis] == 1.0
+            assert np.all(unit <= legendre_scalar_bound(cut))
+            for half in (1.0, 2.5):
+                lo = rng.uniform(-half, half, (20, dim)) - 0.5
+                hi = lo + rng.uniform(0.1, 1.5, (20, dim))
+                bound = cut.slope_bound(lo, hi)
+                assert bound.shape == (20, dim) and np.all(np.isfinite(bound))
+                x = rng.uniform(lo[:, None], hi[:, None] - 1e-6, (20, 100, dim))
+                slope = axis_slopes(cut, x, 1e-6)
+                # the rounding of f(y) - f(x), over the step of 1e-6
+                slack = 1e-9 * (1.0 + np.abs(cut(x)))[..., None]
+                assert np.all(slope <= bound[:, None] + slack)
+                if half > 1.0:
+                    assert np.any(bound > unit)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), name=st.sampled_from(["torus", "sine"]))
@@ -496,24 +548,30 @@ class TestSlopeBound:
         centre[10:20, :2] = rng.uniform(-0.5, 0.5, (10, 2)) * half[10:20, :2]
         lo, hi = centre - half, centre + half
         bound = cut.slope_bound(lo, hi)
-        assert bound.shape == (boxes,) and np.all(np.isfinite(bound))
+        assert bound.shape == (boxes, dim) and np.all(np.isfinite(bound))
+        scalar = (torus_scalar_bound(lo, hi) if name == "torus"
+                  else np.full(boxes, math.hypot(1.0, cut.amplitude * cut.freq * math.pi)))
+        assert np.all(bound <= scalar[:, None])
         a = rng.uniform(lo[:, None], hi[:, None], (boxes, 200, dim))
         b = rng.uniform(lo[:, None], hi[:, None], (boxes, 200, dim))
+        # along each axis alone, and along any segment by sum_k L_k |b_k - a_k|;
         # 1e-12 covers the rounding of f(a) - f(b), whose terms stay below 20
-        gap = np.abs(cut(a) - cut(b))
-        assert np.all(gap <= bound[:, None] * np.linalg.norm(a - b, axis=-1) + 1e-12)
+        along = np.where(np.eye(dim, dtype=bool)[rng.integers(dim, size=200)], b, a)
+        for c in (b, along):
+            gap = np.abs(cut(a) - cut(c))
+            assert np.all(gap <= (np.abs(a - c) * bound[:, None]).sum(axis=-1) + 1e-12)
 
     def test_sine_bound_formula(self):
         cut = SinusoidalCut(0.4, 2.0)
-        np.testing.assert_array_equal(cut.slope_bound(*self.BOXES),
-                                      [math.hypot(1.0, 0.8 * math.pi)] * 2)
+        np.testing.assert_array_equal(cut.slope_bound(*self.BOXES), [[0.8 * math.pi, 1.0]] * 2)
 
     def test_torus_bound_formula(self):
         # Q = max(X4, max rho) = max(0.5, hypot(3, 4)) = 5, X3 = 2, X4 = 0.5
         lo = np.array([[-3.0, 0.0, -2.0, -0.5]])
         hi = np.array([[1.0, 4.0, 1.0, 0.25]])
-        want = math.sqrt(4 * 25 + 4 * 4 + (10 + 0.5 / 8) ** 2)
-        np.testing.assert_allclose(TorusCut().slope_bound(lo, hi), [want], rtol=1e-15)
+        np.testing.assert_array_equal(TorusCut().slope_bound(lo, hi),
+                                      [[10.0, 10.0, 4.0, 10.0 + 0.5 / 8]])
+        assert TorusCut().slope_bound(lo, hi).max() <= torus_scalar_bound(lo, hi)[0]
 
 
 def z_both_paths(cut, graph, t, stack):
@@ -564,12 +622,21 @@ def adversarial_cut(kind, stack, graph, t, rng):
         return LinearCut(axis, -point[0])
     if kind == "plane-knot":
         return LinearCut(axis, -knot[0])
+    if kind == "plane-end-knot":
+        # a zero at one of the knots the ranged z-detector evaluates first
+        end = taus[rng.choice([t // 2, (t + 1) // 2, t, 1, t - 1])] * (b - a) + a
+        return LinearCut(axis, -end[0])
     if kind == "sphere-point":
         return SphericalCut(point + 0.25 * axis, 0.25)
     if kind == "sphere-tangent":
         # tangent to the segment's line at the knot, from another axis
         radius = float(2.0 ** -rng.integers(1, 6))
         return SphericalCut(knot + radius * np.eye(dim)[1], radius)
+    if kind == "sphere-near-tangent":
+        # an ulp short of, or past, touching the line at the knot
+        radius = float(2.0 ** -rng.integers(1, 6))
+        return SphericalCut(knot + radius * np.eye(dim)[1],
+                            np.nextafter(radius, rng.choice([-np.inf, np.inf])))
     assert kind == "legendre"
     # a training cut, whose bound holds on the root box's faces xi = +-1
     # and is infinite on the nudged grid
@@ -610,6 +677,56 @@ class TestCertifiedZDetector:
             stack = placed_stack(graph, anchor, 5, rng)
         certified, sampled = z_both_paths(cut, graph, t, stack)
         np.testing.assert_array_equal(certified, sampled)
+
+    @pytest.mark.parametrize("bisect", [False, True])
+    @pytest.mark.parametrize("t", [12, 13, 49, 149])
+    @pytest.mark.parametrize("kind", ["plane-ulp", "oblique-ulp", "plane-point", "plane-knot",
+                                      "plane-end-knot", "sphere-point", "sphere-tangent",
+                                      "sphere-near-tangent", "legendre"])
+    def test_adversarial_knot_ranges(self, monkeypatch, kind, t, bisect):
+        # zeros on boundary and inner knots, tangent and near-tangent spheres;
+        # ``bisect`` splits every open range down to two knot steps
+        if bisect:
+            monkeypatch.setattr(detectors, "BISECT_ABOVE", 2)
+            monkeypatch.setattr(detectors, "BISECT_MIN_KNOTS", 0)
+        for seed in range(6):
+            rng = np.random.default_rng([seed, t, len(kind)])
+            dim = (2, 3, 4)[seed % 3]
+            graph = reference_graph(dim)
+            stack = dyadic_stack(graph, rng, 4)
+            cut = adversarial_cut(kind, stack, graph, t, rng)
+            certified, sampled = z_both_paths(cut, graph, t, stack)
+            np.testing.assert_array_equal(certified, sampled)
+
+    @pytest.mark.parametrize("bisect", [False, True])
+    @pytest.mark.parametrize("t", [12, 13, 49, 149])
+    @pytest.mark.parametrize("kind,dim", [("linear", 2), ("linear", 4), ("sphere", 3),
+                                          ("legendre", 2), ("legendre", 3), ("legendre", 4),
+                                          ("sinusoidal", 2), ("torus", 4)])
+    def test_knot_ranges_every_bounded_cut(self, monkeypatch, kind, dim, t, bisect):
+        # grids on the interface, and wide grids reaching past [-1, 1]^n,
+        # where a Legendre cut's bounds grow
+        if bisect:
+            monkeypatch.setattr(detectors, "BISECT_ABOVE", 2)
+            monkeypatch.setattr(detectors, "BISECT_MIN_KNOTS", 0)
+        rng = np.random.default_rng([dim, t, len(kind)])
+        graph = reference_graph(dim)
+        cut, anchor = cut_through(kind, dim, rng)
+        wide = [similar_grid(graph.grid, tuple(rng.uniform(-1.5, 1.5, dim)), 2.0).coords()
+                for _ in range(2)]
+        stack = np.concatenate([placed_stack(graph, anchor, 5, rng), np.stack(wide)])
+        calls = []
+        with mock.patch.object(detectors, "_z_open_ranges",
+                               side_effect=lambda *a: calls.append(a[-2]) or
+                               self.open_ranges(*a)):
+            certified, sampled = z_both_paths(cut, graph, t, stack)
+        np.testing.assert_array_equal(certified, sampled)
+        np.testing.assert_array_equal(sampled, z_detector_per_grid(cut, graph, t, stack))
+        if kind in ("legendre", "sinusoidal", "torus"):
+            # some segment is kept and has a range that its end knots leave open
+            assert calls
+
+    open_ranges = staticmethod(detectors._z_open_ranges)
 
     @pytest.mark.parametrize("kind,dim", [("linear", 2), ("sphere", 3), ("legendre", 2),
                                           ("legendre", 4), ("sinusoidal", 2), ("torus", 4)])
@@ -732,16 +849,15 @@ class TestSampleBudget:
         stack = placed_stack(graph, anchor, 6, rng)
         monkeypatch.setattr(detectors, "SAMPLE_BUDGET", budget)
         monkeypatch.setattr(detectors, "CERTIFY_MIN_T", 2)
-        # grids whose box leaves the Legendre bound's domain are not certified
-        bounded = np.isfinite(cut.slope_bound(stack.min(axis=1), stack.max(axis=1))).sum()
-        assert bounded > 0
-        points = bounded * stack.shape[1]
+        # every grid has finite per-axis bounds, so every point is evaluated
+        assert np.all(np.isfinite(cut.slope_bound(stack.min(axis=1), stack.max(axis=1))))
+        points = stack.shape[0] * stack.shape[1]
         for t in (2, 9, 49):
             counting = BoundedCountingCut(cut)
             np.testing.assert_array_equal(z_detector(counting, graph, t, stack),
                                           z_detector_per_grid(cut, graph, t, stack))
             assert counting.bounds == 1
-            # the grid-point pass comes first and evaluates each certified point once
+            # the grid-point pass comes first and evaluates each point once
             passes = np.cumsum(counting.points)
             assert points in passes
             grid_pass = counting.points[: int(np.searchsorted(passes, points)) + 1]
