@@ -728,6 +728,22 @@ class TestCertifiedZDetector:
 
     open_ranges = staticmethod(detectors._z_open_ranges)
 
+    @pytest.mark.parametrize("t", [12, 49, 149])
+    def test_steep_axis_keeps_its_bound(self, t):
+        # a sine with slope 10 pi along x1 and 1 along x2: edges along x1
+        # whose ends share a sign cross the wave twice in between, and only
+        # x1's own bound keeps them
+        cut = SinusoidalCut(0.4, 8.0)
+        graph = reference_graph(2)
+        rng = np.random.default_rng(t)
+        stack = np.stack([similar_grid(graph.grid, (x, rng.uniform(-0.5, 0.5)), 0.5).coords()
+                          for x in rng.uniform(-1.0, 1.0, 12)])
+        certified, sampled = z_both_paths(cut, graph, t, stack)
+        np.testing.assert_array_equal(certified, sampled)
+        along_x1 = np.flatnonzero(graph.edges[:, 2] == 0)
+        kept = detectors._uncertified_segments(cut, graph.edge_ends, stack) % len(graph.edges)
+        assert np.isin(kept, along_x1).any()
+
     @pytest.mark.parametrize("kind,dim", [("linear", 2), ("sphere", 3), ("legendre", 2),
                                           ("legendre", 4), ("sinusoidal", 2), ("torus", 4)])
     def test_clears_segments(self, kind, dim):
