@@ -407,8 +407,7 @@ def _certificate(f: CutFunction, ends: tuple[np.ndarray, np.ndarray], coords: np
     at a computed knot fl(a + tau (b - a)) for tau in [0, 1] (the last knot
     need not be b to the bit), L times that knot's offset from the exact
     point, and the rounding of reach and of the bound.  L is never below
-    the grid's Lipschitz constant |grad f|, which bounded the rounding
-    before the bounds went per axis.  To first order these sum to under
+    the grid's Lipschitz constant |grad f|.  To first order these sum to under
     delta / 30 for every cut of this module: the torus rounds to within
     about 20 u (Q^2 + X3^2) <= 20 u X L, since its L is at least 4 Q and
     2 X3 while X is at least Q / sqrt(2) and X3; the sine's argument
