@@ -28,11 +28,14 @@ and non-dyadic domains exact.  Grid points, the visited set, the evaluation
 cache and the troubled set key a point by its int64 numerators ``k``,
 packed into one int64 when the run's lattice fits in 63 bits and kept as
 their ``8 n`` bytes otherwise; both kinds of key go through the same
-sorts and searches.  The visited set and the cache are one sorted key
-array with a parallel float64 value array, the troubled set another
-sorted key array, each updated once per chunk (see :class:`_SortedKeys`).
-A chunk takes at most ``SAMPLE_BUDGET // N`` grids, so its arrays stay
-bounded, and the domain test is one integer comparison per chunk.  Exact
+sorts and searches.  The visited set with the cache (a float64 value per
+key) and the troubled set are :class:`_SortedKeys`, which fold the keys
+parked in them only when they are read or too many are parked: a run that
+evaluates g looks each chunk's distinct points up in the cache and
+inserts the new ones at once, a run that does not parks each chunk's raw
+keys, and every run parks its final troubled points.  A chunk takes at
+most ``SAMPLE_BUDGET // N`` grids, so its arrays stay bounded, and the
+domain test is one integer comparison pair per axis and chunk.  Exact
 ``Fraction`` values are built only for a visit hook: each grid's
 :class:`BoxTask` and the placed grid of its :class:`GridSample`.  A run
 keeps its troubled points as arrays and builds its :class:`TroubledPoint`
@@ -215,51 +218,92 @@ def _require_refined(lat: np.ndarray) -> None:
         )
 
 
-def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _distinct(keys: np.ndarray, inverse: bool = False) -> tuple[np.ndarray, ...]:
     """The distinct ``keys`` in sorted order, the index of each one's first
-    occurrence, and the index into the distinct keys of every entry: one
-    sort and a neighbour mask (``np.unique`` is far slower on int64)."""
+    occurrence and, if ``inverse``, the index into the distinct keys of
+    every entry: one sort and a neighbour mask (``np.unique`` is far slower
+    on int64)."""
     order = np.argsort(keys)
     ordered = keys[order]
     head = np.ones(len(keys), dtype=bool)
     head[1:] = ordered[1:] != ordered[:-1]
     starts = np.flatnonzero(head)
+    distinct = ordered[starts], np.minimum.reduceat(order, starts)
+    if not inverse:
+        return distinct
     where = np.empty(len(keys), dtype=np.intp)
     where[order] = np.cumsum(head) - 1
-    return ordered[starts], np.minimum.reduceat(order, starts), where
+    return *distinct, where
 
 
 class _SortedKeys:
-    """A set of distinct keys, each with a float64 value when ``valued``.
+    """A set of distinct keys, each with a value of dtype ``values`` unless
+    that is None.
 
-    The keys are held in two sorted levels, each with its values: a chunk's
-    new keys are merged into the recent level, and the recent level into
-    the main one once it holds more than an eighth of it, so a chunk of one
-    grid costs about the recent level's size, not the whole set's.
+    The keys are held in two sorted levels, each with its values: new keys
+    are merged into the recent level, and the recent level into the main
+    one once it holds more than an eighth of it, so inserting one grid's
+    keys costs about the recent level's size, not the whole set's.
+    :meth:`add` only parks keys, unsorted, repeated or in the set already;
+    they are folded in when the set is read (:meth:`find`, ``len``,
+    :meth:`values`) or when more than ``max(SAMPLE_BUDGET, size // 8)`` are
+    parked.  A key keeps the first value added for it.
     """
 
-    def __init__(self, dtype: np.dtype, valued: bool):
-        self.empty = (np.empty(0, dtype), np.empty(0) if valued else None)
+    def __init__(self, dtype: np.dtype, values: type | None):
+        self.empty = (np.empty(0, dtype), None if values is None else np.empty(0, values))
         self.main = self.recent = self.empty
+        self.parked: list = []
+        self.n_parked = 0
 
     def __len__(self) -> int:
+        self.fold()
         return len(self.main[0]) + len(self.recent[0])
 
-    def find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Which of ``keys`` are in the set, and their values where they are."""
+        self.fold()
         found = np.zeros(len(keys), dtype=bool)
-        values = np.empty(len(keys))
+        values = None if self.empty[1] is None else np.empty(len(keys), self.empty[1].dtype)
         for level, level_values in (self.main, self.recent):
             if len(level):
                 at = np.minimum(np.searchsorted(level, keys), len(level) - 1)
                 hit = level[at] == keys
                 found |= hit
-                if level_values is not None:
+                if values is not None:
                     values[hit] = level_values[at[hit]]
         return found, values
 
+    def values(self) -> np.ndarray:
+        """Every key's value, level by level."""
+        self.fold()
+        return np.concatenate([self.main[1], self.recent[1]])
+
     def add(self, keys: np.ndarray, values: np.ndarray | None = None) -> None:
-        """Insert sorted keys, none of them in the set yet."""
+        """Park keys, in any order, with their values."""
+        self.parked.append((keys, values))
+        self.n_parked += len(keys)
+        if self.n_parked > max(SAMPLE_BUDGET, (len(self.main[0]) + len(self.recent[0])) // 8):
+            self.fold()
+
+    def fold(self) -> None:
+        """Insert the distinct parked keys not in the set yet, each with the
+        value of its first parked occurrence."""
+        if self.parked:
+            self.insert(*self._unparked())
+
+    def _unparked(self) -> tuple:
+        """The distinct parked keys not in the set, sorted, with their values."""
+        keys = np.concatenate([keys for keys, _ in self.parked])
+        values = None if self.empty[1] is None else np.concatenate(
+            [values for _, values in self.parked])
+        self.parked, self.n_parked = [], 0
+        keys, first = _distinct(keys)
+        new = np.flatnonzero(~self.find(keys)[0])
+        return keys[new], None if values is None else values[first[new]]
+
+    def insert(self, keys: np.ndarray, values: np.ndarray | None = None) -> None:
+        """Merge sorted keys, none of them in the set or parked."""
         self.recent = _merge(self.recent, (keys, values))
         if len(self.recent[0]) > len(self.main[0]) // 8:
             self.main, self.recent = _merge(self.main, self.recent), self.empty
@@ -291,9 +335,9 @@ class _EngineState:
     Queue entries are ``(center, edge, depth)``: the box's lattice
     numerators and its generation.  The queue and ``seen`` key points by
     numerator tuples; the visited set with the cache (``points``) and the
-    troubled set (``recorded``) are :class:`_SortedKeys` of the keys that
-    :meth:`keys` packs.  The troubled points themselves are kept per chunk
-    as arrays until :meth:`result`.
+    troubled set (``recorded``, valued by the row of each point's first
+    record) are :class:`_SortedKeys` of the keys that :meth:`keys` packs.
+    Every recorded row is kept per chunk as arrays until :meth:`result`.
     """
 
     def __init__(self, grid: SparseGrid, graph: GridGraph, detector: Detector,
@@ -322,9 +366,10 @@ class _EngineState:
         self.pending: deque = deque()
         self.seen: set = set()
         # the visited points, with g's value at each when the run evaluates it
-        self.points = _SortedKeys(self.key_dtype, valued=evaluates)
-        self.recorded = _SortedKeys(self.key_dtype, valued=False)
-        self.troubled: list = []  # per chunk: (numerators, lam, boundary stopped, coords)
+        self.points = _SortedKeys(self.key_dtype, np.float64 if evaluates else None)
+        self.recorded = _SortedKeys(self.key_dtype, np.int64)
+        self.finals: list = []  # per chunk: (numerators, lam, boundary stopped)
+        self.n_finals = 0
         self.depth_sizes: Counter = Counter()
         self.evaluations = 0
         self.nan_evaluations = 0
@@ -370,7 +415,7 @@ class _EngineState:
                   for x, o in zip(domain.lower, self.origin)]
             hi = [min(math.floor((x - o) / self.unit), _LATTICE_LIMIT)
                   for x, o in zip(domain.upper, self.origin)]
-        self.lo, self.hi = np.array(lo), np.array(hi)
+        self.bounds = list(zip(lo, hi))
 
     def numerators(self, point: Sequence[Fraction]) -> tuple[int, ...]:
         return tuple(int((x - o) / self.unit) for x, o in zip(point, self.origin))
@@ -394,28 +439,31 @@ class _EngineState:
 
     def visit(self, chunk: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
         """Place the chunk's G grids as one ``(G, N, n)`` numerator array,
-        add its points to the visited set, evaluate g on them when needed,
-        and return the numerators, the ``(G, N, n)`` float coordinates, the
-        ``(G, N)`` domain mask and the ``(G, N)`` values (None when the run
-        does not evaluate g)."""
+        add its points to the visited set, evaluate g on the new ones when
+        needed (each distinct point looked up in the cache), and return the
+        numerators, the ``(G, N, n)`` float coordinates, the ``(G, N)``
+        domain mask and the ``(G, N)`` values (None when the run does not
+        evaluate g)."""
         lat = self.lattice
         centers = np.array([center for center, _, _ in chunk], dtype=np.int64)
         steps = np.array([edge // self.m for _, edge, _ in chunk], dtype=np.int64)
         pts = centers[:, None, :] + self.offsets * steps[:, None, None]
-        in_domain = np.all((pts >= self.lo) & (pts <= self.hi), axis=2)
+        in_domain = np.ones(pts.shape[:2], dtype=bool)
+        for k, (lo, hi) in enumerate(self.bounds):
+            in_domain &= (pts[..., k] >= lo) & (pts[..., k] <= hi)
         # both correctly rounded, like float(Fraction) of the exact center and
         # edge, so each grid gets the floats of its placed grid's coords()
         coords = self.grid.place(lat.floats(centers),
                                  [(edge * lat.unit_num) / lat.den for _, edge, _ in chunk])
-        keys, first, where = _distinct(self.keys(pts))
-        found, values = self.points.find(keys)
-        new = np.flatnonzero(~found)
         if self.evaluates:
+            keys, first, where = _distinct(self.keys(pts), inverse=True)
+            found, values = self.points.find(keys)
+            new = np.flatnonzero(~found)
             values[new] = self.evaluate(first[new], in_domain.ravel(), coords)
-            self.points.add(keys[new], values[new])
+            self.points.insert(keys[new], values[new])
             values = values[where].reshape(in_domain.shape)
         else:
-            self.points.add(keys[new])
+            self.points.add(self.keys(pts))
             values = None
         self.depth_sizes.update(depth for _, _, depth in chunk)
         return pts, coords, in_domain, values
@@ -468,21 +516,19 @@ class _EngineState:
 
     def record(self, points: np.ndarray, lam: np.ndarray, boundary_stopped: np.ndarray) -> None:
         """Record final troubled points, given as ``(F, n)`` numerators in
-        visit order: the first occurrence of each point not recorded yet."""
-        keys, first, _ = _distinct(self.keys(points))
-        new = ~self.recorded.find(keys)[0]
-        self.recorded.add(keys[new])
-        rows = np.sort(first[new])
-        points = points[rows]
-        self.troubled.append((points, lam[rows], boundary_stopped[rows],
-                              self.lattice.floats(points)))
+        visit order; the run keeps the first occurrence of each point."""
+        rows = np.arange(self.n_finals, self.n_finals + len(points))
+        self.recorded.add(self.keys(points), rows)
+        self.finals.append((points, lam, boundary_stopped))
+        self.n_finals += len(points)
 
     def result(self) -> DetectionRun:
         n = len(self.origin)
-        parts = [(np.empty((0, n), np.int64), np.empty(0, np.int64), np.empty(0, bool),
-                  np.empty((0, n)))] + self.troubled
-        columns = tuple(np.concatenate(part) for part in zip(*parts))
-        columns[3].flags.writeable = False
+        rows = np.sort(self.recorded.values())
+        empty = (np.empty((0, n), np.int64), np.empty(0, np.int64), np.empty(0, bool))
+        points, lam, stopped = (np.concatenate(part)[rows] for part in zip(empty, *self.finals))
+        coords = self.lattice.floats(points)
+        coords.flags.writeable = False
         return DetectionRun(
             generation_sizes=[self.depth_sizes[d] for d in sorted(self.depth_sizes)],
             visited_points=len(self.points),
@@ -493,7 +539,7 @@ class _EngineState:
             truncated=self.truncated,
             config=self.config,
             nan_evaluations=self.nan_evaluations,
-            _columns=columns,
+            _columns=(points, lam, stopped, coords),
             _lattice=self.lattice,
         )
 
@@ -550,7 +596,8 @@ def _run(g: Callable, grid: SparseGrid, graph: GridGraph, detector: Detector,
     batched run overshoots its budget by fewer than N evaluations, as a
     basic run does.  Each chunk logs one DEBUG record: the depth of its
     first grid, its grid count, and the evaluations (of them NaN), cache
-    hits and troubled points so far.
+    hits and troubled points so far.  Counting the troubled points folds
+    the troubled set, so the record is built only when DEBUG is enabled.
     """
     evaluates = detector.requires_evaluations or visit_hook is not None
     state = _EngineState(grid, graph, detector, g, config, initial, evaluates)
@@ -572,9 +619,10 @@ def _run(g: Callable, grid: SparseGrid, graph: GridGraph, detector: Detector,
                 visit_hook(task, GridSample(similar_grid(grid, task.center, task.edge),
                                             coords[j], in_domain[j], values[j]), ps[j])
         state.process(chunk, pts, in_domain, ps)
-        logger.debug("chunk at depth %d: %d grids; %d evaluations (%d NaN), %d cache hits, "
-                     "%d troubled so far", chunk[0][2], len(chunk), state.evaluations,
-                     state.nan_evaluations, state.cache_hits, len(state.recorded))
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("chunk at depth %d: %d grids; %d evaluations (%d NaN), %d cache "
+                         "hits, %d troubled so far", chunk[0][2], len(chunk), state.evaluations,
+                         state.nan_evaluations, state.cache_hits, len(state.recorded))
     return state.result()
 
 

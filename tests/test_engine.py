@@ -747,6 +747,46 @@ class TestKeysAndChunks:
         assert capped.detector_calls == len(capped_sizes) > full.detector_calls
         assert _outcome(capped) == _outcome(full)
 
+    @pytest.mark.parametrize("key_bits", [engine._KEY_BITS, 0])
+    @pytest.mark.parametrize("case", ["exact", "zlevel", "hooked"])
+    def test_folds_in_mid_run_change_nothing(self, grid2d, graph2d, monkeypatch, case,
+                                             key_bits):
+        # a tiny SAMPLE_BUDGET folds the parked keys every few chunks instead
+        # of only when the run reads its sets
+        from sgdetect.evaluation import builtin_test_functions
+
+        monkeypatch.setattr(engine, "_KEY_BITS", key_bits)
+        target = builtin_test_functions()["circle"]
+        detector = (ZLevelDetector(target.cut, 9) if case == "zlevel"
+                    else ExactOracleDetector(target.cut))
+        hook = (lambda task, sample, p: None) if case == "hooked" else None
+        config = EngineConfig(lambda_min=Fraction(1, 64), domain=target.domain)
+        folds = []
+        unparked = engine._SortedKeys._unparked
+
+        def counted(store):
+            folds.append(store.n_parked)
+            return unparked(store)
+
+        def run():
+            folds.clear()
+            return run_batched(g=target.fn, grid=grid2d, graph=graph2d, detector=detector,
+                               initial=[(target.domain.center, target.domain.edge)],
+                               config=config, visit_hook=hook), len(folds)
+
+        monkeypatch.setattr(engine._SortedKeys, "_unparked", counted)
+        whole, whole_folds = run()
+        monkeypatch.setattr(engine, "SAMPLE_BUDGET", 50)
+        folded, mid_run_folds = run()
+        # reading the sets in result() folds each of them at most once
+        assert whole_folds <= 2 < mid_run_folds
+        assert whole.troubled and (whole.evaluations > 0) == (case == "hooked")
+        for a, b in zip(whole._columns, folded._columns):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert (whole.visited_points, whole.generation_sizes) == (
+            folded.visited_points, folded.generation_sizes)
+        assert _outcome(whole) == _outcome(folded)
+
     def test_nan_from_g_is_counted(self, grid2d, graph2d):
         # g is NaN on the half-plane x < 0; the oracle reads the cut, not g
         cut = SphericalCut((0.2, 0.1), 0.65)
@@ -763,6 +803,64 @@ class TestKeysAndChunks:
         assert runs[0].nan_evaluations == sum(left) > 0
         assert runs[1].nan_evaluations == 0
         assert _outcome(runs[0])[0] == _outcome(runs[1])[0]
+
+
+class TestSortedKeys:
+    @staticmethod
+    def _contents(store):
+        values = store.values()  # folds first
+        keys = np.concatenate([store.main[0], store.recent[0]])
+        return dict(zip(keys.tolist(), values.tolist()))
+
+    @pytest.mark.parametrize("dtype", [np.dtype(np.int64), np.dtype((np.void, 16))])
+    def test_unsorted_repeated_and_present_keys(self, dtype, monkeypatch):
+        monkeypatch.setattr(engine, "SAMPLE_BUDGET", 8)
+        rng = np.random.default_rng(5)
+        store = engine._SortedKeys(dtype, None)
+        seen = set()
+        for size in (0, 3, 40, 1, 200, 17):
+            raw = rng.integers(0, 60, size=(size, 2))
+            keys = (raw[:, 0] * 64 + raw[:, 1] if dtype == np.int64
+                    else np.ascontiguousarray(raw).view(dtype).ravel())
+            store.add(keys)
+            seen |= set(keys.tolist())
+            assert store.n_parked <= max(8, (len(store.main[0]) + len(store.recent[0])) // 8)
+            found, values = store.find(keys)
+            assert found.all() and values is None
+            assert len(store) == len(seen)
+            assert store.n_parked == 0
+        for level in (store.main[0], store.recent[0]):
+            assert np.all(level[1:] > level[:-1]) if dtype == np.int64 else len(
+                set(level.tolist())) == len(level)
+        absent = (np.array([-1, 64 * 60]) if dtype == np.int64
+                  else np.array([[-1, 0], [0, 60]]).view(dtype).ravel())
+        assert not store.find(absent)[0].any()
+
+    def test_first_value_added_wins(self):
+        store = engine._SortedKeys(np.dtype(np.int64), np.int64)
+        store.add(np.array([5, 3, 5]), np.array([1, 2, 3]))
+        store.add(np.array([3, 7]), np.array([9, 4]))
+        assert self._contents(store) == {3: 2, 5: 1, 7: 4}
+        # once folded, a key added again keeps its value too
+        store.add(np.array([7, 1, 5]), np.array([8, 6, 8]))
+        found, values = store.find(np.array([1, 2, 5, 7]))
+        assert found.tolist() == [True, False, True, True]
+        assert values[found].tolist() == [6, 1, 4]
+        assert self._contents(store) == {1: 6, 3: 2, 5: 1, 7: 4}
+
+    def test_valued_store_against_a_dict(self, monkeypatch):
+        monkeypatch.setattr(engine, "SAMPLE_BUDGET", 16)
+        rng = np.random.default_rng(11)
+        store = engine._SortedKeys(np.dtype(np.int64), np.float64)
+        reference = {}
+        for _ in range(60):
+            keys = rng.integers(0, 500, size=int(rng.integers(0, 40)))
+            values = rng.normal(size=len(keys))
+            store.add(keys, values)
+            for k, v in zip(keys.tolist(), values.tolist()):
+                reference.setdefault(k, v)
+        assert len(store) == len(reference)
+        assert self._contents(store) == reference
 
 
 class TestWarningsAndReports:
