@@ -15,7 +15,7 @@ Deterministic detectors provided here:
   spherical, or any cut exposing ``segment_roots``) over all edges of a
   stack of grids; the ground truth for convergence checks.
 * ``z_detector`` -- the sign-sampling approximation with t+1 equispaced
-  knots per edge (``sample_signs``) over all edges of a stack of grids;
+  knots per edge (``knot_values``) over all edges of a stack of grids;
   converges to the oracle as t grows.  From t = :data:`CERTIFY_MIN_T` on,
   a cut with a ``slope_bound`` first certifies the segments whose
   endpoint values and the bound along the segment's axis prove one sign
@@ -25,10 +25,10 @@ Deterministic detectors provided here:
 * ``NeuralDetector`` -- adapter running a trained model on preprocessed
   evaluation vectors, batched across grids.
 
-Both edge-crossing tests (``CutFunction.segment_roots`` and
-``sample_signs``) take stacked segments, so the TPR check in
-``sgdetect.evaluation`` uses the same two functions, and its walk skips
-the segments that the z-detector's certificate clears.  Both deterministic
+Both edge-crossing tests (``CutFunction.segment_roots`` and the signs of
+``knot_values``) take stacked segments, so the TPR check in
+``sgdetect.evaluation`` uses the same two, and its walk is the
+z-detector's certified sign search.  Both deterministic
 detectors walk the flattened (grid, edge) segments of their stack in
 blocks, and no cut call here or in the TPR check evaluates more than
 :data:`SAMPLE_BUDGET` points (``segment_roots`` sees at most that many
@@ -71,7 +71,7 @@ SAMPLE_BUDGET = 1 << 15
 CERTIFY_MIN_T = 12
 
 #: rounding allowance of the certificate, relative to the stack's magnitudes
-#: (``_uncertified_segments``); on the stacks of those four dataset runs it
+#: (``_certificate``); on the stacks of those four dataset runs it
 #: keeps one segment more than a zero allowance would
 CERTIFY_ROUNDING = 2.0**-30
 
@@ -346,20 +346,19 @@ class CallableCut(CutFunction):
 # deterministic detectors
 
 
-def sample_signs(f: CutFunction, a: np.ndarray, b: np.ndarray,
-                 knots: np.ndarray) -> np.ndarray:
-    """Signs of f at a + tau (b - a) for each knot tau of each segment.
+def knot_values(f: CutFunction, a: np.ndarray, b: np.ndarray, knots: np.ndarray) -> np.ndarray:
+    """f at the knots a + tau (b - a) of stacked segments, knot-major.
 
-    ``a`` and ``b`` are stacked endpoints of shape ``(..., n)``; the result
-    has shape ``(..., len(knots))``.  The cut sees one ``(m, n)`` array,
-    knot-major: building it as ``(len(knots), ..., n)`` gives NumPy long
-    inner loops, while a trailing axis of n gives it loops of n floats.
-    Each point is still ``a + tau (b - a)`` to the bit.
+    ``a`` and ``b`` are ``(..., n)`` endpoints; ``knots`` has K rows and
+    broadcasts against their leading shape: ``(K, 1)`` shared by ``(B, n)``
+    segments, ``(K, B)`` each one's own.  The result is ``(K, ...)``.  The
+    cut sees one ``(m, n)`` array, knot-major: building it as ``(K, ...,
+    n)`` gives NumPy long inner loops, where a trailing axis of n gives it
+    loops of n floats.  Each point is still ``a + tau (b - a)`` to the bit.
     """
-    pts = knots.reshape(-1, *(1,) * a.ndim) * (b - a)
+    pts = knots[..., None] * (b - a)
     pts += a
-    signs = np.sign(f(pts.reshape(-1, pts.shape[-1])).reshape(pts.shape[:-1]))
-    return np.moveaxis(signs, 0, -1)
+    return f(pts.reshape(-1, pts.shape[-1])).reshape(pts.shape[:-1])
 
 
 def _segment_blocks(graph: GridGraph, coords: np.ndarray, per_segment: int):
@@ -399,7 +398,8 @@ def _certificate(f: CutFunction, ends: tuple[np.ndarray, np.ndarray], coords: np
     then carries va's sign, so neither ``z_detector`` nor the TPR walk
     finds a crossing on it.  The same test, with reach scaled by the
     share of the segment it spans, clears a range of knots between two
-    knots of known value.
+    knots of known value (:func:`_search_ranges`); both callers read the
+    kept segments, their reach and the slack from the result directly.
 
     delta = CERTIFY_ROUNDING n (1 + X + V)(1 + L), with X and V the largest
     |coordinate| and |f| over the stack and L = sum_k L_k for the grid,
@@ -461,25 +461,6 @@ def _certificate(f: CutFunction, ends: tuple[np.ndarray, np.ndarray], coords: np
     return np.concatenate(kept), values.reshape(-1), np.concatenate(reach), slack
 
 
-def _uncertified_segments(f: CutFunction, ends: tuple[np.ndarray, np.ndarray],
-                          coords: np.ndarray, values: np.ndarray | None = None
-                          ) -> np.ndarray | None:
-    """Flat indices ``grid * E + edge`` of the (grid, edge) segments that f's
-    slope bounds do not prove one-signed, or None when f has no bound (or
-    the stack is empty or not finite); see :func:`_certificate`."""
-    certificate = _certificate(f, ends, coords, values)
-    return None if certificate is None else certificate[0]
-
-
-def _values_at(f: CutFunction, a: np.ndarray, b: np.ndarray, knots: np.ndarray) -> np.ndarray:
-    """f at the knots a + tau (b - a) of ``(B, n)`` segments, knot-major
-    ``(K, B)``; ``knots`` is ``(K, 1)`` (shared) or ``(K, B)``.  The points
-    are ``sample_signs``' to the bit."""
-    pts = knots[..., None] * (b - a)
-    pts += a
-    return f(pts.reshape(-1, pts.shape[-1])).reshape(pts.shape[:-1])
-
-
 def _z_ranges(f: CutFunction, graph: GridGraph, coords: np.ndarray, t: int,
               certificate: tuple, flags: np.ndarray) -> None:
     """Set ``flags`` (flat over the stack's points) as ``z_detector`` does,
@@ -510,7 +491,7 @@ def _z_ranges(f: CutFunction, graph: GridGraph, coords: np.ndarray, t: int,
         block = slice(lo, lo + size)
         a_at, b_at = ia[block], ja[block]
         a, b = flat[a_at], flat[b_at]
-        v_tail, v_head, v_end = _values_at(f, a, b, ends)[[0, -2, -1]]
+        v_tail, v_head, v_end = knot_values(f, a, b, ends)[[0, -2, -1]]
         v0 = values[a_at]
         s0, s_end, s_tail, s_head = np.sign(v0), np.sign(v_end), np.sign(v_tail), np.sign(v_head)
         hit_a = (s0 == 0) | (s_tail != s0) | (s_head != s0)
@@ -533,7 +514,7 @@ def _z_ranges(f: CutFunction, graph: GridGraph, coords: np.ndarray, t: int,
                   np.concatenate([v_tail[open_a], v_end[open_b]]),
                   np.concatenate([s0[open_a], s_end[open_b]]),
                   np.concatenate([a_at[open_a], b_at[open_b]]))
-        _z_open_ranges(f, a, b, taus, reach[block], slack[block], ranges, flags)
+        _search_ranges(f, a, b, taus, reach[block], slack[block], ranges, flags)
 
 
 def _cleared(va: np.ndarray, vb: np.ndarray, room: np.ndarray) -> np.ndarray:
@@ -549,33 +530,38 @@ def _cleared(va: np.ndarray, vb: np.ndarray, room: np.ndarray) -> np.ndarray:
 #: On the z-detector stacks of the 2D benchmark dataset (t = 49) and of a
 #: 4D one (level 8, Lambda_min 1/4, t = 149), bisecting every long range
 #: took 20 % longer than sampling in 2D, and sampling without bisection
-#: 5x as long in 4D.
+#: 5x as long in 4D.  Three open TPR ranges (1000 steps by default) are
+#: bisected, unless none has a finite reach, as without a bound: none clears.
 BISECT_ABOVE = 8
 BISECT_MIN_KNOTS = 2048
 
 
-def _z_open_ranges(f: CutFunction, a: np.ndarray, b: np.ndarray, taus: np.ndarray,
+def _search_ranges(f: CutFunction, a: np.ndarray, b: np.ndarray, taus: np.ndarray,
                    reach: np.ndarray, slack: np.ndarray, ranges: tuple,
                    flags: np.ndarray) -> None:
-    """Flag the end of every knot range in which some knot's sign differs
-    from the range's sign; the ranges' two end knots carry that sign.
+    """Set the flag of every knot range in which some knot's sign differs
+    from the range's sign, which its two end knots carry: the z-detector's
+    head and tail ranges, or TPR's one range per (point, edge) pair.
 
-    The ranges come open: the certificate's test (:func:`_cleared`) did not
-    clear them and their end is not flagged yet.  They are bisected while
-    they are long and many (:data:`BISECT_ABOVE`): the middle knot flags
-    the end if its sign differs and otherwise splits the range in two
-    halves, which stay open only if they fail the same test.  Then every
-    inner knot of the ranges left is sampled.
+    ``ranges`` are ``(row, p, q, vp, vq, ref, target)``: a range's row in
+    ``a``, ``b``, ``reach`` and ``slack``, its end knots in ``taus`` and
+    their values, its sign and its flag's index.  They come open: the
+    certificate's test (:func:`_cleared`) did not clear them and their flag
+    is not set.  While they are long and many (:data:`BISECT_ABOVE`) and
+    some reach is finite, the middle knot sets the flag if its sign differs
+    and otherwise splits the range in two halves, which stay open only if
+    they fail the same test.  Then every inner knot of those left is sampled.
     """
     t = len(taus) - 1
     row, p, q, vp, vq, ref, target = ranges
+    finite = np.isfinite(reach[row]).any()
     while True:
         widest = int((q - p).max())
-        if widest <= BISECT_ABOVE or len(row) * (widest - 1) < BISECT_MIN_KNOTS:
+        if not finite or widest <= BISECT_ABOVE or len(row) * (widest - 1) < BISECT_MIN_KNOTS:
             break
         mid = (p + q) // 2
         # halves may outnumber a block's segments: at most SAMPLE_BUDGET a call
-        vm = np.concatenate([_values_at(f, a[r], b[r], taus[m][None])[0] for r, m in
+        vm = np.concatenate([knot_values(f, a[r], b[r], taus[m][None])[0] for r, m in
                              zip(np.split(row, range(SAMPLE_BUDGET, len(row), SAMPLE_BUDGET)),
                                  np.split(mid, range(SAMPLE_BUDGET, len(mid), SAMPLE_BUDGET)))])
         hit = np.sign(vm) != ref
@@ -588,13 +574,18 @@ def _z_open_ranges(f: CutFunction, a: np.ndarray, b: np.ndarray, taus: np.ndarra
         if not len(keep):
             return
         row, p, q, vp, vq, ref, target = (x[keep] for x in (row, p, q, vp, vq, ref, target))
-    # every inner knot; a range narrower than the widest repeats its last one
+    # every inner knot; a range narrower than the widest repeats its last one,
+    # and ranges that all span the same knots share them
     steps = np.arange(1, widest)[:, None]
+    shared = np.all(p == p[0]) and np.all(q == q[0])
     chunk = max(1, SAMPLE_BUDGET // len(steps))
     for lo in range(0, len(row), chunk):
         w = slice(lo, lo + chunk)
-        knots = taus[np.minimum(p[w] + steps, q[w] - 1)]
-        s = np.sign(_values_at(f, a[row[w]], b[row[w]], knots))
+        knots = taus[p[0] + steps] if shared else taus[np.minimum(p[w] + steps, q[w] - 1)]
+        s = knot_values(f, a[row[w]], b[row[w]], knots)
+        # in place: with one more (K, B) array a chunk, glibc gave back and
+        # refaulted the heap top every other chunk of a paper-scale TPR walk
+        np.sign(s, out=s)
         flags[target[w][np.any(s != ref[w], axis=0)]] = 1.0
 
 
@@ -633,9 +624,9 @@ def z_detector(f: CutFunction, graph: GridGraph, t: int,
     head_hi = math.ceil(t / 2)  # tau range {1..ceil(t/2)} for x_i
     tail_lo = math.floor(t / 2)  # tau range {floor(t/2)..t-1} for x_j
     for ia, ja, a, b in _segment_blocks(graph, coords, t + 1):
-        s = sample_signs(f, a, b, taus)
-        trb_i = (s[:, 0] == 0) | np.any(s[:, 1 : head_hi + 1] != s[:, :1], axis=1)
-        trb_j = (s[:, t] == 0) | np.any(s[:, tail_lo:t] != s[:, t:], axis=1)
+        s = np.sign(knot_values(f, a, b, taus[:, None]))
+        trb_i = (s[0] == 0) | np.any(s[1 : head_hi + 1] != s[0], axis=0)
+        trb_j = (s[t] == 0) | np.any(s[tail_lo:t] != s[t], axis=0)
         for ends, hit in ((ia, trb_i), (ja, trb_j)):
             flags[ends[np.nonzero(hit)]] = 1.0
     return p

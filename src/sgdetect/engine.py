@@ -260,19 +260,20 @@ class _SortedKeys:
         self.fold()
         return len(self.main[0]) + len(self.recent[0])
 
-    def find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """Which of ``keys`` are in the set, and their values where they are."""
+    def find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        """Which of ``keys`` are in the set, their values where they are, and
+        their insertion positions in the recent level (for :meth:`insert`)."""
         self.fold()
         found = np.zeros(len(keys), dtype=bool)
         values = None if self.empty[1] is None else np.empty(len(keys), self.empty[1].dtype)
         for level, level_values in (self.main, self.recent):
+            at = np.searchsorted(level, keys)
             if len(level):
-                at = np.minimum(np.searchsorted(level, keys), len(level) - 1)
-                hit = level[at] == keys
+                hit = level[np.minimum(at, len(level) - 1)] == keys
                 found |= hit
                 if values is not None:
                     values[hit] = level_values[at[hit]]
-        return found, values
+        return found, values, at
 
     def values(self) -> np.ndarray:
         """Every key's value, level by level."""
@@ -299,22 +300,25 @@ class _SortedKeys:
             [values for _, values in self.parked])
         self.parked, self.n_parked = [], 0
         keys, first = _distinct(keys)
-        new = np.flatnonzero(~self.find(keys)[0])
-        return keys[new], None if values is None else values[first[new]]
+        found, _, at = self.find(keys)
+        new = np.flatnonzero(~found)
+        return keys[new], None if values is None else values[first[new]], at[new]
 
-    def insert(self, keys: np.ndarray, values: np.ndarray | None = None) -> None:
-        """Merge sorted keys, none of them in the set or parked."""
-        self.recent = _merge(self.recent, (keys, values))
+    def insert(self, keys: np.ndarray, values: np.ndarray | None, at: np.ndarray) -> None:
+        """Merge sorted keys, none of them in the set or parked, given their
+        positions in the recent level (:meth:`find`)."""
+        self.recent = _merge(self.recent, (keys, values), at)
         if len(self.recent[0]) > len(self.main[0]) // 8:
-            self.main, self.recent = _merge(self.main, self.recent), self.empty
+            at = np.searchsorted(self.main[0], self.recent[0])
+            self.main, self.recent = _merge(self.main, self.recent, at), self.empty
 
 
-def _merge(level: tuple, new: tuple) -> tuple:
+def _merge(level: tuple, new: tuple, at: np.ndarray) -> tuple:
     """Both levels' entries in key order: the new sorted keys, none of them
-    in ``level``, go to positions ``at + arange(m)`` and the old entries
-    fill the rest, in order, as ``np.insert`` would place them."""
-    at = np.searchsorted(level[0], new[0])
-    at += np.arange(len(at))
+    in ``level``, go from their ``np.searchsorted`` positions ``at`` in
+    ``level`` to ``at + arange(m)``, and the old entries fill the rest, in
+    order, as ``np.insert`` would place them."""
+    at = at + np.arange(len(at))
     old_slots = np.ones(len(level[0]) + len(at), dtype=bool)
     old_slots[at] = False
     merged = []
@@ -457,10 +461,10 @@ class _EngineState:
                                  [(edge * lat.unit_num) / lat.den for _, edge, _ in chunk])
         if self.evaluates:
             keys, first, where = _distinct(self.keys(pts), inverse=True)
-            found, values = self.points.find(keys)
+            found, values, at = self.points.find(keys)
             new = np.flatnonzero(~found)
             values[new] = self.evaluate(first[new], in_domain.ravel(), coords)
-            self.points.insert(keys[new], values[new])
+            self.points.insert(keys[new], values[new], at[new])
             values = values[where].reshape(in_domain.shape)
         else:
             self.points.add(self.keys(pts))

@@ -32,9 +32,11 @@ from sgdetect.detectors import (
     SphericalCut,
     PolynomialCut,
     TorusCut,
-    _uncertified_segments,
+    _certificate,
+    _cleared,
+    _search_ranges,
     has_closed_form,
-    sample_signs,
+    knot_values,
 )
 from sgdetect.errors import DimensionMismatchError, MalformedFileError, SgdetectError
 from sgdetect.grid_graph import GridGraph
@@ -176,18 +178,18 @@ def tpr(points: np.ndarray, cut: CutFunction, lambda_min, check_graph: GridGraph
     so a crossing found on it is one the whole grid's test finds on the
     same floats.  A closed-form cut has every edge of the pass solved.  A
     sampled one goes through :func:`_confirmed`; in the last pass,
-    :func:`_walked` then walks the edges of the points still open, except
-    those the cut's slope bound proves one-signed
-    (:func:`~sgdetect.detectors._uncertified_segments`, fed the node values
-    that :func:`_confirmed` computed), on which the walk finds no crossing.
+    :func:`_walked` then walks the edges of the points still open with the
+    z-detector's certified sign search, fed the node values that
+    :func:`_confirmed` computed.
 
     In :func:`_confirmed` the node signs only choose which edge to confirm,
-    so the verdicts are those of walking every edge, provided the cut
-    returns the same value for a point whatever batch it is evaluated in,
-    as every cut in this package does.  Each pass scores its points in
+    and in the walk the slope bound only which knots to evaluate, so the
+    verdicts are those of walking every edge at every knot, provided the
+    cut returns the same value for a point whatever batch it is evaluated
+    in, as every cut in this package does.  Each pass scores its points in
     chunks whose node and edge arrays stay within
-    :data:`~sgdetect.detectors.SAMPLE_BUDGET` entries, and the walk goes in
-    blocks of ``SAMPLE_BUDGET // (subdivisions + 1)`` (point, edge) pairs,
+    :data:`~sgdetect.detectors.SAMPLE_BUDGET` entries, and the walk's
+    search samples ``SAMPLE_BUDGET // (subdivisions - 1)`` pairs at a time,
     so no cut call evaluates more than that many points (nor
     ``segment_roots`` call solves more segments).  The budget is sized to
     one core's L2 cache; by the property above, no chunk or block size
@@ -309,29 +311,36 @@ def _confirmed(cut: CutFunction, x: np.ndarray, ei: np.ndarray, ej: np.ndarray,
     candidate = (s[:, ei] == 0) | (s[:, ei] != s[:, ej])
     rows = np.flatnonzero(candidate.any(axis=1))
     first = candidate[rows].argmax(axis=1)
-    ends = sample_signs(cut, x[rows, ei[first]], x[rows, ej[first]], knots[[0, -1]])
-    hit[rows] = np.any(ends == 0, axis=1) | (ends[:, 0] != ends[:, 1])
+    ends = np.sign(knot_values(cut, x[rows, ei[first]], x[rows, ej[first]], knots[[0, -1], None]))
+    hit[rows] = np.any(ends == 0, axis=0) | (ends[0] != ends[1])
     return hit, v
 
 
 def _walked(cut: CutFunction, x: np.ndarray, values: np.ndarray, ei: np.ndarray,
             ej: np.ndarray, knots: np.ndarray, hit: np.ndarray) -> None:
-    """Walk the edges of the grids ``hit`` leaves False at all knots, stacked
-    over (point, edge) pairs, and set ``hit`` where one crosses.  ``values``
-    holds the cut at the grids' nodes; the pairs the cut's slope bound
-    proves one-signed are skipped (``_uncertified_segments``)."""
+    """Set ``hit`` where an edge of a grid it leaves False has a zero or a
+    sign change among its knots.  ``values`` holds the cut at the grids'
+    nodes: knot 0 of each (point, edge) pair the certificate keeps (all,
+    without a bound), so its last knot is evaluated next, and what that
+    leaves open is searched as one range of all its knots."""
     rest = np.flatnonzero(~hit)
-    n_edges = len(ei)
-    kept = _uncertified_segments(cut, (ei, ej), x[rest], values[rest])
-    if kept is None:
-        kept = np.arange(len(rest) * n_edges)
-    pairs = max(1, SAMPLE_BUDGET // len(knots))
-    for lo in range(0, len(kept), pairs):
-        k = kept[lo : lo + pairs]
-        p, e = rest[k // n_edges], k % n_edges
-        s = sample_signs(cut, x[p, ei[e]], x[p, ej[e]], knots)
-        crosses = np.any(s == 0, axis=1) | np.any(s[:, :-1] != s[:, 1:], axis=1)
-        hit[p[crosses]] = True
+    certificate = _certificate(cut, (ei, ej), x[rest], values[rest])
+    if certificate is None:
+        kept = np.arange(len(rest) * len(ei))
+        reach, slack = np.full(len(kept), np.inf), np.zeros(len(kept))
+    else:
+        kept, _, reach, slack = certificate
+        slack = slack[kept // len(ei)]
+    p, e = rest[kept // len(ei)], kept % len(ei)
+    a, b = x[p, ei[e]], x[p, ej[e]]
+    v0, v_end = values[p, ei[e]], knot_values(cut, a, b, knots[-1:, None])[0]
+    ref = np.sign(v0)
+    hit[p[(ref == 0) | (np.sign(v_end) != ref)]] = True
+    go = np.flatnonzero(~(hit[p] | _cleared(v0, v_end, reach + slack)))
+    if len(go) and len(knots) > 2:
+        ranges = (go, np.zeros_like(go), np.full_like(go, len(knots) - 1), v0[go], v_end[go],
+                  ref[go], p[go])
+        _search_ranges(cut, a, b, knots, reach, slack, ranges, hit)
 
 
 def tpr_report_doc(report: TprReport) -> dict:

@@ -22,8 +22,7 @@ it is 1 % non-zero, and the aggregation ``A_hat.T @ t`` (``A_hat @ dz`` in
 backward) touches only the stored entries.  A model builds the matrix once
 and every one of its GI layers holds that same object (plus a transposed
 view on the same arrays); a dense array passed to :class:`GILayer` is
-converted once, on construction.  Only :meth:`GILayer.masked_dense_matrix`,
-a test view, densifies it.
+converted once, on construction.
 """
 
 from __future__ import annotations
@@ -116,11 +115,6 @@ class GILayer(Layer):
         np.matmul(self._x.transpose(1, 2, 0), dt, out=self.dw)
         dx = np.matmul(dt, self.w.transpose(0, 2, 1))
         return dx.transpose(1, 0, 2)
-
-    def masked_dense_matrix(self) -> np.ndarray:
-        """Effective (N*K, N*F) dense matrix; zero wherever A_hat[j, i] = 0."""
-        w_hat = np.einsum("jkf,ji->jkif", self.w, self.a_hat.toarray())
-        return w_hat.reshape(self.n * self.k, self.n * self.f)
 
 
 class DenseLayer(Layer):

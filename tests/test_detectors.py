@@ -22,8 +22,8 @@ from sgdetect.detectors import (
     ZLevelDetector,
     exact_troubled_oracle,
     has_closed_form,
+    knot_values,
     make_detector,
-    sample_signs,
     z_detector,
 )
 from sgdetect.errors import DetectorError
@@ -268,7 +268,7 @@ class TestZDetector:
 
 
 def sample_signs_ref(f, a, b, knots):
-    """``sample_signs`` as first written: segment-major points, one cut call."""
+    """The sampled signs as first written: segment-major points, one cut call."""
     pts = a[..., None, :] + knots[:, None] * (b - a)[..., None, :]
     return np.sign(f(pts.reshape(-1, pts.shape[-1])).reshape(pts.shape[:-1]))
 
@@ -604,7 +604,7 @@ def adversarial_cut(kind, stack, graph, t, rng):
     axis = np.eye(dim)[0]
     point = stack[rng.integers(len(stack)), rng.integers(stack.shape[1])]
     # a segment of the stack along axis 0 and one of its knots, built as
-    # sample_signs builds it
+    # knot_values builds it
     along = np.flatnonzero(graph.edges[:, 2] == 0)
     i, j = graph.edge_ends[0][along], graph.edge_ends[1][along]
     e, g = rng.integers(len(along)), rng.integers(len(stack))
@@ -716,7 +716,7 @@ class TestCertifiedZDetector:
                 for _ in range(2)]
         stack = np.concatenate([placed_stack(graph, anchor, 5, rng), np.stack(wide)])
         calls = []
-        with mock.patch.object(detectors, "_z_open_ranges",
+        with mock.patch.object(detectors, "_search_ranges",
                                side_effect=lambda *a: calls.append(a[-2]) or
                                self.open_ranges(*a)):
             certified, sampled = z_both_paths(cut, graph, t, stack)
@@ -726,7 +726,7 @@ class TestCertifiedZDetector:
             # some segment is kept and has a range that its end knots leave open
             assert calls
 
-    open_ranges = staticmethod(detectors._z_open_ranges)
+    open_ranges = staticmethod(detectors._search_ranges)
 
     @pytest.mark.parametrize("t", [12, 49, 149])
     def test_steep_axis_keeps_its_bound(self, t):
@@ -741,7 +741,7 @@ class TestCertifiedZDetector:
         certified, sampled = z_both_paths(cut, graph, t, stack)
         np.testing.assert_array_equal(certified, sampled)
         along_x1 = np.flatnonzero(graph.edges[:, 2] == 0)
-        kept = detectors._uncertified_segments(cut, graph.edge_ends, stack) % len(graph.edges)
+        kept = detectors._certificate(cut, graph.edge_ends, stack)[0] % len(graph.edges)
         assert np.isin(kept, along_x1).any()
 
     @pytest.mark.parametrize("kind,dim", [("linear", 2), ("sphere", 3), ("legendre", 2),
@@ -751,7 +751,7 @@ class TestCertifiedZDetector:
         graph = reference_graph(dim)
         cut, anchor = cut_through(kind, dim, rng)
         stack = placed_stack(graph, anchor, 6, rng)
-        kept = detectors._uncertified_segments(cut, graph.edge_ends, stack)
+        kept = detectors._certificate(cut, graph.edge_ends, stack)[0]
         assert 0 < len(kept) < len(stack) * len(graph.edges)
         np.testing.assert_array_equal(*z_both_paths(cut, graph, 49, stack))
 
@@ -769,12 +769,12 @@ class TestCertifiedZDetector:
             def __call__(self, x):
                 return cut(x)
 
-        assert detectors._uncertified_segments(Proxy(), graph.edge_ends, stack) is None
+        assert detectors._certificate(Proxy(), graph.edge_ends, stack) is None
         np.testing.assert_array_equal(z_detector(Proxy(), graph, 49, stack),
                                       z_detector(cut, graph, 49, stack))
 
 class TestPointBuilders:
-    """The knot-major ``sample_signs`` builds the segment-major walk's floats."""
+    """The knot-major ``knot_values`` builds the segment-major walk's floats."""
 
     @pytest.mark.parametrize("lead", [(), (7,), (3, 5)])
     @pytest.mark.parametrize("dim,knots", [(2, 10), (4, 3), (3, 201)])
@@ -785,10 +785,11 @@ class TestPointBuilders:
         taus = np.linspace(0.0, 1.0, knots)
         seen = []
         cut = CallableCut(lambda x: seen.append(x.copy()) or x.sum(axis=-1) - 0.1, dim)
-        s = sample_signs(cut, a, b, taus)
+        v = knot_values(cut, a, b, taus.reshape(-1, *(1,) * len(lead)))
         (x,) = seen
-        assert s.shape == (*lead, knots)
-        np.testing.assert_array_equal(s, sample_signs_ref(cut.fn, a, b, taus))
+        assert v.shape == (knots, *lead)
+        np.testing.assert_array_equal(np.moveaxis(np.sign(v), 0, -1),
+                                      sample_signs_ref(cut.fn, a, b, taus))
         # the cut saw exactly the points a + tau (b - a), bit for bit
         ref = a[..., None, :] + taus[:, None] * (b - a)[..., None, :]
         got = np.moveaxis(x.reshape(knots, *lead, dim), 0, -2)

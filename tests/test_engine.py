@@ -825,7 +825,7 @@ class TestSortedKeys:
             store.add(keys)
             seen |= set(keys.tolist())
             assert store.n_parked <= max(8, (len(store.main[0]) + len(store.recent[0])) // 8)
-            found, values = store.find(keys)
+            found, values, _ = store.find(keys)
             assert found.all() and values is None
             assert len(store) == len(seen)
             assert store.n_parked == 0
@@ -843,7 +843,7 @@ class TestSortedKeys:
         assert self._contents(store) == {3: 2, 5: 1, 7: 4}
         # once folded, a key added again keeps its value too
         store.add(np.array([7, 1, 5]), np.array([8, 6, 8]))
-        found, values = store.find(np.array([1, 2, 5, 7]))
+        found, values, _ = store.find(np.array([1, 2, 5, 7]))
         assert found.tolist() == [True, False, True, True]
         assert values[found].tolist() == [6, 1, 4]
         assert self._contents(store) == {1: 6, 3: 2, 5: 1, 7: 4}
@@ -862,6 +862,28 @@ class TestSortedKeys:
         assert len(store) == len(reference)
         assert self._contents(store) == reference
 
+
+    def test_one_search_per_level_and_insert(self, monkeypatch):
+        # the recent level is searched once per insert: find's positions
+        # there feed the merge, which searches only when the recent level
+        # moves into the main one
+        store = engine._SortedKeys(np.dtype(np.int64), np.int64)
+        store.add(np.arange(0, 400, 2), np.arange(200))
+        assert len(store) == len(store.main[0]) == 200
+        store.add(np.array([7, 3, 401, 3]), np.array([1, 2, 3, 4]))
+        assert len(store) == 203 and len(store.recent[0]) == 3
+        searches = []
+        search = np.searchsorted
+        monkeypatch.setattr(np, "searchsorted",
+                            lambda *a, **k: searches.append(1) or search(*a, **k))
+        store.add(np.array([9, 3, 5]), np.array([5, 6, 7]))
+        found, values, at = store.find(np.array([3, 5, 9, 11]))
+        assert len(searches) == 4  # the fold's find and this find, two levels each
+        assert found.tolist() == [True, True, True, False]
+        assert values[found].tolist() == [2, 7, 5]
+        assert at.tolist() == np.searchsorted(store.recent[0], [3, 5, 9, 11]).tolist()
+        assert self._contents(store) == {**dict(zip(range(0, 400, 2), range(200))),
+                                         7: 1, 3: 2, 401: 3, 9: 5, 5: 7}
 
 class TestWarningsAndReports:
     def test_off_lattice_warning(self, grid2d, graph2d):

@@ -4,14 +4,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sgdetect import detectors, evaluation
 from sgdetect.detectors import (
     CallableCut,
+    CutFunction,
     LinearCut,
     ProductCut,
     SinusoidalCut,
     SphericalCut,
     TorusCut,
-    sample_signs,
+    knot_values,
 )
 from sgdetect.errors import MalformedFileError, SgdetectError
 from sgdetect.grid_graph import build_grid_graph
@@ -25,6 +27,7 @@ from sgdetect.evaluation import (
     tpr,
 )
 from sgdetect.sparse_grid import Box, GridSpec, SparseGrid, build_sparse_grid
+from sgdetect.synth_data import sample_cut
 
 
 class TestBuiltins:
@@ -95,9 +98,6 @@ class TestTpr:
     @pytest.mark.parametrize("closed_form", [True, False])
     def test_chunked_verdicts_equal_single_point_verdicts(self, graph2d, rng,
                                                           monkeypatch, closed_form):
-        from sgdetect import evaluation
-        from sgdetect.detectors import CallableCut
-
         circle = SphericalCut((0.1, -0.2), 0.4)
         largest = []
 
@@ -113,7 +113,9 @@ class TestTpr:
         singles = [tpr(x, cut, Fraction(1, 16), graph2d, subdivisions=40).verdicts[0]
                    for x in pts]
         budget = 5 * 41  # five points per chunk
+        # the chunks and the walk read it in evaluation, the shared search in detectors
         monkeypatch.setattr(evaluation, "SAMPLE_BUDGET", budget)
+        monkeypatch.setattr(detectors, "SAMPLE_BUDGET", budget)
         largest.clear()
         chunked = tpr(pts, cut, Fraction(1, 16), graph2d, subdivisions=40)
         assert chunked.verdicts == singles
@@ -155,8 +157,8 @@ def edge_walk_verdicts(points, cut, lambda_min, graph, subdivisions):
         b = points + offsets[j]
         roots = cut.segment_roots(a, b)
         if roots is None:
-            s = sample_signs(cut, a, b, knots)
-            hit |= np.any(s == 0, axis=1) | np.any(s[:, :-1] != s[:, 1:], axis=1)
+            s = np.sign(knot_values(cut, a, b, knots[:, None]))
+            hit |= np.any(s == 0, axis=0) | np.any(s[:-1] != s[1:], axis=0)
         else:
             hit |= ~np.isnan(roots[0])
     return hit.tolist()
@@ -238,6 +240,48 @@ class SampledSphere(SphericalCut):
 
     def segment_roots(self, a, b):
         return None
+
+
+class CountingCut(CutFunction):
+    """Delegating cut, slope bound included, that records the points of
+    every call it sees."""
+
+    def __init__(self, cut):
+        self.cut, self.dim, self.points = cut, cut.dim, []
+
+    def __call__(self, x):
+        self.points.append(len(x))
+        return self.cut(x)
+
+    def slope_bound(self, lo, hi):
+        return self.cut.slope_bound(lo, hi)
+
+
+class Proxy:
+    """Forwards the call and the closed form only, as a timing wrapper
+    might: no slope bound."""
+
+    def __init__(self, cut):
+        self.cut, self.dim = cut, cut.dim
+
+    def __call__(self, x):
+        return self.cut(x)
+
+    def segment_roots(self, a, b):
+        return self.cut.segment_roots(a, b)
+
+
+class HoledSphere(SampledSphere):
+    """A sampled sphere with its slope bound whose value is NaN within
+    ``hole`` of ``at``."""
+
+    def __init__(self, center, radius, at, hole):
+        super().__init__(center, radius)
+        self.at, self.hole = np.asarray(at), hole
+
+    def __call__(self, x):
+        near = np.linalg.norm(np.asarray(x) - self.at, axis=-1) < self.hole
+        return np.where(near, np.nan, super().__call__(x))
 
 
 CUTS = {
@@ -378,26 +422,28 @@ class TestTprMatchesEdgeWalk:
     @pytest.mark.parametrize("name,dim", [("torus", 4), ("sine", 2)])
     def test_false_heavy_sampled_cuts(self, name, dim, monkeypatch):
         # uniform points, most of whose check grids miss the interface: the
-        # walk samples only the edges the slope bound leaves uncertified
-        from sgdetect import evaluation
-
+        # walk evaluates the cut at a small share of the knots of the edges
+        # it is handed, since the slope bound clears most pairs and ranges
         cut = TorusCut() if name == "torus" else SinusoidalCut(0.4, 2.0)
+        counting = CountingCut(cut)
         graph = check_graph(dim, level=8)
         pts = np.random.default_rng(7).uniform(-1.0, 1.0, size=(150, dim))
         walked = []
+        walk = evaluation._walked
 
-        def spy(f, a, b, knots):
-            if len(knots) > 2:
-                walked.append(len(a))
-            return sample_signs(f, a, b, knots)
+        def spy(f, *args):
+            before = len(f.points)
+            walk(f, *args)
+            walked.append(sum(f.points[before:]))
 
-        monkeypatch.setattr(evaluation, "sample_signs", spy)
-        got = tpr(pts, cut, Fraction(1, 8), graph, subdivisions=50).verdicts
+        monkeypatch.setattr(evaluation, "_walked", spy)
+        got = tpr(pts, counting, Fraction(1, 8), graph, subdivisions=50).verdicts
         expected = edge_walk_verdicts(pts, cut, Fraction(1, 8), graph, 50)
         assert got == expected
         assert 0 < sum(expected) < len(expected) / 4
         false = len(expected) - sum(expected)
-        assert sum(walked) < false * len(graph.edges) / 10
+        # the points reach the walk, which evaluates under 1 % of their knots
+        assert walked and sum(walked) < false * len(graph.edges) * 51 / 100
 
     @pytest.mark.parametrize("bad", [[np.nan, 0.3], [np.inf, 0.0], [0.1, -np.inf]])
     @pytest.mark.parametrize("name", ["circle", "sine"])
@@ -521,6 +567,103 @@ class TestTprMatchesEdgeWalk:
         assert np.any(np.sign(plane(nodes[ei])) != np.sign(plane(nodes[ej])))
         assert edge_walk_verdicts(pts, plane, lam, graph, 50) == [False]
         assert tpr(pts, plane, lam, graph, subdivisions=50).verdicts == [False]
+
+
+def walk_cut(name, dim):
+    """The cuts whose walk ``TestWalk`` checks on uniform points."""
+    if name == "torus":
+        return TorusCut()
+    if name == "sine":
+        # steep along x1, so that the bound keeps pairs of points the walk decides
+        return SinusoidalCut(0.4, 8.0)
+    if name == "poly":
+        return builtin_test_functions()["poly"].cut if dim == 2 else sample_cut(
+            "polynomial", dim, np.random.default_rng(3))
+    if name == "proxy":
+        return Proxy(TorusCut() if dim == 4 else SinusoidalCut(0.4, 8.0))
+    # NaN in a ball around the origin, with and without a slope bound
+    sphere = SphericalCut(np.full(dim, 0.2), 0.5)
+    if name == "nan":
+        return CallableCut(lambda x: np.where(np.linalg.norm(x, axis=-1) < 0.3, np.nan,
+                                              sphere(x)), dim=dim)
+    assert name == "nan-bounded"
+    return HoledSphere(sphere.center, sphere.radius, np.zeros(dim), 0.3)
+
+
+class TestWalk:
+    """The whole grid's walk, which hands each kept (point, edge) pair to the
+    z-detector's range search as one range of all its knots, gives the
+    verdicts of walking every edge at every knot."""
+
+    @pytest.fixture(params=[False, True], ids=["sampled", "bisected"])
+    def searched(self, request, monkeypatch):
+        """The ranges handed to the search; ``bisected`` splits every open
+        range down to two knot steps."""
+        if request.param:
+            monkeypatch.setattr(detectors, "BISECT_ABOVE", 2)
+            monkeypatch.setattr(detectors, "BISECT_MIN_KNOTS", 0)
+        calls = []
+        search = detectors._search_ranges
+
+        def spy(*args):
+            calls.append(len(args[6][0]))
+            return search(*args)
+
+        monkeypatch.setattr(evaluation, "_search_ranges", spy)
+        return calls
+
+    @pytest.mark.parametrize("subdivisions", [1, 2, 49, 50])
+    @pytest.mark.parametrize("name,dim", [("torus", 4), ("sine", 2), ("poly", 2), ("poly", 4),
+                                          ("proxy", 2), ("proxy", 4), ("nan", 2),
+                                          ("nan-bounded", 3)])
+    def test_uniform_points(self, name, dim, subdivisions, searched):
+        cut = walk_cut(name, dim)
+        graph = check_graph(dim, level=8 if dim == 2 else 6)
+        pts = np.random.default_rng([dim, subdivisions]).uniform(-1.0, 1.0, size=(60, dim))
+        expected = edge_walk_verdicts(pts, cut, Fraction(1, 4), graph, subdivisions)
+        got = tpr(pts, cut, Fraction(1, 4), graph, subdivisions=subdivisions).verdicts
+        assert got == expected
+        assert 0 < sum(expected) < len(expected)
+        if subdivisions > 1:
+            assert sum(searched) > 0
+
+    @pytest.mark.parametrize("at", ["first", "middle"])
+    @pytest.mark.parametrize("subdivisions", [2, 7, 49, 50])
+    @pytest.mark.parametrize("kind", ["zero", "tangent", "near-tangent", "near-secant", "nan"])
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_one_knot_of_one_edge(self, dim, kind, subdivisions, at, searched):
+        # a sphere touching, or an ulp short of or past touching, the first
+        # check-grid edge, which is off the axis cross, at an inner knot;
+        # one of radius 0 on that knot (a zero there and nowhere else); or
+        # the one an ulp short with a NaN at that knot alone.  Every node is
+        # outside the sphere, so only the walk of that edge can find it
+        graph = check_graph(dim)
+        lam = Fraction(1, 3)
+        centre = np.full((1, dim), 0.05)
+        nodes = placed_nodes(centre, lam, graph)[0]
+        i, j = graph.edge_ends[0][0], graph.edge_ends[1][0]
+        assert not cross_edges(graph)[0]
+        knots = np.linspace(0.0, 1.0, subdivisions + 1)
+        k = 1 if at == "first" else subdivisions // 2
+        knot = knots[k] * (nodes[j] - nodes[i]) + nodes[i]
+        other = np.eye(dim)[(graph.edges[0, 2] + 1) % dim]
+        radius = 0.25 * float(lam) / graph.grid.resolution
+        side = {"tangent": None, "near-tangent": -np.inf, "near-secant": np.inf, "nan": -np.inf}
+        if kind == "zero":
+            cut = SampledSphere(knot, 0.0)
+        else:
+            shrink = radius if side[kind] is None else np.nextafter(radius, side[kind])
+            cut = SampledSphere(knot + radius * other, shrink)
+        if kind == "nan":
+            cut = HoledSphere(cut.center, cut.radius, knot, 1e-9)
+        assert np.all(cut(nodes) > 0.0)
+        expected = edge_walk_verdicts(centre, cut, lam, graph, subdivisions)
+        if kind in ("zero", "nan"):
+            assert expected == [True]
+        for f in (cut, CallableCut(cut, dim=dim)):
+            searched.clear()
+            assert tpr(centre, f, lam, graph, subdivisions=subdivisions).verdicts == expected
+            assert searched
 
 
 class TestSheppLogan:

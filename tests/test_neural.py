@@ -109,7 +109,7 @@ class TestGIForward:
         layer = GILayer(a_hat, k=1, f=1, rng=rng)
         x = rng.normal(size=(7, 65, 1))
         out = layer.forward(x)
-        dense = x.reshape(7, 65) @ layer.masked_dense_matrix() + layer.b.reshape(-1)
+        dense = x.reshape(7, 65) @ masked_dense_matrix(layer) + layer.b.reshape(-1)
         np.testing.assert_allclose(out.reshape(7, 65), dense, rtol=1e-12)
 
     def test_masked_dense_equivalence_multifeature(self, tiny_graph, rng):
@@ -118,7 +118,7 @@ class TestGIForward:
         layer = GILayer(a_hat, k=3, f=2, rng=rng)
         x = rng.normal(size=(4, n, 3))
         out = layer.forward(x)
-        dense = x.reshape(4, n * 3) @ layer.masked_dense_matrix() + layer.b.reshape(-1)
+        dense = x.reshape(4, n * 3) @ masked_dense_matrix(layer) + layer.b.reshape(-1)
         np.testing.assert_allclose(out.reshape(4, n * 2), dense, rtol=1e-12)
 
     def test_masked_dense_equivalence_backward(self, tiny_graph, rng):
@@ -130,7 +130,7 @@ class TestGIForward:
         layer.forward(x)
         dx = layer.backward(probe)
         # dense route: dL/dx = probe @ W^T
-        dx_dense = (probe.reshape(3, n * 2) @ layer.masked_dense_matrix().T)
+        dx_dense = (probe.reshape(3, n * 2) @ masked_dense_matrix(layer).T)
         np.testing.assert_allclose(dx.reshape(3, n * 2), dx_dense, rtol=1e-12)
 
     def test_shape_mismatch(self, tiny_graph, rng):
@@ -143,20 +143,27 @@ class TestGIForward:
         n = tiny_graph.n_points
         a_hat = tiny_graph.adjacency_matrix().toarray() + np.eye(n)
         layer = GILayer(a_hat, k=1, f=1, rng=rng)
-        zero_mask = layer.masked_dense_matrix() == 0.0
+        zero_mask = masked_dense_matrix(layer) == 0.0
         adam = Adam(layer.params())
         for _ in range(5):
             out = layer.forward(rng.normal(size=(4, n, 1)))
             _, dout = quadratic_probe(out, rng.normal(size=out.shape))
             layer.backward(dout)
             adam.step(layer.params(), layer.grads(), 0.05)
-        assert np.all(layer.masked_dense_matrix()[zero_mask] == 0.0)
+        assert np.all(masked_dense_matrix(layer)[zero_mask] == 0.0)
+
+
+def masked_dense_matrix(layer):
+    """A GI layer's effective (N*K, N*F) dense matrix: zero wherever
+    A_hat[j, i] = 0."""
+    w_hat = np.einsum("jkf,ji->jkif", layer.w, layer.a_hat.toarray())
+    return w_hat.reshape(layer.n * layer.k, layer.n * layer.f)
 
 
 def dense_gi_reference(layer, x, dout):
     """Forward output, dw, db and dx of a GI layer through its masked dense matrix."""
     batch, n = x.shape[:2]
-    w_dense = layer.masked_dense_matrix()
+    w_dense = masked_dense_matrix(layer)
     x_flat = x.reshape(batch, n * layer.k)
     d_flat = dout.reshape(batch, n * layer.f)
     out = (x_flat @ w_dense + layer.b.reshape(-1)).reshape(batch, n, layer.f)
