@@ -327,11 +327,11 @@ def _walked(cut: CutFunction, x: np.ndarray, values: np.ndarray, ei: np.ndarray,
     certificate = _certificate(cut, (ei, ej), x[rest], values[rest])
     if certificate is None:
         kept = np.arange(len(rest) * len(ei))
-        reach, slack = np.full(len(kept), np.inf), np.zeros(len(kept))
+        reach, slack = np.full(len(kept), np.inf), np.zeros(len(rest))
     else:
         kept, _, reach, slack = certificate
-        slack = slack[kept // len(ei)]
-    p, e = rest[kept // len(ei)], kept % len(ei)
+    grid, e = np.divmod(kept, len(ei))
+    p, slack = rest[grid], slack[grid]
     a, b = x[p, ei[e]], x[p, ej[e]]
     v0, v_end = values[p, ei[e]], knot_values(cut, a, b, knots[-1:, None])[0]
     ref = np.sign(v0)
