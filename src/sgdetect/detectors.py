@@ -720,12 +720,19 @@ class NeuralDetector(Detector):
     Applies the abs-max preprocessing to the finite evaluations, zeroes
     the sentinel slots in the model input, and forces the output to 0 at
     those slots.  Rows with no finite entry never reach the model.
+
+    It predicts with ``model.frozen()``, taken once here: the model with
+    every batch norm folded into the layer it feeds, whose scores equal
+    ``model.predict``'s up to a few ulp.  The copy is the detector's own,
+    so training or changing ``model`` later does not change its scores.
+    Only validation runs the unfolded pass: its loss decides the training
+    schedule and is stored with the model, so it must not move by an ulp.
     """
 
     requires_evaluations = True
 
     def __init__(self, model):
-        self.model = model
+        self.model = model.frozen()
         self.name = f"nn:{model.config.kind}"
 
     def detect_batch(self, graph, coords, evaluations):

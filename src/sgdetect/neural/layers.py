@@ -27,6 +27,8 @@ converted once, on construction.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -60,6 +62,20 @@ class Layer:
     @property
     def n_params(self) -> int:
         return sum(p.size for p in self.params())
+
+    def folded(self, bn: BatchNorm | None = None) -> Layer:
+        """An inference-only copy of this affine layer with ``bn``'s inference
+        map, if any, folded into its input side: it maps x as this layer maps
+        ``bn.infer(x)``, up to rounding.  Its weight and bias are new arrays;
+        it has no gradients."""
+        layer = copy.copy(self)
+        layer.w, layer.b = self.w.copy(), self.b.copy()
+        layer.dw = layer.db = layer._x = None
+        if bn is not None:
+            scale, shift = bn.affine()
+            layer.b += self._shifted(shift)
+            layer.w *= scale[:, None]
+        return layer
 
 
 class GILayer(Layer):
@@ -116,6 +132,11 @@ class GILayer(Layer):
         dx = np.matmul(dt, self.w.transpose(0, 2, 1))
         return dx.transpose(1, 0, 2)
 
+    def _shifted(self, shift: np.ndarray) -> np.ndarray:
+        """What adding ``shift[k]`` to input feature k adds to the output:
+        A_hat^T (sum_k shift[k] w[:, k, :])."""
+        return self._a_hat_t @ np.einsum("jkf,k->jf", self.w, shift)
+
 
 class DenseLayer(Layer):
     """Fully connected affine map R^(B,in) -> R^(B,out)."""
@@ -141,6 +162,10 @@ class DenseLayer(Layer):
         np.matmul(self._x.T, dout, out=self.dw)
         np.sum(dout, axis=0, out=self.db)
         return dout @ self.w.T
+
+    def _shifted(self, shift: np.ndarray) -> np.ndarray:
+        """What adding ``shift`` to the input adds to the output."""
+        return shift @ self.w
 
 
 def _feature_sum(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -201,6 +226,13 @@ class BatchNorm(Layer):
         out *= self.gamma
         out += self.beta
         return out
+
+    def affine(self) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`infer` as one affine map per feature, ``x * scale + shift``,
+        in two new arrays: scale = gamma / sqrt(var + eps) and
+        shift = beta - mean * scale."""
+        scale = self.gamma / np.sqrt(self.running_var + self.eps)
+        return scale, self.beta - self.running_mean * scale
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._cache is None:

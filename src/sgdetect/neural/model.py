@@ -26,10 +26,21 @@ or more (the 401-point grid's weight matrices) keep their own allocation.
 the packed buffer, then each large array.  On the 65-point grid that makes
 an Adam step two or six blocks instead of 46 arrays, and a best-epoch
 snapshot one copy.
+
+Inference.  In inference each batch norm is a fixed affine map per feature,
+and its output feeds exactly one GI or dense layer.
+:meth:`~ArchetypeModel.frozen` folds each into that layer's weights and
+bias, and the NN detector predicts with the result, so no batch norm makes
+its four passes over a ``(B, N, F)`` activation.  Only validation (and the
+test metrics) run the unfolded inference pass: its loss drives the plateau
+schedule and early stopping and is written into the model file, and folded
+scores differ from it in the last bits, so folding there could change
+trained bits.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -213,6 +224,9 @@ class ArchetypeModel:
         ``(rows, N, F)`` activation stays cache-sized.  The bound is at least
         3, so that no block but a lone-row chunk has one row: NumPy multiplies
         a single row by another kernel, which rounds differently.
+
+        On this model it is the unfolded pass that validation runs; detection
+        calls it on :meth:`frozen`'s copy, which keeps the same row blocks.
         """
         x = self._input(x)
         rows = 1024
@@ -227,13 +241,37 @@ class ArchetypeModel:
                 p[a:b] = self._pass(x[a:b], training=False)
         return p
 
+    def frozen(self) -> ArchetypeModel:
+        """An inference-only copy for detection, each batch norm folded into
+        the one layer its output feeds (see :meth:`Layer.folded`) and set to
+        ``None``: ``bn1`` into the first block's L' (``l_fin`` without
+        blocks), a block's first batch norm into its L'', its second into the
+        next L' or ``l_fin``.  Its :meth:`predict` blocks rows by the same
+        rule and equals this model's up to rounding (a few ulp), without the
+        batch norms' four passes over every activation.  Every weight, bias
+        and statistic it reads is copied, so training this model afterwards
+        leaves the copy as it was; A_hat, which nothing writes, is shared.
+        It has no storage and does not train."""
+        frozen = copy.copy(self)
+        frozen.storage = frozen._cache = None
+        frozen.l1 = self.l1.folded()
+        norm = self.bn1
+        frozen.blocks = []
+        for lp, bnp, lpp, bnpp in self.blocks:
+            frozen.blocks.append((lp.folded(norm), None, lpp.folded(bnp), None))
+            norm = bnpp
+        frozen.l_fin = self.l_fin.folded(norm)
+        frozen.bn1 = None
+        return frozen
+
     def _pass(self, x: np.ndarray, training: bool) -> np.ndarray:
         """The archetype on a (B, N) input: each layer's ``forward`` when
-        training, its ``infer`` otherwise.  Each activation, the residual sum
-        and the sigmoid run in place on the fresh output of the layer before
-        them.  Training caches the activated ``a1``, ``u`` and ``s``:
-        :func:`leaky_relu_grad` gives the same array for them as for their
-        pre-activations, except at +inf with slope 0, whose NaN makes the
+        training, its ``infer`` otherwise; a batch norm that is ``None`` (one
+        :meth:`frozen` folded away) passes its input on.  Each activation, the
+        residual sum and the sigmoid run in place on the fresh output of the
+        layer before them.  Training caches the activated ``a1``, ``u`` and
+        ``s``: :func:`leaky_relu_grad` gives the same array for them as for
+        their pre-activations, except at +inf with slope 0, whose NaN makes the
         loss non-finite, so ``train`` raises ``TrainingDivergedError`` first.
         Inference caches nothing, so a block's first batch norm writes into ``u``."""
         slope = self.config.leaky_slope
@@ -242,17 +280,22 @@ class ArchetypeModel:
         def step(layer, h):
             return layer.forward(h) if training else layer.infer(h)
 
+        def norm(bn, h, out=None):
+            if bn is None:
+                return h
+            return bn.forward(h) if training else bn.infer(h, out=out)
+
         a1 = step(self.l1, x[:, :, None] if ginn else x)
         s = leaky_relu(a1, slope, out=a1)
-        z = step(self.bn1, s)  # s is the residual stream: normalize into a new array
+        z = norm(self.bn1, s)  # s is the residual stream: normalize into a new array
         block_cache = []
         for lp, bnp, lpp, bnpp in self.blocks:
             u = step(lp, z)
             leaky_relu(u, slope, out=u)
-            w = step(lpp, bnp.forward(u) if training else bnp.infer(u, out=u))
+            w = step(lpp, norm(bnp, u, out=u))
             w += s
             s = leaky_relu(w, slope, out=w)
-            z = step(bnpp, s)
+            z = norm(bnpp, s)
             if training:
                 block_cache.append((u, s))
         q = step(self.l_fin, z)

@@ -979,6 +979,9 @@ class _ConstantModel:
 
         self.config = _Cfg()
 
+    def frozen(self):
+        return self
+
     def predict(self, x):
         self.calls += 1
         return np.full(x.shape, self.value)

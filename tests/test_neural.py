@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from sgdetect.detectors import SAMPLE_BUDGET
+from sgdetect.detectors import SAMPLE_BUDGET, NeuralDetector
 from sgdetect.errors import MalformedFileError, TrainingDivergedError
 from sgdetect.neural.layers import BatchNorm, DenseLayer, GILayer, leaky_relu, leaky_relu_grad
 from sgdetect.neural.model import (
@@ -790,24 +790,39 @@ class TestPredict:
                                             ("mlp 65", 1024)])
     def test_no_layer_call_sees_more_rows_than_the_bound(self, predict_models, name,
                                                          bound, monkeypatch):
+        # predict and the NN detector's frozen copy, which runs no batch norm,
+        # block their rows alike
         model = predict_models[name]
         layer = GILayer if model.config.kind == "ginn" else DenseLayer
-        seen = []
-        original = layer.infer
+        seen, norms = [], []
+        original, original_norm = layer.infer, BatchNorm.infer
 
         def spy(self, h):
             seen.append(len(h))
             return original(self, h)
 
+        def norm_spy(self, h, out=None):
+            norms.append(len(h))
+            return original_norm(self, h, out=out)
+
         monkeypatch.setattr(layer, "infer", spy)
-        model.predict(np.zeros((1500, model.n_points)))
+        monkeypatch.setattr(BatchNorm, "infer", norm_spy)
         assert row_bound(model) == bound
-        assert max(seen) <= bound
-        # the 1,024- and 476-row chunks split evenly into the fewest blocks,
-        # each of which passes through the model's 2 + 2 * n_blocks layers
-        blocks = -(-1024 // bound) + -(-476 // bound)
-        assert len(seen) == blocks * (2 + 2 * model.n_blocks)
-        assert min(seen) > 1
+        calls = 2 + 2 * model.n_blocks
+        for predictor in (model, NeuralDetector(model).model):
+            for rows, lone in ((1500, 0), (1025, 1)):
+                seen.clear()
+                norms.clear()
+                predictor.predict(np.zeros((rows, model.n_points)))
+                # chunks of 1,024 and rows - 1,024 rows split evenly into the
+                # fewest blocks, each of which passes through the model's
+                # 2 + 2 * n_blocks layers; only a lone-row chunk has one row
+                blocks = -(-1024 // bound) + -(-(rows - 1024) // bound)
+                assert len(seen) == blocks * calls
+                assert max(seen) <= bound
+                assert seen.count(1) == lone * calls
+                assert min(n for n in seen if n > 1) >= 3
+                assert len(norms) == (blocks * (calls - 1) if predictor is model else 0)
 
     @pytest.mark.parametrize("rows", [3, 0])
     def test_rejects_a_wrong_shape(self, predict_models, rows):
@@ -849,6 +864,42 @@ class TestPredict:
         assert runs[0][0] == runs[1][0]
         for a, b in zip(runs[0][1], runs[1][1]):
             np.testing.assert_array_equal(a, b)
+
+
+class TestFrozen:
+    """``NeuralDetector`` predicts with ``model.frozen()``: every batch norm
+    folded into the layer its output feeds."""
+
+    @pytest.mark.parametrize("name", ["fixture ginn2d", "fixture ginn4d", "ginn 65",
+                                      "ginn 401", "mlp 65", "mlp 401"])
+    def test_scores_equal_predict(self, predict_models, name):
+        model = predict_models[name]
+        frozen = NeuralDetector(model).model
+        assert frozen.bn1 is None
+        assert all(bnp is None and bnpp is None for _, bnp, _, bnpp in frozen.blocks)
+        x = 3.0 * np.random.default_rng(6).normal(size=(1500, model.n_points))
+        p, q = model.predict(x), frozen.predict(x)
+        assert np.abs(q - p).max() <= 1e-12
+        np.testing.assert_array_equal(q >= 0.5, p >= 0.5)
+
+    @pytest.mark.parametrize("kind", ["ginn", "mlp"])
+    def test_later_changes_to_the_model_leave_the_detector(self, graph2d, kind):
+        model = randomized(build_archetype(ModelConfig(kind=kind), graph2d, seed=7), 7)
+        detector = NeuralDetector(model)
+        rng = np.random.default_rng(9)
+        evaluations = rng.normal(size=(40, graph2d.n_points))
+        coords = np.broadcast_to(graph2d.grid.coords(), (40, *graph2d.grid.coords().shape))
+        before = detector.detect_batch(graph2d, coords, evaluations)
+        train(model, _toy_split(graph2d.n_points, rng, size=60),
+              TrainConfig(max_epochs=2, batch_size=8, seed=2))
+        trained = NeuralDetector(model).detect_batch(graph2d, coords, evaluations)
+        assert not np.array_equal(trained, before)
+        np.testing.assert_array_equal(detector.detect_batch(graph2d, coords, evaluations),
+                                      before)
+        for array in model.state():
+            array += 0.5
+        np.testing.assert_array_equal(detector.detect_batch(graph2d, coords, evaluations),
+                                      before)
 
 
 def _toy_split(n_points, rng, size=30):
